@@ -27,7 +27,8 @@ class BandPlan:
     edges has num_bands + 1 ascending bin indices with edges[0] = 0 and
     edges[-1] = fft_len/2 + 1; band j covers bins edges[j]..edges[j+1]-1.
     center_bins holds the (possibly half-integer) midpoint bin of each
-    band, centers_hz the same in Hz.
+    band, centers_hz the same in Hz. Bin b interpolates the gains of
+    bands interp_index[:, b] with weights interp_weight[:, b].
     """
 
     num_bands: int
@@ -35,6 +36,8 @@ class BandPlan:
     center_bins: np.ndarray
     centers_hz: np.ndarray
     widths: np.ndarray
+    interp_index: np.ndarray
+    interp_weight: np.ndarray
     fft_len: int
     sample_rate_hz: int
 
@@ -74,7 +77,14 @@ def build_band_plan(fft_len: int, sample_rate_hz: int, num_bands: int) -> BandPl
     center_bins = (edges[:-1] + edges[1:] - 1) / 2.0
     centers_hz = center_bins * sample_rate_hz / fft_len
     widths = np.diff(edges)
-    for arr in (edges, center_bins, centers_hz, widths):
+    # fractional band position of every bin: bins outside the outer
+    # centers sit on the edge band, the rest between two neighbours
+    pos = np.interp(np.arange(nbins), center_bins, np.arange(num_bands))
+    left = pos.astype(np.int64)
+    frac = pos - left
+    interp_index = np.stack([left, np.minimum(left + 1, num_bands - 1)])
+    interp_weight = np.stack([1.0 - frac, frac])
+    for arr in (edges, center_bins, centers_hz, widths, interp_index, interp_weight):
         arr.flags.writeable = False
     return BandPlan(
         num_bands=num_bands,
@@ -82,30 +92,32 @@ def build_band_plan(fft_len: int, sample_rate_hz: int, num_bands: int) -> BandPl
         center_bins=center_bins,
         centers_hz=centers_hz,
         widths=widths,
+        interp_index=interp_index,
+        interp_weight=interp_weight,
         fft_len=fft_len,
         sample_rate_hz=sample_rate_hz,
     )
 
 
 def pool_to_bands(spec: SpectralFrame, plan: BandPlan) -> np.ndarray:
-    """Pool per-bin power into band magnitudes.
+    """Pool per-bin power into band magnitudes, per frame.
 
     Band magnitude is the RMS of the bin magnitudes, i.e. the square
     root of the mean per-bin power, which keeps the downstream SNR
     independent of band width.
     """
-    sums = np.add.reduceat(spec.power, plan.edges[:-1])
+    sums = np.add.reduceat(spec.power, plan.edges[:-1], axis=-1)
     return np.sqrt(sums / plan.widths)
 
 
 def expand_to_bins(band_gains: np.ndarray, plan: BandPlan) -> np.ndarray:
-    """Convert M band gains to fft_len/2 + 1 bin gains.
+    """Convert M band gains to fft_len/2 + 1 bin gains, per frame.
 
     Linear interpolation across the band center bins; bins outside the
     first and last centers take the edge band's gain unchanged.
     """
-    nbins = plan.edges[-1]
-    return np.interp(np.arange(nbins), plan.center_bins, band_gains)
+    picked = np.asarray(band_gains, dtype=float).take(plan.interp_index, axis=-1)
+    return np.add.reduce(picked * plan.interp_weight, axis=-2)
 
 
 def apply_gains(spec: SpectralFrame, bin_gains: np.ndarray) -> SpectralFrame:

@@ -87,7 +87,7 @@ class FrameConfig:
 
 @dataclass
 class SpectralFrame:
-    """Half spectrum of one analysis frame.
+    """Half spectrum of one analysis frame, or of a block (one per row).
 
     bins holds the complex values for indices 0..fft_len/2 inclusive,
     power the per-bin squared magnitudes in linear power units.
@@ -168,22 +168,22 @@ def hpf_process(samples: np.ndarray, coeffs, state: HpfState) -> np.ndarray:
 
 
 def analyze(frame: np.ndarray, cfg: FrameConfig) -> SpectralFrame:
-    """Window one frame, zero-pad to fft_len and transform.
+    """Window frames, zero-pad to fft_len and transform.
 
     Parameters
     ----------
     frame : ndarray
-        Exactly cfg.frame_len time samples.
+        Exactly cfg.frame_len time samples, or a block of such rows.
 
     Returns
     -------
     SpectralFrame
-        Complex half spectrum plus per-bin power.
+        Complex half spectrum plus per-bin power, one row per frame.
     """
-    if frame.shape != (cfg.frame_len,):
-        raise UsageError(f"expected {cfg.frame_len} samples, got shape {frame.shape}")
+    if frame.ndim not in (1, 2) or frame.shape[-1] != cfg.frame_len:
+        raise UsageError(f"expected {cfg.frame_len} samples per frame, got shape {frame.shape}")
     analysis, _ = windows_for(cfg)
-    bins = np.fft.rfft(frame * analysis, n=cfg.fft_len)
+    bins = np.fft.rfft(frame * analysis, n=cfg.fft_len, axis=-1)
     power = bins.real * bins.real + bins.imag * bins.imag
     return SpectralFrame(bins=bins, power=power)
 
@@ -192,29 +192,37 @@ def analyze(frame: np.ndarray, cfg: FrameConfig) -> SpectralFrame:
 class OlaState:
     """Overlap-add accumulator holding the unfinished synthesis tail."""
 
-    buf: np.ndarray
+    tail: np.ndarray
 
     @classmethod
     def for_config(cls, cfg: FrameConfig) -> "OlaState":
-        return cls(buf=np.zeros(cfg.frame_len))
+        return cls(tail=np.zeros(cfg.frame_len - cfg.hop_len))
 
 
 def synthesize(spec: SpectralFrame, ola_state: OlaState, cfg: FrameConfig) -> np.ndarray:
-    """Inverse-transform one frame and emit the next hop_len samples.
+    """Inverse-transform frames and emit hop_len samples per frame.
 
-    The inverse transform is truncated to frame_len samples (dropping
+    Each inverse transform is truncated to frame_len samples (dropping
     the zero-pad tail), synthesis-windowed and added into the overlap
-    accumulator; the hop_len samples that can receive no further
-    contributions are returned.
+    accumulator, oldest frame first; the hop_len samples per frame that
+    can receive no further contributions are returned.
     """
     _, synthesis = windows_for(cfg)
-    frame = np.fft.irfft(spec.bins, n=cfg.fft_len)[: cfg.frame_len] * synthesis
-    buf = ola_state.buf
-    buf += frame
-    out = buf[: cfg.hop_len].copy()
-    buf[: -cfg.hop_len] = buf[cfg.hop_len :]
-    buf[-cfg.hop_len :] = 0.0
-    return out
+    frames = np.fft.irfft(spec.bins, n=cfg.fft_len, axis=-1)[..., : cfg.frame_len] * synthesis
+    hop = cfg.hop_len
+    if frames.ndim == 1:
+        acc = np.concatenate((ola_state.tail, frames[-hop:]))
+        acc[:-hop] += frames[:-hop]
+        ola_state.tail = acc[hop:]
+        return acc[:hop]
+    n = len(frames)
+    # samples past the tail start from their oldest contribution
+    acc = np.concatenate((ola_state.tail, frames[:, -hop:].reshape(-1)))
+    rows = acc.reshape(-1, hop)
+    for j in range(cfg.frame_len // hop - 2, -1, -1):
+        rows[j : j + n] += frames[:, j * hop : (j + 1) * hop]
+    ola_state.tail = acc[n * hop :]
+    return acc[: n * hop]
 
 
 def algorithmic_latency_ms(cfg: FrameConfig) -> float:

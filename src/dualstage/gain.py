@@ -12,9 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .noise_tracking import smooth_rows
 
 # validation bound for mu; presets stay well inside it
 MU_MAX = 1.5
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ def compute_raw_gain(snr, mu, gain_floor) -> np.ndarray:
     snr = np.asarray(snr, dtype=float)
     # a silent band has no SNR evidence and takes the floor; the tiny
     # clamp keeps the division finite, the where() forces the snap
-    q = np.asarray(mu, dtype=float) / np.maximum(snr, np.finfo(float).tiny)
+    q = np.asarray(mu, dtype=float) / np.maximum(snr, _TINY)
     q = np.where(snr > 0.0, q, np.inf)
     raw = np.sqrt(np.maximum(1.0 - q, 0.0))
     return np.minimum(np.maximum(raw, gain_floor), 1.0)
@@ -86,11 +88,11 @@ def smooth_gain(raw, state: GainState, params: GainParams) -> np.ndarray:
     """First-order gain smoothing with the gain-dependent factor.
 
     G(m) = G(m-1) + gamma(G') * (G' - G(m-1)), clamped to
-    [gain_floor, 1]; the state is updated with the result.
+    [gain_floor, 1]; the state is updated with the result. raw holds
+    one frame's band gains, or a block with one frame per row.
     """
     raw = np.asarray(raw, dtype=float)
     gamma = smoothing_factor_of(raw, params.gamma_min, params.gamma_max)
-    g = state.prev_gain + gamma * (raw - state.prev_gain)
-    g = np.minimum(np.maximum(g, params.gain_floor), 1.0)
-    state.prev_gain = g
-    return g
+    out = smooth_rows(state.prev_gain, gamma, raw, np.asarray(params.gain_floor, dtype=float))
+    state.prev_gain = out if out.ndim == 1 else out[-1]
+    return out

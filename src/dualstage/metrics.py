@@ -284,13 +284,14 @@ def spectrogram_db(samples, frame_cfg, floor_db: float = -120.0) -> np.ndarray:
     from . import framing  # local import keeps module deps one-way
 
     x = np.asarray(samples, dtype=float)
-    hop, flen = frame_cfg.hop_len, frame_cfg.frame_len
-    nframes = max(0, (x.size - flen) // hop + 1) if x.size >= flen else 0
-    rows = np.full((nframes, frame_cfg.num_bins), floor_db)
-    floor_pow = 10.0 ** (floor_db / 10.0)
-    for i in range(nframes):
-        spec = framing.analyze(x[i * hop : i * hop + flen], frame_cfg)
-        rows[i] = 10.0 * np.log10(np.maximum(spec.power, floor_pow))
+    if x.size < frame_cfg.frame_len:
+        return np.zeros((0, frame_cfg.num_bins))
+    frames = np.lib.stride_tricks.sliding_window_view(x, frame_cfg.frame_len)[:: frame_cfg.hop_len]
+    rows = np.empty((len(frames), frame_cfg.num_bins))
+    floor_pow, step = 10.0 ** (floor_db / 10.0), pipeline.BLOCK_FRAMES
+    for i in range(0, len(frames), step):
+        power = framing.analyze(frames[i : i + step], frame_cfg).power
+        rows[i : i + step] = 10.0 * np.log10(np.maximum(power, floor_pow))
     return rows
 
 

@@ -10,20 +10,11 @@ noise.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ConfigError, UsageError
-
-
-@lru_cache(maxsize=64)
-def _map_arrays(snr_map: tuple) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.array([p[0] for p in snr_map], dtype=float)
-    ys = np.array([p[1] for p in snr_map], dtype=float)
-    xs.flags.writeable = False
-    ys.flags.writeable = False
-    return xs, ys
 
 # default Stage-2 map: multiplier 2.0 at and below 0 dB, 1.0 at and
 # above 20 dB, linear between
@@ -86,79 +77,58 @@ class TrackerParams:
         return self.subwindow_len * self.num_subwindows
 
 
-class _SubwindowMin:
-    """Exact sliding-window minimum over rotating subwindows.
+class _SlidingMin:
+    """Exact trailing-window minimum, O(1) per frame and band.
 
-    Keeps the raw values of the last num_subwindows completed
-    subwindows plus the active one. The trailing-window minimum is
-    assembled from the oldest subwindow's suffix minima (dropping the
-    samples that have left the window), the newer subwindows' full
-    minima and the active subwindow's running minimum, so the result
-    equals a brute-force minimum over exactly the last
-    subwindow_len * num_subwindows frames, every frame.
+    Block-aligned running minimum (van Herk 1992; Gil & Werman 1993):
+    with time cut into blocks of window_len frames, the window ending at
+    offset i of a block is the previous block's suffix from i+1 plus the
+    current block's prefix up to i. Suffixes start at +inf, so a short
+    stream takes the minimum over everything seen.
     """
 
-    def __init__(self, subwindow_len: int, num_subwindows: int, num_bands: int):
-        self.sub_len = subwindow_len
-        self.num_subs = num_subwindows
-        self.raw = np.empty((num_subwindows, subwindow_len, num_bands))
-        self.sub_mins = np.empty((num_subwindows, num_bands))
-        self.head = 0  # ring index of the oldest completed subwindow
-        self.size = 0  # completed subwindows currently held
-        self.active = np.empty((subwindow_len, num_bands))
-        self.pos = 0
-        self.current_min = np.full(num_bands, np.inf)
-        self.oldest_suffix = None  # (sub_len, M) suffix minima of the oldest
-        self.newer_min = None  # min over completed subwindows except the oldest
+    def __init__(self, window_len: int, num_bands: int):
+        self.window_len = window_len
+        self.block = np.empty((window_len, num_bands))
+        self.pos = 0  # frames held in the current block
+        self.prefix_min = np.full(num_bands, np.inf)
+        self.prev_suffix = np.full((window_len + 1, num_bands), np.inf)
 
-    def push(self, values: np.ndarray) -> None:
-        self.active[self.pos] = values
-        if self.pos == 0:
-            self.current_min = values.copy()
-        else:
-            np.minimum(self.current_min, values, out=self.current_min)
-        self.pos += 1
-        if self.pos == self.sub_len:
-            self._rotate()
+    def push(self, rows: np.ndarray) -> np.ndarray:
+        """Append one frame (1-D) or a block of frames (one per row);
+        return the window minimum of each, in the same shape."""
+        if rows.ndim == 1:
+            self.block[self.pos] = rows
+            self.prefix_min = np.minimum(rows, self.prefix_min)
+            out = np.minimum(self.prefix_min, self.prev_suffix[self.pos + 1])
+            self._advance(self.pos + 1)
+            return out
+        outs = []
+        while len(rows):
+            pos = self.pos
+            seg, rows = rows[: self.window_len - pos], rows[self.window_len - pos :]
+            self.block[pos : pos + len(seg)] = seg
+            prefix = np.minimum(np.minimum.accumulate(seg, axis=0), self.prefix_min)
+            outs.append(np.minimum(prefix, self.prev_suffix[pos + 1 : pos + len(seg) + 1]))
+            self.prefix_min = prefix[-1]
+            self._advance(pos + len(seg))
+        return outs[0] if len(outs) == 1 else np.concatenate(outs)
 
-    def _rotate(self) -> None:
-        if self.size == self.num_subs:
-            idx = self.head
-            self.head = (self.head + 1) % self.num_subs
-        else:
-            idx = (self.head + self.size) % self.num_subs
-            self.size += 1
-        self.raw[idx] = self.active
-        self.sub_mins[idx] = self.current_min
-        self.pos = 0
-        if self.size == self.num_subs:
-            oldest = self.raw[self.head]
-            self.oldest_suffix = np.minimum.accumulate(oldest[::-1], axis=0)[::-1]
-            rest = [(self.head + i) % self.num_subs for i in range(1, self.num_subs)]
-            if rest:
-                self.newer_min = self.sub_mins[rest].min(axis=0)
-            else:
-                self.newer_min = np.full(self.raw.shape[-1], np.inf)
-
-    def query(self) -> np.ndarray:
-        if self.size < self.num_subs:
-            # window not yet saturated: minimum over everything held
-            result = self.current_min.copy() if self.pos else None
-            if self.size:
-                held = self.sub_mins[: self.size].min(axis=0)
-                result = held if result is None else np.minimum(result, held)
-            return result
-        if self.pos == 0:
-            return self.sub_mins.min(axis=0)
-        result = np.minimum(self.oldest_suffix[self.pos], self.newer_min)
-        return np.minimum(result, self.current_min, out=result)
+    def _advance(self, end: int) -> None:
+        """Move to block offset end, closing the block when it is full."""
+        if end == self.window_len:
+            reversed_min = np.minimum.accumulate(self.block[::-1], axis=0)
+            self.prev_suffix[:end] = reversed_min[::-1]
+            self.prefix_min = np.full_like(self.prefix_min, np.inf)
+            end = 0
+        self.pos = end
 
 
 @dataclass
 class NoiseState:
     """Per-stream tracker state; single writer, movable between threads."""
 
-    window_min: _SubwindowMin
+    window_min: _SlidingMin
     smoothed: np.ndarray
     presmoothed_mag: np.ndarray
     frame_count: int = 0
@@ -166,20 +136,37 @@ class NoiseState:
     @classmethod
     def for_params(cls, params: TrackerParams, num_bands: int) -> "NoiseState":
         return cls(
-            window_min=_SubwindowMin(
-                params.subwindow_len, params.num_subwindows, num_bands
-            ),
+            window_min=_SlidingMin(params.window_len, num_bands),
             smoothed=np.zeros(num_bands),
             presmoothed_mag=np.zeros(num_bands),
         )
 
-    @property
-    def current_min(self) -> np.ndarray:
-        return self.window_min.current_min
 
-    @property
-    def subwindow_mins(self) -> np.ndarray:
-        return self.window_min.sub_mins[: self.window_min.size]
+def smooth_rows(prev, alpha, x: np.ndarray, floor=None) -> np.ndarray:
+    """First-order recursion p(m) = p(m-1) + alpha(m) * (x(m) - p(m-1)).
+
+    x is one frame (1-D) or a block, one frame per row; the result has
+    its shape. A 2-D alpha gives each frame of a block its own row,
+    other alphas apply to every frame. prev = None seeds p(-1) = x(0),
+    so the first frame reproduces x(0). A floor clamps every p(m) to
+    [floor, 1] before the next step.
+    """
+    if x.ndim == 1:
+        p = x if prev is None else prev
+        p = p + alpha * (x - p)
+        return p if floor is None else np.minimum(np.maximum(p, floor), 1.0)
+    p = x[0] if prev is None else prev
+    out = np.empty_like(x)
+    # the same arithmetic as above, in place, one row at a time
+    for xm, a, pm in zip(x, alpha if np.ndim(alpha) == 2 else repeat(alpha), out):
+        np.subtract(xm, p, out=pm)
+        pm *= a
+        pm += p
+        if floor is not None:
+            np.maximum(pm, floor, out=pm)
+            np.minimum(pm, 1.0, out=pm)
+        p = pm
+    return out
 
 
 def track_raw(band_mags: np.ndarray, params: TrackerParams, state: NoiseState) -> np.ndarray:
@@ -187,10 +174,18 @@ def track_raw(band_mags: np.ndarray, params: TrackerParams, state: NoiseState) -
 
     The window covers the last subwindow_len * num_subwindows frames
     (fewer while the stream is shorter than that); the first frame
-    seeds the minimum with the first observation.
+    seeds the minimum with the first observation. Like update, it takes
+    one frame or a block.
     """
-    state.window_min.push(np.asarray(band_mags, dtype=float))
-    return params.bias_factor * state.window_min.query()
+    return params.bias_factor * state.window_min.push(np.asarray(band_mags, dtype=float))
+
+
+def _smooth_noise(raw: np.ndarray, state: NoiseState, alpha) -> np.ndarray:
+    seed = None if state.frame_count == 0 else state.smoothed
+    out = smooth_rows(seed, alpha, raw)
+    state.smoothed = out if out.ndim == 1 else out[-1]
+    state.frame_count += 1 if out.ndim == 1 else len(out)
+    return out
 
 
 def smooth_noise(raw: np.ndarray, state: NoiseState, alpha_eff) -> np.ndarray:
@@ -199,67 +194,53 @@ def smooth_noise(raw: np.ndarray, state: NoiseState, alpha_eff) -> np.ndarray:
     N(m) = N(m-1) + alpha * (N'(m) - N(m-1)); the first frame seeds
     N directly with the raw estimate so the floor never starts at zero.
     """
-    if isinstance(alpha_eff, float):
-        ok = 0.0 <= alpha_eff <= 1.0
-    else:
-        alpha_eff = np.asarray(alpha_eff, dtype=float)
-        if alpha_eff.ndim == 0:
-            ok = 0.0 <= float(alpha_eff) <= 1.0
-        else:
-            ok = alpha_eff.size == 0 or (
-                float(alpha_eff.min()) >= 0.0 and float(alpha_eff.max()) <= 1.0
-            )
-    if not ok:
+    alpha = np.asarray(alpha_eff, dtype=float)
+    if alpha.size and not (float(alpha.min()) >= 0.0 and float(alpha.max()) <= 1.0):
         raise UsageError(f"alpha_eff must lie in [0, 1], got {alpha_eff}")
-    if state.frame_count == 0:
-        state.smoothed = np.asarray(raw, dtype=float).copy()
-    else:
-        state.smoothed = state.smoothed + alpha_eff * (raw - state.smoothed)
-    state.frame_count += 1
-    return state.smoothed
+    return _smooth_noise(np.asarray(raw, dtype=float), state, alpha)
 
 
-def effective_alpha(base_alpha, stage1_snr_db: float, snr_map) -> np.ndarray:
+def effective_alpha(base_alpha, stage1_snr_db, snr_map) -> np.ndarray:
     """Scale the base smoothing factor by the SNR-dependent multiplier.
 
     Lower frame SNR gives a multiplier >= 1 (faster tracking); the
     result is clamped to [0, 1]. With no map the base value is returned
-    unchanged apart from the clamp.
+    unchanged apart from the clamp. stage1_snr_db may be a 1-D array of
+    frame SNRs; the result is then 2-D with one row per frame.
     """
     base = np.asarray(base_alpha, dtype=float)
     if snr_map is None:
         return np.clip(base, 0.0, 1.0)
-    xs, ys = _map_arrays(tuple(tuple(p) for p in snr_map))
-    mult = float(np.interp(stage1_snr_db, xs, ys))
-    if base.ndim == 0:
-        return min(max(float(base) * mult, 0.0), 1.0)
-    return np.clip(base * mult, 0.0, 1.0)
+    xs, ys = np.asarray(snr_map, dtype=float).T
+    mult = np.interp(stage1_snr_db, xs, ys)
+    if np.ndim(mult):
+        mult = mult[:, None]
+    elif base.ndim == 0:
+        return min(max(float(base) * float(mult), 0.0), 1.0)
+    return np.minimum(np.maximum(mult * base, 0.0), 1.0)
 
 
 def update(
     band_mags: np.ndarray,
     params: TrackerParams,
     state: NoiseState,
-    stage1_snr_db: float | None = None,
+    stage1_snr_db=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One full tracker step: pre-smooth, window minimum, noise smoothing.
 
     Returns (raw estimate, smoothed estimate). stage1_snr_db feeds the
     alpha map when the params carry one; passing None leaves the base
-    alpha in place.
+    alpha in place. A block of frames (one per row, with one frame SNR
+    each) gives the same rows as frame-by-frame calls.
     """
     mags = np.asarray(band_mags, dtype=float)
-    if state.frame_count == 0:
-        state.presmoothed_mag = mags.copy()
-    else:
-        state.presmoothed_mag = state.presmoothed_mag + params.mag_smooth_alpha * (
-            mags - state.presmoothed_mag
-        )
-    raw = track_raw(state.presmoothed_mag, params, state)
     if params.alpha_snr_map is not None and stage1_snr_db is not None:
-        alpha_eff = effective_alpha(params.alpha, stage1_snr_db, params.alpha_snr_map)
+        alpha = effective_alpha(params.alpha, stage1_snr_db, params.alpha_snr_map)
     else:
         # construction already validated alpha's range
-        alpha_eff = params.alpha
-    smoothed = smooth_noise(raw, state, alpha_eff)
-    return raw, smoothed
+        alpha = np.asarray(params.alpha, dtype=float)
+    seed = None if state.frame_count == 0 else state.presmoothed_mag
+    pre = smooth_rows(seed, params.mag_smooth_alpha, mags)
+    state.presmoothed_mag = pre if pre.ndim == 1 else pre[-1]
+    raw = track_raw(pre, params, state)
+    return raw, _smooth_noise(raw, state, alpha)

@@ -40,6 +40,16 @@ class TestExitCodes:
         assert run("enhance", str(p), str(tmp_path / "o.wav")) == 1
         assert "mono" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_is_input_error(self, tmp_path, capsys, bad):
+        x = np.random.default_rng(1).normal(0.0, 0.1, 16000).astype(np.float32)
+        x[4321] = bad
+        p = tmp_path / "bad.wav"
+        wavfile.write(p, 16000, x)
+        assert run("enhance", str(p), str(tmp_path / "o.wav")) == 1
+        assert "non-finite sample at stream index 4321" in capsys.readouterr().err
+        assert not (tmp_path / "o.wav").exists()
+
     def test_preset_and_config_conflict(self, tmp_path, capsys):
         wav = write_tone_wav(tmp_path / "in.wav")
         cfg = tmp_path / "c.json"

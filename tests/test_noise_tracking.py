@@ -111,20 +111,23 @@ class TestTrackRaw:
             raw = ds.track_raw(np.array([2.0]), p, state)
             assert float(raw[0]) == 0.2
 
-    def test_state_exposes_window_components(self):
-        p = ds.TrackerParams(subwindow_len=3, num_subwindows=2, bias_factor=1.0)
-        state = ds.NoiseState.for_params(p, 2)
+    @pytest.mark.parametrize("sub_len,num_subs", [(4, 3), (1, 1), (48, 8)])
+    def test_blocks_straddling_the_window_match_brute_force(self, sub_len, num_subs):
+        """Frames pushed in random block sizes, many of them crossing
+        the W-frame alignment of the running minimum, still give the
+        exact trailing-window minimum for every frame."""
+        rng = np.random.default_rng(34 + sub_len)
+        p = ds.TrackerParams(subwindow_len=sub_len, num_subwindows=num_subs, bias_factor=1.0)
+        w = p.window_len
+        state = ds.NoiseState.for_params(p, 3)
         history = []
-        for v in (0.5, 0.4, 0.9, 0.7, 0.3, 0.8, 0.6):
-            mags = np.array([v, v])
-            history.append(mags)
-            raw = ds.track_raw(mags, p, state)
-            # the union of completed sub-window minima and the running
-            # minimum can only reach further back than the window, so
-            # it lower-bounds the exact query
-            held = [state.current_min] + list(state.subwindow_mins)
-            union = np.min(np.stack(held), axis=0)
-            assert np.all(union <= raw + 1e-15)
+        while len(history) < 6 * w + 50:
+            n = int(rng.integers(1, 2 * w + 3))
+            block = rng.uniform(0.0, 1.0, (n, 3))
+            got = state.window_min.push(block)
+            for row, mins in zip(block, got):
+                history.append(row)
+                np.testing.assert_array_equal(mins, brute_force_min(history, w))
 
 
 class TestSmoothNoise:

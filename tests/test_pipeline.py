@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dualstage as ds
-from dualstage.errors import UsageError
+from dualstage.errors import InputError, UsageError
 from synth import FS, white_noise
 
 from conftest import no_hpf, with_mu
@@ -67,21 +67,59 @@ class TestStreaming:
         np.testing.assert_array_equal(log1, log2)
 
 
+class TestNonFiniteInput:
+    """A NaN or infinity fails fast with the stream index of the first
+    bad sample, in every mode, instead of poisoning the trackers."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_process_names_first_bad_sample(self, comm_cfg, bad):
+        rng = np.random.default_rng(18)
+        x = rng.normal(0.0, 0.1, 3000)
+        proc = ds.StreamProcessor(comm_cfg)
+        ref = ds.StreamProcessor(comm_cfg)
+        assert np.array_equal(proc.process(x[:1000]), ref.process(x[:1000]))
+        block = x[1000:2000].copy()
+        block[[300, 700]] = bad
+        with pytest.raises(InputError, match="stream index 1300"):
+            proc.process(block)
+        # the rejected block left no trace: the stream carries on as if
+        # it had never been fed
+        np.testing.assert_array_equal(proc.process(x[2000:]), ref.process(x[2000:]))
+
+    @pytest.mark.parametrize("single", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_whole_signal_and_replay(self, comm_cfg, single, bad):
+        rng = np.random.default_rng(19)
+        x = rng.normal(0.0, 0.1, FS // 2)
+        _, log = ds.process_stream(x, comm_cfg, single_stage=single)
+        x[1234] = bad
+        with pytest.raises(InputError, match="stream index 1234"):
+            ds.process_stream(x, comm_cfg, single_stage=single)
+        with pytest.raises(InputError, match="stream index 1234"):
+            ds.replay_gains(x, log, comm_cfg)
+
+
 class TestTransformBudget:
     @pytest.mark.parametrize("single", [False, True])
     def test_one_fft_pair_per_frame(self, comm_cfg, monkeypatch, single):
         """Both stages share one spectrum: exactly one forward and one
-        inverse transform per frame regardless of stage count."""
+        inverse transform per frame regardless of stage count. The
+        engine transforms blocks of frames, so transformed rows are
+        counted, not calls."""
         calls = {"fwd": 0, "inv": 0}
         real_rfft, real_irfft = np.fft.rfft, np.fft.irfft
 
-        def fwd(*a, **k):
-            calls["fwd"] += 1
-            return real_rfft(*a, **k)
+        def rows(a, k):
+            assert k.get("axis", -1) in (-1, a.ndim - 1)
+            return a.size // a.shape[-1]
 
-        def inv(*a, **k):
-            calls["inv"] += 1
-            return real_irfft(*a, **k)
+        def fwd(a, *args, **k):
+            calls["fwd"] += rows(a, k)
+            return real_rfft(a, *args, **k)
+
+        def inv(a, *args, **k):
+            calls["inv"] += rows(a, k)
+            return real_irfft(a, *args, **k)
 
         monkeypatch.setattr(np.fft, "rfft", fwd)
         monkeypatch.setattr(np.fft, "irfft", inv)
