@@ -119,13 +119,11 @@ def cmd_enhance(args) -> int:
                 dump_rows.append((frame, raw.copy(), smoothed.copy()))
 
     t0 = time.perf_counter()
-    y, gain_log = pipeline.process_stream(
-        x,
-        cfg,
-        single_stage=args.single_stage,
-        latency_aligned=not args.no_latency_compensation,
-        tracker_sink=sink,
+    # no gain log: only its frame count would be printed
+    proc = pipeline.StreamProcessor(
+        cfg, single_stage=args.single_stage, log_gains=False, tracker_sink=sink
     )
+    y = pipeline.run_stream(proc, x, latency_aligned=not args.no_latency_compensation)
     elapsed = time.perf_counter() - t0
     write_wav(args.output, y, cfg.frame.sample_rate_hz, subtype)
     if args.tracker_dump:
@@ -137,7 +135,7 @@ def cmd_enhance(args) -> int:
     duration = x.size / cfg.frame.sample_rate_hz
     rtf = elapsed / duration if duration > 0 else 0.0
     print(
-        f"{args.output}: {gain_log.shape[0]} frames, "
+        f"{args.output}: {proc.frame_index} frames, "
         f"realtime factor {rtf:.4f}, "
         f"algorithmic latency {algorithmic_latency_ms(cfg.frame):.1f} ms"
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .noise_tracking import smooth_rows
+from .noise_tracking import scalar_or_array, smooth_rows
 
 # validation bound for mu; presets stay well inside it
 MU_MAX = 1.5
@@ -87,12 +87,14 @@ def smoothing_factor_of(raw_gain, gamma_min: float, gamma_max: float) -> np.ndar
 def smooth_gain(raw, state: GainState, params: GainParams) -> np.ndarray:
     """First-order gain smoothing with the gain-dependent factor.
 
-    G(m) = G(m-1) + gamma(G') * (G' - G(m-1)), clamped to
+    G(m) = (1 - gamma(G')) * G(m-1) + gamma(G') * G', clamped to
     [gain_floor, 1]; the state is updated with the result. raw holds
-    one frame's band gains, or a block with one frame per row.
+    one frame's band gains, or a block with one frame per row. gamma
+    changes with every frame and band, so a block steps row by row
+    (smooth_rows).
     """
     raw = np.asarray(raw, dtype=float)
     gamma = smoothing_factor_of(raw, params.gamma_min, params.gamma_max)
-    out = smooth_rows(state.prev_gain, gamma, raw, np.asarray(params.gain_floor, dtype=float))
+    out = smooth_rows(state.prev_gain, gamma, raw, scalar_or_array(params.gain_floor))
     state.prev_gain = out if out.ndim == 1 else out[-1]
     return out

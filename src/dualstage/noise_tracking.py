@@ -7,12 +7,21 @@ per-band alpha turns the raw track into the noise magnitude estimate;
 for the second stage the alpha is scaled up at low frame SNR so the
 tracker follows faster where the first stage says the signal is mostly
 noise.
+
+All three smoothers (magnitude pre-smoothing, noise smoothing, and the
+gain smoothing in the gain module) are the recursion in smooth_rows. A
+block whose alpha is one scalar and that has no clamp (pre-smoothing
+in every stage, noise smoothing wherever alpha is not per band or per
+frame) runs as a single scipy.signal.lfilter call; the rest step row
+by row. Both round each step exactly as a lone frame does (see
+smooth_rows), so chunking a stream never changes a bit.
 """
 
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
+import scipy.signal
 
 from .errors import ConfigError, UsageError
 
@@ -142,31 +151,75 @@ class NoiseState:
         )
 
 
+def scalar_or_array(value):
+    """A Python number as a float, anything else as a float array."""
+    # isinstance, not np.ndim: this runs on every one-hop call
+    if isinstance(value, (float, int)):
+        return float(value)
+    return np.asarray(value, dtype=float)
+
+
 def smooth_rows(prev, alpha, x: np.ndarray, floor=None) -> np.ndarray:
-    """First-order recursion p(m) = p(m-1) + alpha(m) * (x(m) - p(m-1)).
+    """First-order recursion p(m) = (1 - alpha(m)) * p(m-1) + alpha(m) * x(m).
 
     x is one frame (1-D) or a block, one frame per row; the result has
     its shape. A 2-D alpha gives each frame of a block its own row,
-    other alphas apply to every frame. prev = None seeds p(-1) = x(0),
-    so the first frame reproduces x(0). A floor clamps every p(m) to
-    [floor, 1] before the next step.
+    other alphas apply to every frame; pass a scalar as a Python float
+    so 1 - alpha costs no numpy call. prev = None seeds p(0) = x(0). A
+    floor clamps every p(m) to [floor, 1] before the next step.
+
+    A block with a scalar alpha and no floor is one lfilter call with
+    b = [alpha, 0] and a = [1, -(1 - alpha)]. Its transposed direct
+    form rounds each step as fl(fl(c * p) + fl(alpha * x)) with
+    c = 1 - alpha, the same two products and sum that the row loop and
+    a lone frame compute, so every split of a stream gives the same
+    bits. Other blocks step row by row in two numpy calls per row; with
+    a floor, the clamp runs only from the first row that left
+    [floor, 1], since a clamp that changes nothing can be skipped.
     """
     if x.ndim == 1:
-        p = x if prev is None else prev
-        p = p + alpha * (x - p)
+        if prev is None:
+            p = x.copy()
+        else:
+            p = (1 - alpha) * prev + alpha * x
         return p if floor is None else np.minimum(np.maximum(p, floor), 1.0)
-    p = x[0] if prev is None else prev
-    out = np.empty_like(x)
-    # the same arithmetic as above, in place, one row at a time
-    for xm, a, pm in zip(x, alpha if np.ndim(alpha) == 2 else repeat(alpha), out):
-        np.subtract(xm, p, out=pm)
-        pm *= a
-        pm += p
+    out = rows = np.empty_like(x)
+    if prev is None:  # the seeded first row, then the recursion from row 1
+        prev = out[0] = smooth_rows(None, alpha, x[0], floor)
+        x, rows = x[1:], out[1:]
+        if np.ndim(alpha) == 2:
+            alpha = alpha[1:]
+    if not len(x):
+        return out
+    c = 1 - alpha
+    if floor is None and np.ndim(alpha) == 0:
+        rows[:] = scipy.signal.lfilter([alpha, 0.0], [1.0, -c], x, axis=0, zi=[c * prev])[0]
+        return out
+    ax = alpha * x
+    _step_rows(prev, c, ax, rows)
+    if floor is not None:
+        # a clamp that changes nothing can be skipped: rows before the
+        # first one outside [floor, 1] are exact, and from that row on
+        # the block steps again with the clamp
+        bad = np.flatnonzero(np.any((rows < floor) | (rows > 1.0), axis=-1))
+        if bad.size:
+            m = bad[0]
+            np.minimum(np.maximum(rows[m], floor), 1.0, out=rows[m])
+            c_rest = c[m + 1 :] if np.ndim(c) == 2 else c
+            _step_rows(rows[m], c_rest, ax[m + 1 :], rows[m + 1 :], floor)
+    return out
+
+
+def _step_rows(p, c, ax, rows, floor=None) -> None:
+    """rows[m] = c(m) * rows[m-1] + ax[m], from rows[-1] = p, with the
+    [floor, 1] clamp when a floor is given."""
+    for axm, cm, pm in zip(ax, c if np.ndim(c) == 2 else repeat(c), rows):
+        np.multiply(p, cm, out=pm)
+        pm += axm
         if floor is not None:
             np.maximum(pm, floor, out=pm)
             np.minimum(pm, 1.0, out=pm)
         p = pm
-    return out
 
 
 def track_raw(band_mags: np.ndarray, params: TrackerParams, state: NoiseState) -> np.ndarray:
@@ -238,9 +291,9 @@ def update(
         alpha = effective_alpha(params.alpha, stage1_snr_db, params.alpha_snr_map)
     else:
         # construction already validated alpha's range
-        alpha = np.asarray(params.alpha, dtype=float)
+        alpha = scalar_or_array(params.alpha)
     seed = None if state.frame_count == 0 else state.presmoothed_mag
-    pre = smooth_rows(seed, params.mag_smooth_alpha, mags)
+    pre = smooth_rows(seed, float(params.mag_smooth_alpha), mags)
     state.presmoothed_mag = pre if pre.ndim == 1 else pre[-1]
     raw = track_raw(pre, params, state)
     return raw, _smooth_noise(raw, state, alpha)

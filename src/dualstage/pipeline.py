@@ -8,10 +8,12 @@ gains. The final per-frame bin gains (the product of both stages) are
 logged so the measurement harness can replay them over the clean
 components of a mix.
 
-Every layer runs once per block of frames; only the first-order
-smoothers step through a block row by row. A row's result depends only
-on that row and the carried state, so any chunking of a stream gives
-bit-identical output.
+Every layer runs once per block of frames. Of the first-order
+smoothers, those with a fixed scalar factor are one lfilter call per
+block; the noise smoother with a per-frame or per-band factor and the
+gain smoothers step through a block row by row. A row's result depends
+only on that row and the carried state, so any chunking of a stream
+gives bit-identical output.
 """
 
 import math
@@ -185,10 +187,16 @@ class StreamProcessor:
         return 10.0 * np.log10(snr_lin + (snr_lin == 0.0) * _IDLE_FRAME_SNR)
 
 
-def _run_stream(proc: StreamProcessor, x: np.ndarray, out_len: int) -> np.ndarray:
+def run_stream(proc: StreamProcessor, x: np.ndarray, *, latency_aligned: bool = False):
+    """Feed a whole signal and a zero flush through proc; return x.size
+    output samples, starting after the algorithmic latency when
+    latency_aligned. An empty signal runs no frame."""
+    if x.shape == (0,):
+        return np.zeros(0)
+    lead = proc.latency_samples if latency_aligned else 0
     # the flush yields at least x.size + 2 * latency samples in all
     flush = np.zeros(proc.latency_samples + proc.cfg.frame.frame_len)
-    return np.concatenate([proc.process(x), proc.process(flush)])[:out_len]
+    return np.concatenate([proc.process(x), proc.process(flush)])[lead : lead + x.size]
 
 
 def process_stream(
@@ -211,10 +219,7 @@ def process_stream(
     if x.shape == (0,):
         return np.zeros(0), np.zeros((0, cfg.frame.num_bins))
     proc = StreamProcessor(cfg, single_stage=single_stage, tracker_sink=tracker_sink)
-    if latency_aligned:
-        y = _run_stream(proc, x, x.size + proc.latency_samples)[proc.latency_samples :]
-    else:
-        y = _run_stream(proc, x, x.size)
+    y = run_stream(proc, x, latency_aligned=latency_aligned)
     return y, np.concatenate(proc.gain_log)
 
 
@@ -238,7 +243,7 @@ def replay_gains(samples, gain_log: np.ndarray, cfg: PipelineConfig) -> np.ndarr
             raise UsageError(f"gain log has {len(gain_log)} frames, empty stream has none")
         return np.zeros(0)
     proc = StreamProcessor(cfg, replay_log=gain_log, log_gains=False)
-    y = _run_stream(proc, x, x.size)
+    y = run_stream(proc, x)
     if proc.replay_pos != len(gain_log):
         raise UsageError(
             f"gain log has {len(gain_log)} frames, stream produced {proc.replay_pos}"

@@ -87,6 +87,9 @@ class TestEnhance:
         assert (rate, subtype) == (16000, "float32")
         x, _, _ = ds.read_wav(wav)
         assert y.size == x.size
+        # the reported count is that of the library call's gain log
+        _, log = ds.process_stream(x, ds.load_preset("communication"), latency_aligned=True)
+        assert f": {len(log)} frames," in msg
 
     def test_output_keeps_pcm16(self, tmp_path):
         wav = write_tone_wav(tmp_path / "in.wav", subtype="pcm16")

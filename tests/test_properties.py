@@ -1,19 +1,27 @@
-"""Property tests: chunk invariance over random valid configurations."""
+"""Property tests: chunk invariance over random valid configurations,
+exact block smoothers, gain bounds and mu=0 transparency."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dualstage as ds
 from dualstage.framing import WINDOW_KINDS
+from dualstage.noise_tracking import smooth_rows
 from dualstage.pipeline import BLOCK_FRAMES
+
+from conftest import no_hpf, with_mu
+
+# alphas and gammas in [0, 1], with both ends drawn often
+unit_floats = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 @st.composite
-def pipeline_configs(draw):
+def pipeline_configs(draw, window_kind=None):
     """Valid configs: frame_len = k * hop for k = 2..4, every window
-    kind, any band count, and tracker windows short enough that the
-    streams below cross several sliding-minimum blocks."""
+    kind (or the one given), any band count, and tracker windows short
+    enough that the streams below cross several sliding-minimum blocks."""
     hop = draw(st.sampled_from([8, 16, 32, 64]))
     frame_len = hop * draw(st.integers(2, 4))
     fft_len = (1 << (frame_len - 1).bit_length()) * draw(st.sampled_from([1, 2]))
@@ -22,7 +30,7 @@ def pipeline_configs(draw):
         frame_len=frame_len,
         hop_len=hop,
         fft_len=fft_len,
-        window_kind=draw(st.sampled_from(WINDOW_KINDS)),
+        window_kind=window_kind or draw(st.sampled_from(WINDOW_KINDS)),
         hpf_cutoff_hz=draw(st.sampled_from([None, 100.0])),
     )
     doc["num_bands"] = draw(st.integers(1, min(fft_len // 2 + 1, 40)))
@@ -61,3 +69,103 @@ def test_chunking_never_changes_the_output(cfg, single, seed, data):
     pieces.append(proc.process(x[pos:]))
     np.testing.assert_array_equal(np.concatenate(pieces), expected)
     np.testing.assert_array_equal(np.concatenate(proc.gain_log), np.concatenate(whole.gain_log))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, BLOCK_FRAMES + 3]),
+    num_bands=st.integers(1, 6),
+    alpha_kind=st.sampled_from(["scalar", "per band", "per row"]),
+    scalar_alpha=unit_floats,
+    floor_kind=st.sampled_from([None, "scalar", "per band"]),
+    seeded=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_smoother_equals_frame_by_frame(
+    n, num_bands, alpha_kind, scalar_alpha, floor_kind, seeded, seed
+):
+    """One smooth_rows call over a block gives the bits of n successive
+    one-frame calls, whichever path (lfilter or row loop) the block takes,
+    and leaves its inputs untouched."""
+    rng = np.random.default_rng(seed)
+
+    def unit_values(shape):
+        # uniform in [0, 1] with about a quarter of the entries at 0 or 1
+        v = rng.uniform(0.0, 1.0, shape)
+        ends = rng.random(shape) < 0.25
+        v[ends] = rng.integers(0, 2, shape)[ends]
+        return v
+
+    if alpha_kind == "scalar":
+        alpha = scalar_alpha
+    elif alpha_kind == "per band":
+        alpha = unit_values(num_bands)
+    else:
+        alpha = unit_values((n, num_bands))
+    floor = {
+        None: None,
+        "scalar": float(rng.uniform(0.01, 1.0)),
+        "per band": rng.uniform(0.01, 1.0, num_bands),
+    }[floor_kind]
+    x = rng.exponential(1.0, (n, num_bands)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    prev = None if seeded else rng.uniform(0.0, 1.0, num_bands)
+    x_before = x.copy()
+    prev_before = None if prev is None else prev.copy()
+
+    block = smooth_rows(prev, alpha, x, floor)
+
+    np.testing.assert_array_equal(x, x_before)
+    if prev is not None:
+        np.testing.assert_array_equal(prev, prev_before)
+    p = prev
+    for m in range(n):
+        p = smooth_rows(p, alpha[m] if alpha_kind == "per row" else alpha, x[m], floor)
+        np.testing.assert_array_equal(block[m], p)
+    if floor is not None:
+        assert np.all(block >= floor) and np.all(block <= 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_bands=st.integers(1, 6),
+    per_band_floor=st.booleans(),
+    gammas=st.tuples(unit_floats, unit_floats).map(sorted),
+    block_sizes=st.lists(st.sampled_from([1, 2, 5, BLOCK_FRAMES + 3]), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_smoothed_gain_blocks_stay_within_bounds(
+    num_bands, per_band_floor, gammas, block_sizes, seed
+):
+    """smooth_gain keeps every frame of every block in [gain_floor, 1]
+    for any floor and any 0 <= gamma_min <= gamma_max <= 1."""
+    rng = np.random.default_rng(seed)
+    floor = rng.uniform(1e-3, 1.0, num_bands if per_band_floor else None)
+    params = ds.GainParams(
+        mu=float(rng.uniform(0.0, 1.5)),
+        gain_floor=tuple(floor) if per_band_floor else float(floor),
+        gamma_min=gammas[0],
+        gamma_max=gammas[1],
+    )
+    state = ds.GainState(num_bands)
+    for n in block_sizes:
+        snr = rng.exponential(1.0, (n, num_bands)) * 10.0 ** rng.uniform(-2, 3, (n, 1))
+        raw = ds.compute_raw_gain(snr, params.mu, params.gain_floor)
+        out = ds.smooth_gain(raw if n > 1 else raw[0], state, params)
+        assert np.all(out >= floor) and np.all(out <= 1.0)
+
+
+@pytest.mark.parametrize("window_kind", WINDOW_KINDS)
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_mu_zero_is_transparent_for_every_window(window_kind, data, seed):
+    """With mu = 0 in both stages and no high-pass, every frame that
+    holds input samples passes unity gains and the output is the input,
+    whatever the frame configuration."""
+    cfg = with_mu(no_hpf(data.draw(pipeline_configs(window_kind))), 0.0)
+    hop, frame_len = cfg.frame.hop_len, cfg.frame.frame_len
+    x = np.random.default_rng(seed).normal(0.0, 0.1, hop * data.draw(st.integers(1, 600)))
+    y, log = ds.process_stream(x, cfg, latency_aligned=True)
+    assert np.sqrt(np.mean((y - x) ** 2) / np.mean(x**2)) < 1e-12
+    # the frames past the input hold only the zero flush
+    flush_frames = (frame_len + hop) // hop + 1
+    np.testing.assert_array_equal(log[:-flush_frames], 1.0)
