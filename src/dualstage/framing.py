@@ -21,6 +21,10 @@ WINDOW_KINDS = ("sqrt-hann", "hann", "rectangular")
 # property of a (analysis window, synthesis window, hop) triple.
 COLA_TOL = 1e-9
 
+# bounds the high-pass filter's l1 gain (below 2.44 for a second-order
+# Butterworth high-pass at any cutoff) with room for rounding
+_HPF_GAIN_BOUND = 8.0
+
 
 @dataclass(frozen=True)
 class FrameConfig:
@@ -83,6 +87,23 @@ class FrameConfig:
     @property
     def num_bins(self) -> int:
         return self.fft_len // 2 + 1
+
+    @property
+    def max_abs_sample(self) -> float:
+        """Largest input magnitude whose framing path stays finite.
+
+        With |x| <= M, the high-pass output stays below 2.44 M. A
+        windowed frame (window <= 1) sums at most frame_len such values,
+        so every value inside the forward FFT stays below
+        2.44 M frame_len. Gains of at most 1 keep the bins there, and
+        the unnormalised inverse sums at most fft_len of them. After its
+        1 / fft_len scale, the synthesis window (<= 1) and an overlap-add
+        of frame_len / hop_len <= fft_len frames keep the output under
+        the same bound. So M = max_float / (8 fft_len frame_len) keeps
+        every value below a third of the largest float. Band powers may
+        still overflow; the gain rule maps that to the gain floor.
+        """
+        return np.finfo(float).max / (_HPF_GAIN_BOUND * self.fft_len * self.frame_len)
 
 
 @dataclass

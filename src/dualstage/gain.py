@@ -90,8 +90,8 @@ def smooth_gain(raw, state: GainState, params: GainParams) -> np.ndarray:
     G(m) = (1 - gamma(G')) * G(m-1) + gamma(G') * G', clamped to
     [gain_floor, 1]; the state is updated with the result. raw holds
     one frame's band gains, or a block with one frame per row. gamma
-    changes with every frame and band, so a block steps row by row
-    (smooth_rows).
+    changes with every frame and band, so a block is one bidiagonal
+    solve (smooth_rows).
     """
     raw = np.asarray(raw, dtype=float)
     gamma = smoothing_factor_of(raw, params.gamma_min, params.gamma_max)

@@ -9,18 +9,26 @@ tracker follows faster where the first stage says the signal is mostly
 noise.
 
 All three smoothers (magnitude pre-smoothing, noise smoothing, and the
-gain smoothing in the gain module) are the recursion in smooth_rows. A
-block whose alpha is one scalar and that has no clamp (pre-smoothing
-in every stage, noise smoothing wherever alpha is not per band or per
-frame) runs as a single scipy.signal.lfilter call; the rest step row
-by row. Both round each step exactly as a lone frame does (see
-smooth_rows), so chunking a stream never changes a bit.
+gain smoothing in the gain module) are the recursion in smooth_rows,
+p(m) = c(m) * p(m-1) + a(m) * x(m) with c = 1 - a. A block whose
+factor is one scalar and that has no clamp (pre-smoothing in every
+stage, noise smoothing wherever alpha is not per band or per frame) is
+a time-invariant filter and runs as one scipy.signal.lfilter call. The
+rest (Stage-2 noise, whose factor follows the Stage-1 frame SNR,
+per-band factors and both gain smoothers) have a factor that changes
+from frame to frame, which lfilter cannot take; such a block is one
+unit lower-bidiagonal linear system, solved by one LAPACK dgttrs call.
+Both round each step exactly as a lone frame does (see smooth_rows),
+so chunking a stream never changes a bit.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.signal
 
 from .errors import ConfigError, UsageError
@@ -76,6 +84,8 @@ class TrackerParams:
                 raise ConfigError("alpha_snr_map multipliers must be non-increasing")
             if any(y <= 0 for y in ys):
                 raise ConfigError("alpha_snr_map multipliers must be positive")
+            # a tuple of pairs, hashable for effective_alpha's map cache
+            object.__setattr__(self, "alpha_snr_map", tuple(tuple(p) for p in pts))
         if self.scale_window_with_snr:
             # reserved knob: faster tracking is realised by alpha scaling
             # only; changing the window length per frame is not supported
@@ -168,14 +178,20 @@ def smooth_rows(prev, alpha, x: np.ndarray, floor=None) -> np.ndarray:
     so 1 - alpha costs no numpy call. prev = None seeds p(0) = x(0). A
     floor clamps every p(m) to [floor, 1] before the next step.
 
-    A block with a scalar alpha and no floor is one lfilter call with
-    b = [alpha, 0] and a = [1, -(1 - alpha)]. Its transposed direct
-    form rounds each step as fl(fl(c * p) + fl(alpha * x)) with
-    c = 1 - alpha, the same two products and sum that the row loop and
-    a lone frame compute, so every split of a stream gives the same
-    bits. Other blocks step row by row in two numpy calls per row; with
-    a floor, the clamp runs only from the first row that left
-    [floor, 1], since a clamp that changes nothing can be skipped.
+    Every path rounds each step as fl(fl(c * p) + fl(alpha * x)) with
+    c = 1 - alpha, as a lone frame does, so every split of a stream
+    gives the same bits:
+    - a block with a scalar alpha and no floor is one lfilter call with
+      b = [alpha, 0] and a = [1, -c], whose transposed direct form
+      computes exactly that sum;
+    - any other block is one unit lower-bidiagonal solve (_solve_rows),
+      whose forward step computes the same sum;
+    - with a floor, the clamp runs only from the first row that left
+      [floor, 1], since a clamp that changes nothing can be skipped;
+      from that row on the block steps row by row.
+    A LAPACK or scipy built to fuse the multiply and add would round
+    the solve differently; test_block_smoother_equals_frame_by_frame
+    would catch it.
     """
     if x.ndim == 1:
         if prev is None:
@@ -183,20 +199,19 @@ def smooth_rows(prev, alpha, x: np.ndarray, floor=None) -> np.ndarray:
         else:
             p = (1 - alpha) * prev + alpha * x
         return p if floor is None else np.minimum(np.maximum(p, floor), 1.0)
-    out = rows = np.empty_like(x)
-    if prev is None:  # the seeded first row, then the recursion from row 1
-        prev = out[0] = smooth_rows(None, alpha, x[0], floor)
-        x, rows = x[1:], out[1:]
-        if np.ndim(alpha) == 2:
-            alpha = alpha[1:]
-    if not len(x):
-        return out
-    c = 1 - alpha
+    if prev is None:  # the seeded first row, then the recursion from it
+        first = smooth_rows(None, alpha, x[0], floor)
+        if len(x) == 1:
+            return first[None]
+        rest = smooth_rows(first, alpha[1:] if np.ndim(alpha) == 2 else alpha, x[1:], floor)
+        return np.concatenate([first[None], rest])
     if floor is None and np.ndim(alpha) == 0:
-        rows[:] = scipy.signal.lfilter([alpha, 0.0], [1.0, -c], x, axis=0, zi=[c * prev])[0]
-        return out
-    ax = alpha * x
-    _step_rows(prev, c, ax, rows)
+        c = 1 - alpha
+        return scipy.signal.lfilter([alpha, 0.0], [1.0, -c], x, axis=0, zi=[c * prev])[0]
+    rows = _solve_rows(prev, alpha, x)
+    if rows is None:
+        rows = np.empty_like(x)
+        _step_rows(prev, 1 - alpha, alpha * x, rows)
     if floor is not None:
         # a clamp that changes nothing can be skipped: rows before the
         # first one outside [floor, 1] are exact, and from that row on
@@ -205,9 +220,52 @@ def smooth_rows(prev, alpha, x: np.ndarray, floor=None) -> np.ndarray:
         if bad.size:
             m = bad[0]
             np.minimum(np.maximum(rows[m], floor), 1.0, out=rows[m])
-            c_rest = c[m + 1 :] if np.ndim(c) == 2 else c
-            _step_rows(rows[m], c_rest, ax[m + 1 :], rows[m + 1 :], floor)
-    return out
+            alpha_rest = alpha[m + 1 :] if np.ndim(alpha) == 2 else alpha
+            _step_rows(rows[m], 1 - alpha_rest, alpha_rest * x[m + 1 :], rows[m + 1 :], floor)
+    return rows
+
+
+def _solve_rows(prev, alpha, x: np.ndarray) -> np.ndarray | None:
+    """The recursion over a block as one LAPACK dgttrs solve of L p = b.
+
+    Unknowns run band by band, p(-1) = prev first, then rows 1..n. L
+    has ones on its diagonal, alpha(m) - 1 below it within a band (it
+    rounds to exactly -c(m)) and 0 across a band boundary; b = [prev,
+    alpha * x]. dgttrs's forward step B(i+1) - DL(i) * B(i) is then
+    fl(alpha * x + fl(c * p)), the row loop's arithmetic, and its
+    back-substitution subtracts 0 * p and divides by 1, which is exact
+    while every p is finite. A non-finite p spreads NaN back to the
+    first unknown through 0 * inf; the solve then returns None, as it
+    does for systems of fewer than 3 unknowns (too small for the
+    wrapper's du2), and the caller steps the rows instead. The result
+    is a Fortran-ordered view.
+    """
+    n, bands = x.shape
+    size = bands * (n + 1)
+    if size < 3:
+        return None
+    # b and the subdiagonal in the unknowns' order: Fortran order over
+    # (n + 1, bands), so the products land there without a transpose
+    b = np.empty((n + 1, bands), order="F")
+    b[0] = prev
+    np.multiply(alpha, x, out=b[1:])
+    dl = np.empty((n + 1, bands), order="F")
+    dl[0] = 0.0
+    np.subtract(alpha, 1.0, out=dl[1:])
+    # the LU factor's other parts: a unit diagonal, nothing above it
+    # and no row interchanges
+    zeros = np.zeros(size)
+    ipiv = np.arange(1, size + 1, dtype=np.int32)
+    scipy.linalg.lapack.dgttrs(
+        dl.T.reshape(-1)[1:],
+        np.ones(size),
+        zeros[:-1],
+        zeros[:-2],
+        ipiv,
+        b.T.reshape(-1, 1),
+        overwrite_b=1,
+    )
+    return b[1:] if math.isfinite(b[0, 0]) else None
 
 
 def _step_rows(p, c, ax, rows, floor=None) -> None:
@@ -253,20 +311,33 @@ def smooth_noise(raw: np.ndarray, state: NoiseState, alpha_eff) -> np.ndarray:
     return _smooth_noise(np.asarray(raw, dtype=float), state, alpha)
 
 
+@lru_cache(maxsize=8)
+def _map_points(snr_map: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """An alpha map's SNR breakpoints and multipliers as read-only float
+    arrays, built once per map: np.interp on tuples converts them on
+    every call."""
+    xs = np.array([p[0] for p in snr_map], dtype=float)
+    ys = np.array([p[1] for p in snr_map], dtype=float)
+    xs.flags.writeable = ys.flags.writeable = False
+    return xs, ys
+
+
 def effective_alpha(base_alpha, stage1_snr_db, snr_map) -> np.ndarray:
     """Scale the base smoothing factor by the SNR-dependent multiplier.
 
     Lower frame SNR gives a multiplier >= 1 (faster tracking); the
     result is clamped to [0, 1]. With no map the base value is returned
-    unchanged apart from the clamp. stage1_snr_db may be a 1-D array of
-    frame SNRs; the result is then 2-D with one row per frame.
+    unchanged apart from the clamp. snr_map is a tuple of (SNR dB,
+    multiplier) pairs, as TrackerParams.alpha_snr_map holds it.
+    stage1_snr_db may be a 1-D array of frame SNRs; the result is then
+    2-D with one row per frame.
     """
     base = np.asarray(base_alpha, dtype=float)
     if snr_map is None:
         return np.clip(base, 0.0, 1.0)
-    xs, ys = np.asarray(snr_map, dtype=float).T
+    xs, ys = _map_points(snr_map)
     mult = np.interp(stage1_snr_db, xs, ys)
-    if np.ndim(mult):
+    if mult.ndim:
         mult = mult[:, None]
     elif base.ndim == 0:
         return min(max(float(base) * float(mult), 0.0), 1.0)

@@ -11,9 +11,10 @@ components of a mix.
 Every layer runs once per block of frames. Of the first-order
 smoothers, those with a fixed scalar factor are one lfilter call per
 block; the noise smoother with a per-frame or per-band factor and the
-gain smoothers step through a block row by row. A row's result depends
-only on that row and the carried state, so any chunking of a stream
-gives bit-identical output.
+gain smoothers are one LAPACK bidiagonal solve per block. A row's
+result depends only on that row and the carried state, and both block
+forms round as a frame-by-frame step does, so any chunking of a
+stream gives bit-identical output.
 """
 
 import math
@@ -100,15 +101,26 @@ class StreamProcessor:
     def process(self, samples: np.ndarray) -> np.ndarray:
         """Feed a block; return whatever output samples are now complete.
 
-        A NaN or infinity raises InputError naming its stream index; no state changes.
+        A NaN, an infinity or a magnitude above cfg.frame.max_abs_sample
+        (which would overflow the transforms) raises InputError naming
+        its stream index; no state changes.
         """
         x = np.asarray(samples, dtype=float)
         if x.ndim != 1:
             raise UsageError(f"expected a mono 1-D signal, got shape {x.shape}")
-        if not math.isfinite(x.dot(x)):  # a NaN or infinity, or an overflow
-            bad = np.flatnonzero(~np.isfinite(x))
+        # the bound is far above sqrt(max float), so a sample over it
+        # also overflows the dot product
+        if not math.isfinite(x.dot(x)):  # a NaN or infinity, or a huge sample
+            limit = self.cfg.frame.max_abs_sample
+            bad = np.flatnonzero(~(np.abs(x) <= limit))
             if bad.size:
-                raise InputError(f"non-finite sample at stream index {self.samples_in + bad[0]}")
+                i = bad[0]
+                what = (
+                    f"sample magnitude above {limit:.3g}"
+                    if math.isfinite(x[i])
+                    else "non-finite sample"
+                )
+                raise InputError(f"{what} at stream index {self.samples_in + i}")
         self.samples_in += x.size
         if x.size and self.hpf is not None:
             x = framing.hpf_process(x, self.hpf, self.hpf_state)

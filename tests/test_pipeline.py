@@ -98,6 +98,42 @@ class TestNonFiniteInput:
         with pytest.raises(InputError, match="stream index 1234"):
             ds.replay_gains(x, log, comm_cfg)
 
+    def test_huge_sample_names_first_bad_sample(self, comm_cfg):
+        """A finite sample too large for the transforms fails fast like a
+        NaN, where it used to come out as non-finite output."""
+        rng = np.random.default_rng(20)
+        x = rng.normal(0.0, 0.1, 3000)
+        proc = ds.StreamProcessor(comm_cfg)
+        ref = ds.StreamProcessor(comm_cfg)
+        assert np.array_equal(proc.process(x[:1000]), ref.process(x[:1000]))
+        block = rng.normal(0.0, 1e306, 1000)
+        block[:417] = x[1000:1417]
+        block[417] = -1e307
+        with np.errstate(over="ignore"), pytest.raises(
+            InputError, match="sample magnitude above .* at stream index 1417"
+        ):
+            proc.process(block)
+        np.testing.assert_array_equal(proc.process(x[2000:]), ref.process(x[2000:]))
+
+    @pytest.mark.parametrize("single", [False, True])
+    def test_samples_just_under_the_bound_give_finite_output(self, comm_cfg, single):
+        """Noise peaking just under max_abs_sample, and a constant at it
+        through a rectangular window with no high-pass (the largest DC
+        bin a frame can make), come out finite."""
+        limit = comm_cfg.frame.max_abs_sample
+        assert 1e300 < limit < 1e307
+        rng = np.random.default_rng(21)
+        noise = rng.normal(0.0, 1.0, FS // 2)
+        noise *= limit * (1 - 1e-12) / np.abs(noise).max()
+        doc = ds.config_to_dict(no_hpf(comm_cfg))
+        doc["frame"]["window_kind"] = "rectangular"
+        rect = ds.config_from_dict(doc)
+        assert rect.frame.max_abs_sample == limit
+        with np.errstate(over="ignore", invalid="ignore"):
+            for cfg, x in ((comm_cfg, noise), (rect, np.full(FS // 2, limit))):
+                y, log = ds.process_stream(x, cfg, single_stage=single)
+                assert np.all(np.isfinite(y)) and np.all(np.isfinite(log))
+
 
 class TestTransformBudget:
     @pytest.mark.parametrize("single", [False, True])
