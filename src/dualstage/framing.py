@@ -90,20 +90,19 @@ class FrameConfig:
 
     @property
     def max_abs_sample(self) -> float:
-        """Largest input magnitude whose framing path stays finite.
+        """Largest input magnitude whose spectra and band powers stay finite.
 
-        With |x| <= M, the high-pass output stays below 2.44 M. A
-        windowed frame (window <= 1) sums at most frame_len such values,
-        so every value inside the forward FFT stays below
-        2.44 M frame_len. Gains of at most 1 keep the bins there, and
-        the unnormalised inverse sums at most fft_len of them. After its
-        1 / fft_len scale, the synthesis window (<= 1) and an overlap-add
-        of frame_len / hop_len <= fft_len frames keep the output under
-        the same bound. So M = max_float / (8 fft_len frame_len) keeps
-        every value below a third of the largest float. Band powers may
-        still overflow; the gain rule maps that to the gain floor.
+        With |x| <= M, the high-pass output stays below 2.44 M, so a
+        windowed frame (window <= 1) has energy below
+        frame_len (2.44 M)^2. By Parseval the powers of an fft_len-point
+        transform sum to fft_len times the frame energy, so with
+        M = sqrt(max_float / (fft_len frame_len)) / 8 every bin power,
+        every band sum of them and every frame-SNR weight stays below
+        2.44^2 / 64 < 0.1 of the largest float. Gains of at most 1 only
+        shrink them, and no value inside the transforms or the
+        overlap-add exceeds 2.44 M fft_len frame_len, far from overflow.
         """
-        return np.finfo(float).max / (_HPF_GAIN_BOUND * self.fft_len * self.frame_len)
+        return np.sqrt(np.finfo(float).max / (self.fft_len * self.frame_len)) / _HPF_GAIN_BOUND
 
 
 @dataclass

@@ -4,9 +4,10 @@ SNR improvement is measured by gain shadowing: the per-frame bin gains
 logged while processing a mix are replayed separately over the scaled
 speech and noise components, which decomposes the enhanced output
 exactly (the pipeline is linear in its input once the gains are
-fixed). Speech level is taken over speech-active frames, noise level
-over the speech-free frames, as a desk-scale stand-in for a calibrated
-measurement front end.
+fixed); one analysis per component serves both its unity-gain
+reference and its shadowed output. Speech level is taken over
+speech-active frames, noise level over the speech-free frames, as a
+desk-scale stand-in for a calibrated measurement front end.
 """
 
 from dataclasses import dataclass
@@ -137,8 +138,8 @@ def snri_by_gain_shadowing(
 ) -> SnriReport:
     """SNR improvement of a processed mix, by component shadowing.
 
-    The logged gains are replayed over the speech and noise components
-    and over an all-unity reference; speech power is measured on
+    The logged gains are replayed over the speech and noise components,
+    each beside its unity-gain reference; speech power is measured on
     speech-active frames, noise power on the speech-free frames, both
     from measure_start_s on (earlier frames cover the tracker warm-up
     and are excluded from the measurement).
@@ -150,12 +151,9 @@ def snri_by_gain_shadowing(
             f"speech and noise components must have equal shape, got "
             f"{speech.shape} and {noise.shape}"
         )
-    gain_log = np.asarray(gain_log, dtype=float)
-    unity = np.ones_like(gain_log)
-    ref_speech = pipeline.replay_gains(speech, unity, cfg)
-    ref_noise = pipeline.replay_gains(noise, unity, cfg)
-    out_speech = pipeline.replay_gains(speech, gain_log, cfg)
-    out_noise = pipeline.replay_gains(noise, gain_log, cfg)
+    # None asks for the unity-gain reference
+    ref_speech, out_speech = pipeline._replay(speech, (None, gain_log), cfg)
+    ref_noise, out_noise = pipeline._replay(noise, (None, gain_log), cfg)
 
     block = cfg.frame.hop_len
     mask = active_frame_mask(ref_speech, block, active_threshold_db)

@@ -6,7 +6,8 @@ the spectrum; Stage-2 pools the modified spectrum, speeds its noise
 tracking up or down from Stage-1's frame SNR, and applies the fine
 gains. The final per-frame bin gains (the product of both stages) are
 logged so the measurement harness can replay them over the clean
-components of a mix.
+components of a mix; replay shares the engine's input screen and
+block framer, and runs one analysis then one synthesis per gain log.
 
 Every layer runs once per block of frames. Of the first-order
 smoothers, those with a fixed scalar factor are one lfilter call per
@@ -57,10 +58,6 @@ class StreamProcessor:
     call. The input buffer is pre-seeded with frame_len + hop_len
     zeros, so the output is the input delayed by exactly the
     algorithmic latency.
-
-    Passing replay_log turns the processor into a gain player: the
-    logged per-frame bin gains are applied instead of computing any,
-    which is how the metrics module shadows mix components.
     """
 
     def __init__(
@@ -68,59 +65,36 @@ class StreamProcessor:
         cfg: PipelineConfig,
         *,
         single_stage: bool = False,
-        replay_log: np.ndarray | None = None,
         log_gains: bool = True,
         tracker_sink=None,
     ):
         self.cfg = cfg
         fcfg = cfg.frame
         self.plan = bands.build_band_plan(fcfg.fft_len, fcfg.sample_rate_hz, cfg.num_bands)
-        if fcfg.hpf_cutoff_hz is not None:
-            self.hpf = framing.design_hpf(fcfg.hpf_cutoff_hz, fcfg.sample_rate_hz)
-        else:
-            self.hpf = None
+        cutoff = fcfg.hpf_cutoff_hz
+        self.hpf = None if cutoff is None else framing.design_hpf(cutoff, fcfg.sample_rate_hz)
         self.hpf_state = framing.HpfState()
         self.ola = framing.OlaState.for_config(fcfg)
         self.latency_samples = fcfg.frame_len + fcfg.hop_len
         # frames whose analysis buffer still holds seeded zeros
         self.warm_frames = fcfg.frame_len // fcfg.hop_len + 1
+        self.max_abs = fcfg.max_abs_sample
         self.carry = np.zeros(self.latency_samples)
         self.samples_in = 0
         self.frame_index = 0
-        self.replay_pos = 0
         self.gain_log: list[np.ndarray] | None = [] if log_gains else None
         self.tracker_sink = tracker_sink
-        self.replay_log = None if replay_log is None else np.asarray(replay_log, dtype=float)
-        self.stage1 = self.stage2 = None
-        if replay_log is None:
-            self.stage1 = _StageState(cfg.stage1, cfg.num_bands)
-            self.stage2 = None if single_stage else _StageState(cfg.stage2, cfg.num_bands)
-        elif (rows := self.replay_log.shape[1:]) != (fcfg.num_bins,):
-            raise UsageError(f"gain log rows have shape {rows}, expected {(fcfg.num_bins,)}")
+        self.stage1 = _StageState(cfg.stage1, cfg.num_bands)
+        self.stage2 = None if single_stage else _StageState(cfg.stage2, cfg.num_bands)
 
     def process(self, samples: np.ndarray) -> np.ndarray:
         """Feed a block; return whatever output samples are now complete.
 
         A NaN, an infinity or a magnitude above cfg.frame.max_abs_sample
-        (which would overflow the transforms) raises InputError naming
+        (which could overflow a band power) raises InputError naming
         its stream index; no state changes.
         """
-        x = np.asarray(samples, dtype=float)
-        if x.ndim != 1:
-            raise UsageError(f"expected a mono 1-D signal, got shape {x.shape}")
-        # the bound is far above sqrt(max float), so a sample over it
-        # also overflows the dot product
-        if not math.isfinite(x.dot(x)):  # a NaN or infinity, or a huge sample
-            limit = self.cfg.frame.max_abs_sample
-            bad = np.flatnonzero(~(np.abs(x) <= limit))
-            if bad.size:
-                i = bad[0]
-                what = (
-                    f"sample magnitude above {limit:.3g}"
-                    if math.isfinite(x[i])
-                    else "non-finite sample"
-                )
-                raise InputError(f"{what} at stream index {self.samples_in + i}")
+        x = _screen(samples, self.max_abs, self.samples_in)
         self.samples_in += x.size
         if x.size and self.hpf is not None:
             x = framing.hpf_process(x, self.hpf, self.hpf_state)
@@ -141,26 +115,8 @@ class StreamProcessor:
     def _run_block(self, buf: np.ndarray, first: int, n: int) -> np.ndarray:
         """Process frames first..first+n-1 of buf; return n hops of output."""
         fcfg = self.cfg.frame
-        start, hop, flen = first * fcfg.hop_len, fcfg.hop_len, fcfg.frame_len
-        # a lone frame runs 1-D, which every layer accepts, to spare
-        # numpy's per-call broadcasting cost
-        if n == 1:
-            frames = buf[start : start + flen]
-        else:
-            hops = buf[start : start + (n - 1) * hop + flen].reshape(-1, hop)
-            frames = np.concatenate([hops[j : j + n] for j in range(flen // hop)], axis=1)
-        spec = framing.analyze(frames, fcfg)
-        if self.replay_log is None:
-            spec.bins, bin_gains = self._suppress(spec, n)
-        else:
-            bin_gains = self.replay_log[self.replay_pos : self.replay_pos + n]
-            if len(bin_gains) < n:
-                raise UsageError(
-                    f"gain log exhausted after {len(self.replay_log)} frames; "
-                    f"stream and log do not match"
-                )
-            self.replay_pos += n
-            spec.bins *= bin_gains.reshape(spec.bins.shape)
+        spec = framing.analyze(_frames(buf, first, n, fcfg), fcfg)
+        spec.bins, bin_gains = self._suppress(spec, n)
         if self.gain_log is not None:
             self.gain_log.append(bin_gains.reshape(n, -1))
         self.frame_index += n
@@ -235,11 +191,6 @@ def process_stream(
     return y, np.concatenate(proc.gain_log)
 
 
-def single_stage_process(samples, cfg: PipelineConfig, **kwargs):
-    """process_stream with Stage-2 disabled, for A/B comparison."""
-    return process_stream(samples, cfg, single_stage=True, **kwargs)
-
-
 def replay_gains(samples, gain_log: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     """Re-run the framing path applying a logged gain sequence.
 
@@ -248,16 +199,74 @@ def replay_gains(samples, gain_log: np.ndarray, cfg: PipelineConfig) -> np.ndarr
     applied verbatim. The log must have exactly as many frames as the
     stream produces, otherwise a UsageError is raised.
     """
+    return _replay(samples, [gain_log], cfg)[0]
+
+
+def _replay(samples, gain_logs, cfg: PipelineConfig) -> list[np.ndarray]:
+    """replay_gains for several logs from one analysis of the signal.
+
+    A None log stands for unity gains, whose output is synthesised from
+    the unmodified bins (a multiply by 1.0 is exact).
+    """
+    fcfg = cfg.frame
+    hop, flen = fcfg.hop_len, fcfg.frame_len
     x = np.asarray(samples, dtype=float)
-    gain_log = np.asarray(gain_log, dtype=float)
+    logs = [None if g is None else np.asarray(g, dtype=float) for g in gain_logs]
+    given = [g for g in logs if g is not None]
     if x.shape == (0,):
-        if len(gain_log):
-            raise UsageError(f"gain log has {len(gain_log)} frames, empty stream has none")
-        return np.zeros(0)
-    proc = StreamProcessor(cfg, replay_log=gain_log, log_gains=False)
-    y = run_stream(proc, x)
-    if proc.replay_pos != len(gain_log):
-        raise UsageError(
-            f"gain log has {len(gain_log)} frames, stream produced {proc.replay_pos}"
-        )
-    return y
+        if frames := [len(g) for g in given if len(g)]:
+            raise UsageError(f"gain log has {frames[0]} frames, empty stream has none")
+        return [np.zeros(0) for _ in logs]
+    for g in given:
+        if (rows := g.shape[1:]) != (fcfg.num_bins,):
+            raise UsageError(f"gain log rows have shape {rows}, expected {(fcfg.num_bins,)}")
+    # run_stream's stream: seeded zeros, then the high-passed signal and flush
+    latency = flen + hop
+    sig = np.concatenate([_screen(x, fcfg.max_abs_sample, 0), np.zeros(latency + flen)])
+    if fcfg.hpf_cutoff_hz is not None:
+        hpf = framing.design_hpf(fcfg.hpf_cutoff_hz, fcfg.sample_rate_hz)
+        sig = framing.hpf_process(sig, hpf, framing.HpfState())
+    buf = np.concatenate([np.zeros(latency), sig])
+    n_frames = (buf.size - flen) // hop + 1
+    for g in given:
+        if len(g) != n_frames:
+            raise UsageError(f"gain log has {len(g)} frames, stream produced {n_frames}")
+    olas = [framing.OlaState.for_config(fcfg) for _ in logs]
+    outs = [np.empty(n_frames * hop) for _ in logs]
+    for first in range(0, n_frames, BLOCK_FRAMES):
+        n = min(BLOCK_FRAMES, n_frames - first)
+        spec = framing.analyze(_frames(buf, first, n, fcfg), fcfg)
+        rows = slice(first, first + n)
+        for g, ola, out in zip(logs, olas, outs):
+            bins = spec.bins if g is None else spec.bins * g[rows].reshape(spec.bins.shape)
+            # synthesis reads only the bins
+            shadow = framing.SpectralFrame(bins=bins, power=None)
+            out[first * hop : (first + n) * hop] = framing.synthesize(shadow, ola, fcfg)
+    return [out[: x.size] for out in outs]
+
+
+def _screen(samples, limit: float, offset: int) -> np.ndarray:
+    """samples as a mono float array; a NaN, an infinity or a magnitude
+    above limit raises InputError naming its stream index."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:
+        raise UsageError(f"expected a mono 1-D signal, got shape {x.shape}")
+    # a sample over the bound squares to at least limit**2, and a rounded
+    # sum of squares is at least its largest term (a NaN fails the test too)
+    if not x.dot(x) < limit * limit:
+        bad = np.flatnonzero(~(np.abs(x) <= limit))
+        if bad.size:
+            i = bad[0]
+            what = f"sample magnitude above {limit:.3g}" if math.isfinite(x[i]) else "non-finite sample"
+            raise InputError(f"{what} at stream index {offset + i}")
+    return x
+
+
+def _frames(buf: np.ndarray, first: int, n: int, fcfg) -> np.ndarray:
+    """Frames first..first+n-1 of buf, one per row; a lone frame stays
+    1-D, which every layer accepts, to spare numpy's broadcasting cost."""
+    start, hop, flen = first * fcfg.hop_len, fcfg.hop_len, fcfg.frame_len
+    if n == 1:
+        return buf[start : start + flen]
+    hops = buf[start : start + (n - 1) * hop + flen].reshape(-1, hop)
+    return np.concatenate([hops[j : j + n] for j in range(flen // hop)], axis=1)

@@ -14,6 +14,26 @@ def frame_cfg():
     return ds.FrameConfig()
 
 
+@pytest.fixture
+def transform_rows(monkeypatch):
+    """Rows sent through np.fft.rfft ("fwd") and np.fft.irfft ("inv")
+    from here on. The engine transforms blocks of frames, so rows are
+    counted, not calls."""
+    counts = {"fwd": 0, "inv": 0}
+
+    def counting(kind, real):
+        def transform(a, *args, **k):
+            assert k.get("axis", -1) in (-1, a.ndim - 1)
+            counts[kind] += a.size // a.shape[-1]
+            return real(a, *args, **k)
+
+        return transform
+
+    monkeypatch.setattr(np.fft, "rfft", counting("fwd", np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", counting("inv", np.fft.irfft))
+    return counts
+
+
 def no_hpf(cfg):
     """Copy of cfg with the high-pass stage disabled."""
     d = ds.config_to_dict(cfg)

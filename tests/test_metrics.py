@@ -5,7 +5,7 @@ import pytest
 
 import dualstage as ds
 from dualstage.errors import InputError, UsageError
-from synth import FS, white_noise
+from synth import FS, surrogate_speech, white_noise
 
 from conftest import no_hpf
 
@@ -175,6 +175,21 @@ class TestGainShadowing:
         log = np.ones(self._log_shape(speech.size, cfg))
         with pytest.raises(InputError, match="measure_start_s"):
             ds.snri_by_gain_shadowing(speech, noise, log, cfg, measure_start_s=10.0)
+
+
+class TestTransformBudget:
+    @pytest.mark.parametrize("single", [False, True])
+    def test_one_analysis_per_signal(self, comm_cfg, transform_rows, single):
+        """evaluate_condition analyses the mix, the speech and the noise
+        once each (3 forward transforms per frame) and synthesises the
+        enhanced mix plus each component's unity-gain reference and
+        shadowed output (5 inverse transforms per frame)."""
+        rng = np.random.default_rng(31)
+        speech, noise = surrogate_speech(3.0, rng), white_noise(3.0, rng)
+        frames = len(ds.process_stream(np.zeros(speech.size), comm_cfg)[1])
+        transform_rows.update(fwd=0, inv=0)
+        ds.evaluate_condition(speech, noise, 0.0, comm_cfg, single_stage=single)
+        assert transform_rows == {"fwd": 3 * frames, "inv": 5 * frames}
 
 
 class TestNoiseSegmentReduction:

@@ -5,7 +5,7 @@ import pytest
 
 import dualstage as ds
 from dualstage.errors import InputError, UsageError
-from synth import FS, white_noise
+from synth import FS, pink_noise, surrogate_speech, white_noise
 
 from conftest import no_hpf, with_mu
 
@@ -119,9 +119,11 @@ class TestNonFiniteInput:
     def test_samples_just_under_the_bound_give_finite_output(self, comm_cfg, single):
         """Noise peaking just under max_abs_sample, and a constant at it
         through a rectangular window with no high-pass (the largest DC
-        bin a frame can make), come out finite."""
+        bin a frame can make), come out finite, and so does every noise
+        estimate of every tracker."""
         limit = comm_cfg.frame.max_abs_sample
-        assert 1e300 < limit < 1e307
+        # sqrt(max float / (256 * 128)) / 8
+        assert 9.25e150 < limit < 9.26e150
         rng = np.random.default_rng(21)
         noise = rng.normal(0.0, 1.0, FS // 2)
         noise *= limit * (1 - 1e-12) / np.abs(noise).max()
@@ -131,42 +133,47 @@ class TestNonFiniteInput:
         assert rect.frame.max_abs_sample == limit
         with np.errstate(over="ignore", invalid="ignore"):
             for cfg, x in ((comm_cfg, noise), (rect, np.full(FS // 2, limit))):
-                y, log = ds.process_stream(x, cfg, single_stage=single)
+                tracks = []
+                y, log = ds.process_stream(
+                    x, cfg, single_stage=single, tracker_sink=lambda *row: tracks.append(row[2:])
+                )
                 assert np.all(np.isfinite(y)) and np.all(np.isfinite(log))
+                assert tracks and np.all(np.isfinite(tracks))
+
+    def test_burst_that_would_overflow_a_band_power_is_rejected(self, comm_cfg):
+        """A 200-sample burst at 1e160 in speech in noise, loud enough to
+        overflow the band powers and leave both trackers non-finite for
+        the rest of the stream, fails fast with its stream index; the
+        same burst scaled to just under max_abs_sample keeps every
+        tracker frame finite."""
+        rng = np.random.default_rng(22)
+        x = surrogate_speech(2.0, rng) + pink_noise(2.0, rng)
+        burst = slice(12000, 12200)
+        x[burst] *= 1e160
+        with np.errstate(over="ignore"), pytest.raises(
+            InputError, match="sample magnitude above .* at stream index 12000"
+        ):
+            ds.process_stream(x, comm_cfg)
+        x[burst] *= comm_cfg.frame.max_abs_sample * (1 - 1e-12) / np.abs(x[burst]).max()
+        tracks = []
+        # the burst's frame SNR may read +inf dB, which the alpha map clamps
+        with np.errstate(over="ignore"):
+            ds.process_stream(x, comm_cfg, tracker_sink=lambda *row: tracks.append(row[2:]))
+        assert len(tracks) > 500 and np.all(np.isfinite(tracks))
 
 
 class TestTransformBudget:
     @pytest.mark.parametrize("single", [False, True])
-    def test_one_fft_pair_per_frame(self, comm_cfg, monkeypatch, single):
+    def test_one_fft_pair_per_frame(self, comm_cfg, transform_rows, single):
         """Both stages share one spectrum: exactly one forward and one
-        inverse transform per frame regardless of stage count. The
-        engine transforms blocks of frames, so transformed rows are
-        counted, not calls."""
-        calls = {"fwd": 0, "inv": 0}
-        real_rfft, real_irfft = np.fft.rfft, np.fft.irfft
-
-        def rows(a, k):
-            assert k.get("axis", -1) in (-1, a.ndim - 1)
-            return a.size // a.shape[-1]
-
-        def fwd(a, *args, **k):
-            calls["fwd"] += rows(a, k)
-            return real_rfft(a, *args, **k)
-
-        def inv(a, *args, **k):
-            calls["inv"] += rows(a, k)
-            return real_irfft(a, *args, **k)
-
-        monkeypatch.setattr(np.fft, "rfft", fwd)
-        monkeypatch.setattr(np.fft, "irfft", inv)
-
+        inverse transform per frame regardless of stage count."""
         rng = np.random.default_rng(10)
         x = rng.normal(0.0, 0.1, FS)
         _, log = ds.process_stream(x, comm_cfg, single_stage=single)
         frames = log.shape[0]
         assert frames > 0
-        assert calls["fwd"] == frames
-        assert calls["inv"] == frames
+        assert transform_rows["fwd"] == frames
+        assert transform_rows["inv"] == frames
 
 
 class TestLatency:
@@ -231,13 +238,20 @@ class TestGainShadowing:
         with pytest.raises(UsageError, match="frames"):
             ds.replay_gains(x[: x.size // 2], log, comm_cfg)
 
+    def test_replay_log_row_width_mismatch(self, comm_cfg):
+        x = np.random.default_rng(23).normal(0.0, 0.1, FS // 4)
+        _, log = ds.process_stream(x, comm_cfg)
+        for bad in (log[:, :-1], log[:, 0]):
+            with pytest.raises(UsageError, match=r"gain log rows have shape \(\d*,?\), expected \(129,\)"):
+                ds.replay_gains(x, bad, comm_cfg)
+
 
 class TestStageInteraction:
     def test_single_stage_differs_from_dual(self, comm_cfg):
         rng = np.random.default_rng(15)
         x = rng.normal(0.0, 0.1, FS)
         dual, _ = ds.process_stream(x, comm_cfg)
-        single, _ = ds.single_stage_process(x, comm_cfg)
+        single, _ = ds.process_stream(x, comm_cfg, single_stage=True)
         assert not np.allclose(dual, single)
 
     def test_single_stage_suppresses_less(self, comm_cfg):
@@ -246,7 +260,7 @@ class TestStageInteraction:
         rng = np.random.default_rng(16)
         x = rng.normal(0.0, 0.1, 2 * FS)
         dual, _ = ds.process_stream(x, comm_cfg)
-        single, _ = ds.single_stage_process(x, comm_cfg)
+        single, _ = ds.process_stream(x, comm_cfg, single_stage=True)
         tail = slice(FS, None)  # past tracker convergence
         assert np.mean(dual[tail] ** 2) <= np.mean(single[tail] ** 2) + 1e-15
 

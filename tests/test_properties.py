@@ -1,6 +1,6 @@
 """Property tests: chunk invariance over random valid configurations,
-exact block smoothers, gain bounds, mu=0 transparency and replay
-linearity."""
+exact block smoothers, gain bounds, mu=0 transparency, replay
+linearity and shared-analysis replay."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import dualstage as ds
 from dualstage.framing import WINDOW_KINDS
 from dualstage.noise_tracking import smooth_rows
-from dualstage.pipeline import BLOCK_FRAMES
+from dualstage.pipeline import BLOCK_FRAMES, _replay
 
 from conftest import no_hpf, with_mu
 
@@ -219,3 +219,29 @@ def test_replay_is_linear(cfg, scalars, seed, data):
     # rounding residue only
     scale = abs(a) * np.linalg.norm(x) + abs(b) * np.linalg.norm(y)
     assert np.linalg.norm(both - (a * rx + b * ry)) <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=pipeline_configs(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_shared_analysis_replay_equals_separate_replays(cfg, seed, data):
+    """Several gain logs replayed from one analysis give each log the
+    bytes of its own replay_gains call, and the unity output (bins left
+    unmultiplied) the bytes of a replay with an all-ones log, for
+    stream lengths short of, around and past the internal block cap."""
+    hop = cfg.frame.hop_len
+    size = data.draw(
+        st.one_of(
+            st.integers(1, 3 * hop),
+            st.integers((BLOCK_FRAMES - 12) * hop, (BLOCK_FRAMES + 2) * hop),
+            st.integers(1, 3 * BLOCK_FRAMES * hop),
+        )
+    )
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 0.1, size)
+    frames = len(ds.process_stream(np.zeros(size), cfg, single_stage=True)[1])
+    logs = [rng.uniform(0.0, 1.0, (frames, cfg.frame.num_bins)) for _ in range(2)]
+
+    unity, *shadowed = _replay(x, [None, *logs], cfg)
+    for out, log in zip(shadowed, logs):
+        assert out.tobytes() == ds.replay_gains(x, log, cfg).tobytes()
+    assert unity.tobytes() == ds.replay_gains(x, np.ones_like(logs[0]), cfg).tobytes()
