@@ -3,12 +3,16 @@
 A PipelineConfig carries every parameter of both stages plus the
 framing setup, serializes losslessly to a JSON document, and ships in
 three bundled presets (communication, voice-trigger, multimedia).
-Unknown or missing keys are rejected with the offending dotted key
-named. Command-line overrides address any leaf by its dotted key.
+The dataclass fields and their annotations are the schema, which the
+JSON codec walks. Unknown or missing keys are rejected with the
+offending dotted key named. Command-line overrides address any leaf
+by its dotted key.
 """
 
+import dataclasses
 import json
 import os
+import typing
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -16,9 +20,25 @@ from pathlib import Path
 from .errors import ConfigError
 from .framing import FrameConfig
 from .gain import GainParams
-from .noise_tracking import TrackerParams
+from .noise_tracking import PerBand, TrackerParams
 
 PRESET_DIR_ENV = "DUALSTAGE_PRESET_DIR"
+
+# most floats one stage's sliding minimum may hold, (window_len + 1) per
+# band (8 MiB); the presets hold 385 * 33
+MAX_TRACKER_STATE = 2**20
+
+# keys of earlier schemas, each with what took its place
+_RETIRED = {
+    "subwindow_len": "set window_len to subwindow_len * num_subwindows",
+    "num_subwindows": "set window_len to subwindow_len * num_subwindows",
+    "scale_window_with_snr": "delete it; the window length never scales",
+    "uses_snr_feed": "delete it; stage 2 takes the stage-1 SNR exactly when "
+    "its tracker.alpha_snr_map is set",
+}
+
+# the scalar leaf types in words; a union reads as its annotation
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 @dataclass(frozen=True)
@@ -27,229 +47,110 @@ class StageConfig:
 
     tracker: TrackerParams
     gains: GainParams
-    uses_snr_feed: bool = False
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Full parameter set for one stream; immutable once built."""
 
+    preset_name: str
     frame: FrameConfig
+    num_bands: int
     stage1: StageConfig
     stage2: StageConfig
-    num_bands: int = 33
-    preset_name: str = ""
 
     def __post_init__(self):
-        if self.stage1.uses_snr_feed:
-            raise ConfigError("stage1.uses_snr_feed must be false; only stage2 takes the feed")
-        if self.num_bands < 1:
-            raise ConfigError(f"num_bands must be at least 1, got {self.num_bands}")
-        if self.num_bands > self.frame.num_bins:
+        if self.stage1.tracker.alpha_snr_map is not None:
+            raise ConfigError("stage1.tracker.alpha_snr_map must be null; stage 1 has no SNR feed")
+        if not 1 <= self.num_bands <= self.frame.num_bins:
             raise ConfigError(
-                f"num_bands must not exceed the {self.frame.num_bins} bins, "
+                f"num_bands must lie in [1, {self.frame.num_bins}] (the bin count), "
                 f"got {self.num_bands}"
             )
-        for sname, stage in (("stage1", self.stage1), ("stage2", self.stage2)):
-            for fname, value in (
-                ("tracker.alpha", stage.tracker.alpha),
-                ("gains.mu", stage.gains.mu),
-                ("gains.gain_floor", stage.gains.gain_floor),
-            ):
-                if isinstance(value, tuple) and len(value) != self.num_bands:
-                    raise ConfigError(
-                        f"{sname}.{fname} has {len(value)} entries, expected "
-                        f"num_bands = {self.num_bands}"
-                    )
-
-
-def _require(d: dict, path: str, allowed: tuple[str, ...]) -> None:
-    prefix = path + "." if path else ""
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {prefix + str(key)!r}")
-    for key in allowed:
-        if key not in d:
-            raise ConfigError(f"missing config key {prefix + key!r}")
-
-
-def _as_int(v, key):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"config key {key!r} must be an integer, got {v!r}")
-    return v
-
-
-def _as_float(v, key):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"config key {key!r} must be a number, got {v!r}")
-    return float(v)
-
-
-def _as_bool(v, key):
-    if not isinstance(v, bool):
-        raise ConfigError(f"config key {key!r} must be true or false, got {v!r}")
-    return v
-
-
-def _as_str(v, key):
-    if not isinstance(v, str):
-        raise ConfigError(f"config key {key!r} must be a string, got {v!r}")
-    return v
-
-
-def _as_scalar_or_tuple(v, key):
-    if isinstance(v, (list, tuple)):
-        return tuple(_as_float(x, key) for x in v)
-    return _as_float(v, key)
-
-
-def _frame_from_dict(d: dict, path: str) -> FrameConfig:
-    _require(
-        d,
-        path,
-        ("sample_rate_hz", "frame_len", "hop_len", "fft_len", "window_kind", "hpf_cutoff_hz"),
-    )
-    cutoff = d["hpf_cutoff_hz"]
-    return FrameConfig(
-        sample_rate_hz=_as_int(d["sample_rate_hz"], f"{path}.sample_rate_hz"),
-        frame_len=_as_int(d["frame_len"], f"{path}.frame_len"),
-        hop_len=_as_int(d["hop_len"], f"{path}.hop_len"),
-        fft_len=_as_int(d["fft_len"], f"{path}.fft_len"),
-        window_kind=_as_str(d["window_kind"], f"{path}.window_kind"),
-        hpf_cutoff_hz=None if cutoff is None else _as_float(cutoff, f"{path}.hpf_cutoff_hz"),
-    )
-
-
-def _tracker_from_dict(d: dict, path: str) -> TrackerParams:
-    _require(
-        d,
-        path,
-        (
-            "subwindow_len",
-            "num_subwindows",
-            "bias_factor",
-            "alpha",
-            "alpha_snr_map",
-            "mag_smooth_alpha",
-            "scale_window_with_snr",
-        ),
-    )
-    snr_map = d["alpha_snr_map"]
-    if snr_map is not None:
-        if not isinstance(snr_map, (list, tuple)):
-            raise ConfigError(f"config key {path + '.alpha_snr_map'!r} must be a list or null")
-        pts = []
-        for pt in snr_map:
-            if not isinstance(pt, (list, tuple)) or len(pt) != 2:
+        for key, tp, value in _leaves(self):
+            if tp == PerBand and isinstance(value, tuple) and len(value) != self.num_bands:
                 raise ConfigError(
-                    f"config key {path + '.alpha_snr_map'!r} entries must be [snr_db, mult] pairs"
+                    f"{key} has {len(value)} entries, expected num_bands = {self.num_bands}"
                 )
-            pts.append(
-                (
-                    _as_float(pt[0], f"{path}.alpha_snr_map"),
-                    _as_float(pt[1], f"{path}.alpha_snr_map"),
+        for name, stage in (("stage1", self.stage1), ("stage2", self.stage2)):
+            state = (stage.tracker.window_len + 1) * self.num_bands
+            if state > MAX_TRACKER_STATE:
+                raise ConfigError(
+                    f"{name}.tracker.window_len {stage.tracker.window_len} needs a "
+                    f"sliding-minimum state of {state} floats over {self.num_bands} "
+                    f"bands; at most {MAX_TRACKER_STATE} are allowed"
                 )
-            )
-        snr_map = tuple(pts)
-    return TrackerParams(
-        subwindow_len=_as_int(d["subwindow_len"], f"{path}.subwindow_len"),
-        num_subwindows=_as_int(d["num_subwindows"], f"{path}.num_subwindows"),
-        bias_factor=_as_float(d["bias_factor"], f"{path}.bias_factor"),
-        alpha=_as_scalar_or_tuple(d["alpha"], f"{path}.alpha"),
-        alpha_snr_map=snr_map,
-        mag_smooth_alpha=_as_float(d["mag_smooth_alpha"], f"{path}.mag_smooth_alpha"),
-        scale_window_with_snr=_as_bool(
-            d["scale_window_with_snr"], f"{path}.scale_window_with_snr"
-        ),
-    )
 
 
-def _gains_from_dict(d: dict, path: str) -> GainParams:
-    _require(d, path, ("mu", "gain_floor", "gamma_min", "gamma_max", "noise_floor_eps"))
-    return GainParams(
-        mu=_as_scalar_or_tuple(d["mu"], f"{path}.mu"),
-        gain_floor=_as_scalar_or_tuple(d["gain_floor"], f"{path}.gain_floor"),
-        gamma_min=_as_float(d["gamma_min"], f"{path}.gamma_min"),
-        gamma_max=_as_float(d["gamma_max"], f"{path}.gamma_max"),
-        noise_floor_eps=_as_float(d["noise_floor_eps"], f"{path}.noise_floor_eps"),
-    )
+def _leaves(obj, prefix=""):
+    """(dotted key, annotation, value) for every leaf of a config dataclass."""
+    hints = typing.get_type_hints(type(obj))
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, hints[f.name], value
 
 
-def _stage_from_dict(d: dict, path: str) -> StageConfig:
-    _require(d, path, ("uses_snr_feed", "tracker", "gains"))
-    if not isinstance(d["tracker"], dict) or not isinstance(d["gains"], dict):
-        raise ConfigError(f"config sections {path}.tracker and {path}.gains must be objects")
-    return StageConfig(
-        tracker=_tracker_from_dict(d["tracker"], f"{path}.tracker"),
-        gains=_gains_from_dict(d["gains"], f"{path}.gains"),
-        uses_snr_feed=_as_bool(d["uses_snr_feed"], f"{path}.uses_snr_feed"),
-    )
+def _unknown_key(key: str) -> ConfigError:
+    hint = _RETIRED.get(key.rpartition(".")[2])
+    return ConfigError(f"unknown config key {key!r}" + (f" (retired: {hint})" if hint else ""))
+
+
+def _decode(tp, v, key: str):
+    """The JSON value v, found at dotted key, as a value of annotation tp."""
+    if dataclasses.is_dataclass(tp):
+        return _decode_section(tp, v, key)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        if isinstance(v, list):
+            item_types = [args[0]] * len(v) if args[-1] is ... else args
+            if len(item_types) == len(v):
+                return tuple(_decode(t, x, key) for t, x in zip(item_types, v))
+    elif args:  # a union: the first member that takes v
+        for member in args:
+            try:
+                return _decode(member, v, key)
+            except ConfigError:
+                pass
+    elif tp is float and type(v) in (int, float):
+        try:
+            return float(v)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    elif type(v) is tp:  # int, str or None; True is no integer here
+        return v
+    raise ConfigError(f"config key {key!r} must be {_TYPE_NAMES.get(tp, tp)}, got {v!r}")
+
+
+def _decode_section(cls, d, key: str):
+    """Build dataclass cls from the JSON object d found at dotted key."""
+    if not isinstance(d, dict):
+        what = f"config section {key!r}" if key else "config document"
+        raise ConfigError(f"{what} must be a JSON object")
+    prefix = key + "." if key else ""
+    names = [f.name for f in dataclasses.fields(cls)]
+    for k in d:
+        if k not in names:
+            raise _unknown_key(prefix + str(k))
+    for name in names:
+        if name not in d:
+            raise ConfigError(f"missing config key {prefix + name!r}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{name: _decode(hints[name], d[name], prefix + name) for name in names})
 
 
 def config_from_dict(d: dict) -> PipelineConfig:
     """Build a validated PipelineConfig from a plain dict."""
-    if not isinstance(d, dict):
-        raise ConfigError("config document must be a JSON object")
-    _require(d, "", ("preset_name", "frame", "num_bands", "stage1", "stage2"))
-    for section in ("frame", "stage1", "stage2"):
-        if not isinstance(d[section], dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-    return PipelineConfig(
-        frame=_frame_from_dict(d["frame"], "frame"),
-        stage1=_stage_from_dict(d["stage1"], "stage1"),
-        stage2=_stage_from_dict(d["stage2"], "stage2"),
-        num_bands=_as_int(d["num_bands"], "num_bands"),
-        preset_name=_as_str(d["preset_name"], "preset_name"),
-    )
-
-
-def _tracker_to_dict(t: TrackerParams) -> dict:
-    snr_map = t.alpha_snr_map
-    return {
-        "subwindow_len": t.subwindow_len,
-        "num_subwindows": t.num_subwindows,
-        "bias_factor": t.bias_factor,
-        "alpha": list(t.alpha) if isinstance(t.alpha, tuple) else t.alpha,
-        "alpha_snr_map": None if snr_map is None else [list(p) for p in snr_map],
-        "mag_smooth_alpha": t.mag_smooth_alpha,
-        "scale_window_with_snr": t.scale_window_with_snr,
-    }
-
-
-def _gains_to_dict(g: GainParams) -> dict:
-    return {
-        "mu": list(g.mu) if isinstance(g.mu, tuple) else g.mu,
-        "gain_floor": list(g.gain_floor) if isinstance(g.gain_floor, tuple) else g.gain_floor,
-        "gamma_min": g.gamma_min,
-        "gamma_max": g.gamma_max,
-        "noise_floor_eps": g.noise_floor_eps,
-    }
+    return _decode_section(PipelineConfig, d, "")
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
     """Plain-dict form of a config; JSON-serializable, round-trip exact."""
-    return {
-        "preset_name": cfg.preset_name,
-        "frame": {
-            "sample_rate_hz": cfg.frame.sample_rate_hz,
-            "frame_len": cfg.frame.frame_len,
-            "hop_len": cfg.frame.hop_len,
-            "fft_len": cfg.frame.fft_len,
-            "window_kind": cfg.frame.window_kind,
-            "hpf_cutoff_hz": cfg.frame.hpf_cutoff_hz,
-        },
-        "num_bands": cfg.num_bands,
-        "stage1": {
-            "uses_snr_feed": cfg.stage1.uses_snr_feed,
-            "tracker": _tracker_to_dict(cfg.stage1.tracker),
-            "gains": _gains_to_dict(cfg.stage1.gains),
-        },
-        "stage2": {
-            "uses_snr_feed": cfg.stage2.uses_snr_feed,
-            "tracker": _tracker_to_dict(cfg.stage2.tracker),
-            "gains": _gains_to_dict(cfg.stage2.gains),
-        },
-    }
+    # the JSON round trip turns tuples into lists; a float's repr reads
+    # back as the same float
+    return json.loads(json.dumps(dataclasses.asdict(cfg)))
 
 
 def load_config(path) -> PipelineConfig:
@@ -323,15 +224,13 @@ def apply_overrides(cfg: PipelineConfig, assignments) -> PipelineConfig:
         key = key.strip()
         parts = key.split(".")
         node = doc
-        for part in parts[:-1]:
+        for part in parts:
             if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"unknown config key {key!r}")
-            node = node[part]
-        if not isinstance(node, dict) or parts[-1] not in node:
-            raise ConfigError(f"unknown config key {key!r}")
+                raise _unknown_key(key)
+            parent, node = node, node[part]
         try:
             parsed = json.loads(value)
         except json.JSONDecodeError:
             parsed = value.strip()
-        node[parts[-1]] = parsed
+        parent[parts[-1]] = parsed
     return config_from_dict(doc)

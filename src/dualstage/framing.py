@@ -21,6 +21,9 @@ WINDOW_KINDS = ("sqrt-hann", "hann", "rectangular")
 # property of a (analysis window, synthesis window, hop) triple.
 COLA_TOL = 1e-9
 
+# largest transform length (4 s at 16 kHz); bounds every per-bin array
+MAX_FFT_LEN = 2**16
+
 # bounds the high-pass filter's l1 gain (below 2.44 for a second-order
 # Butterworth high-pass at any cutoff) with room for rounding
 _HPF_GAIN_BOUND = 8.0
@@ -41,8 +44,9 @@ class FrameConfig:
         Frame advance in samples; must divide frame_len. The default is
         frame_len // 2 (50% overlap).
     fft_len : int
-        Transform length; a power of two, at least frame_len. Frames
-        shorter than fft_len are zero-padded before the transform.
+        Transform length; a power of two, at least frame_len and at
+        most MAX_FFT_LEN. Frames shorter than fft_len are zero-padded
+        before the transform.
     window_kind : str
         One of "sqrt-hann" (analysis and synthesis both sqrt-Hann),
         "hann" (Hann analysis, rectangular synthesis) or "rectangular".
@@ -70,6 +74,8 @@ class FrameConfig:
             raise ConfigError(
                 f"fft_len must be at least frame_len, got {self.fft_len} < {self.frame_len}"
             )
+        if self.fft_len > MAX_FFT_LEN:
+            raise ConfigError(f"fft_len must be at most {MAX_FFT_LEN}, got {self.fft_len}")
         if self.fft_len & (self.fft_len - 1):
             raise ConfigError(f"fft_len must be a power of two, got {self.fft_len}")
         if self.window_kind not in WINDOW_KINDS:

@@ -7,12 +7,13 @@ with the gain itself, so speech onsets are tracked quickly while gains
 deep in the noise floor move slowly (fast attack, slow release).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .noise_tracking import scalar_or_array, smooth_rows
+from .noise_tracking import PerBand, scalar_or_array, smooth_rows
 
 # validation bound for mu; presets stay well inside it
 MU_MAX = 1.5
@@ -29,26 +30,27 @@ class GainParams:
     noise_floor_eps guards the SNR division.
     """
 
-    mu: float | tuple[float, ...] = 1.49
-    gain_floor: float | tuple[float, ...] = 0.178
+    mu: PerBand = 1.49
+    gain_floor: PerBand = 0.178
     gamma_min: float = 0.2
     gamma_max: float = 0.95
     noise_floor_eps: float = 1e-10
 
     def __post_init__(self):
+        # every range check is written so that NaN fails it
         mu = np.asarray(self.mu, dtype=float)
-        if np.any(mu < 0.0) or np.any(mu > MU_MAX):
+        if not np.all((0.0 <= mu) & (mu <= MU_MAX)):
             raise ConfigError(f"mu must lie in [0, {MU_MAX}], got {self.mu}")
         floor = np.asarray(self.gain_floor, dtype=float)
-        if np.any(floor <= 0.0) or np.any(floor > 1.0):
+        if not np.all((0.0 < floor) & (floor <= 1.0)):
             raise ConfigError(f"gain_floor must lie in (0, 1], got {self.gain_floor}")
         if not 0.0 <= self.gamma_min <= self.gamma_max <= 1.0:
             raise ConfigError(
                 f"need 0 <= gamma_min <= gamma_max <= 1, got "
                 f"({self.gamma_min}, {self.gamma_max})"
             )
-        if self.noise_floor_eps <= 0.0:
-            raise ConfigError(f"noise_floor_eps must be positive, got {self.noise_floor_eps}")
+        if not 0.0 < self.noise_floor_eps < math.inf:
+            raise ConfigError(f"noise_floor_eps must be finite and > 0, got {self.noise_floor_eps}")
 
 
 class GainState:

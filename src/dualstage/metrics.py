@@ -282,14 +282,13 @@ def spectrogram_db(samples, frame_cfg, floor_db: float = -120.0) -> np.ndarray:
     from . import framing  # local import keeps module deps one-way
 
     x = np.asarray(samples, dtype=float)
-    if x.size < frame_cfg.frame_len:
-        return np.zeros((0, frame_cfg.num_bins))
-    frames = np.lib.stride_tricks.sliding_window_view(x, frame_cfg.frame_len)[:: frame_cfg.hop_len]
-    rows = np.empty((len(frames), frame_cfg.num_bins))
+    n_frames = max(0, (x.size - frame_cfg.frame_len) // frame_cfg.hop_len + 1)
+    rows = np.empty((n_frames, frame_cfg.num_bins))
     floor_pow, step = 10.0 ** (floor_db / 10.0), pipeline.BLOCK_FRAMES
-    for i in range(0, len(frames), step):
-        power = framing.analyze(frames[i : i + step], frame_cfg).power
-        rows[i : i + step] = 10.0 * np.log10(np.maximum(power, floor_pow))
+    for i in range(0, n_frames, step):
+        n = min(step, n_frames - i)
+        power = framing.analyze(pipeline._frames(x, i, n, frame_cfg), frame_cfg).power
+        rows[i : i + n] = 10.0 * np.log10(np.maximum(power, floor_pow))
     return rows
 
 

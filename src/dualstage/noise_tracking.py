@@ -1,12 +1,11 @@
 """Per-band minimum-statistics noise estimation.
 
 The raw estimate is the exact minimum of the (pre-smoothed) band
-magnitudes over a sliding window of num_subwindows * subwindow_len
-frames, scaled by a fixed bias factor. A first-order smoother with a
-per-band alpha turns the raw track into the noise magnitude estimate;
-for the second stage the alpha is scaled up at low frame SNR so the
-tracker follows faster where the first stage says the signal is mostly
-noise.
+magnitudes over a sliding window of window_len frames, scaled by a
+fixed bias factor. A first-order smoother with a per-band alpha turns
+the raw track into the noise magnitude estimate; for the second stage
+the alpha is scaled up at low frame SNR so the tracker follows faster
+where the first stage says the signal is mostly noise.
 
 All three smoothers (magnitude pre-smoothing, noise smoothing, and the
 gain smoothing in the gain module) are the recursion in smooth_rows,
@@ -37,36 +36,39 @@ from .errors import ConfigError, UsageError
 # above 20 dB, linear between
 DEFAULT_ALPHA_SNR_MAP = ((0.0, 2.0), (20.0, 1.0))
 
+# a smoothing factor or gain bound: one value for every band, or one per band
+PerBand = float | tuple[float, ...]
+
 
 @dataclass(frozen=True)
 class TrackerParams:
     """Noise tracker settings for one stage.
 
-    subwindow_len and num_subwindows define the sliding minimum window
-    of subwindow_len * num_subwindows frames. bias_factor compensates
-    the low bias of the window minimum. alpha is the per-band smoothing
-    factor (scalar or one value per band); alpha_snr_map, when set,
-    maps a frame SNR in dB to a multiplier on alpha (piecewise linear,
-    non-increasing). mag_smooth_alpha pre-smooths the band magnitudes
-    ahead of the minimum search so the window minimum lands near the
-    stationary level instead of deep in the fluctuation floor.
+    window_len is the length of the sliding-minimum window in frames.
+    bias_factor compensates the low bias of the window minimum. alpha
+    is the per-band smoothing factor (scalar or one value per band);
+    alpha_snr_map, when set, maps a frame SNR in dB to a multiplier on
+    alpha (piecewise linear, non-increasing), and a pipeline feeds the
+    stage the Stage-1 frame SNR exactly when it is set.
+    mag_smooth_alpha pre-smooths the band magnitudes ahead of the
+    minimum search so the window minimum lands near the stationary
+    level instead of deep in the fluctuation floor.
     """
 
-    subwindow_len: int = 48
-    num_subwindows: int = 8
+    window_len: int = 384
     bias_factor: float = 1.2
-    alpha: float | tuple[float, ...] = 0.5
+    alpha: PerBand = 0.5
     alpha_snr_map: tuple[tuple[float, float], ...] | None = None
     mag_smooth_alpha: float = 0.1
-    scale_window_with_snr: bool = False
 
     def __post_init__(self):
-        if self.subwindow_len < 1 or self.num_subwindows < 1:
-            raise ConfigError("subwindow_len and num_subwindows must be at least 1")
-        if self.bias_factor < 1.0:
-            raise ConfigError(f"bias_factor must be >= 1, got {self.bias_factor}")
+        if self.window_len < 1:
+            raise ConfigError(f"window_len must be at least 1, got {self.window_len}")
+        # every range check is written so that NaN fails it
+        if not 1.0 <= self.bias_factor < math.inf:
+            raise ConfigError(f"bias_factor must be finite and >= 1, got {self.bias_factor}")
         alpha = np.asarray(self.alpha, dtype=float)
-        if np.any(alpha < 0.0) or np.any(alpha > 1.0):
+        if not np.all((0.0 <= alpha) & (alpha <= 1.0)):
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 < self.mag_smooth_alpha <= 1.0:
             raise ConfigError(
@@ -76,6 +78,8 @@ class TrackerParams:
             pts = tuple(self.alpha_snr_map)
             if len(pts) < 2:
                 raise ConfigError("alpha_snr_map needs at least two points")
+            if not np.all(np.isfinite(pts)):
+                raise ConfigError(f"alpha_snr_map values must be finite, got {pts}")
             xs = [p[0] for p in pts]
             ys = [p[1] for p in pts]
             if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -86,14 +90,6 @@ class TrackerParams:
                 raise ConfigError("alpha_snr_map multipliers must be positive")
             # a tuple of pairs, hashable for effective_alpha's map cache
             object.__setattr__(self, "alpha_snr_map", tuple(tuple(p) for p in pts))
-        if self.scale_window_with_snr:
-            # reserved knob: faster tracking is realised by alpha scaling
-            # only; changing the window length per frame is not supported
-            raise ConfigError("scale_window_with_snr is reserved and must stay False")
-
-    @property
-    def window_len(self) -> int:
-        return self.subwindow_len * self.num_subwindows
 
 
 class _SlidingMin:
@@ -283,10 +279,10 @@ def _step_rows(p, c, ax, rows, floor=None) -> None:
 def track_raw(band_mags: np.ndarray, params: TrackerParams, state: NoiseState) -> np.ndarray:
     """Raw noise estimate: bias_factor times the sliding-window minimum.
 
-    The window covers the last subwindow_len * num_subwindows frames
-    (fewer while the stream is shorter than that); the first frame
-    seeds the minimum with the first observation. Like update, it takes
-    one frame or a block.
+    The window covers the last params.window_len frames (fewer while
+    the stream is shorter than that); the first frame seeds the minimum
+    with the first observation. Like update, it takes one frame or a
+    block.
     """
     return params.bias_factor * state.window_min.push(np.asarray(band_mags, dtype=float))
 

@@ -41,9 +41,8 @@ class _StageState:
         self.noise = noise_tracking.NoiseState.for_params(stage_cfg.tracker, num_bands)
         self.gains = gain.GainState(num_bands)
 
-    def step(self, band_mags: np.ndarray, snr_feed_db):
-        feed = snr_feed_db if self.cfg.uses_snr_feed else None
-        raw_n, noise_est = noise_tracking.update(band_mags, self.cfg.tracker, self.noise, feed)
+    def step(self, band_mags: np.ndarray, snr_db):
+        raw_n, noise_est = noise_tracking.update(band_mags, self.cfg.tracker, self.noise, snr_db)
         snr = gain.compute_snr(band_mags, noise_est, self.cfg.gains.noise_floor_eps)
         raw_g = gain.compute_raw_gain(snr, self.cfg.gains.mu, self.cfg.gains.gain_floor)
         return gain.smooth_gain(raw_g, self.gains, self.cfg.gains), snr, raw_n, noise_est
@@ -133,7 +132,10 @@ class StreamProcessor:
         spec = bands.apply_gains(spec, bin_gains)
         if self.stage2 is not None:
             mags2 = bands.pool_to_bands(spec, self.plan)
-            g2, _, raw_n2, n2 = self.stage2.step(mags2, self._frame_snr_db(mags1, snr1))
+            # Stage 2 takes the Stage-1 frame SNR exactly when it maps it to alpha
+            fed = self.stage2.cfg.tracker.alpha_snr_map is not None
+            snr_db = self._frame_snr_db(mags1, snr1) if fed else None
+            g2, _, raw_n2, n2 = self.stage2.step(mags2, snr_db)
             tracks.append((2, raw_n2, n2))
             bin_g2 = bands.expand_to_bins(g2, self.plan)
             spec.bins *= bin_g2
@@ -268,5 +270,7 @@ def _frames(buf: np.ndarray, first: int, n: int, fcfg) -> np.ndarray:
     start, hop, flen = first * fcfg.hop_len, fcfg.hop_len, fcfg.frame_len
     if n == 1:
         return buf[start : start + flen]
+    # a copy, not a strided view: over a long signal, analyze's window
+    # multiply on a view's overlapping rows costs more than this copy
     hops = buf[start : start + (n - 1) * hop + flen].reshape(-1, hop)
     return np.concatenate([hops[j : j + n] for j in range(flen // hop)], axis=1)

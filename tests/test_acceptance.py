@@ -130,7 +130,7 @@ class TestCriterion05TrackerOracle:
         rng = np.random.default_rng(55)
         n_frames, bands_wide = 10**5, 4
         params = noise_tracking.TrackerParams(bias_factor=1.0)
-        window = params.subwindow_len * params.num_subwindows
+        window = params.window_len
         frames = rng.uniform(0.0, 1.0, (n_frames, bands_wide))
         frames[rng.random((n_frames, bands_wide)) < 0.01] *= 100.0
 

@@ -10,6 +10,17 @@ import dualstage as ds
 from dualstage.cli import main
 
 
+def _numeric_leaves(doc, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _numeric_leaves(value, f"{prefix}{key}.")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield prefix + key
+
+
+NUMERIC_LEAVES = list(_numeric_leaves(ds.config_to_dict(ds.load_preset("communication"))))
+
+
 def run(*argv):
     return main(list(argv))
 
@@ -116,6 +127,20 @@ class TestEnhance:
         doc = json.loads(capsys.readouterr().out)
         assert doc["stage2"]["gains"]["mu"] == 1.2
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", NUMERIC_LEAVES)
+    def test_non_finite_leaf_is_config_error(self, tmp_path, capsys, key, value):
+        """No numeric setting takes NaN or an infinity, whatever the
+        JSON number type it holds."""
+        code = run(
+            "enhance", str(tmp_path / "in.wav"), str(tmp_path / "out.wav"),
+            "--print-config", "--set", f"{key}={value}",
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_no_latency_compensation_shifts_output(self, tmp_path):
         wav = write_noise_wav(tmp_path / "in.wav")

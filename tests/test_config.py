@@ -5,6 +5,7 @@ import json
 import pytest
 
 import dualstage as ds
+from dualstage.config import MAX_TRACKER_STATE
 from dualstage.errors import ConfigError
 
 
@@ -43,6 +44,50 @@ class TestValidation:
         doc["frame"]["frame_len"] = "long"
         with pytest.raises(ConfigError, match="frame_len"):
             ds.config_from_dict(doc)
+
+    def test_non_object_section_rejected(self, comm_cfg):
+        doc = ds.config_to_dict(comm_cfg)
+        doc["stage1"]["tracker"] = [1, 2]
+        with pytest.raises(ConfigError, match="'stage1.tracker' must be a JSON object"):
+            ds.config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "section,retired,replacement",
+        [
+            ("tracker", "subwindow_len", "window_len"),
+            ("tracker", "num_subwindows", "window_len"),
+            ("tracker", "scale_window_with_snr", "delete it"),
+            (None, "uses_snr_feed", "alpha_snr_map"),
+        ],
+    )
+    def test_retired_key_names_its_replacement(self, comm_cfg, section, retired, replacement):
+        """Files of the earlier schema are rejected, not migrated; the
+        message says what to write instead."""
+        doc = ds.config_to_dict(comm_cfg)
+        node = doc["stage2"] if section is None else doc["stage2"][section]
+        node[retired] = False
+        key = ".".join(k for k in ("stage2", section, retired) if k)
+        with pytest.raises(ConfigError, match=rf"'{key}' \(retired: .*{replacement}"):
+            ds.config_from_dict(doc)
+        with pytest.raises(ConfigError, match=replacement):
+            ds.apply_overrides(comm_cfg, [f"{key}=1"])
+
+    def test_stage1_alpha_map_rejected(self, comm_cfg):
+        """Only Stage 2 takes the Stage-1 frame SNR, so a Stage-1 map
+        would be ignored; it is refused instead."""
+        with pytest.raises(ConfigError, match="stage1.tracker.alpha_snr_map must be null"):
+            ds.apply_overrides(comm_cfg, ["stage1.tracker.alpha_snr_map=[[0,4],[20,1]]"])
+
+    def test_tracker_state_is_bounded(self, comm_cfg):
+        """(window_len + 1) * num_bands floats per stage, at most
+        MAX_TRACKER_STATE; checked before anything is allocated."""
+        largest = MAX_TRACKER_STATE // comm_cfg.num_bands - 1
+        for stage in ("stage1", "stage2"):
+            key = f"{stage}.tracker.window_len"
+            cfg = ds.apply_overrides(comm_cfg, [f"{key}={largest}"])
+            assert getattr(cfg, stage).tracker.window_len == largest
+            with pytest.raises(ConfigError, match=f"{key} {largest + 1} needs"):
+                ds.apply_overrides(comm_cfg, [f"{key}={largest + 1}"])
 
     def test_per_band_array_length_enforced(self, comm_cfg):
         doc = ds.config_to_dict(comm_cfg)

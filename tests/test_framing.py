@@ -5,6 +5,7 @@ import pytest
 
 import dualstage as ds
 from dualstage.errors import ConfigError, UsageError
+from dualstage.framing import MAX_FFT_LEN
 
 
 class TestWindows:
@@ -59,6 +60,11 @@ class TestFrameConfig:
     def test_fft_len_must_be_power_of_two(self):
         with pytest.raises(ConfigError, match="fft_len"):
             ds.FrameConfig(fft_len=200)
+
+    def test_fft_len_is_bounded(self):
+        assert ds.FrameConfig(fft_len=MAX_FFT_LEN).num_bins == MAX_FFT_LEN // 2 + 1
+        with pytest.raises(ConfigError, match=f"fft_len must be at most {MAX_FFT_LEN}"):
+            ds.FrameConfig(fft_len=2 * MAX_FFT_LEN)
 
     def test_fft_len_must_cover_frame(self):
         with pytest.raises(ConfigError, match="fft_len"):

@@ -17,16 +17,12 @@ def brute_force_min(history, window_len):
 class TestTrackerParams:
     def test_defaults(self):
         p = ds.TrackerParams()
-        assert p.subwindow_len == 48
-        assert p.num_subwindows == 8
-        assert p.bias_factor == 1.2
         assert p.window_len == 384
+        assert p.bias_factor == 1.2
 
     def test_validation(self):
-        with pytest.raises(ConfigError, match="subwindow_len"):
-            ds.TrackerParams(subwindow_len=0)
-        with pytest.raises(ConfigError, match="num_subwindows"):
-            ds.TrackerParams(num_subwindows=0)
+        with pytest.raises(ConfigError, match="window_len"):
+            ds.TrackerParams(window_len=0)
         with pytest.raises(ConfigError, match="bias_factor"):
             ds.TrackerParams(bias_factor=0.9)
         with pytest.raises(ConfigError, match="alpha"):
@@ -43,17 +39,16 @@ class TestTrackerParams:
             ds.TrackerParams(alpha_snr_map=((0.0, 1.0), (20.0, 2.0)))
         with pytest.raises(ConfigError, match="positive"):
             ds.TrackerParams(alpha_snr_map=((0.0, 2.0), (20.0, 0.0)))
-
-    def test_window_scaling_knob_is_reserved(self):
-        """Faster tracking is alpha scaling only; the per-frame window
-        rescale stays switched off until it has defined semantics."""
-        with pytest.raises(ConfigError, match="scale_window_with_snr"):
-            ds.TrackerParams(scale_window_with_snr=True)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                ds.TrackerParams(alpha_snr_map=((bad, 2.0), (20.0, 1.0)))
+            with pytest.raises(ConfigError, match="finite"):
+                ds.TrackerParams(alpha_snr_map=((0.0, bad), (20.0, 1.0)))
 
 
 class TestTrackRaw:
     def test_constant_input_tracks_the_constant(self):
-        p = ds.TrackerParams(subwindow_len=4, num_subwindows=3, bias_factor=1.0)
+        p = ds.TrackerParams(window_len=12, bias_factor=1.0)
         state = ds.NoiseState.for_params(p, 2)
         c = np.array([3.0, 0.5])
         for _ in range(20):
@@ -62,7 +57,7 @@ class TestTrackRaw:
 
     def test_window_min_hand_case(self):
         """5,3,7,4 in one window: the running minimum is 3 at frame 4."""
-        p = ds.TrackerParams(subwindow_len=4, num_subwindows=1, bias_factor=1.0)
+        p = ds.TrackerParams(window_len=4, bias_factor=1.0)
         state = ds.NoiseState.for_params(p, 1)
         outs = [
             float(ds.track_raw(np.array([v]), p, state)[0]) for v in (5.0, 3.0, 7.0, 4.0)
@@ -71,8 +66,8 @@ class TestTrackRaw:
 
     def test_bias_factor_scales_linearly(self):
         rng = np.random.default_rng(31)
-        p1 = ds.TrackerParams(subwindow_len=6, num_subwindows=4, bias_factor=1.0)
-        p2 = ds.TrackerParams(subwindow_len=6, num_subwindows=4, bias_factor=2.0)
+        p1 = ds.TrackerParams(window_len=24, bias_factor=1.0)
+        p2 = ds.TrackerParams(window_len=24, bias_factor=2.0)
         s1 = ds.NoiseState.for_params(p1, 3)
         s2 = ds.NoiseState.for_params(p2, 3)
         for _ in range(100):
@@ -81,16 +76,16 @@ class TestTrackRaw:
             r2 = ds.track_raw(mags, p2, s2)
             np.testing.assert_array_equal(r2, 2.0 * r1)
 
+    # window_len = a * b; the factor pairs keep the test ids of the
+    # schema that set the window as subwindow length times count
     @pytest.mark.parametrize(
-        "sub_len,num_subs,bands,frames",
+        "a,b,bands,frames",
         [(4, 3, 2, 400), (1, 5, 3, 200), (7, 1, 2, 150), (48, 8, 4, 900)],
     )
-    def test_equals_brute_force(self, sub_len, num_subs, bands, frames):
+    def test_equals_brute_force(self, a, b, bands, frames):
         """Exact trailing-window minimum at every frame, all geometries."""
-        rng = np.random.default_rng(32 + sub_len)
-        p = ds.TrackerParams(
-            subwindow_len=sub_len, num_subwindows=num_subs, bias_factor=1.0
-        )
+        rng = np.random.default_rng(32 + a)
+        p = ds.TrackerParams(window_len=a * b, bias_factor=1.0)
         state = ds.NoiseState.for_params(p, bands)
         history = []
         for _ in range(frames):
@@ -102,7 +97,7 @@ class TestTrackRaw:
     def test_short_burst_does_not_raise_the_track(self):
         """A high-energy burst shorter than the window leaves the raw
         estimate at the pre-burst minimum, exactly."""
-        p = ds.TrackerParams(subwindow_len=10, num_subwindows=5, bias_factor=1.0)
+        p = ds.TrackerParams(window_len=50, bias_factor=1.0)
         state = ds.NoiseState.for_params(p, 1)
         c = np.array([0.2])
         for _ in range(50):
@@ -111,13 +106,13 @@ class TestTrackRaw:
             raw = ds.track_raw(np.array([2.0]), p, state)
             assert float(raw[0]) == 0.2
 
-    @pytest.mark.parametrize("sub_len,num_subs", [(4, 3), (1, 1), (48, 8)])
-    def test_blocks_straddling_the_window_match_brute_force(self, sub_len, num_subs):
+    @pytest.mark.parametrize("a,b", [(4, 3), (1, 1), (48, 8)])  # window_len = a * b
+    def test_blocks_straddling_the_window_match_brute_force(self, a, b):
         """Frames pushed in random block sizes, many of them crossing
         the W-frame alignment of the running minimum, still give the
         exact trailing-window minimum for every frame."""
-        rng = np.random.default_rng(34 + sub_len)
-        p = ds.TrackerParams(subwindow_len=sub_len, num_subwindows=num_subs, bias_factor=1.0)
+        rng = np.random.default_rng(34 + a)
+        p = ds.TrackerParams(window_len=a * b, bias_factor=1.0)
         w = p.window_len
         state = ds.NoiseState.for_params(p, 3)
         history = []
@@ -190,7 +185,7 @@ class TestEffectiveAlpha:
 
 class TestUpdate:
     def test_first_frame_seeds_presmoothing(self):
-        p = ds.TrackerParams(subwindow_len=4, num_subwindows=2)
+        p = ds.TrackerParams(window_len=8)
         state = ds.NoiseState.for_params(p, 2)
         mags = np.array([0.5, 1.5])
         raw, smoothed = update(mags, p, state)
@@ -202,7 +197,7 @@ class TestUpdate:
         """Identical inputs, lower reported SNR: the noise estimate
         moves at least as fast toward a raised floor."""
         p = ds.TrackerParams(
-            subwindow_len=2, num_subwindows=2, alpha=0.3,
+            window_len=4, alpha=0.3,
             alpha_snr_map=((0.0, 2.0), (20.0, 1.0)),
         )
         lo = ds.NoiseState.for_params(p, 1)

@@ -268,8 +268,8 @@ class TestStageInteraction:
         """On noise-only input the Stage-1 frame SNR sits low, which
         raises Stage 2's smoothing rate; the fed tracker must lag the
         raw minimum track less than the same tracker with the feed
-        cut. Stage 1 is identical in both runs, so the raw track is
-        shared and only the smoothing rate differs."""
+        cut by a null alpha_snr_map. Stage 1 is identical in both runs,
+        so the raw track is shared and only the smoothing rate differs."""
         rng = np.random.default_rng(17)
         x = white_noise(2.0, rng, level=0.1)
 
@@ -285,7 +285,7 @@ class TestStageInteraction:
             return np.asarray(raws), np.asarray(smooths)
 
         doc = ds.config_to_dict(comm_cfg)
-        doc["stage2"]["uses_snr_feed"] = False
+        doc["stage2"]["tracker"]["alpha_snr_map"] = None
         raw_u, unfed = run(ds.config_from_dict(doc))
         raw_f, fed = run(comm_cfg)
         np.testing.assert_array_equal(raw_f, raw_u)

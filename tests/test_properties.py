@@ -36,8 +36,7 @@ def pipeline_configs(draw, window_kind=None):
     )
     doc["num_bands"] = draw(st.integers(1, min(fft_len // 2 + 1, 40)))
     for stage in ("stage1", "stage2"):
-        doc[stage]["tracker"]["subwindow_len"] = draw(st.integers(1, 16))
-        doc[stage]["tracker"]["num_subwindows"] = draw(st.integers(1, 4))
+        doc[stage]["tracker"]["window_len"] = draw(st.integers(1, 64))
     return ds.config_from_dict(doc)
 
 
