@@ -28,7 +28,8 @@ class BandPlan:
     edges[-1] = fft_len/2 + 1; band j covers bins edges[j]..edges[j+1]-1.
     center_bins holds the (possibly half-integer) midpoint bin of each
     band, centers_hz the same in Hz. Bin b interpolates the gains of
-    bands interp_index[:, b] with weights interp_weight[:, b].
+    bands left_band[b] and right_band[b] with weights left_weight[b]
+    and right_weight[b].
     """
 
     num_bands: int
@@ -36,8 +37,10 @@ class BandPlan:
     center_bins: np.ndarray
     centers_hz: np.ndarray
     widths: np.ndarray
-    interp_index: np.ndarray
-    interp_weight: np.ndarray
+    left_band: np.ndarray
+    right_band: np.ndarray
+    left_weight: np.ndarray
+    right_weight: np.ndarray
     fft_len: int
     sample_rate_hz: int
 
@@ -76,15 +79,16 @@ def build_band_plan(fft_len: int, sample_rate_hz: int, num_bands: int) -> BandPl
 
     center_bins = (edges[:-1] + edges[1:] - 1) / 2.0
     centers_hz = center_bins * sample_rate_hz / fft_len
-    widths = np.diff(edges)
+    # float, as every use divides or scales float powers by it
+    widths = np.diff(edges).astype(float)
     # fractional band position of every bin: bins outside the outer
     # centers sit on the edge band, the rest between two neighbours
     pos = np.interp(np.arange(nbins), center_bins, np.arange(num_bands))
     left = pos.astype(np.int64)
+    right = np.minimum(left + 1, num_bands - 1)
     frac = pos - left
-    interp_index = np.stack([left, np.minimum(left + 1, num_bands - 1)])
-    interp_weight = np.stack([1.0 - frac, frac])
-    for arr in (edges, center_bins, centers_hz, widths, interp_index, interp_weight):
+    left_weight = 1.0 - frac
+    for arr in (edges, center_bins, centers_hz, widths, left, right, left_weight, frac):
         arr.flags.writeable = False
     return BandPlan(
         num_bands=num_bands,
@@ -92,8 +96,10 @@ def build_band_plan(fft_len: int, sample_rate_hz: int, num_bands: int) -> BandPl
         center_bins=center_bins,
         centers_hz=centers_hz,
         widths=widths,
-        interp_index=interp_index,
-        interp_weight=interp_weight,
+        left_band=left,
+        right_band=right,
+        left_weight=left_weight,
+        right_weight=frac,
         fft_len=fft_len,
         sample_rate_hz=sample_rate_hz,
     )
@@ -107,7 +113,8 @@ def pool_to_bands(spec: SpectralFrame, plan: BandPlan) -> np.ndarray:
     independent of band width.
     """
     sums = np.add.reduceat(spec.power, plan.edges[:-1], axis=-1)
-    return np.sqrt(sums / plan.widths)
+    sums /= plan.widths
+    return np.sqrt(sums, out=sums)
 
 
 def expand_to_bins(band_gains: np.ndarray, plan: BandPlan) -> np.ndarray:
@@ -116,8 +123,13 @@ def expand_to_bins(band_gains: np.ndarray, plan: BandPlan) -> np.ndarray:
     Linear interpolation across the band center bins; bins outside the
     first and last centers take the edge band's gain unchanged.
     """
-    picked = np.asarray(band_gains, dtype=float).take(plan.interp_index, axis=-1)
-    return np.add.reduce(picked * plan.interp_weight, axis=-2)
+    g = np.asarray(band_gains, dtype=float)
+    out = g.take(plan.left_band, axis=-1)
+    out *= plan.left_weight
+    from_right = g.take(plan.right_band, axis=-1)
+    from_right *= plan.right_weight
+    out += from_right
+    return out
 
 
 def apply_gains(spec: SpectralFrame, bin_gains: np.ndarray) -> SpectralFrame:

@@ -161,7 +161,7 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(doc)
 
@@ -230,7 +230,7 @@ def apply_overrides(cfg: PipelineConfig, assignments) -> PipelineConfig:
             parent, node = node, node[part]
         try:
             parsed = json.loads(value)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer too long to convert
             parsed = value.strip()
         parent[parts[-1]] = parsed
     return config_from_dict(doc)

@@ -8,7 +8,6 @@ pure and a stream can be moved between threads.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.signal
@@ -23,6 +22,10 @@ COLA_TOL = 1e-9
 
 # largest transform length (4 s at 16 kHz); bounds every per-bin array
 MAX_FFT_LEN = 2**16
+
+# largest sample rate, the most a WAV header's 32-bit rate field holds;
+# it keeps every rate a float and every division by it finite
+MAX_SAMPLE_RATE_HZ = 2**32 - 1
 
 # bounds the high-pass filter's l1 gain (below 2.44 for a second-order
 # Butterworth high-pass at any cutoff) with room for rounding
@@ -62,8 +65,10 @@ class FrameConfig:
     hpf_cutoff_hz: float | None = 100.0
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ConfigError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz <= MAX_SAMPLE_RATE_HZ:
+            raise ConfigError(
+                f"sample_rate_hz must lie in [1, {MAX_SAMPLE_RATE_HZ}], got {self.sample_rate_hz}"
+            )
         if self.frame_len <= 0 or self.hop_len <= 0:
             raise ConfigError("frame_len and hop_len must be positive")
         if self.frame_len % self.hop_len != 0:
@@ -87,8 +92,9 @@ class FrameConfig:
                 raise ConfigError(
                     f"hpf_cutoff_hz must lie in (0, fs/2), got {self.hpf_cutoff_hz}"
                 )
-        # verify the window/hop triple reconstructs; raises on failure
-        windows_for(self)
+        # build the window pair once per config; this verifies that the
+        # window/hop triple reconstructs and raises on failure
+        object.__setattr__(self, "_windows", _build_windows(self))
 
     @property
     def num_bins(self) -> int:
@@ -129,15 +135,19 @@ def _periodic_hann(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * idx / n))
 
 
-@lru_cache(maxsize=32)
 def windows_for(cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
     """Return the (analysis, synthesis) window pair for a config.
 
     The synthesis window is scaled by the reciprocal of the overlap-add
     constant so that a unity-gain analyze/synthesize round trip
-    reconstructs the input. Raises ConfigError when the overlapped
-    window product is not constant to within COLA_TOL.
+    reconstructs the input. The config builds the pair once, when it
+    is made, and raises ConfigError there when the overlapped window
+    product is not constant to within COLA_TOL.
     """
+    return cfg._windows
+
+
+def _build_windows(cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
     n = cfg.frame_len
     if cfg.window_kind == "sqrt-hann":
         root = np.sqrt(_periodic_hann(n))
@@ -210,7 +220,10 @@ def analyze(frame: np.ndarray, cfg: FrameConfig) -> SpectralFrame:
         raise UsageError(f"expected {cfg.frame_len} samples per frame, got shape {frame.shape}")
     analysis, _ = windows_for(cfg)
     bins = np.fft.rfft(frame * analysis, n=cfg.fft_len, axis=-1)
-    power = bins.real * bins.real + bins.imag * bins.imag
+    # re^2 + im^2 from one squaring of the interleaved parts
+    squares = bins.view(float)
+    squares = squares * squares
+    power = np.add(squares[..., 0::2], squares[..., 1::2])
     return SpectralFrame(bins=bins, power=power)
 
 
@@ -236,11 +249,10 @@ def synthesize(spec: SpectralFrame, ola_state: OlaState, cfg: FrameConfig) -> np
     _, synthesis = windows_for(cfg)
     frames = np.fft.irfft(spec.bins, n=cfg.fft_len, axis=-1)[..., : cfg.frame_len] * synthesis
     hop = cfg.hop_len
-    if frames.ndim == 1:
-        acc = np.concatenate((ola_state.tail, frames[-hop:]))
-        acc[:-hop] += frames[:-hop]
-        ola_state.tail = acc[hop:]
-        return acc[:hop]
+    if frames.ndim == 1:  # the product is a fresh array: add in place
+        frames[:-hop] += ola_state.tail
+        ola_state.tail = frames[hop:]
+        return frames[:hop]
     n = len(frames)
     # samples past the tail start from their oldest contribution
     acc = np.concatenate((ola_state.tail, frames[:, -hop:].reshape(-1)))

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .noise_tracking import PerBand, scalar_or_array, smooth_rows
+from .noise_tracking import _ONE, PerBand, frozen_array, smooth_rows
 
 # validation bound for mu; presets stay well inside it
 MU_MAX = 1.5
-_TINY = np.finfo(float).tiny
+_TINY = frozen_array(np.finfo(float).tiny)
+_ZERO = frozen_array(0.0)
 
 
 @dataclass(frozen=True)
@@ -60,30 +61,71 @@ class GainState:
         self.prev_gain = np.ones(num_bands)
 
 
+class GainConstants:
+    """GainParams in the form the per-frame arithmetic takes.
+
+    A pipeline builds them once per stream stage, smooth_gain once per
+    call: mu, the floor, the smoothing factor's offset and span, and
+    the SNR guard as frozen arrays, and whether the gain rule's
+    silent-band snap can change a gain (see _raw_gain).
+    """
+
+    def __init__(self, params: GainParams):
+        self.mu = frozen_array(params.mu)
+        self.floor = frozen_array(params.gain_floor)
+        self.snap_silent = bool(np.any(self.mu < _TINY))
+        self.gamma_min = frozen_array(params.gamma_min)
+        self.gamma_span = frozen_array(params.gamma_max - params.gamma_min)
+        self.eps = frozen_array(params.noise_floor_eps)
+
+
 def compute_snr(band_mags, noise_est, eps: float) -> np.ndarray:
     """Per-band linear SNR: |X|^2 / max(|N|, eps)^2."""
-    ratio = np.asarray(band_mags, dtype=float) / np.maximum(noise_est, eps)
-    return ratio * ratio
+    ratio = np.divide(band_mags, np.maximum(noise_est, eps))
+    return np.multiply(ratio, ratio, out=ratio)
 
 
 def compute_raw_gain(snr, mu, gain_floor) -> np.ndarray:
     """Spectral-subtraction gain sqrt(1 - mu/SNR), clamped to [floor, 1].
 
     Where SNR <= mu the radicand is non-positive and the gain snaps to
-    the floor.
+    the floor; a band with no SNR evidence (SNR 0 or NaN) takes the
+    floor too. gain_floor lies in (0, 1], as GainParams checks.
     """
     snr = np.asarray(snr, dtype=float)
-    # a silent band has no SNR evidence and takes the floor; the tiny
-    # clamp keeps the division finite, the where() forces the snap
-    q = np.asarray(mu, dtype=float) / np.maximum(snr, _TINY)
-    q = np.where(snr > 0.0, q, np.inf)
-    raw = np.sqrt(np.maximum(1.0 - q, 0.0))
-    return np.minimum(np.maximum(raw, gain_floor), 1.0)
+    return _raw_gain(np.atleast_1d(snr), mu, gain_floor, snap_silent=True).reshape(snr.shape)
+
+
+def _raw_gain(snr: np.ndarray, mu, floor, snap_silent: bool) -> np.ndarray:
+    """compute_raw_gain on an array; a silent band snaps to the floor
+    by force only when snap_silent.
+
+    The tiny clamp keeps mu / SNR finite. Where mu >= tiny, a band at
+    SNR 0 already has mu / tiny >= 1, a radicand <= 0 and the floor, so
+    the forced snap (for SNR 0, or NaN, which screened input never
+    makes) changes a gain only where some mu < tiny, i.e. mu = 0. The
+    radicand is at most 1, and a floor at most 1 keeps the result
+    there, so no upper clamp is needed.
+    """
+    q = np.maximum(snr, _TINY)
+    np.divide(mu, q, out=q)
+    if snap_silent:
+        q = np.where(snr > 0.0, q, np.inf)
+    np.subtract(_ONE, q, out=q)
+    np.maximum(q, _ZERO, out=q)
+    np.sqrt(q, out=q)
+    return np.maximum(q, floor, out=q)
 
 
 def smoothing_factor_of(raw_gain, gamma_min: float, gamma_max: float) -> np.ndarray:
     """Affine smoothing factor: gamma_min + (gamma_max - gamma_min) * G'."""
-    return gamma_min + (gamma_max - gamma_min) * np.asarray(raw_gain, dtype=float)
+    return _smoothing_factor(np.asarray(raw_gain, dtype=float), gamma_min, gamma_max - gamma_min)
+
+
+def _smoothing_factor(raw, gamma_min, gamma_span):
+    gamma = raw * gamma_span
+    gamma += gamma_min
+    return gamma
 
 
 def smooth_gain(raw, state: GainState, params: GainParams) -> np.ndarray:
@@ -95,8 +137,11 @@ def smooth_gain(raw, state: GainState, params: GainParams) -> np.ndarray:
     changes with every frame and band, so a block is one bidiagonal
     solve (smooth_rows).
     """
-    raw = np.asarray(raw, dtype=float)
-    gamma = smoothing_factor_of(raw, params.gamma_min, params.gamma_max)
-    out = smooth_rows(state.prev_gain, gamma, raw, scalar_or_array(params.gain_floor))
+    return _smooth_gain(np.asarray(raw, dtype=float), state, GainConstants(params))
+
+
+def _smooth_gain(raw: np.ndarray, state: GainState, k: GainConstants) -> np.ndarray:
+    gamma = _smoothing_factor(raw, k.gamma_min, k.gamma_span)
+    out = smooth_rows(state.prev_gain, gamma, raw, k.floor)
     state.prev_gain = out if out.ndim == 1 else out[-1]
     return out

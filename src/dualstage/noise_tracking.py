@@ -23,7 +23,6 @@ so chunking a stream never changes a bit.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -157,22 +156,47 @@ class NoiseState:
         )
 
 
-def scalar_or_array(value):
-    """A Python number as a float, anything else as a float array."""
-    # isinstance, not np.ndim: this runs on every one-hop call
-    if isinstance(value, (float, int)):
-        return float(value)
-    return np.asarray(value, dtype=float)
+def frozen_array(value) -> np.ndarray:
+    """A constant (a scalar or a per-band setting) as the per-frame
+    arithmetic takes it: a read-only float array, 0-d for a scalar.
+    numpy takes a 0-d array as an operand in about half the time it
+    takes to convert a Python float, and np.ndim still reads 0."""
+    arr = np.array(value, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
-def smooth_rows(prev, alpha, x: np.ndarray, floor=None) -> np.ndarray:
+_ONE = frozen_array(1.0)
+
+
+class TrackerConstants:
+    """TrackerParams in the form the per-frame arithmetic takes.
+
+    A pipeline builds them once per stream stage, update once per call:
+    the smoothing factors with their complements c = 1 - alpha and the
+    bias factor as frozen arrays, and the alpha map's breakpoints as
+    _map_points gives them.
+    """
+
+    def __init__(self, params: TrackerParams):
+        self.bias = frozen_array(params.bias_factor)
+        self.pre_alpha = frozen_array(params.mag_smooth_alpha)
+        self.pre_c = frozen_array(1 - self.pre_alpha)
+        self.alpha = frozen_array(params.alpha)
+        self.c = frozen_array(1 - self.alpha)
+        snr_map = params.alpha_snr_map
+        self.map = None if snr_map is None else _map_points(snr_map)
+
+
+def smooth_rows(prev, alpha, x: np.ndarray, floor=None, c=None) -> np.ndarray:
     """First-order recursion p(m) = (1 - alpha(m)) * p(m-1) + alpha(m) * x(m).
 
     x is one frame (1-D) or a block, one frame per row; the result has
     its shape. A 2-D alpha gives each frame of a block its own row,
-    other alphas apply to every frame; pass a scalar as a Python float
-    so 1 - alpha costs no numpy call. prev = None seeds p(0) = x(0). A
-    floor clamps every p(m) to [floor, 1] before the next step.
+    other alphas apply to every frame. c, when given, is 1 - alpha
+    built ahead for an alpha that is not 2-D. prev = None seeds
+    p(0) = x(0). A floor clamps every p(m) to [floor, 1] before the
+    next step.
 
     Every path rounds each step as fl(fl(c * p) + fl(alpha * x)) with
     c = 1 - alpha, as a lone frame does, so every split of a stream
@@ -193,21 +217,26 @@ def smooth_rows(prev, alpha, x: np.ndarray, floor=None) -> np.ndarray:
         if prev is None:
             p = x.copy()
         else:
-            p = (1 - alpha) * prev + alpha * x
-        return p if floor is None else np.minimum(np.maximum(p, floor), 1.0)
+            p = (_ONE - alpha if c is None else c) * prev
+            p += alpha * x
+        if floor is not None:
+            np.maximum(p, floor, out=p)
+            np.minimum(p, _ONE, out=p)
+        return p
     if prev is None:  # the seeded first row, then the recursion from it
-        first = smooth_rows(None, alpha, x[0], floor)
+        first = smooth_rows(None, alpha, x[0], floor, c)
         if len(x) == 1:
             return first[None]
-        rest = smooth_rows(first, alpha[1:] if np.ndim(alpha) == 2 else alpha, x[1:], floor)
+        rest = smooth_rows(first, alpha[1:] if np.ndim(alpha) == 2 else alpha, x[1:], floor, c)
         return np.concatenate([first[None], rest])
-    if floor is None and np.ndim(alpha) == 0:
+    if c is None and np.ndim(alpha) == 0:
         c = 1 - alpha
+    if floor is None and np.ndim(alpha) == 0:
         return scipy.signal.lfilter([alpha, 0.0], [1.0, -c], x, axis=0, zi=[c * prev])[0]
     rows = _solve_rows(prev, alpha, x)
     if rows is None:
         rows = np.empty_like(x)
-        _step_rows(prev, 1 - alpha, alpha * x, rows)
+        _step_rows(prev, 1 - alpha if c is None else c, alpha * x, rows)
     if floor is not None:
         # a clamp that changes nothing can be skipped: rows before the
         # first one outside [floor, 1] are exact, and from that row on
@@ -217,7 +246,8 @@ def smooth_rows(prev, alpha, x: np.ndarray, floor=None) -> np.ndarray:
             m = bad[0]
             np.minimum(np.maximum(rows[m], floor), 1.0, out=rows[m])
             alpha_rest = alpha[m + 1 :] if np.ndim(alpha) == 2 else alpha
-            _step_rows(rows[m], 1 - alpha_rest, alpha_rest * x[m + 1 :], rows[m + 1 :], floor)
+            c_rest = 1 - alpha_rest if c is None else c
+            _step_rows(rows[m], c_rest, alpha_rest * x[m + 1 :], rows[m + 1 :], floor)
     return rows
 
 
@@ -284,12 +314,18 @@ def track_raw(band_mags: np.ndarray, params: TrackerParams, state: NoiseState) -
     with the first observation. Like update, it takes one frame or a
     block.
     """
-    return params.bias_factor * state.window_min.push(np.asarray(band_mags, dtype=float))
+    return _track_raw(np.asarray(band_mags, dtype=float), params.bias_factor, state)
 
 
-def _smooth_noise(raw: np.ndarray, state: NoiseState, alpha) -> np.ndarray:
+def _track_raw(mags: np.ndarray, bias, state: NoiseState) -> np.ndarray:
+    raw = state.window_min.push(mags)  # a fresh array
+    raw *= bias
+    return raw
+
+
+def _smooth_noise(raw: np.ndarray, state: NoiseState, alpha, c=None) -> np.ndarray:
     seed = None if state.frame_count == 0 else state.smoothed
-    out = smooth_rows(seed, alpha, raw)
+    out = smooth_rows(seed, alpha, raw, c=c)
     state.smoothed = out if out.ndim == 1 else out[-1]
     state.frame_count += 1 if out.ndim == 1 else len(out)
     return out
@@ -307,15 +343,10 @@ def smooth_noise(raw: np.ndarray, state: NoiseState, alpha_eff) -> np.ndarray:
     return _smooth_noise(np.asarray(raw, dtype=float), state, alpha)
 
 
-@lru_cache(maxsize=8)
 def _map_points(snr_map: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """An alpha map's SNR breakpoints and multipliers as read-only float
-    arrays, built once per map: np.interp on tuples converts them on
-    every call."""
-    xs = np.array([p[0] for p in snr_map], dtype=float)
-    ys = np.array([p[1] for p in snr_map], dtype=float)
-    xs.flags.writeable = ys.flags.writeable = False
-    return xs, ys
+    """An alpha map's SNR breakpoints and multipliers as float arrays;
+    np.interp on tuples would convert them on every call."""
+    return frozen_array([p[0] for p in snr_map]), frozen_array([p[1] for p in snr_map])
 
 
 def effective_alpha(base_alpha, stage1_snr_db, snr_map) -> np.ndarray:
@@ -331,7 +362,12 @@ def effective_alpha(base_alpha, stage1_snr_db, snr_map) -> np.ndarray:
     base = np.asarray(base_alpha, dtype=float)
     if snr_map is None:
         return np.clip(base, 0.0, 1.0)
-    xs, ys = _map_points(snr_map)
+    return _effective_alpha(base, stage1_snr_db, *_map_points(snr_map))
+
+
+def _effective_alpha(base, stage1_snr_db, xs: np.ndarray, ys: np.ndarray):
+    """effective_alpha for a float-array base and a map as _map_points
+    gives it."""
     mult = np.interp(stage1_snr_db, xs, ys)
     if mult.ndim:
         mult = mult[:, None]
@@ -354,13 +390,18 @@ def update(
     each) gives the same rows as frame-by-frame calls.
     """
     mags = np.asarray(band_mags, dtype=float)
-    if params.alpha_snr_map is not None and stage1_snr_db is not None:
-        alpha = effective_alpha(params.alpha, stage1_snr_db, params.alpha_snr_map)
+    return _update(mags, TrackerConstants(params), state, stage1_snr_db)
+
+
+def _update(mags: np.ndarray, k: TrackerConstants, state: NoiseState, stage1_snr_db):
+    """update with the stage's constants built ahead."""
+    if k.map is not None and stage1_snr_db is not None:
+        alpha, c = _effective_alpha(k.alpha, stage1_snr_db, *k.map), None
     else:
         # construction already validated alpha's range
-        alpha = scalar_or_array(params.alpha)
+        alpha, c = k.alpha, k.c
     seed = None if state.frame_count == 0 else state.presmoothed_mag
-    pre = smooth_rows(seed, float(params.mag_smooth_alpha), mags)
+    pre = smooth_rows(seed, k.pre_alpha, mags, c=k.pre_c)
     state.presmoothed_mag = pre if pre.ndim == 1 else pre[-1]
-    raw = track_raw(pre, params, state)
-    return raw, _smooth_noise(raw, state, alpha)
+    raw = _track_raw(pre, k.bias, state)
+    return raw, _smooth_noise(raw, state, alpha, c)

@@ -31,21 +31,29 @@ from .errors import InputError, UsageError
 _IDLE_FRAME_SNR = 1e10
 # most frames run through the layers at once; bounds a call's memory
 BLOCK_FRAMES = 256
+# prescale of the input screen's sum of squares: a finite sample scales
+# below 2**492, so its square stays below 2**984
+_SCREEN_SCALE = noise_tracking.frozen_array(2.0**-532)
 
 
 class _StageState:
-    """Tracker plus gain state for one stage of one stream."""
+    """Tracker plus gain state for one stage of one stream, with the
+    stage's constants built once in the form each frame's arithmetic
+    takes them."""
 
     def __init__(self, stage_cfg: StageConfig, num_bands: int):
         self.cfg = stage_cfg
         self.noise = noise_tracking.NoiseState.for_params(stage_cfg.tracker, num_bands)
         self.gains = gain.GainState(num_bands)
+        self.tracker = noise_tracking.TrackerConstants(stage_cfg.tracker)
+        self.rule = gain.GainConstants(stage_cfg.gains)
 
     def step(self, band_mags: np.ndarray, snr_db):
-        raw_n, noise_est = noise_tracking.update(band_mags, self.cfg.tracker, self.noise, snr_db)
-        snr = gain.compute_snr(band_mags, noise_est, self.cfg.gains.noise_floor_eps)
-        raw_g = gain.compute_raw_gain(snr, self.cfg.gains.mu, self.cfg.gains.gain_floor)
-        return gain.smooth_gain(raw_g, self.gains, self.cfg.gains), snr, raw_n, noise_est
+        raw_n, noise_est = noise_tracking._update(band_mags, self.tracker, self.noise, snr_db)
+        rule = self.rule
+        snr = gain.compute_snr(band_mags, noise_est, rule.eps)
+        raw_g = gain._raw_gain(snr, rule.mu, rule.floor, rule.snap_silent)
+        return gain._smooth_gain(raw_g, self.gains, rule), snr, raw_n, noise_est
 
 
 class StreamProcessor:
@@ -78,7 +86,11 @@ class StreamProcessor:
         # frames whose analysis buffer still holds seeded zeros
         self.warm_frames = fcfg.frame_len // fcfg.hop_len + 1
         self.max_abs = fcfg.max_abs_sample
+        # input no frame has consumed yet is carry[:fill]; the buffer is
+        # sized for the seeded zeros, and after the first call holds less
+        # than a frame
         self.carry = np.zeros(self.latency_samples)
+        self.fill = self.latency_samples
         self.samples_in = 0
         self.frame_index = 0
         self.gain_log: list[np.ndarray] | None = [] if log_gains else None
@@ -98,23 +110,39 @@ class StreamProcessor:
         if x.size and self.hpf is not None:
             x = framing.hpf_process(x, self.hpf, self.hpf_state)
         fcfg = self.cfg.frame
-        buf = np.concatenate([self.carry, x]) if x.size else self.carry
-        n_frames = max(0, (buf.size - fcfg.frame_len) // fcfg.hop_len + 1)
+        hop, flen = fcfg.hop_len, fcfg.frame_len
+        fill, carry = self.fill, self.carry
+        end = fill + x.size
+        if flen <= end < flen + hop:
+            # exactly one frame (the carry is then short of one): complete
+            # it in place, run it, and shift the remainder down
+            take = flen - fill
+            carry[fill:flen] = x[:take]
+            out = self._run_block(carry[:flen], 1)
+            carry[: flen - hop] = carry[hop:flen]
+            if end > flen:
+                carry[flen - hop : end - hop] = x[take:]
+            self.fill = end - hop
+            return out
+        buf = np.concatenate([carry[:fill], x])
+        n_frames = max(0, (end - flen) // hop + 1)
         outs = []
         first = 0
         while first < n_frames:
             # warm-up frames form blocks of their own
             warm = self.warm_frames - self.frame_index
             n = min(BLOCK_FRAMES, n_frames - first, warm if warm > 0 else n_frames)
-            outs.append(self._run_block(buf, first, n))
+            outs.append(self._run_block(_frames(buf, first, n, fcfg), n))
             first += n
-        self.carry = buf[n_frames * fcfg.hop_len :].copy()
+        self.fill = end - n_frames * hop
+        carry[: self.fill] = buf[n_frames * hop :]
         return outs[0] if len(outs) == 1 else np.concatenate(outs or [np.zeros(0)])
 
-    def _run_block(self, buf: np.ndarray, first: int, n: int) -> np.ndarray:
-        """Process frames first..first+n-1 of buf; return n hops of output."""
+    def _run_block(self, frames: np.ndarray, n: int) -> np.ndarray:
+        """Process n frames (one per row, or a lone 1-D frame); return n
+        hops of output."""
         fcfg = self.cfg.frame
-        spec = framing.analyze(_frames(buf, first, n, fcfg), fcfg)
+        spec = framing.analyze(frames, fcfg)
         spec.bins, bin_gains = self._suppress(spec, n)
         if self.gain_log is not None:
             self.gain_log.append(bin_gains.reshape(n, -1))
@@ -151,9 +179,11 @@ class StreamProcessor:
     def _frame_snr_db(self, band_mags: np.ndarray, snr: np.ndarray):
         """Energy-weighted mean of Stage-1 per-band SNR per frame, dB."""
         # weights are band energies; a silent frame has no SNR evidence
-        weights = band_mags * band_mags * self.plan.widths
+        weights = band_mags * band_mags
+        weights *= self.plan.widths
         total = np.add.reduce(weights, axis=-1)
-        snr_lin = np.add.reduce(weights * snr, axis=-1) / (total + (total == 0.0))
+        weights *= snr
+        snr_lin = np.add.reduce(weights, axis=-1) / (total + (total == 0.0))
         return 10.0 * np.log10(snr_lin + (snr_lin == 0.0) * _IDLE_FRAME_SNR)
 
 
@@ -254,8 +284,12 @@ def _screen(samples, limit: float, offset: int) -> np.ndarray:
     if x.ndim != 1:
         raise UsageError(f"expected a mono 1-D signal, got shape {x.shape}")
     # a sample over the bound squares to at least limit**2, and a rounded
-    # sum of squares is at least its largest term (a NaN fails the test too)
-    if not x.dot(x) < limit * limit:
+    # sum of squares is at least its largest term (a NaN fails the test
+    # too); the power-of-two prescale is exact for samples near the
+    # bound, and keeps every square, and any sum of fewer than 2**40 of
+    # them, below the largest float, so the test raises no warning
+    scaled = x * _SCREEN_SCALE
+    if not scaled.dot(scaled) < (limit * _SCREEN_SCALE) ** 2:
         bad = np.flatnonzero(~(np.abs(x) <= limit))
         if bad.size:
             i = bad[0]

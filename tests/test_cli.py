@@ -142,6 +142,20 @@ class TestEnhance:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("digits", [401, 5000])
+    @pytest.mark.parametrize("key", NUMERIC_LEAVES)
+    def test_huge_integer_leaf_is_config_error(self, tmp_path, capsys, key, digits):
+        """An integer beyond the float range, or too long for Python to
+        convert to a string, is refused like any other bad value."""
+        code = run(
+            "enhance", str(tmp_path / "in.wav"), str(tmp_path / "out.wav"),
+            "--print-config", "--set", f"{key}=1{'0' * (digits - 1)}",
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_no_latency_compensation_shifts_output(self, tmp_path):
         wav = write_noise_wav(tmp_path / "in.wav")
         a, b = tmp_path / "a.wav", tmp_path / "b.wav"

@@ -6,6 +6,7 @@ import pytest
 
 import dualstage as ds
 from dualstage.config import MAX_TRACKER_STATE
+from dualstage.framing import MAX_SAMPLE_RATE_HZ
 from dualstage.errors import ConfigError
 
 
@@ -44,6 +45,16 @@ class TestValidation:
         doc["frame"]["frame_len"] = "long"
         with pytest.raises(ConfigError, match="frame_len"):
             ds.config_from_dict(doc)
+
+    def test_sample_rate_is_bounded_by_the_wav_rate_field(self, comm_cfg):
+        """The largest rate a WAV header can carry is accepted; one more,
+        or an integer too large for a float, is refused before anything
+        divides by it."""
+        cfg = ds.apply_overrides(comm_cfg, [f"frame.sample_rate_hz={MAX_SAMPLE_RATE_HZ}"])
+        assert cfg.frame.sample_rate_hz == 2**32 - 1
+        for rate in (MAX_SAMPLE_RATE_HZ + 1, 10**400, -(10**400)):
+            with pytest.raises(ConfigError, match="sample_rate_hz must lie in"):
+                ds.apply_overrides(comm_cfg, [f"frame.sample_rate_hz={rate}"])
 
     def test_non_object_section_rejected(self, comm_cfg):
         doc = ds.config_to_dict(comm_cfg)

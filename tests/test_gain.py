@@ -5,6 +5,7 @@ import pytest
 
 import dualstage as ds
 from dualstage.errors import ConfigError
+from dualstage.gain import GainConstants, _raw_gain
 
 
 class TestGainParams:
@@ -90,6 +91,26 @@ class TestComputeRawGain:
         assert float(g[1]) == 1.0
         g = ds.compute_raw_gain(np.array([1.0, 1.0]), np.array([1.49, 1.49]), np.array([0.5, 0.9]))
         np.testing.assert_array_equal(g, [0.5, 0.9])
+
+    @pytest.mark.parametrize(
+        "mu",
+        [0.0, 5e-324, np.finfo(float).tiny, 1e-300, 1.49, (1.49, 0.0, 0.7, 1e-310)],
+    )
+    def test_engine_rule_skips_the_snap_only_where_it_changes_nothing(self, mu):
+        """The engine's constants leave out the silent-band snap unless
+        some mu is below the smallest normal float, and its gains then
+        equal compute_raw_gain's bit for bit, silent bands included."""
+        tiny = np.finfo(float).tiny
+        params = ds.GainParams(mu=mu, gain_floor=0.178)
+        k = GainConstants(params)
+        assert k.snap_silent == bool(np.any(np.asarray(mu) < tiny))
+        rows = np.array([0.0, 5e-324, tiny, 1e-300, 0.5, 1.49, 4.0, 1e300, np.inf])
+        snr = np.repeat(rows[:, None], 4, axis=1)
+        expected = ds.compute_raw_gain(snr, np.broadcast_to(mu, 4), params.gain_floor)
+        got = _raw_gain(snr, np.broadcast_to(k.mu, 4), k.floor, k.snap_silent)
+        np.testing.assert_array_equal(got, expected)
+        # a silent band takes the floor, whatever mu
+        np.testing.assert_array_equal(got[0], 0.178)
 
 
 class TestSmoothingFactor:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import dualstage as ds
 from dualstage.framing import WINDOW_KINDS
+from dualstage.gain import MU_MAX
 from dualstage.noise_tracking import smooth_rows
 from dualstage.pipeline import BLOCK_FRAMES, _replay
 
@@ -21,8 +22,10 @@ unit_floats = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 @st.composite
 def pipeline_configs(draw, window_kind=None):
     """Valid configs: frame_len = k * hop for k = 2..4, every window
-    kind (or the one given), any band count, and tracker windows short
-    enough that the streams below cross several sliding-minimum blocks."""
+    kind (or the one given), any band count, tracker windows short
+    enough that the streams below cross several sliding-minimum blocks,
+    and alpha, mu and gain_floor each one value or one per band, with
+    the ends of their ranges (mu = 0 among them) drawn often."""
     hop = draw(st.sampled_from([8, 16, 32, 64]))
     frame_len = hop * draw(st.integers(2, 4))
     fft_len = (1 << (frame_len - 1).bit_length()) * draw(st.sampled_from([1, 2]))
@@ -34,9 +37,17 @@ def pipeline_configs(draw, window_kind=None):
         window_kind=window_kind or draw(st.sampled_from(WINDOW_KINDS)),
         hpf_cutoff_hz=draw(st.sampled_from([None, 100.0])),
     )
-    doc["num_bands"] = draw(st.integers(1, min(fft_len // 2 + 1, 40)))
+    num_bands = doc["num_bands"] = draw(st.integers(1, min(fft_len // 2 + 1, 40)))
+
+    def per_band(lo, hi):
+        value = st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
+        return draw(st.one_of(value, st.lists(value, min_size=num_bands, max_size=num_bands)))
+
     for stage in ("stage1", "stage2"):
         doc[stage]["tracker"]["window_len"] = draw(st.integers(1, 64))
+        doc[stage]["tracker"]["alpha"] = per_band(0.0, 1.0)
+        doc[stage]["gains"]["mu"] = per_band(0.0, MU_MAX)
+        doc[stage]["gains"]["gain_floor"] = per_band(1e-3, 1.0)
     return ds.config_from_dict(doc)
 
 
@@ -45,22 +56,26 @@ def pipeline_configs(draw, window_kind=None):
     cfg=pipeline_configs(), single=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data()
 )
 def test_chunking_never_changes_the_output(cfg, single, seed, data):
-    """Chunks of 0 samples, of less than a hop and of about the internal
-    block cap give the same samples and gain log as one whole call."""
+    """Chunks of 0 samples, of less than a hop, of about the internal
+    block cap, and runs of one-hop calls (each a lone frame once the
+    first call has filled the carry) give the same samples, gain log
+    and tracker rows as one whole call."""
     hop = cfg.frame.hop_len
     cap = BLOCK_FRAMES * hop
     x = np.random.default_rng(seed).normal(0.0, 0.1, int(2.5 * cap))
-    whole = ds.StreamProcessor(cfg, single_stage=single)
+    expected_rows = []
+    whole = ds.StreamProcessor(cfg, single_stage=single, tracker_sink=_recorder(expected_rows))
     expected = whole.process(x)
 
-    sizes = data.draw(
-        st.lists(
-            st.one_of(st.just(0), st.integers(1, hop - 1), st.integers(cap - hop, cap + hop)),
-            min_size=1,
-            max_size=10,
-        )
+    chunks = st.one_of(
+        st.sampled_from([[0]]),
+        st.integers(1, hop - 1).map(lambda size: [size]),
+        st.integers(cap - hop, cap + hop).map(lambda size: [size]),
+        st.integers(1, 40).map(lambda calls: [hop] * calls),
     )
-    proc = ds.StreamProcessor(cfg, single_stage=single)
+    sizes = [size for run in data.draw(st.lists(chunks, min_size=1, max_size=10)) for size in run]
+    rows = []
+    proc = ds.StreamProcessor(cfg, single_stage=single, tracker_sink=_recorder(rows))
     pieces = []
     pos = 0
     for size in sizes:
@@ -69,6 +84,16 @@ def test_chunking_never_changes_the_output(cfg, single, seed, data):
     pieces.append(proc.process(x[pos:]))
     np.testing.assert_array_equal(np.concatenate(pieces), expected)
     np.testing.assert_array_equal(np.concatenate(proc.gain_log), np.concatenate(whole.gain_log))
+    assert len(rows) == len(expected_rows)
+    for got, want in zip(rows, expected_rows):
+        assert got[:2] == want[:2]
+        np.testing.assert_array_equal(got[2], want[2])
+        np.testing.assert_array_equal(got[3], want[3])
+
+
+def _recorder(rows):
+    """A tracker_sink that keeps copies of every row it is given."""
+    return lambda frame, stage, raw, noise: rows.append((frame, stage, raw.copy(), noise.copy()))
 
 
 @settings(max_examples=200, deadline=None)
