@@ -1,0 +1,57 @@
+"""Check that `dualstage enhance` runs in memory flat in file length.
+
+Writes a 1 min and a 10 min float32 WAV of noise into a temporary
+directory, runs `dualstage enhance` on each in a child process of its
+own, and reads each child's peak resident set (ru_maxrss, KiB on Linux)
+from wait4. Exits 1 if a run fails or the two peaks differ by more than
+8 MiB. The WAVs are written a second at a time, so this process stays
+smaller than either child, whose peak would otherwise include it.
+
+usage: python scripts/check_enhance_rss.py [DUALSTAGE]
+
+DUALSTAGE is the command to run (default: dualstage on PATH).
+"""
+
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from dualstage import write_wav
+
+FS = 16000
+LIMIT_MIB = 8.0
+
+
+def peak_rss_mib(argv):
+    """Run argv in a child process; return its peak RSS in MiB."""
+    pid = os.posix_spawnp(argv[0], argv, os.environ)
+    _, status, usage = os.wait4(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        sys.exit(f"{' '.join(argv)} exited with {code}")
+    return usage.ru_maxrss / 1024.0
+
+
+def main():
+    command = sys.argv[1] if len(sys.argv) > 1 else "dualstage"
+    rng = np.random.default_rng(0)
+    peaks = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for minutes in (1, 10):
+            wav = os.path.join(tmp, f"{minutes}min.wav")
+            seconds = (rng.normal(0.0, 0.1, FS) for _ in range(60 * minutes))
+            write_wav(wav, seconds, FS, "float32", size=60 * minutes * FS)
+            out = os.path.join(tmp, "out.wav")
+            peaks[minutes] = peak_rss_mib([command, "enhance", wav, out])
+    growth = peaks[10] - peaks[1]
+    print(
+        f"enhance peak RSS: 1 min {peaks[1]:.1f} MiB, 10 min {peaks[10]:.1f} MiB, "
+        f"difference {growth:+.1f} MiB (limit {LIMIT_MIB:g})"
+    )
+    return 0 if abs(growth) <= LIMIT_MIB else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

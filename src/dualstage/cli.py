@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage/validation/config error, 2 I/O error,
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -31,7 +32,7 @@ from .errors import (
     UsageError,
 )
 from .framing import algorithmic_latency_ms
-from .wavio import FLOAT32, read_wav, write_wav
+from .wavio import FLOAT32, WavReader, read_wav, replacing, write_wav
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,6 +40,10 @@ EXIT_IO = 2
 EXIT_INTERNAL = 3
 
 _VARIANTS = ("dual", "single")
+
+# enhance reads, processes and writes this many blocks of
+# pipeline.BLOCK_FRAMES hops at a time, which bounds its memory
+_FEED_BLOCKS = 4
 
 _MATRIX_DEFAULTS = {
     "variants": ["dual"],
@@ -107,32 +112,35 @@ def cmd_enhance(args) -> int:
     if args.print_config:
         print(config_dumps(cfg), end="")
         return EXIT_OK
-    x, rate, subtype = read_wav(args.input)
-    _require_rate(args.input, rate, cfg)
-    dump_rows = []
-    sink = None
-    if args.tracker_dump:
-        wanted = args.tracker_dump_stage
-
-        def sink(frame, stage, raw, smoothed):
-            if stage == wanted:
-                dump_rows.append((frame, raw.copy(), smoothed.copy()))
-
-    t0 = time.perf_counter()
-    # no gain log: only its frame count would be printed
-    proc = pipeline.StreamProcessor(
-        cfg, single_stage=args.single_stage, log_gains=False, tracker_sink=sink
-    )
-    y = pipeline.run_stream(proc, x, latency_aligned=not args.no_latency_compensation)
-    elapsed = time.perf_counter() - t0
-    write_wav(args.output, y, cfg.frame.sample_rate_hz, subtype)
-    if args.tracker_dump:
-        _write_tracker_dump(args.tracker_dump, dump_rows)
-    if args.dump_spectrogram_in:
-        metrics.write_spectrogram_csv(args.dump_spectrogram_in, x, cfg.frame)
-    if args.dump_spectrogram_out:
-        metrics.write_spectrogram_csv(args.dump_spectrogram_out, y, cfg.frame)
-    duration = x.size / cfg.frame.sample_rate_hz
+    with WavReader(args.input) as src, contextlib.ExitStack() as files:
+        _require_rate(args.input, src.rate, cfg)
+        sink = None
+        if args.tracker_dump:
+            dump = files.enter_context(
+                replacing(args.tracker_dump, "w", "tracker dump", newline="")
+            )
+            sink = _tracker_dump_sink(dump, args.tracker_dump, args.tracker_dump_stage)
+        t0 = time.perf_counter()
+        # no gain log: only its frame count would be printed
+        proc = pipeline.StreamProcessor(
+            cfg, single_stage=args.single_stage, log_gains=False, tracker_sink=sink
+        )
+        # the spectrogram dumps are the one use that keeps the whole signal
+        kept_in, kept_out = [], []
+        blocks = src.blocks(_FEED_BLOCKS * pipeline.BLOCK_FRAMES * cfg.frame.hop_len)
+        if args.dump_spectrogram_in:
+            blocks = _keeping(blocks, kept_in)
+        out = pipeline.run_stream(
+            proc, blocks, src.size, latency_aligned=not args.no_latency_compensation
+        )
+        if args.dump_spectrogram_out:
+            out = _keeping(out, kept_out)
+        write_wav(args.output, out, cfg.frame.sample_rate_hz, src.subtype, size=src.size)
+        elapsed = time.perf_counter() - t0
+    for path, kept in ((args.dump_spectrogram_in, kept_in), (args.dump_spectrogram_out, kept_out)):
+        if path:
+            metrics.write_spectrogram_csv(path, np.concatenate([np.zeros(0), *kept]), cfg.frame)
+    duration = src.size / cfg.frame.sample_rate_hz
     rtf = elapsed / duration if duration > 0 else 0.0
     print(
         f"{args.output}: {proc.frame_index} frames, "
@@ -142,13 +150,33 @@ def cmd_enhance(args) -> int:
     return EXIT_OK
 
 
-def _write_tracker_dump(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("frame", "band", "raw_noise", "smoothed_noise"))
-        for frame, raw, smoothed in rows:
-            for band in range(raw.size):
-                writer.writerow((frame, band, f"{raw[band]:.8g}", f"{smoothed[band]:.8g}"))
+def _tracker_dump_sink(fh, path, wanted_stage):
+    """A tracker_sink writing wanted_stage's rows to fh, open on path, as CSV."""
+    writer = csv.writer(fh)
+
+    def write(rows):
+        try:
+            writer.writerows(rows)
+        except OSError as exc:
+            raise AudioIOError(f"{path}: cannot write tracker dump ({exc})") from exc
+
+    write([("frame", "band", "raw_noise", "smoothed_noise")])
+
+    def sink(frame, stage, raw, smoothed):
+        if stage == wanted_stage:
+            write(
+                (frame, band, f"{raw[band]:.8g}", f"{smoothed[band]:.8g}")
+                for band in range(raw.size)
+            )
+
+    return sink
+
+
+def _keeping(blocks, kept):
+    """Pass blocks through, appending each to kept."""
+    for block in blocks:
+        kept.append(block)
+        yield block
 
 
 def cmd_mix(args) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, refuse_huge_integers
 from .framing import FrameConfig
 from .gain import GainParams
 from .noise_tracking import PerBand, TrackerParams
@@ -60,6 +60,7 @@ class PipelineConfig:
     stage2: StageConfig
 
     def __post_init__(self):
+        refuse_huge_integers(self)
         if self.stage1.tracker.alpha_snr_map is not None:
             raise ConfigError("stage1.tracker.alpha_snr_map must be null; stage 1 has no SNR feed")
         if not 1 <= self.num_bands <= self.frame.num_bins:

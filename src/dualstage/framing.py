@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.signal
 
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, UsageError, refuse_huge_integers
 
 WINDOW_KINDS = ("sqrt-hann", "hann", "rectangular")
 
@@ -65,6 +65,7 @@ class FrameConfig:
     hpf_cutoff_hz: float | None = 100.0
 
     def __post_init__(self):
+        refuse_huge_integers(self)
         if not 0 < self.sample_rate_hz <= MAX_SAMPLE_RATE_HZ:
             raise ConfigError(
                 f"sample_rate_hz must lie in [1, {MAX_SAMPLE_RATE_HZ}], got {self.sample_rate_hz}"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, refuse_huge_integers
 from .noise_tracking import _ONE, PerBand, frozen_array, smooth_rows
 
 # validation bound for mu; presets stay well inside it
@@ -38,6 +38,7 @@ class GainParams:
     noise_floor_eps: float = 1e-10
 
     def __post_init__(self):
+        refuse_huge_integers(self)
         # every range check is written so that NaN fails it
         mu = np.asarray(self.mu, dtype=float)
         if not np.all((0.0 <= mu) & (mu <= MU_MAX)):

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg.lapack
 import scipy.signal
 
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, UsageError, refuse_huge_integers
 
 # default Stage-2 map: multiplier 2.0 at and below 0 dB, 1.0 at and
 # above 20 dB, linear between
@@ -61,6 +61,7 @@ class TrackerParams:
     mag_smooth_alpha: float = 0.1
 
     def __post_init__(self):
+        refuse_huge_integers(self)
         if self.window_len < 1:
             raise ConfigError(f"window_len must be at least 1, got {self.window_len}")
         # every range check is written so that NaN fails it

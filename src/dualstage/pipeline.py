@@ -18,7 +18,9 @@ forms round as a frame-by-frame step does, so any chunking of a
 stream gives bit-identical output.
 """
 
+import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -31,9 +33,6 @@ from .errors import InputError, UsageError
 _IDLE_FRAME_SNR = 1e10
 # most frames run through the layers at once; bounds a call's memory
 BLOCK_FRAMES = 256
-# prescale of the input screen's sum of squares: a finite sample scales
-# below 2**492, so its square stays below 2**984
-_SCREEN_SCALE = noise_tracking.frozen_array(2.0**-532)
 
 
 class _StageState:
@@ -96,6 +95,11 @@ class StreamProcessor:
         self.gain_log: list[np.ndarray] | None = [] if log_gains else None
         self.tracker_sink = tracker_sink
         self.stage1 = _StageState(cfg.stage1, cfg.num_bands)
+        # below this sum of a frame's weights (see _frame_snr_db) no
+        # weight * SNR can overflow: a band's Stage-1 SNR is at most its
+        # weight over eps**2, so their weighted sum is at most
+        # total**2 / eps**2
+        self.loud_weight = cfg.stage1.gains.noise_floor_eps * math.sqrt(sys.float_info.max) / 2
         self.stage2 = None if single_stage else _StageState(cfg.stage2, cfg.num_bands)
 
     def process(self, samples: np.ndarray) -> np.ndarray:
@@ -182,21 +186,36 @@ class StreamProcessor:
         weights = band_mags * band_mags
         weights *= self.plan.widths
         total = np.add.reduce(weights, axis=-1)
+        # a lone frame's total is a scalar, which compares fastest
+        if (total if total.ndim == 0 else total.max()) >= self.loud_weight:
+            # weights * snr could overflow: scale each frame's weights by
+            # the power of two that brings their sum into [0.5, 1), which
+            # is exact and leaves the weighted mean as it was
+            total, exp = np.frexp(total)
+            weights = np.ldexp(weights, -exp[..., np.newaxis])
         weights *= snr
         snr_lin = np.add.reduce(weights, axis=-1) / (total + (total == 0.0))
         return 10.0 * np.log10(snr_lin + (snr_lin == 0.0) * _IDLE_FRAME_SNR)
 
 
-def run_stream(proc: StreamProcessor, x: np.ndarray, *, latency_aligned: bool = False):
-    """Feed a whole signal and a zero flush through proc; return x.size
-    output samples, starting after the algorithmic latency when
-    latency_aligned. An empty signal runs no frame."""
-    if x.shape == (0,):
-        return np.zeros(0)
+def run_stream(proc: StreamProcessor, blocks, size: int, *, latency_aligned: bool = False):
+    """Feed blocks of a signal (size samples in all) and a zero flush
+    through proc; yield the output as it completes, size samples in all,
+    starting after the algorithmic latency when latency_aligned. An
+    empty signal runs no frame."""
+    if size == 0:
+        return
     lead = proc.latency_samples if latency_aligned else 0
-    # the flush yields at least x.size + 2 * latency samples in all
+    # the flush yields at least size + 2 * latency samples in all
     flush = np.zeros(proc.latency_samples + proc.cfg.frame.frame_len)
-    return np.concatenate([proc.process(x), proc.process(flush)])[lead : lead + x.size]
+    for block in itertools.chain(blocks, (flush,)):
+        y = proc.process(block)
+        cut = min(lead, y.size)
+        lead -= cut
+        y = y[cut : cut + size]
+        size -= y.size
+        if y.size:
+            yield y
 
 
 def process_stream(
@@ -215,11 +234,11 @@ def process_stream(
     leading delay is trimmed instead, so output sample i corresponds
     to input sample i.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.shape == (0,):
+    x = _mono(samples)
+    if x.size == 0:
         return np.zeros(0), np.zeros((0, cfg.frame.num_bins))
     proc = StreamProcessor(cfg, single_stage=single_stage, tracker_sink=tracker_sink)
-    y = run_stream(proc, x, latency_aligned=latency_aligned)
+    y = np.concatenate(list(run_stream(proc, [x], x.size, latency_aligned=latency_aligned)))
     return y, np.concatenate(proc.gain_log)
 
 
@@ -280,21 +299,24 @@ def _replay(samples, gain_logs, cfg: PipelineConfig) -> list[np.ndarray]:
 def _screen(samples, limit: float, offset: int) -> np.ndarray:
     """samples as a mono float array; a NaN, an infinity or a magnitude
     above limit raises InputError naming its stream index."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1:
-        raise UsageError(f"expected a mono 1-D signal, got shape {x.shape}")
-    # a sample over the bound squares to at least limit**2, and a rounded
-    # sum of squares is at least its largest term (a NaN fails the test
-    # too); the power-of-two prescale is exact for samples near the
-    # bound, and keeps every square, and any sum of fewer than 2**40 of
-    # them, below the largest float, so the test raises no warning
-    scaled = x * _SCREEN_SCALE
-    if not scaled.dot(scaled) < (limit * _SCREEN_SCALE) ** 2:
-        bad = np.flatnonzero(~(np.abs(x) <= limit))
+    x = _mono(samples)
+    # the peak magnitude is exact and cannot overflow, and a NaN fails the
+    # test too; a sum of squares would need a prescale that leaves
+    # ordinary samples' squares subnormal, which is slow
+    mags = np.abs(x)
+    if not np.maximum.reduce(mags, initial=0.0) <= limit:
+        bad = np.flatnonzero(~(mags <= limit))
         if bad.size:
             i = bad[0]
             what = f"sample magnitude above {limit:.3g}" if math.isfinite(x[i]) else "non-finite sample"
             raise InputError(f"{what} at stream index {offset + i}")
+    return x
+
+
+def _mono(samples) -> np.ndarray:
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:
+        raise UsageError(f"expected a mono 1-D signal, got shape {x.shape}")
     return x
 
 

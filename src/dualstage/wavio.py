@@ -1,19 +1,115 @@
-"""Mono WAV read/write.
+"""Mono WAV read/write, whole or block by block.
 
 Accepts 16-bit PCM and 32-bit float files, hands samples around as
 float64 in [-1, 1), and writes back in the subtype that came in so a
-pass-through run is bit exact.
+pass-through run is bit exact. WavReader parses the header once and
+reads the samples in blocks; write_wav writes the header for the known
+length, then each block as it comes, so neither holds more than a block
+of a long file. read_wav and a one-array write_wav are their one-block
+case.
 """
+
+import contextlib
+import io
+import os
+import stat
+import struct
 
 import numpy as np
 from scipy.io import wavfile
 
-from .errors import AudioIOError, InputError, UsageError
+from .errors import AudioIOError, InputError, InternalError, UsageError
 
 PCM16 = "pcm16"
 FLOAT32 = "float32"
 
 _PCM_SCALE = 32768.0
+
+# little-endian sample types on disk, as scipy.io.wavfile writes them
+_DISK_DTYPES = {PCM16: np.dtype("<i2"), FLOAT32: np.dtype("<f4")}
+
+
+class WavReader:
+    """A mono 16-bit PCM or 32-bit float WAV file open for block reads.
+
+    The header is parsed once, by scipy.io.wavfile, so a file reads the
+    way scipy reads it; rate, subtype and size (the sample count) are
+    known from then on. read(n) returns the next n samples as float64.
+    Normally the samples come from the file at the data offset, and
+    memory does not grow with the file's length; a file scipy cannot
+    memory-map (24-bit samples, a data chunk cut short, a pipe) is read
+    whole once, which names the first's format and keeps what the
+    others hold.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        try:
+            # scipy maps regular files only
+            rate, data = wavfile.read(path, mmap=os.path.isfile(path))
+        except FileNotFoundError:
+            raise
+        except (ValueError, OSError):
+            rate, data = _read_whole(path)
+        if data.ndim != 1:
+            raise InputError(f"{path}: expected mono audio, file has {data.shape[1]} channels")
+        for subtype, dtype in _DISK_DTYPES.items():
+            if data.dtype == dtype:
+                break
+        else:
+            raise InputError(
+                f"{path}: unsupported sample format {data.dtype}; "
+                f"expected 16-bit PCM or 32-bit float"
+            )
+        self.rate, self.subtype, self.size = int(rate), subtype, data.size
+        self._dtype = dtype
+        self._left = data.size
+        if isinstance(data, np.memmap):
+            # only the layout is kept: pages a map touches count as resident
+            offset = data.offset
+            del data
+            self._fh = open(path, "rb")
+            self._fh.seek(offset)
+        else:
+            self._fh = io.BytesIO(data.tobytes())
+
+    def read(self, n: int) -> np.ndarray:
+        """The next n samples (fewer at the end) as float64."""
+        n = min(n, self._left)
+        try:
+            raw = self._fh.read(n * self._dtype.itemsize)
+        except OSError as exc:
+            raise AudioIOError(f"{self.path}: cannot read WAV samples ({exc})") from exc
+        if len(raw) != n * self._dtype.itemsize:
+            raise AudioIOError(f"{self.path}: file ended before its {self.size} samples")
+        self._left -= n
+        x = np.frombuffer(raw, dtype=self._dtype).astype(np.float64)
+        if self.subtype == PCM16:
+            x /= _PCM_SCALE
+        return x
+
+    def blocks(self, n: int):
+        """Yield the remaining samples in blocks of n (the last shorter)."""
+        while self._left:
+            yield self.read(n)
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+def _read_whole(path):
+    try:
+        return wavfile.read(path)
+    except FileNotFoundError:
+        raise
+    except (ValueError, OSError) as exc:
+        raise AudioIOError(f"{path}: not a readable WAV file ({exc})") from exc
 
 
 def read_wav(path):
@@ -22,39 +118,123 @@ def read_wav(path):
     Returns (samples as float64, sample rate, subtype), where subtype
     is "pcm16" or "float32".
     """
-    try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise
-    except (ValueError, OSError) as exc:
-        raise AudioIOError(f"{path}: not a readable WAV file ({exc})") from exc
-    if data.ndim != 1:
-        raise InputError(
-            f"{path}: expected mono audio, file has {data.shape[1]} channels"
-        )
-    if data.dtype == np.int16:
-        return data.astype(np.float64) / _PCM_SCALE, int(rate), PCM16
-    if data.dtype == np.float32:
-        return data.astype(np.float64), int(rate), FLOAT32
-    raise InputError(
-        f"{path}: unsupported sample format {data.dtype}; "
-        f"expected 16-bit PCM or 32-bit float"
-    )
+    with WavReader(path) as src:
+        return src.read(src.size), src.rate, src.subtype
 
 
-def write_wav(path, samples, sample_rate_hz: int, subtype: str = PCM16) -> None:
-    """Write mono float64 samples as 16-bit PCM or 32-bit float."""
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 1:
-        raise UsageError(f"{path}: expected mono audio, got shape {x.shape}")
-    if subtype == PCM16:
-        scaled = np.clip(np.round(x * _PCM_SCALE), -32768, 32767)
-        payload = scaled.astype(np.int16)
-    elif subtype == FLOAT32:
-        payload = x.astype(np.float32)
-    else:
+def write_wav(path, samples, sample_rate_hz: int, subtype: str = PCM16, *, size=None) -> None:
+    """Write mono float64 samples as 16-bit PCM or 32-bit float.
+
+    samples is one array or, with size given, an iterable of 1-D blocks
+    of size samples in all, each converted and written as it comes. The
+    file is written beside path and replaces it only once complete, so a
+    failed write leaves path as it was. The bytes are those
+    scipy.io.wavfile.write produces for the whole signal.
+    """
+    if size is None:
+        x = np.asarray(samples, dtype=np.float64)
+        if x.ndim != 1:
+            raise UsageError(f"{path}: expected mono audio, got shape {x.shape}")
+        samples, size = (x,), x.size
+    if subtype not in _DISK_DTYPES:
         raise UsageError(f"unsupported output subtype {subtype!r}")
+    header = wav_header(int(sample_rate_hz), _DISK_DTYPES[subtype], size)
+    with replacing(path, "wb", "WAV file") as fh:
+        write = _writer(fh, path, "WAV file")
+        write(header)
+        written = 0
+        for block in samples:
+            payload = _encode(block, subtype)
+            write(payload.data)
+            written += payload.size
+        if written != size:
+            raise InternalError(f"{path}: {written} samples written, header says {size}")
+
+
+def _encode(samples, subtype: str) -> np.ndarray:
+    x = np.asarray(samples, dtype=np.float64)
+    if subtype == PCM16:
+        x = np.clip(np.round(x * _PCM_SCALE), -32768, 32767)
+    return x.astype(_DISK_DTYPES[subtype])
+
+
+def wav_header(rate: int, dtype: np.dtype, size: int) -> bytes:
+    """Every byte scipy.io.wavfile.write puts before the samples of a
+    mono signal of size samples of dtype; RF64 above 4 GiB, as there."""
+    float_data = dtype.kind == "f"
+    width = dtype.itemsize
+    fmt = struct.pack("<HHIIHH", 3 if float_data else 1, 1, rate, rate * width, width, 8 * width)
+    if float_data:
+        fmt += b"\x00\x00"  # cbSize, for non-PCM formats
+    nbytes = size * width
+    fact = b"fact" + struct.pack("<II", 4, size) if float_data else b""
+    fmt_chunk = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    data_chunk = b"data" + struct.pack("<I", min(nbytes, 0xFFFFFFFF))
+    # scipy picks RF64 by the RIFF size without the fact chunk
+    if 12 + len(fmt_chunk) + nbytes <= 0xFFFFFFFF:
+        riff_size = 12 + len(fmt_chunk) + len(fact) + len(data_chunk) + nbytes - 8
+        return b"RIFF" + struct.pack("<I", riff_size) + b"WAVE" + fmt_chunk + fact + data_chunk
+    ds64 = b"ds64" + struct.pack("<I", 28)
+    head = 12 + len(ds64) + 28 + len(fmt_chunk) + len(fact) + len(data_chunk)
+    ds64 += struct.pack("<QQQI", head + nbytes - 8, nbytes, size, 0)
+    return b"RF64\xff\xff\xff\xffWAVE" + ds64 + fmt_chunk + fact + data_chunk
+
+
+@contextlib.contextmanager
+def replacing(path, mode: str, what: str, **kwargs):
+    """Open path for writing what (say "WAV file").
+
+    A regular file, or one not there yet, is written beside path, through
+    any symlink, and replaces it, with its mode and owner, once the block
+    completes; on any error it is removed, so path is either the whole
+    new file or as it was before. Anything else (a pipe, a device) is
+    written directly. An OSError of the open, close or replace is raised
+    as an AudioIOError naming path.
+    """
     try:
-        wavfile.write(path, int(sample_rate_hz), payload)
+        old = os.stat(path)
+    except OSError:
+        old = None  # not there yet, or the open below reports why
+    regular = old is None or stat.S_ISREG(old.st_mode)
+    target = os.path.realpath(path) if regular else path
+    tmp = f"{target}.{os.getpid()}.part" if regular else None
+    try:
+        fh = open(tmp or target, mode, **kwargs)
     except OSError as exc:
-        raise AudioIOError(f"{path}: cannot write WAV file ({exc})") from exc
+        raise AudioIOError(f"{path}: cannot write {what} ({exc})") from exc
+    try:
+        yield fh
+    except BaseException:
+        with contextlib.suppress(OSError):
+            fh.close()
+        _remove(tmp)
+        raise
+    try:
+        fh.close()
+        if tmp is not None:
+            if old is not None:
+                os.chmod(tmp, stat.S_IMODE(old.st_mode))
+                with contextlib.suppress(OSError):  # only root may give a file away
+                    os.chown(tmp, old.st_uid, old.st_gid)
+            os.replace(tmp, target)
+    except OSError as exc:
+        _remove(tmp)
+        raise AudioIOError(f"{path}: cannot write {what} ({exc})") from exc
+
+
+def _writer(fh, path, what: str):
+    """fh.write, raising an OSError as an AudioIOError naming path."""
+
+    def write(data):
+        try:
+            fh.write(data)
+        except OSError as exc:
+            raise AudioIOError(f"{path}: cannot write {what} ({exc})") from exc
+
+    return write
+
+
+def _remove(tmp) -> None:
+    if tmp is not None:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)

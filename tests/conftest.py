@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,13 @@ def with_mu(cfg, mu, stages=("stage1", "stage2")):
     for stage in stages:
         d[stage]["gains"]["mu"] = mu
     return ds.config_from_dict(d)
+
+
+def pcm24_wav_bytes(n):
+    """A mono 24-bit PCM WAV file of n zero samples, which scipy reads as
+    int32 but writes in no form."""
+    fmt = struct.pack("<HHIIHH", 1, 1, 16000, 48000, 3, 24)
+    data = bytes(3 * n) + bytes(n % 2)  # chunks are padded to even length
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", 3 * n) + data
+    return b"RIFF" + struct.pack("<I", len(body)) + body

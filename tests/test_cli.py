@@ -1,13 +1,19 @@
 """Command-line interface: verbs, exit codes, file outputs."""
 
+import itertools
 import json
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
 import dualstage as ds
+from dualstage import cli, pipeline
 from dualstage.cli import main
+from conftest import pcm24_wav_bytes
 
 
 def _numeric_leaves(doc, prefix=""):
@@ -190,6 +196,137 @@ class TestEnhance:
         assert code == 0
         assert len(si.read_text().strip().splitlines()) > 50
         assert len(so.read_text().strip().splitlines()) > 50
+
+
+FEED = cli._FEED_BLOCKS * pipeline.BLOCK_FRAMES * 64
+
+
+def scipy_wav_bytes(path, y, subtype):
+    """The file bytes scipy.io.wavfile.write makes of float64 samples y
+    converted as write_wav converts them."""
+    if subtype == "pcm16":
+        data = np.clip(np.round(y * 32768.0), -32768, 32767).astype(np.int16)
+    else:
+        data = y.astype(np.float32)
+    wavfile.write(path, 16000, data)
+    return path.read_bytes()
+
+
+class TestStreamedEnhance:
+    """enhance reads, processes and writes block by block; its files are
+    those of a whole-signal process_stream written by scipy."""
+
+    @pytest.mark.parametrize("n", [0, 1, 63, FEED - 1, FEED, FEED + 1, 3 * FEED + 17])
+    def test_output_is_process_stream_byte_for_byte(self, tmp_path, comm_cfg, n):
+        x = 0.3 * np.random.default_rng(40).standard_normal(n)
+        out, ref = tmp_path / "out.wav", tmp_path / "ref.wav"
+        for subtype in ("pcm16", "float32"):
+            src = tmp_path / f"in_{subtype}.wav"
+            ds.write_wav(src, x, 16000, subtype)
+            samples, _, _ = ds.read_wav(src)
+            for single, aligned in itertools.product((False, True), (False, True)):
+                flags = ["--single-stage"] * single + ["--no-latency-compensation"] * (not aligned)
+                assert run("enhance", str(src), str(out), *flags) == 0
+                y, _ = ds.process_stream(
+                    samples, comm_cfg, single_stage=single, latency_aligned=aligned
+                )
+                assert out.read_bytes() == scipy_wav_bytes(ref, y, subtype)
+
+    def test_in_place_equals_separate_output(self, tmp_path):
+        wav = write_noise_wav(tmp_path / "a.wav", seconds=FEED * 2.5 / 16000)
+        assert run("enhance", str(wav), str(tmp_path / "b.wav")) == 0
+        assert run("enhance", str(wav), str(wav)) == 0
+        assert wav.read_bytes() == (tmp_path / "b.wav").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.wav", "b.wav"]
+
+    def test_late_nan_leaves_existing_outputs_untouched(self, tmp_path, capsys):
+        x = np.random.default_rng(41).normal(0.0, 0.1, 2 * FEED + 100).astype(np.float32)
+        x[FEED + 1234] = np.nan
+        src = tmp_path / "bad.wav"
+        wavfile.write(src, 16000, x)
+        out, dump = tmp_path / "o.wav", tmp_path / "trk.csv"
+        out.write_bytes(b"earlier output")
+        dump.write_bytes(b"earlier dump")
+        assert run("enhance", str(src), str(out), "--tracker-dump", str(dump)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: non-finite sample at stream index {FEED + 1234}\n"
+        assert out.read_bytes() == b"earlier output"
+        assert dump.read_bytes() == b"earlier dump"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.wav", "o.wav", "trk.csv"]
+
+    def test_unreadable_inputs_keep_their_exit_codes(self, tmp_path, capsys):
+        """Each input rejected before an output is opened, with the exit
+        code and message of a whole-file read."""
+        stereo = tmp_path / "stereo.wav"
+        wavfile.write(stereo, 16000, np.zeros((100, 2), dtype=np.int16))
+        u8 = tmp_path / "u8.wav"
+        wavfile.write(u8, 16000, np.full(100, 128, dtype=np.uint8))
+        # scipy cannot memory-map 3-byte samples; they read as int32
+        pcm24 = tmp_path / "pcm24.wav"
+        pcm24.write_bytes(pcm24_wav_bytes(100))
+        junk = tmp_path / "junk.wav"
+        junk.write_bytes(b"not a wav at all")
+        supported = "expected 16-bit PCM or 32-bit float"
+        cases = [
+            (stereo, 1, f"{stereo}: expected mono audio, file has 2 channels\n"),
+            (u8, 1, f"{u8}: unsupported sample format uint8; {supported}\n"),
+            (pcm24, 1, f"{pcm24}: unsupported sample format int32; {supported}\n"),
+            (junk, 2, f"{junk}: not a readable WAV file (File format b'not '"),
+            (tmp_path / "absent.wav", 2, "[Errno 2] No such file or directory"),
+        ]
+        out = tmp_path / "o.wav"
+        for path, code, message in cases:
+            assert run("enhance", str(path), str(out)) == code
+            assert capsys.readouterr().err.startswith(f"error: {message}")
+            assert not out.exists()
+
+    def test_tracker_dump_rows_are_those_of_the_sink(self, tmp_path, comm_cfg):
+        wav = write_noise_wav(tmp_path / "in.wav", seconds=(FEED + 500) / 16000)
+        dump = tmp_path / "trk.csv"
+        assert run("enhance", str(wav), str(tmp_path / "o.wav"), "--tracker-dump", str(dump)) == 0
+        lines = ["frame,band,raw_noise,smoothed_noise"]
+
+        def sink(frame, stage, raw, smoothed):
+            if stage == 2:
+                for band, (r, s) in enumerate(zip(raw, smoothed)):
+                    lines.append(f"{frame},{band},{r:.8g},{s:.8g}")
+
+        ds.process_stream(ds.read_wav(wav)[0], comm_cfg, latency_aligned=True, tracker_sink=sink)
+        assert dump.read_text().splitlines() == lines
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_failed_tracker_dump_names_the_dump(self, tmp_path, capsys):
+        """A dump that cannot be written (here a pipe whose reader has
+        gone) fails with its own path, not the output's."""
+        wav = write_noise_wav(tmp_path / "in.wav", seconds=2.0)
+        dump = tmp_path / "trk.csv"
+        os.mkfifo(dump)
+        reader = threading.Thread(target=lambda: open(dump, "rb").close(), daemon=True)
+        reader.start()
+        try:
+            code = run("enhance", str(wav), str(tmp_path / "o.wav"), "--tracker-dump", str(dump))
+        finally:
+            reader.join(timeout=10)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {dump}: cannot write tracker dump (")
+        assert not (tmp_path / "o.wav").exists()
+
+    def test_memory_is_flat_in_file_length(self, tmp_path):
+        """Peak traced allocation of enhance on a 10 min file is within
+        2 MiB of that on a 1 min file."""
+        rng = np.random.default_rng(42)
+        peaks = []
+        for minutes in (1, 10):
+            wav = tmp_path / f"{minutes}min.wav"
+            seconds = (rng.normal(0.0, 0.1, 16000) for _ in range(60 * minutes))
+            ds.write_wav(wav, seconds, 16000, "float32", size=60 * minutes * 16000)
+            tracemalloc.start()
+            try:
+                assert run("enhance", str(wav), str(tmp_path / "out.wav")) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2 * 2**20, peaks
 
 
 class TestMix:

@@ -1,5 +1,6 @@
 """Config schema, presets and dotted-key overrides."""
 
+import dataclasses
 import json
 
 import pytest
@@ -55,6 +56,23 @@ class TestValidation:
         for rate in (MAX_SAMPLE_RATE_HZ + 1, 10**400, -(10**400)):
             with pytest.raises(ConfigError, match="sample_rate_hz must lie in"):
                 ds.apply_overrides(comm_cfg, [f"frame.sample_rate_hz={rate}"])
+
+    @pytest.mark.parametrize("digits", [401, 5000])
+    @pytest.mark.parametrize(
+        "cls, name",
+        [
+            (cls, f.name)
+            for cls in (ds.FrameConfig, ds.TrackerParams, ds.GainParams)
+            for f in dataclasses.fields(cls)
+            if isinstance(f.default, (int, float))
+        ],
+    )
+    def test_huge_integer_on_direct_construction(self, cls, name, digits):
+        """Built directly, not through the JSON codec, a field given an
+        integer beyond the float range (one too long for Python to print
+        among them) raises ConfigError, whose message names the field."""
+        with pytest.raises(ConfigError, match=name):
+            cls(**{name: 10 ** (digits - 1)})
 
     def test_non_object_section_rejected(self, comm_cfg):
         doc = ds.config_to_dict(comm_cfg)

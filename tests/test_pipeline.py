@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dualstage as ds
+from dualstage import pipeline
 from dualstage.errors import InputError, UsageError
 from synth import FS, pink_noise, surrogate_speech, white_noise
 
@@ -75,6 +76,22 @@ class TestStreaming:
         np.testing.assert_array_equal(log, log_whole)
         assert [r[:2] for r in rows] == [r[:2] for r in rows_whole]
         np.testing.assert_array_equal([r[2:] for r in rows], [r[2:] for r in rows_whole])
+
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_run_stream_blocks_equal_whole(self, comm_cfg, aligned):
+        """run_stream over any split of a signal yields, in pieces, the
+        samples process_stream returns, and runs the same frames."""
+        rng = np.random.default_rng(25)
+        x = rng.normal(0.0, 0.1, FS // 2)
+        whole, log = ds.process_stream(x, comm_cfg, latency_aligned=aligned)
+        for cuts in ([], [1], [63, 64, 100], list(range(0, x.size, 977)), [x.size - 1]):
+            edges = [0, *cuts, x.size]
+            proc = ds.StreamProcessor(comm_cfg, log_gains=False)
+            blocks = (x[a:b] for a, b in zip(edges, edges[1:]))
+            pieces = list(pipeline.run_stream(proc, blocks, x.size, latency_aligned=aligned))
+            assert all(p.size for p in pieces)
+            np.testing.assert_array_equal(np.concatenate(pieces), whole)
+            assert proc.frame_index == len(log)
 
     def test_output_matches_input_length(self, comm_cfg):
         for n in (1, 63, 64, 8191, FS):
@@ -182,10 +199,25 @@ class TestNonFiniteInput:
             ds.process_stream(x, comm_cfg)
         x[burst] *= comm_cfg.frame.max_abs_sample * (1 - 1e-12) / np.abs(x[burst]).max()
         tracks = []
-        # the burst's frame SNR may read +inf dB, which the alpha map clamps
-        with np.errstate(over="ignore"):
-            ds.process_stream(x, comm_cfg, tracker_sink=lambda *row: tracks.append(row[2:]))
+        ds.process_stream(x, comm_cfg, tracker_sink=lambda *row: tracks.append(row[2:]))
         assert len(tracks) > 500 and np.all(np.isfinite(tracks))
+
+    @pytest.mark.parametrize("hop_calls", [False, True])
+    def test_loud_frame_rescale_is_exact(self, comm_cfg, hop_calls):
+        """The power-of-two rescale that keeps a loud frame's SNR weights
+        from overflowing, forced onto every frame, changes no output bit
+        of ordinary audio, one hop per call or a whole signal at once."""
+        rng = np.random.default_rng(26)
+        x = surrogate_speech(2.0, rng) + pink_noise(2.0, rng)
+        hop = comm_cfg.frame.hop_len
+        chunks = [x[p : p + hop] for p in range(0, x.size, hop)] if hop_calls else [x]
+        outs = []
+        for limit in (None, 0.0):
+            proc = ds.StreamProcessor(comm_cfg)
+            if limit is not None:
+                proc.loud_weight = limit
+            outs.append(np.concatenate([proc.process(c) for c in chunks]))
+        np.testing.assert_array_equal(outs[0], outs[1])
 
 
 class TestTransformBudget:

@@ -1,11 +1,19 @@
-"""WAV read/write round trips and input rejection."""
+"""WAV read/write round trips, block I/O and input rejection."""
+
+import io
+import os
+import stat
+import struct
+import threading
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
 import dualstage as ds
-from dualstage.errors import AudioIOError, InputError
+from conftest import pcm24_wav_bytes
+from dualstage.errors import AudioIOError, InputError, InternalError
+from dualstage.wavio import WavReader, wav_header
 
 
 class TestRoundTrip:
@@ -48,6 +56,16 @@ class TestRejection:
         with pytest.raises(InputError, match="unsupported sample format"):
             ds.read_wav(p)
 
+    def test_pcm24_and_8_bit(self, tmp_path):
+        p24 = tmp_path / "p24.wav"
+        p24.write_bytes(pcm24_wav_bytes(101))
+        with pytest.raises(InputError, match="unsupported sample format int32"):
+            ds.read_wav(p24)
+        u8 = tmp_path / "u8.wav"
+        wavfile.write(u8, 16000, np.zeros(100, dtype=np.uint8))
+        with pytest.raises(InputError, match="unsupported sample format uint8"):
+            ds.read_wav(u8)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ds.read_wav(tmp_path / "nope.wav")
@@ -57,3 +75,143 @@ class TestRejection:
         p.write_bytes(b"not a wav at all")
         with pytest.raises(AudioIOError, match="not a readable WAV"):
             ds.read_wav(p)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32])
+    @pytest.mark.parametrize("n", [0, 1, 1001])
+    def test_file_equals_scipy_write(self, tmp_path, dtype, n):
+        """Header and samples, written whole or in blocks, are the bytes
+        scipy.io.wavfile.write produces."""
+        rng = np.random.default_rng(32)
+        x = rng.normal(0.0, 0.3, n)
+        subtype = "pcm16" if dtype == np.int16 else "float32"
+        data = np.clip(np.round(x * 32768), -32768, 32767) if dtype == np.int16 else x
+        ref = tmp_path / "ref.wav"
+        wavfile.write(ref, 16000, data.astype(dtype))
+        whole, blocks = tmp_path / "whole.wav", tmp_path / "blocks.wav"
+        ds.write_wav(whole, x, 16000, subtype)
+        ds.write_wav(blocks, (x[i : i + 300] for i in range(0, n, 300)), 16000, subtype, size=n)
+        assert whole.read_bytes() == ref.read_bytes()
+        assert blocks.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32])
+    def test_rf64_header_equals_scipy(self, monkeypatch, dtype):
+        """Both switch to RF64 at the same length, once the RIFF size
+        field would overflow, and both fail alike where scipy's RIFF size
+        leaves out the float fact chunk; only headers are compared, so
+        scipy's sample writer is stubbed out."""
+        monkeypatch.setattr(wavfile, "_array_tofile", lambda fid, data: fid.seek(data.nbytes, 1))
+
+        def outcome(write):
+            try:
+                return write()
+            except struct.error as exc:
+                return str(exc)
+
+        def scipy_header(n):
+            buf = io.BytesIO()
+            wavfile.write(buf, 16000, np.broadcast_to(np.zeros(1, dtype), (n,)))
+            return buf.getvalue()
+
+        width = np.dtype(dtype).itemsize
+        last_riff = (0xFFFFFFFF - 12 - (24 if dtype == np.int16 else 26)) // width
+        forms = set()
+        for n in range(last_riff - 3, last_riff + 2):
+            head = outcome(lambda: scipy_header(n))
+            assert outcome(lambda: wav_header(16000, np.dtype(dtype).newbyteorder("<"), n)) == head
+            forms.add(head[:4])
+        assert {b"RIFF", b"RF64"} <= forms
+
+    def test_reader_blocks_equal_whole_read(self, tmp_path):
+        x = np.random.default_rng(33).normal(0.0, 0.3, 1001)
+        p = tmp_path / "a.wav"
+        ds.write_wav(p, x, 16000, "pcm16")
+        whole, _, _ = ds.read_wav(p)
+        with WavReader(p) as src:
+            assert (src.rate, src.subtype, src.size) == (16000, "pcm16", 1001)
+            blocks = list(src.blocks(300))
+        assert [b.size for b in blocks] == [300, 300, 300, 101]
+        np.testing.assert_array_equal(np.concatenate(blocks), whole)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read_whole(self, tmp_path):
+        """A pipe cannot be memory-mapped; it reads as a whole file."""
+        src = tmp_path / "a.wav"
+        ds.write_wav(src, np.random.default_rng(34).normal(0.0, 0.3, 1001), 16000, "pcm16")
+        fifo = tmp_path / "pipe.wav"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(src.read_bytes(),), daemon=True)
+        writer.start()
+        try:
+            y, rate, subtype = ds.read_wav(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (rate, subtype) == (16000, "pcm16")
+        np.testing.assert_array_equal(y, ds.read_wav(src)[0])
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        p = tmp_path / "a.wav"
+        p.write_bytes(b"old")
+
+        def failing():
+            yield np.zeros(10)
+            raise InputError("bad block")
+
+        with pytest.raises(InputError, match="bad block"):
+            ds.write_wav(p, failing(), 16000, "float32", size=20)
+        with pytest.raises(InternalError, match="10 samples written, header says 20"):
+            ds.write_wav(p, [np.zeros(10)], 16000, "float32", size=20)
+        assert p.read_bytes() == b"old"
+        assert [q.name for q in tmp_path.iterdir()] == ["a.wav"]
+
+    def test_unwritable_path_is_audio_io_error(self, tmp_path):
+        with pytest.raises(AudioIOError, match="cannot write WAV file"):
+            ds.write_wav(tmp_path / "absent" / "a.wav", np.zeros(10), 16000, "float32")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_output_is_written_directly(self, tmp_path):
+        """A path that is not a regular file (a pipe, a device) is
+        written through, not replaced by a file."""
+        x = np.random.default_rng(35).normal(0.0, 0.3, 1001)
+        ref = tmp_path / "ref.wav"
+        ds.write_wav(ref, x, 16000, "float32")
+        fifo = tmp_path / "pipe.wav"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            ds.write_wav(fifo, x, 16000, "float32")
+        finally:
+            reader.join(timeout=10)
+        assert got == [ref.read_bytes()]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["pipe.wav", "ref.wav"]
+
+    def test_symlink_output_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.wav", tmp_path / "link.wav"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        ds.write_wav(link, np.zeros(10), 16000, "float32")
+        assert link.is_symlink()
+        assert ds.read_wav(target)[0].tolist() == [0.0] * 10
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["link.wav", "target.wav"]
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        p = tmp_path / "a.wav"
+        p.write_bytes(b"old")
+        p.chmod(0o640)
+        ds.write_wav(p, np.zeros(10), 16000, "float32")
+        assert stat.S_IMODE(p.stat().st_mode) == 0o640
+
+    def test_cut_data_chunk_reads_what_it_holds(self, tmp_path):
+        """A data chunk running past the end of the file cannot be
+        memory-mapped; it reads as scipy reads it, warning included."""
+        p = tmp_path / "a.wav"
+        ds.write_wav(p, np.arange(100) / 128.0, 16000, "float32")
+        p.write_bytes(p.read_bytes()[:-41])
+        with pytest.warns(wavfile.WavFileWarning, match="Reached EOF prematurely"):
+            y, _, _ = ds.read_wav(p)
+        np.testing.assert_array_equal(y, np.arange(89) / 128.0)
