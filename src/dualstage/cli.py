@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage/validation/config error, 2 I/O error,
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -303,11 +304,8 @@ def cmd_evaluate(args) -> int:
                                 "noise_type": Path(noise_path).stem,
                                 "target_snr_db": float(snr),
                                 "preset": preset,
-                                "snri_db": report.snri_db,
-                                "noise_reduction_db": report.noise_reduction_db,
-                                "input_snr_db": report.input_snr_db,
-                                "output_snr_db": report.output_snr_db,
                                 "variant": variant,
+                                **dataclasses.asdict(report),
                             }
                         )
     metrics.write_report_csv(args.out, rows)

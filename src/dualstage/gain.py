@@ -19,6 +19,10 @@ from .noise_tracking import _ONE, PerBand, frozen_array, smooth_rows
 MU_MAX = 1.5
 _TINY = frozen_array(np.finfo(float).tiny)
 _ZERO = frozen_array(0.0)
+# largest amplitude ratio compute_snr squares: the square, 2**1022, is
+# finite, and at that SNR, as at any larger one, the raw gain is 1 and
+# the frame SNR lies far above any alpha map's last point
+_RATIO_CAP = frozen_array(2.0**511)
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,11 @@ class GainConstants:
 
 
 def compute_snr(band_mags, noise_est, eps: float) -> np.ndarray:
-    """Per-band linear SNR: |X|^2 / max(|N|, eps)^2."""
+    """Per-band linear SNR: |X|^2 / max(|N|, eps)^2, at most 2**1022."""
     ratio = np.divide(band_mags, np.maximum(noise_est, eps))
+    # a burst near the input bound over a quiet background would
+    # otherwise overflow the square
+    np.minimum(ratio, _RATIO_CAP, out=ratio)
     return np.multiply(ratio, ratio, out=ratio)
 
 

@@ -1,16 +1,18 @@
 """Objective measurements for the suppression pipeline.
 
 SNR improvement is measured by gain shadowing: the per-frame bin gains
-logged while processing a mix are replayed separately over the scaled
-speech and noise components, which decomposes the enhanced output
-exactly (the pipeline is linear in its input once the gains are
-fixed); one analysis per component serves both its unity-gain
-reference and its shadowed output. Speech level is taken over
+of a processed mix are replayed separately over the scaled speech and
+noise components, which decomposes the enhanced output exactly (the
+pipeline is linear in its input once the gains are fixed); one
+analysis per component serves both its unity-gain reference and its
+shadowed output. evaluate_condition replays each block's gains as the
+engine produces them, on a second thread, without a gain log;
+snri_by_gain_shadowing replays a given log. Speech level is taken over
 speech-active frames, noise level over the speech-free frames, as a
 desk-scale stand-in for a calibrated measurement front end.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,6 +37,7 @@ REPORT_COLUMNS = (
     "input_snr_db",
     "output_snr_db",
     "variant",
+    "speech_attenuation_db",
 )
 
 
@@ -55,12 +58,21 @@ class MixSpec:
 
 @dataclass(frozen=True)
 class SnriReport:
-    """SNR improvement figures for one processed mix."""
+    """SNR improvement figures for one processed mix.
+
+    speech_attenuation_db is the speech power the processing removed
+    over the speech-active frames; the noise-side figures alone would
+    also reward a method that suppresses speech.
+    """
 
     input_snr_db: float
     output_snr_db: float
     snri_db: float
     noise_reduction_db: float
+    speech_attenuation_db: float
+
+
+_REPORT_FIELDS = tuple(f.name for f in fields(SnriReport))
 
 
 def block_rms(samples: np.ndarray, block_len: int) -> np.ndarray:
@@ -152,9 +164,20 @@ def snri_by_gain_shadowing(
             f"{speech.shape} and {noise.shape}"
         )
     # None asks for the unity-gain reference
-    ref_speech, out_speech = pipeline._replay(speech, (None, gain_log), cfg)
-    ref_noise, out_noise = pipeline._replay(noise, (None, gain_log), cfg)
+    return _shadowing_report(
+        pipeline._replay(speech, (None, gain_log), cfg),
+        pipeline._replay(noise, (None, gain_log), cfg),
+        cfg,
+        active_threshold_db,
+        measure_start_s,
+    )
 
+
+def _shadowing_report(speech, noise, cfg: PipelineConfig, active_threshold_db, measure_start_s):
+    """The report from each component's [unity reference, shadowed
+    output]; the noise arrays are added into the speech arrays."""
+    ref_speech, out_speech = speech
+    ref_noise, out_noise = noise
     block = cfg.frame.hop_len
     mask = active_frame_mask(ref_speech, block, active_threshold_db)
     start_block = int(np.ceil(measure_start_s * cfg.frame.sample_rate_hz / block))
@@ -183,13 +206,18 @@ def snri_by_gain_shadowing(
     input_snr_db = 10.0 * np.log10(ref_speech_pow / ref_noise_pow)
     output_snr_db = 10.0 * np.log10(out_speech_pow / out_noise_pow)
 
+    # the enhanced mix and its reference, summed in place so that no
+    # new signal-length array is made
+    ref_speech += ref_noise
+    out_speech += out_noise
     ranges = _mask_to_ranges(inactive, block)
-    reduction = noise_segment_reduction(ref_speech + ref_noise, out_speech + out_noise, ranges)
+    reduction = noise_segment_reduction(ref_speech, out_speech, ranges)
     return SnriReport(
         input_snr_db=float(input_snr_db),
         output_snr_db=float(output_snr_db),
         snri_db=float(output_snr_db - input_snr_db),
         noise_reduction_db=float(reduction),
+        speech_attenuation_db=float(10.0 * np.log10(ref_speech_pow / out_speech_pow)),
     )
 
 
@@ -256,7 +284,13 @@ def evaluate_condition(
     active_threshold_db: float = 35.0,
     measure_start_s: float = 0.0,
 ) -> SnriReport:
-    """Mix, process and shadow one evaluation condition."""
+    """Mix, process and shadow one evaluation condition.
+
+    Equal to snri_by_gain_shadowing over the mix's components and the
+    gain log process_stream gives for the mix, field for field; the
+    gains are replayed block by block as the engine produces them
+    (pipeline.shadow_stream), so no gain log is built.
+    """
     mix, sp, nz = mix_at_snr(
         MixSpec(
             speech=speech,
@@ -266,15 +300,8 @@ def evaluate_condition(
             active_threshold_db=active_threshold_db,
         )
     )
-    _, gain_log = pipeline.process_stream(mix, cfg, single_stage=single_stage)
-    return snri_by_gain_shadowing(
-        sp,
-        nz,
-        gain_log,
-        cfg,
-        active_threshold_db=active_threshold_db,
-        measure_start_s=measure_start_s,
-    )
+    speech_pair, noise_pair = pipeline.shadow_stream(mix, (sp, nz), cfg, single_stage=single_stage)
+    return _shadowing_report(speech_pair, noise_pair, cfg, active_threshold_db, measure_start_s)
 
 
 def spectrogram_db(samples, frame_cfg, floor_db: float = -120.0) -> np.ndarray:
@@ -305,7 +332,7 @@ def write_report_csv(path, rows) -> None:
         writer.writeheader()
         for row in rows:
             formatted = dict(row)
-            for key in ("snri_db", "noise_reduction_db", "input_snr_db", "output_snr_db"):
+            for key in _REPORT_FIELDS:
                 if key in formatted and formatted[key] is not None:
                     formatted[key] = f"{formatted[key]:.4f}"
             if "target_snr_db" in formatted:

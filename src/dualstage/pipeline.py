@@ -6,8 +6,11 @@ the spectrum; Stage-2 pools the modified spectrum, speeds its noise
 tracking up or down from Stage-1's frame SNR, and applies the fine
 gains. The final per-frame bin gains (the product of both stages) are
 logged so the measurement harness can replay them over the clean
-components of a mix; replay shares the engine's input screen and
-block framer, and runs one analysis then one synthesis per gain log.
+components of a mix. Replay (_Shadow) frames a component as the
+engine frames its input, with the engine's input screen and block
+framer, and shadows one block of gain rows at a time: one analysis,
+then one synthesis per output. shadow_stream runs the engine and that
+replay as a two-stage pipeline, so no gain log is kept.
 
 Every layer runs once per block of frames. Of the first-order
 smoothers, those with a fixed scalar factor are one lfilter call per
@@ -21,6 +24,7 @@ stream gives bit-identical output.
 import itertools
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -242,6 +246,55 @@ def process_stream(
     return y, np.concatenate(proc.gain_log)
 
 
+def shadow_stream(mix, components, cfg: PipelineConfig, *, single_stage: bool = False):
+    """Run the engine over mix and replay its gains over each component.
+
+    The mix goes through a StreamProcessor BLOCK_FRAMES hops at a time,
+    then the zero flush. Each time a block's gain rows come out they go
+    to one worker thread, which shadows them over every component (see
+    _Shadow) while the engine runs the next block. The shadow work is
+    mostly transforms, which numpy runs with the interpreter lock
+    released, so the two overlap. Every operation is the one
+    process_stream and _replay do, in the same order, so the outputs
+    are bit-identical to theirs, and no gain log is kept. Returns, per
+    component, [unity reference, shadowed output], each as long as the
+    mix and delayed by the algorithmic latency.
+    """
+    fcfg = cfg.frame
+    # screened whole before the components, as by process_stream before
+    # _replay, so a sample bad in both is reported at its mix index
+    x = _screen(mix, fcfg.max_abs_sample, 0)
+    shadows = [_Shadow(c, cfg, outputs=2) for c in components]
+    proc = StreamProcessor(cfg, single_stage=single_stage)
+    feed = BLOCK_FRAMES * fcfg.hop_len
+    blocks = (x[i : i + feed] for i in range(0, x.size, feed))
+
+    def replay_block(rows):
+        for s in shadows:
+            for gains in rows:
+                s.step(len(gains), (None, gains))
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        try:
+            running = None
+            # one more round after the stream ends drains the last rows
+            for _ in itertools.chain(run_stream(proc, blocks, x.size), (None,)):
+                rows, proc.gain_log = proc.gain_log, []
+                if rows:
+                    # hand this block over, then wait for the previous
+                    # one, so at most one block waits while the engine runs
+                    job = worker.submit(replay_block, rows)
+                    if running is not None:
+                        running.result()
+                    running = job
+            if running is not None:
+                running.result()
+        except BaseException:
+            worker.shutdown(cancel_futures=True)
+            raise
+    return [s.outs for s in shadows]
+
+
 def replay_gains(samples, gain_log: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     """Re-run the framing path applying a logged gain sequence.
 
@@ -254,13 +307,9 @@ def replay_gains(samples, gain_log: np.ndarray, cfg: PipelineConfig) -> np.ndarr
 
 
 def _replay(samples, gain_logs, cfg: PipelineConfig) -> list[np.ndarray]:
-    """replay_gains for several logs from one analysis of the signal.
-
-    A None log stands for unity gains, whose output is synthesised from
-    the unmodified bins (a multiply by 1.0 is exact).
-    """
+    """replay_gains for several logs, one _Shadow step per BLOCK_FRAMES
+    frames; a None log stands for unity gains."""
     fcfg = cfg.frame
-    hop, flen = fcfg.hop_len, fcfg.frame_len
     x = np.asarray(samples, dtype=float)
     logs = [None if g is None else np.asarray(g, dtype=float) for g in gain_logs]
     given = [g for g in logs if g is not None]
@@ -271,29 +320,65 @@ def _replay(samples, gain_logs, cfg: PipelineConfig) -> list[np.ndarray]:
     for g in given:
         if (rows := g.shape[1:]) != (fcfg.num_bins,):
             raise UsageError(f"gain log rows have shape {rows}, expected {(fcfg.num_bins,)}")
-    # run_stream's stream: seeded zeros, then the high-passed signal and flush
-    latency = flen + hop
-    sig = np.concatenate([_screen(x, fcfg.max_abs_sample, 0), np.zeros(latency + flen)])
-    if fcfg.hpf_cutoff_hz is not None:
-        hpf = framing.design_hpf(fcfg.hpf_cutoff_hz, fcfg.sample_rate_hz)
-        sig = framing.hpf_process(sig, hpf, framing.HpfState())
-    buf = np.concatenate([np.zeros(latency), sig])
-    n_frames = (buf.size - flen) // hop + 1
+    shadow = _Shadow(x, cfg, outputs=len(logs))
+    # frames of run_stream's stream: seeded zeros, signal, flush
+    n_frames = (2 * (fcfg.frame_len + fcfg.hop_len) + x.size) // fcfg.hop_len + 1
     for g in given:
         if len(g) != n_frames:
             raise UsageError(f"gain log has {len(g)} frames, stream produced {n_frames}")
-    olas = [framing.OlaState.for_config(fcfg) for _ in logs]
-    outs = [np.empty(n_frames * hop) for _ in logs]
     for first in range(0, n_frames, BLOCK_FRAMES):
-        n = min(BLOCK_FRAMES, n_frames - first)
-        spec = framing.analyze(_frames(buf, first, n, fcfg), fcfg)
-        rows = slice(first, first + n)
-        for g, ola, out in zip(logs, olas, outs):
-            bins = spec.bins if g is None else spec.bins * g[rows].reshape(spec.bins.shape)
+        block = slice(first, first + BLOCK_FRAMES)
+        shadow.step(min(BLOCK_FRAMES, n_frames - first), [None if g is None else g[block] for g in logs])
+    return shadow.outs
+
+
+class _Shadow:
+    """Replays gain rows over one signal, a block of frames at a time.
+
+    The signal is screened, high-passed and framed as run_stream frames
+    its input: seeded zeros, then the signal and the zero flush. Each
+    step analyses its frames once and synthesises every output from
+    those bins, each into an overlap-add state of its own. outs holds
+    the outputs, as long as the signal.
+    """
+
+    def __init__(self, samples, cfg: PipelineConfig, *, outputs: int):
+        fcfg = self.fcfg = cfg.frame
+        self.x = _screen(samples, fcfg.max_abs_sample, 0)
+        cutoff = fcfg.hpf_cutoff_hz
+        self.hpf = None if cutoff is None else framing.design_hpf(cutoff, fcfg.sample_rate_hz)
+        self.hpf_state = framing.HpfState()
+        # the framed stream from the next frame on
+        self.buf = np.zeros(fcfg.frame_len + fcfg.hop_len)
+        self.read = 0  # samples of signal and flush high-passed so far
+        self.done = 0  # output samples written
+        self.olas = [framing.OlaState.for_config(fcfg) for _ in range(outputs)]
+        self.outs = [np.empty(self.x.size) for _ in range(outputs)]
+
+    def step(self, n: int, gains) -> None:
+        """Shadow the next n frames: output k takes gains[k], n bin-gain
+        rows, or where that is None unity gains, synthesised from the
+        unmodified bins (a multiply by 1.0 is exact)."""
+        fcfg = self.fcfg
+        hop = fcfg.hop_len
+        need = (n - 1) * hop + fcfg.frame_len - self.buf.size
+        if need > 0:
+            new = self.x[self.read : self.read + need]
+            if new.size < need:  # into the flush
+                new = np.concatenate([new, np.zeros(need - new.size)])
+            self.read += need
+            if self.hpf is not None:
+                new = framing.hpf_process(new, self.hpf, self.hpf_state)
+            self.buf = np.concatenate([self.buf, new])
+        spec = framing.analyze(_frames(self.buf, 0, n, fcfg), fcfg)
+        self.buf = self.buf[n * hop :]
+        end = min(self.done + n * hop, self.x.size)
+        for g, ola, out in zip(gains, self.olas, self.outs):
+            bins = spec.bins if g is None else spec.bins * g.reshape(spec.bins.shape)
             # synthesis reads only the bins
-            shadow = framing.SpectralFrame(bins=bins, power=None)
-            out[first * hop : (first + n) * hop] = framing.synthesize(shadow, ola, fcfg)
-    return [out[: x.size] for out in outs]
+            y = framing.synthesize(framing.SpectralFrame(bins=bins, power=None), ola, fcfg)
+            out[self.done : end] = y[: end - self.done]
+        self.done = end
 
 
 def _screen(samples, limit: float, offset: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Command-line interface: verbs, exit codes, file outputs."""
 
+import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -382,6 +384,17 @@ class TestEvaluate:
         assert lines[0] == ",".join(ds.REPORT_COLUMNS)
         assert len(lines) == 1 + 1 * 1 * 2 * 1 * 2
         assert "4 rows" in capsys.readouterr().out
+
+    def test_every_report_field_is_a_finite_column(self, tmp_path):
+        m = self._matrix(tmp_path, variants=["dual", "single"])
+        out = tmp_path / "report.csv"
+        assert run("evaluate", str(m), str(out)) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        for row in rows:
+            for field in dataclasses.fields(ds.SnriReport):
+                assert np.isfinite(float(row[field.name])), (field.name, row)
 
     def test_empty_matrix_writes_header_only(self, tmp_path):
         m = self._matrix(tmp_path, snr_db=[])

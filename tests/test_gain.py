@@ -47,6 +47,16 @@ class TestComputeSnr:
         assert np.all(snr >= 0.0)
         assert np.all(np.isfinite(snr))
 
+    def test_huge_ratio_is_capped_without_overflow(self):
+        """A band near the largest magnitude a screened input makes, over
+        a silent noise estimate, would square to infinity with an
+        overflow warning; its SNR stops at 2**1022, where the raw gain
+        is 1 as it is at infinity."""
+        snr = ds.compute_snr(np.array([4e153, 1e80]), np.array([0.0, 1e-3]), 1e-10)
+        assert snr[0] == 2.0**1022
+        assert snr[1] == pytest.approx(1e166, rel=1e-12)
+        np.testing.assert_array_equal(ds.compute_raw_gain(snr, 1.49, 0.178), [1.0, 1.0])
+
 
 class TestComputeRawGain:
     def test_frozen_value(self):

@@ -1,9 +1,14 @@
 """Mixing, activity masking and the gain-shadowing SNR measurement."""
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import dualstage as ds
+from dualstage import pipeline
 from dualstage.errors import InputError, UsageError
 from synth import FS, surrogate_speech, white_noise
 
@@ -129,6 +134,7 @@ class TestGainShadowing:
         rep = ds.snri_by_gain_shadowing(speech, noise, log, cfg)
         assert rep.snri_db == 0.0
         assert rep.noise_reduction_db == 0.0
+        assert rep.speech_attenuation_db == 0.0
 
     def test_power_of_two_log_cancels_exactly(self, comm_cfg):
         """A flat 0.5 gain scales every sample by a power of two, so
@@ -140,6 +146,7 @@ class TestGainShadowing:
         rep = ds.snri_by_gain_shadowing(speech, noise, log, cfg)
         assert rep.snri_db == 0.0
         assert rep.noise_reduction_db == pytest.approx(10.0 * np.log10(4.0), abs=1e-12)
+        assert rep.speech_attenuation_db == pytest.approx(10.0 * np.log10(4.0), abs=1e-12)
 
     def test_alternating_gain_log_hits_exact_snri(self, comm_cfg):
         """Hop-aligned construction with a known-in-advance answer.
@@ -175,6 +182,96 @@ class TestGainShadowing:
         log = np.ones(self._log_shape(speech.size, cfg))
         with pytest.raises(InputError, match="measure_start_s"):
             ds.snri_by_gain_shadowing(speech, noise, log, cfg, measure_start_s=10.0)
+
+
+def _voiced_tone(n):
+    """A 440 Hz tone under a 3 Hz envelope after 350 samples of silence:
+    active almost throughout, so an n just over 1 s passes mix_at_snr."""
+    t = np.arange(n) / FS
+    x = 0.3 * np.sin(2 * np.pi * 440.0 * t) * (1.0 + 0.5 * np.sin(2 * np.pi * 3.0 * t))
+    x[:350] = 0.0
+    return x
+
+
+class TestStreamedShadowing:
+    """evaluate_condition replays each block's gains on a worker thread
+    as the engine produces them; the report must be the one the whole
+    gain log gives, and the worker must not outlive the call."""
+
+    # shorter than one feed block, not a multiple of the hop, and an
+    # exact multiple of the feed block
+    @pytest.mark.parametrize(
+        "n", [pipeline.BLOCK_FRAMES * 64 - 1, 40037, 3 * pipeline.BLOCK_FRAMES * 64]
+    )
+    @pytest.mark.parametrize("single", [False, True])
+    def test_equals_shadowing_the_gain_log(self, comm_cfg, n, single):
+        rng = np.random.default_rng(32)
+        speech = _voiced_tone(n) if n < 2 * FS else surrogate_speech(n / FS, rng)
+        noise = white_noise(n / FS, rng)
+        mix, sp, nz = ds.mix_at_snr(ds.MixSpec(speech, noise, 0.0, FS))
+        log = ds.process_stream(mix, comm_cfg, single_stage=single)[1]
+        before = set(threading.enumerate())
+        # the engine and the worker trade the interpreter lock every
+        # microsecond or so, which any state they shared would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = ds.evaluate_condition(speech, noise, 0.0, comm_cfg, single_stage=single)
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(threading.enumerate()) == before
+        assert got == ds.snri_by_gain_shadowing(sp, nz, log, comm_cfg)
+
+    def test_bad_mix_sample_stops_the_worker(self, comm_cfg):
+        """Speech peaking at half max_abs_sample, with one sample three
+        feed blocks in at 1.5 times it, makes one mix sample above the
+        bound: InputError with its stream index, raised after the
+        worker has been handed the blocks before it."""
+        rng = np.random.default_rng(33)
+        limit = comm_cfg.frame.max_abs_sample
+        speech = surrogate_speech(4.0, rng)
+        speech *= 0.5 * limit / np.abs(speech).max()
+        speech[50000] = 1.5 * limit
+        noise = white_noise(4.0, rng)
+        before = set(threading.enumerate())
+        with pytest.raises(InputError, match="sample magnitude above .* at stream index 50000"):
+            ds.evaluate_condition(speech, noise, 12.0, comm_cfg)
+        assert set(threading.enumerate()) == before
+
+    def test_worker_exception_surfaces_as_itself(self, comm_cfg, monkeypatch):
+        rng = np.random.default_rng(34)
+        speech, noise = surrogate_speech(4.0, rng), white_noise(4.0, rng)
+        boom = RuntimeError("shadow step failed")
+        step = pipeline._Shadow.step
+        calls = []
+
+        def failing(self, n, gains):
+            calls.append(n)
+            if len(calls) == 3:
+                raise boom
+            step(self, n, gains)
+
+        monkeypatch.setattr(pipeline._Shadow, "step", failing)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError) as caught:
+            ds.evaluate_condition(speech, noise, 0.0, comm_cfg)
+        assert caught.value is boom
+        assert set(threading.enumerate()) == before
+
+    def test_memory_holds_no_gain_log(self, comm_cfg):
+        """A 60 s condition peaks at about 7 signal-length arrays (the
+        mix, the scaled noise, each component's reference and shadowed
+        output, and block temporaries); with a gain log of 129 bins per
+        64-sample hop beside them it took 11.4."""
+        rng = np.random.default_rng(35)
+        speech, noise = surrogate_speech(60.0, rng, lead_in_s=2.5), white_noise(60.0, rng)
+        tracemalloc.start()
+        try:
+            ds.evaluate_condition(speech, noise, 0.0, comm_cfg, measure_start_s=3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * speech.nbytes, peak / speech.nbytes
 
 
 class TestTransformBudget:
@@ -273,6 +370,7 @@ class TestSpectrogram:
                 "input_snr_db": 6.0,
                 "output_snr_db": 18.34567,
                 "variant": "dual",
+                "speech_attenuation_db": 1.5,
             }
         ]
         rp = tmp_path / "report.csv"

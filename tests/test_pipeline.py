@@ -202,6 +202,20 @@ class TestNonFiniteInput:
         ds.process_stream(x, comm_cfg, tracker_sink=lambda *row: tracks.append(row[2:]))
         assert len(tracks) > 500 and np.all(np.isfinite(tracks))
 
+    @pytest.mark.parametrize("level", [1e-3, 1e-6])
+    @pytest.mark.parametrize("single", [False, True])
+    def test_burst_over_a_quiet_background_gives_no_warning(self, comm_cfg, level, single):
+        """The burst above, just under max_abs_sample, over pink noise at
+        a low level: the burst's band SNRs would overflow a square, which
+        the test settings turn into an error. Output and gains stay
+        finite."""
+        rng = np.random.default_rng(22)
+        x = surrogate_speech(2.0, rng) + level * pink_noise(2.0, rng)
+        burst = slice(12000, 12200)
+        x[burst] *= comm_cfg.frame.max_abs_sample * (1 - 1e-12) / np.abs(x[burst]).max()
+        y, log = ds.process_stream(x, comm_cfg, single_stage=single)
+        assert np.all(np.isfinite(y)) and np.all(np.isfinite(log))
+
     @pytest.mark.parametrize("hop_calls", [False, True])
     def test_loud_frame_rescale_is_exact(self, comm_cfg, hop_calls):
         """The power-of-two rescale that keeps a loud frame's SNR weights
