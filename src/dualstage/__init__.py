@@ -7,21 +7,7 @@ fine stage that shapes the final suppression. See README.md for the
 signal flow and the configuration schema.
 """
 
-from .bands import BandPlan, apply_gains, bark_of_hz, build_band_plan, expand_to_bins, pool_to_bands
-from .config import (
-    PRESET_DIR_ENV,
-    PipelineConfig,
-    StageConfig,
-    apply_overrides,
-    config_dumps,
-    config_from_dict,
-    config_to_dict,
-    default_config,
-    list_presets,
-    load_config,
-    load_preset,
-    save_config,
-)
+from .config import load_preset
 from .errors import (
     AudioIOError,
     ConfigError,
@@ -30,51 +16,7 @@ from .errors import (
     InternalError,
     UsageError,
 )
-from .framing import (
-    FrameConfig,
-    HpfState,
-    OlaState,
-    SpectralFrame,
-    algorithmic_latency_ms,
-    analyze,
-    design_hpf,
-    hpf_process,
-    synthesize,
-    windows_for,
-)
-from .gain import (
-    MU_MAX,
-    GainParams,
-    GainState,
-    compute_raw_gain,
-    compute_snr,
-    smooth_gain,
-    smoothing_factor_of,
-)
-from .metrics import (
-    REPORT_COLUMNS,
-    MixSpec,
-    SnriReport,
-    active_frame_mask,
-    block_rms,
-    evaluate_condition,
-    mix_at_snr,
-    noise_segment_reduction,
-    relative_improvement,
-    snri_by_gain_shadowing,
-    spectrogram_db,
-    write_report_csv,
-    write_spectrogram_csv,
-)
-from .noise_tracking import (
-    DEFAULT_ALPHA_SNR_MAP,
-    NoiseState,
-    TrackerParams,
-    effective_alpha,
-    smooth_noise,
-    track_raw,
-    update,
-)
+from .metrics import evaluate_condition, snri_by_gain_shadowing
 from .pipeline import StreamProcessor, process_stream, replay_gains
 from .wavio import read_wav, write_wav
 
@@ -82,69 +24,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AudioIOError",
-    "BandPlan",
     "ConfigError",
-    "DEFAULT_ALPHA_SNR_MAP",
     "DualStageError",
-    "FrameConfig",
-    "GainParams",
-    "GainState",
-    "HpfState",
     "InputError",
     "InternalError",
-    "MU_MAX",
-    "MixSpec",
-    "NoiseState",
-    "OlaState",
-    "PRESET_DIR_ENV",
-    "PipelineConfig",
-    "REPORT_COLUMNS",
-    "SnriReport",
-    "SpectralFrame",
-    "StageConfig",
     "StreamProcessor",
-    "TrackerParams",
     "UsageError",
-    "active_frame_mask",
-    "algorithmic_latency_ms",
-    "analyze",
-    "apply_gains",
-    "apply_overrides",
-    "bark_of_hz",
-    "block_rms",
-    "build_band_plan",
-    "compute_raw_gain",
-    "compute_snr",
-    "config_dumps",
-    "config_from_dict",
-    "config_to_dict",
-    "default_config",
-    "design_hpf",
-    "effective_alpha",
     "evaluate_condition",
-    "expand_to_bins",
-    "hpf_process",
-    "list_presets",
-    "load_config",
     "load_preset",
-    "mix_at_snr",
-    "noise_segment_reduction",
-    "pool_to_bands",
     "process_stream",
     "read_wav",
-    "relative_improvement",
     "replay_gains",
-    "save_config",
-    "smooth_gain",
-    "smooth_noise",
-    "smoothing_factor_of",
     "snri_by_gain_shadowing",
-    "spectrogram_db",
-    "synthesize",
-    "track_raw",
-    "update",
-    "windows_for",
-    "write_report_csv",
-    "write_spectrogram_csv",
     "write_wav",
 ]

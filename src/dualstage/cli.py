@@ -10,8 +10,10 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ import numpy as np
 from . import __version__, metrics, pipeline
 from .bands import build_band_plan
 from .config import (
+    _decode_section,
     apply_overrides,
     config_dumps,
     list_presets,
@@ -46,6 +49,7 @@ _VARIANTS = ("dual", "single")
 # pipeline.BLOCK_FRAMES hops at a time, which bounds its memory
 _FEED_BLOCKS = 4
 
+# the optional keys of an evaluation matrix
 _MATRIX_DEFAULTS = {
     "variants": ["dual"],
     "active_threshold_db": 35.0,
@@ -53,7 +57,6 @@ _MATRIX_DEFAULTS = {
     "loop_noise": False,
     "overrides": {},
 }
-_MATRIX_REQUIRED = ("speech", "noise", "snr_db", "presets")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,55 +218,56 @@ def cmd_mix(args) -> int:
     return EXIT_OK
 
 
-def _load_matrix(path) -> dict:
+@dataclass(frozen=True)
+class _Matrix:
+    """An evaluation matrix (README: Evaluation matrix schema)."""
+
+    speech: tuple[str, ...]
+    noise: tuple[str, ...]
+    snr_db: tuple[float, ...]
+    presets: tuple[str, ...]
+    variants: tuple[str, ...]
+    active_threshold_db: float
+    measure_start_s: float
+    loop_noise: bool
+    overrides: dict
+
+    def __post_init__(self):
+        bad = sorted(set(self.variants) - set(_VARIANTS))
+        if bad:
+            raise ConfigError(f"unknown variant(s) {', '.join(bad)}; allowed: dual, single")
+        for key in ("active_threshold_db", "measure_start_s"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"config key {key!r} must be finite, got {getattr(self, key)}")
+
+
+def _load_matrix(path) -> _Matrix:
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise AudioIOError(f"{path}: cannot read matrix config ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: matrix config must be a JSON object")
-    allowed = set(_MATRIX_REQUIRED) | set(_MATRIX_DEFAULTS)
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown matrix key(s): {', '.join(unknown)}")
-    missing = sorted(k for k in _MATRIX_REQUIRED if k not in raw)
-    if missing:
-        raise ConfigError(f"{path}: missing matrix key(s): {', '.join(missing)}")
-    matrix = dict(_MATRIX_DEFAULTS)
-    matrix.update(raw)
-    for key in ("speech", "noise", "presets", "variants"):
-        if not isinstance(matrix[key], list) or not all(
-            isinstance(v, str) for v in matrix[key]
-        ):
-            raise ConfigError(f"{path}: {key} must be a list of strings")
-    if not isinstance(matrix["snr_db"], list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in matrix["snr_db"]
-    ):
-        raise ConfigError(f"{path}: snr_db must be a list of numbers")
-    bad = sorted(set(matrix["variants"]) - set(_VARIANTS))
-    if bad:
-        raise ConfigError(
-            f"{path}: unknown variant(s) {', '.join(bad)}; allowed: dual, single"
-        )
-    if not isinstance(matrix["overrides"], dict):
-        raise ConfigError(f"{path}: overrides must be an object of dotted keys")
-    return matrix
+    if isinstance(raw, dict):
+        raw = {**_MATRIX_DEFAULTS, **raw}
+    try:
+        return _decode_section(_Matrix, raw, "")
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def cmd_evaluate(args) -> int:
     matrix = _load_matrix(args.matrix)
     missing = sorted(
-        p for p in {*matrix["speech"], *matrix["noise"]} if not Path(p).exists()
+        p for p in {*matrix.speech, *matrix.noise} if not Path(p).exists()
     )
     if missing:
         raise AudioIOError(f"missing input file(s): {', '.join(missing)}")
 
-    assignments = [f"{k}={json.dumps(v)}" for k, v in sorted(matrix["overrides"].items())]
+    assignments = [f"{k}={json.dumps(v)}" for k, v in sorted(matrix.overrides.items())]
     configs = {}
-    for preset in sorted(set(matrix["presets"])):
+    for preset in sorted(set(matrix.presets)):
         cfg = load_preset(preset)
         if assignments:
             cfg = apply_overrides(cfg, assignments)
@@ -278,17 +282,17 @@ def cmd_evaluate(args) -> int:
         return cache[path]
 
     rows = []
-    for noise_path in sorted(matrix["noise"]):
-        for snr in sorted(matrix["snr_db"]):
-            for preset in sorted(matrix["presets"]):
+    for noise_path in sorted(matrix.noise):
+        for snr in sorted(matrix.snr_db):
+            for preset in sorted(matrix.presets):
                 cfg = configs[preset]
-                for variant in sorted(matrix["variants"]):
-                    for speech_path in sorted(matrix["speech"]):
+                for variant in sorted(matrix.variants):
+                    for speech_path in sorted(matrix.speech):
                         speech, sp_rate = load(speech_path)
                         noise, nz_rate = load(noise_path)
                         _require_rate(speech_path, sp_rate, cfg)
                         _require_rate(noise_path, nz_rate, cfg)
-                        if matrix["loop_noise"] and noise.size < speech.size:
+                        if matrix.loop_noise and noise.size < speech.size:
                             noise = _tile_noise(noise, speech.size)
                         report = metrics.evaluate_condition(
                             speech,
@@ -296,8 +300,8 @@ def cmd_evaluate(args) -> int:
                             float(snr),
                             cfg,
                             single_stage=(variant == "single"),
-                            active_threshold_db=matrix["active_threshold_db"],
-                            measure_start_s=matrix["measure_start_s"],
+                            active_threshold_db=matrix.active_threshold_db,
+                            measure_start_s=matrix.measure_start_s,
                         )
                         rows.append(
                             {

@@ -38,7 +38,13 @@ _RETIRED = {
 }
 
 # the scalar leaf types in words; a union reads as its annotation
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+_TYPE_NAMES = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    bool: "true or false",
+    dict: "an object",
+}
 
 
 @dataclass(frozen=True)
@@ -204,10 +210,6 @@ def load_preset(name: str) -> PipelineConfig:
         if candidate.is_file():
             return load_config(candidate)
     raise ConfigError(f"unknown preset {name!r}; available: {', '.join(list_presets())}")
-
-
-def default_config() -> PipelineConfig:
-    return load_preset("communication")
 
 
 def apply_overrides(cfg: PipelineConfig, assignments) -> PipelineConfig:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, refuse_huge_integers
-from .noise_tracking import _ONE, PerBand, frozen_array, smooth_rows
+from .noise_tracking import _ONE, PerBand, _set_frozen, frozen_array, smooth_rows
 
 # validation bound for mu; presets stay well inside it
 MU_MAX = 1.5
@@ -57,6 +57,15 @@ class GainParams:
             )
         if not 0.0 < self.noise_floor_eps < math.inf:
             raise ConfigError(f"noise_floor_eps must be finite and > 0, got {self.noise_floor_eps}")
+        # the settings in the form the per-frame arithmetic takes them,
+        # built once: frozen arrays (see noise_tracking.frozen_array),
+        # the smoothing factor's offset and span, and whether the gain
+        # rule's silent-band snap can change a gain (see
+        # compute_raw_gain). Not fields, so the config codec and asdict
+        # never see them.
+        _set_frozen(self, _mu=mu, _floor=floor, _eps=self.noise_floor_eps)
+        _set_frozen(self, _gamma_min=self.gamma_min, _gamma_span=self.gamma_max - self.gamma_min)
+        object.__setattr__(self, "_snap_silent", bool(np.any(self._mu < _TINY)))
 
 
 class GainState:
@@ -66,77 +75,49 @@ class GainState:
         self.prev_gain = np.ones(num_bands)
 
 
-class GainConstants:
-    """GainParams in the form the per-frame arithmetic takes.
-
-    A pipeline builds them once per stream stage, smooth_gain once per
-    call: mu, the floor, the smoothing factor's offset and span, and
-    the SNR guard as frozen arrays, and whether the gain rule's
-    silent-band snap can change a gain (see _raw_gain).
-    """
-
-    def __init__(self, params: GainParams):
-        self.mu = frozen_array(params.mu)
-        self.floor = frozen_array(params.gain_floor)
-        self.snap_silent = bool(np.any(self.mu < _TINY))
-        self.gamma_min = frozen_array(params.gamma_min)
-        self.gamma_span = frozen_array(params.gamma_max - params.gamma_min)
-        self.eps = frozen_array(params.noise_floor_eps)
-
-
-def compute_snr(band_mags, noise_est, eps: float) -> np.ndarray:
-    """Per-band linear SNR: |X|^2 / max(|N|, eps)^2, at most 2**1022."""
-    ratio = np.divide(band_mags, np.maximum(noise_est, eps))
+def compute_snr(band_mags, noise_est, params: GainParams) -> np.ndarray:
+    """Per-band linear SNR: |X|^2 / max(|N|, eps)^2, at most 2**1022,
+    with eps = params.noise_floor_eps."""
+    ratio = np.divide(band_mags, np.maximum(noise_est, params._eps))
     # a burst near the input bound over a quiet background would
     # otherwise overflow the square
     np.minimum(ratio, _RATIO_CAP, out=ratio)
     return np.multiply(ratio, ratio, out=ratio)
 
 
-def compute_raw_gain(snr, mu, gain_floor) -> np.ndarray:
+def compute_raw_gain(snr: np.ndarray, params: GainParams) -> np.ndarray:
     """Spectral-subtraction gain sqrt(1 - mu/SNR), clamped to [floor, 1].
 
-    Where SNR <= mu the radicand is non-positive and the gain snaps to
-    the floor; a band with no SNR evidence (SNR 0 or NaN) takes the
-    floor too. gain_floor lies in (0, 1], as GainParams checks.
-    """
-    snr = np.asarray(snr, dtype=float)
-    return _raw_gain(np.atleast_1d(snr), mu, gain_floor, snap_silent=True).reshape(snr.shape)
-
-
-def _raw_gain(snr: np.ndarray, mu, floor, snap_silent: bool) -> np.ndarray:
-    """compute_raw_gain on an array; a silent band snaps to the floor
-    by force only when snap_silent.
+    snr is a float array of at least one dimension. Where SNR <= mu the
+    radicand is non-positive and the gain snaps to the floor; a band
+    with no SNR evidence (SNR 0 or NaN) takes the floor too.
 
     The tiny clamp keeps mu / SNR finite. Where mu >= tiny, a band at
     SNR 0 already has mu / tiny >= 1, a radicand <= 0 and the floor, so
     the forced snap (for SNR 0, or NaN, which screened input never
-    makes) changes a gain only where some mu < tiny, i.e. mu = 0. The
-    radicand is at most 1, and a floor at most 1 keeps the result
-    there, so no upper clamp is needed.
+    makes) changes a gain only where some mu < tiny, i.e. mu = 0, and
+    runs only then. The radicand is at most 1, and a floor at most 1
+    (GainParams checks it) keeps the result there, so no upper clamp
+    is needed.
     """
     q = np.maximum(snr, _TINY)
-    np.divide(mu, q, out=q)
-    if snap_silent:
+    np.divide(params._mu, q, out=q)
+    if params._snap_silent:
         q = np.where(snr > 0.0, q, np.inf)
     np.subtract(_ONE, q, out=q)
     np.maximum(q, _ZERO, out=q)
     np.sqrt(q, out=q)
-    return np.maximum(q, floor, out=q)
+    return np.maximum(q, params._floor, out=q)
 
 
-def smoothing_factor_of(raw_gain, gamma_min: float, gamma_max: float) -> np.ndarray:
+def smoothing_factor_of(raw_gain: np.ndarray, params: GainParams) -> np.ndarray:
     """Affine smoothing factor: gamma_min + (gamma_max - gamma_min) * G'."""
-    return _smoothing_factor(np.asarray(raw_gain, dtype=float), gamma_min, gamma_max - gamma_min)
-
-
-def _smoothing_factor(raw, gamma_min, gamma_span):
-    gamma = raw * gamma_span
-    gamma += gamma_min
+    gamma = raw_gain * params._gamma_span
+    gamma += params._gamma_min
     return gamma
 
 
-def smooth_gain(raw, state: GainState, params: GainParams) -> np.ndarray:
+def smooth_gain(raw: np.ndarray, state: GainState, params: GainParams) -> np.ndarray:
     """First-order gain smoothing with the gain-dependent factor.
 
     G(m) = (1 - gamma(G')) * G(m-1) + gamma(G') * G', clamped to
@@ -145,11 +126,7 @@ def smooth_gain(raw, state: GainState, params: GainParams) -> np.ndarray:
     changes with every frame and band, so a block is one bidiagonal
     solve (smooth_rows).
     """
-    return _smooth_gain(np.asarray(raw, dtype=float), state, GainConstants(params))
-
-
-def _smooth_gain(raw: np.ndarray, state: GainState, k: GainConstants) -> np.ndarray:
-    gamma = _smoothing_factor(raw, k.gamma_min, k.gamma_span)
-    out = smooth_rows(state.prev_gain, gamma, raw, k.floor)
+    gamma = smoothing_factor_of(raw, params)
+    out = smooth_rows(state.prev_gain, gamma, raw, params._floor)
     state.prev_gain = out if out.ndim == 1 else out[-1]
     return out

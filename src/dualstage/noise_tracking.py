@@ -29,11 +29,7 @@ import numpy as np
 import scipy.linalg.lapack
 import scipy.signal
 
-from .errors import ConfigError, UsageError, refuse_huge_integers
-
-# default Stage-2 map: multiplier 2.0 at and below 0 dB, 1.0 at and
-# above 20 dB, linear between
-DEFAULT_ALPHA_SNR_MAP = ((0.0, 2.0), (20.0, 1.0))
+from .errors import ConfigError, refuse_huge_integers
 
 # a smoothing factor or gain bound: one value for every band, or one per band
 PerBand = float | tuple[float, ...]
@@ -88,8 +84,18 @@ class TrackerParams:
                 raise ConfigError("alpha_snr_map multipliers must be non-increasing")
             if any(y <= 0 for y in ys):
                 raise ConfigError("alpha_snr_map multipliers must be positive")
-            # a tuple of pairs, hashable for effective_alpha's map cache
             object.__setattr__(self, "alpha_snr_map", tuple(tuple(p) for p in pts))
+        # the settings in the form the per-frame arithmetic takes them,
+        # built once: frozen arrays (see frozen_array), the smoothing
+        # factors with their complements c = 1 - alpha, and the alpha
+        # map's breakpoints and multipliers (np.interp would convert a
+        # tuple on every call). Not fields, so the config codec and
+        # asdict never see them.
+        _set_frozen(self, _bias=self.bias_factor, _pre_alpha=self.mag_smooth_alpha, _alpha=alpha)
+        _set_frozen(self, _pre_c=1 - self._pre_alpha, _c=1 - self._alpha)
+        snr_map = self.alpha_snr_map
+        xy = None if snr_map is None else tuple(map(frozen_array, zip(*snr_map)))
+        object.__setattr__(self, "_map", xy)
 
 
 class _SlidingMin:
@@ -170,23 +176,10 @@ def frozen_array(value) -> np.ndarray:
 _ONE = frozen_array(1.0)
 
 
-class TrackerConstants:
-    """TrackerParams in the form the per-frame arithmetic takes.
-
-    A pipeline builds them once per stream stage, update once per call:
-    the smoothing factors with their complements c = 1 - alpha and the
-    bias factor as frozen arrays, and the alpha map's breakpoints as
-    _map_points gives them.
-    """
-
-    def __init__(self, params: TrackerParams):
-        self.bias = frozen_array(params.bias_factor)
-        self.pre_alpha = frozen_array(params.mag_smooth_alpha)
-        self.pre_c = frozen_array(1 - self.pre_alpha)
-        self.alpha = frozen_array(params.alpha)
-        self.c = frozen_array(1 - self.alpha)
-        snr_map = params.alpha_snr_map
-        self.map = None if snr_map is None else _map_points(snr_map)
+def _set_frozen(params, **values) -> None:
+    """Set each value on the frozen dataclass params as a frozen array."""
+    for name, value in values.items():
+        object.__setattr__(params, name, frozen_array(value))
 
 
 def smooth_rows(prev, alpha, x: np.ndarray, floor=None, c=None) -> np.ndarray:
@@ -313,18 +306,21 @@ def track_raw(band_mags: np.ndarray, params: TrackerParams, state: NoiseState) -
     The window covers the last params.window_len frames (fewer while
     the stream is shorter than that); the first frame seeds the minimum
     with the first observation. Like update, it takes one frame or a
-    block.
+    block of float band magnitudes.
     """
-    return _track_raw(np.asarray(band_mags, dtype=float), params.bias_factor, state)
-
-
-def _track_raw(mags: np.ndarray, bias, state: NoiseState) -> np.ndarray:
-    raw = state.window_min.push(mags)  # a fresh array
-    raw *= bias
+    raw = state.window_min.push(band_mags)  # a fresh array
+    raw *= params._bias
     return raw
 
 
-def _smooth_noise(raw: np.ndarray, state: NoiseState, alpha, c=None) -> np.ndarray:
+def smooth_noise(raw: np.ndarray, state: NoiseState, alpha, c=None) -> np.ndarray:
+    """First-order smoothing of the raw track into the noise estimate.
+
+    N(m) = N(m-1) + alpha * (N'(m) - N(m-1)); the first frame seeds
+    N directly with the raw estimate so the floor never starts at zero.
+    alpha lies in [0, 1], as TrackerParams and effective_alpha give it;
+    c, when given, is 1 - alpha built ahead (see smooth_rows).
+    """
     seed = None if state.frame_count == 0 else state.smoothed
     out = smooth_rows(seed, alpha, raw, c=c)
     state.smoothed = out if out.ndim == 1 else out[-1]
@@ -332,44 +328,17 @@ def _smooth_noise(raw: np.ndarray, state: NoiseState, alpha, c=None) -> np.ndarr
     return out
 
 
-def smooth_noise(raw: np.ndarray, state: NoiseState, alpha_eff) -> np.ndarray:
-    """First-order smoothing of the raw track into the noise estimate.
-
-    N(m) = N(m-1) + alpha * (N'(m) - N(m-1)); the first frame seeds
-    N directly with the raw estimate so the floor never starts at zero.
-    """
-    alpha = np.asarray(alpha_eff, dtype=float)
-    if alpha.size and not (float(alpha.min()) >= 0.0 and float(alpha.max()) <= 1.0):
-        raise UsageError(f"alpha_eff must lie in [0, 1], got {alpha_eff}")
-    return _smooth_noise(np.asarray(raw, dtype=float), state, alpha)
-
-
-def _map_points(snr_map: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """An alpha map's SNR breakpoints and multipliers as float arrays;
-    np.interp on tuples would convert them on every call."""
-    return frozen_array([p[0] for p in snr_map]), frozen_array([p[1] for p in snr_map])
-
-
-def effective_alpha(base_alpha, stage1_snr_db, snr_map) -> np.ndarray:
+def effective_alpha(params: TrackerParams, stage1_snr_db):
     """Scale the base smoothing factor by the SNR-dependent multiplier.
 
-    Lower frame SNR gives a multiplier >= 1 (faster tracking); the
-    result is clamped to [0, 1]. With no map the base value is returned
-    unchanged apart from the clamp. snr_map is a tuple of (SNR dB,
-    multiplier) pairs, as TrackerParams.alpha_snr_map holds it.
+    The multiplier is params.alpha_snr_map at the Stage-1 frame SNR in
+    dB; params must carry a map. Lower frame SNR gives a multiplier
+    >= 1 (faster tracking); the result is clamped to [0, 1].
     stage1_snr_db may be a 1-D array of frame SNRs; the result is then
     2-D with one row per frame.
     """
-    base = np.asarray(base_alpha, dtype=float)
-    if snr_map is None:
-        return np.clip(base, 0.0, 1.0)
-    return _effective_alpha(base, stage1_snr_db, *_map_points(snr_map))
-
-
-def _effective_alpha(base, stage1_snr_db, xs: np.ndarray, ys: np.ndarray):
-    """effective_alpha for a float-array base and a map as _map_points
-    gives it."""
-    mult = np.interp(stage1_snr_db, xs, ys)
+    base = params._alpha
+    mult = np.interp(stage1_snr_db, *params._map)
     if mult.ndim:
         mult = mult[:, None]
     elif base.ndim == 0:
@@ -387,22 +356,16 @@ def update(
 
     Returns (raw estimate, smoothed estimate). stage1_snr_db feeds the
     alpha map when the params carry one; passing None leaves the base
-    alpha in place. A block of frames (one per row, with one frame SNR
-    each) gives the same rows as frame-by-frame calls.
+    alpha in place. band_mags is one frame's float band magnitudes, or
+    a block with one frame per row (and one frame SNR each), which
+    gives the same rows as frame-by-frame calls.
     """
-    mags = np.asarray(band_mags, dtype=float)
-    return _update(mags, TrackerConstants(params), state, stage1_snr_db)
-
-
-def _update(mags: np.ndarray, k: TrackerConstants, state: NoiseState, stage1_snr_db):
-    """update with the stage's constants built ahead."""
-    if k.map is not None and stage1_snr_db is not None:
-        alpha, c = _effective_alpha(k.alpha, stage1_snr_db, *k.map), None
+    if params._map is not None and stage1_snr_db is not None:
+        alpha, c = effective_alpha(params, stage1_snr_db), None
     else:
-        # construction already validated alpha's range
-        alpha, c = k.alpha, k.c
+        alpha, c = params._alpha, params._c
     seed = None if state.frame_count == 0 else state.presmoothed_mag
-    pre = smooth_rows(seed, k.pre_alpha, mags, c=k.pre_c)
+    pre = smooth_rows(seed, params._pre_alpha, band_mags, c=params._pre_c)
     state.presmoothed_mag = pre if pre.ndim == 1 else pre[-1]
-    raw = _track_raw(pre, k.bias, state)
-    return raw, _smooth_noise(raw, state, alpha, c)
+    raw = track_raw(pre, params, state)
+    return raw, smooth_noise(raw, state, alpha, c)

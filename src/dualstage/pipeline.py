@@ -40,23 +40,21 @@ BLOCK_FRAMES = 256
 
 
 class _StageState:
-    """Tracker plus gain state for one stage of one stream, with the
-    stage's constants built once in the form each frame's arithmetic
-    takes them."""
+    """Tracker plus gain state for one stage of one stream. step calls
+    each layer by its module attribute, so a wrapper set there (a
+    tracer's, a test's) sees every call."""
 
     def __init__(self, stage_cfg: StageConfig, num_bands: int):
         self.cfg = stage_cfg
         self.noise = noise_tracking.NoiseState.for_params(stage_cfg.tracker, num_bands)
         self.gains = gain.GainState(num_bands)
-        self.tracker = noise_tracking.TrackerConstants(stage_cfg.tracker)
-        self.rule = gain.GainConstants(stage_cfg.gains)
 
     def step(self, band_mags: np.ndarray, snr_db):
-        raw_n, noise_est = noise_tracking._update(band_mags, self.tracker, self.noise, snr_db)
-        rule = self.rule
-        snr = gain.compute_snr(band_mags, noise_est, rule.eps)
-        raw_g = gain._raw_gain(snr, rule.mu, rule.floor, rule.snap_silent)
-        return gain._smooth_gain(raw_g, self.gains, rule), snr, raw_n, noise_est
+        cfg = self.cfg
+        raw_n, noise_est = noise_tracking.update(band_mags, cfg.tracker, self.noise, snr_db)
+        snr = gain.compute_snr(band_mags, noise_est, cfg.gains)
+        raw_g = gain.compute_raw_gain(snr, cfg.gains)
+        return gain.smooth_gain(raw_g, self.gains, cfg.gains), snr, raw_n, noise_est
 
 
 class StreamProcessor:

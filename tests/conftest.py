@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import dualstage as ds
+from dualstage.config import config_from_dict, config_to_dict
+from dualstage.framing import FrameConfig
 
 
 @pytest.fixture(scope="session")
@@ -13,7 +15,7 @@ def comm_cfg():
 
 @pytest.fixture
 def frame_cfg():
-    return ds.FrameConfig()
+    return FrameConfig()
 
 
 @pytest.fixture
@@ -38,17 +40,17 @@ def transform_rows(monkeypatch):
 
 def no_hpf(cfg):
     """Copy of cfg with the high-pass stage disabled."""
-    d = ds.config_to_dict(cfg)
+    d = config_to_dict(cfg)
     d["frame"]["hpf_cutoff_hz"] = None
-    return ds.config_from_dict(d)
+    return config_from_dict(d)
 
 
 def with_mu(cfg, mu, stages=("stage1", "stage2")):
     """Copy of cfg with the given mu in the chosen stages."""
-    d = ds.config_to_dict(cfg)
+    d = config_to_dict(cfg)
     for stage in stages:
         d[stage]["gains"]["mu"] = mu
-    return ds.config_from_dict(d)
+    return config_from_dict(d)
 
 
 def pcm24_wav_bytes(n):

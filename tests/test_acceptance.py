@@ -15,6 +15,8 @@ import pytest
 import dualstage as ds
 from dualstage import cli, framing, gain, noise_tracking
 from dualstage.bands import apply_gains, build_band_plan, expand_to_bins
+from dualstage.framing import algorithmic_latency_ms
+from dualstage.metrics import MixSpec, mix_at_snr, relative_improvement
 from synth import FS, am_noise, pink_noise, surrogate_speech, white_noise
 
 from conftest import no_hpf, with_mu
@@ -74,7 +76,7 @@ class TestCriterion01BypassIdentity:
 
 class TestCriterion02LatencyBudget:
     def test_latency_budget(self, comm):
-        ms = ds.algorithmic_latency_ms(comm.frame)
+        ms = algorithmic_latency_ms(comm.frame)
         _verdict(2, ms < 16.0, f"{ms:.1f} ms")
 
 
@@ -116,8 +118,8 @@ class TestCriterion04GainBounds:
                 mags[rng.random(n) < 0.05] = 0.0
                 noise = np.abs(rng.normal(0.0, rng.uniform(0.05, 2.0), n))
                 noise[rng.random(n) < 0.02] = 0.0
-                snr = gain.compute_snr(mags, noise, params.noise_floor_eps)
-                raw = gain.compute_raw_gain(snr, params.mu, params.gain_floor)
+                snr = gain.compute_snr(mags, noise, params)
+                raw = gain.compute_raw_gain(snr, params)
                 g = gain.smooth_gain(raw, state, params)
                 violations += int(np.count_nonzero(g < floor) + np.count_nonzero(g > 1.0))
                 total_frames += rows
@@ -211,9 +213,9 @@ class TestCriterion09MuMonotonicity:
                 powers = []
                 for mu in (0.5, 1.0, 1.49):
                     cfg = with_mu(comm, mu)
-                    mix, _, nzs = ds.mix_at_snr(
-                        ds.MixSpec(speech=speech, noise=nz, target_snr_db=snr,
-                                   sample_rate_hz=FS)
+                    mix, _, nzs = mix_at_snr(
+                        MixSpec(speech=speech, noise=nz, target_snr_db=snr,
+                                sample_rate_hz=FS)
                     )
                     _, log = ds.process_stream(mix, cfg)
                     shadow = ds.replay_gains(nzs, log, cfg)
@@ -225,19 +227,18 @@ class TestCriterion09MuMonotonicity:
 
 class TestCriterion10AlphaSnrMonotonicity:
     def test_alpha_snr_monotonicity(self, comm):
-        tr = comm.stage2.tracker
+        snr_map = comm.stage2.tracker.alpha_snr_map
+        params = noise_tracking.TrackerParams(alpha=0.3, alpha_snr_map=snr_map)
         grid = np.arange(-10.0, 30.0 + 1e-9, 0.25)
-        alphas = np.array(
-            [ds.effective_alpha(0.3, s, tr.alpha_snr_map) for s in grid]
-        )
+        alphas = np.array([noise_tracking.effective_alpha(params, s) for s in grid])
         ok = bool(np.all(np.diff(alphas) <= 0.0))
         _verdict(10, ok, f"alpha {alphas[0]:.2f} -> {alphas[-1]:.2f} over {grid.size} points")
 
 
 class TestCriterion11RelativeImprovement:
     def test_relative_improvement(self):
-        up = ds.relative_improvement(4.0, 4.4152)
-        down = ds.relative_improvement(2.0, 1.75)
+        up = relative_improvement(4.0, 4.4152)
+        down = relative_improvement(2.0, 1.75)
         ok = abs(up - 10.38) < 5e-5 and abs(down - (-12.50)) < 5e-5
         _verdict(11, ok, f"{up:+.4f}% and {down:+.4f}%")
 

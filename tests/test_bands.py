@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-import dualstage as ds
+from dualstage.bands import apply_gains, bark_of_hz, build_band_plan, expand_to_bins, pool_to_bands
 from dualstage.errors import ConfigError
+from dualstage.framing import SpectralFrame
 
 # frozen output of an independent reimplementation of the partition
 # rule (equal perceptual-scale intervals, first-crossing edges, repair
@@ -17,11 +18,11 @@ EDGES_33 = [
 
 class TestBandPlan:
     def test_default_plan_matches_frozen_edges(self):
-        plan = ds.build_band_plan(256, 16000, 33)
+        plan = build_band_plan(256, 16000, 33)
         assert plan.edges.tolist() == EDGES_33
 
     def test_widths_cover_half_spectrum(self):
-        plan = ds.build_band_plan(256, 16000, 33)
+        plan = build_band_plan(256, 16000, 33)
         assert int(plan.widths.sum()) == 129
         assert int(plan.widths.min()) >= 1
 
@@ -30,33 +31,33 @@ class TestBandPlan:
         width and the last band is the widest. (Quantization makes
         single-bin widths oscillate lower down, so the trend is
         asserted where it is exact.)"""
-        plan = ds.build_band_plan(256, 16000, 33)
+        plan = build_band_plan(256, 16000, 33)
         w = plan.widths
         assert np.all(np.diff(w[23:]) >= 0)
         assert int(np.argmax(w)) == 32
 
     def test_single_band_covers_everything(self):
-        plan = ds.build_band_plan(256, 16000, 1)
+        plan = build_band_plan(256, 16000, 1)
         assert plan.edges.tolist() == [0, 129]
 
     def test_one_band_per_bin_is_identity(self):
-        plan = ds.build_band_plan(256, 16000, 129)
+        plan = build_band_plan(256, 16000, 129)
         assert np.all(plan.widths == 1)
         assert plan.edges.tolist() == list(range(130))
 
     def test_perceptual_scale_is_monotone(self):
         f = np.linspace(0.0, 8000.0, 500)
-        z = ds.bark_of_hz(f)
+        z = bark_of_hz(f)
         assert np.all(np.diff(z) > 0)
 
     def test_band_count_bounds(self):
         with pytest.raises(ConfigError, match="num_bands"):
-            ds.build_band_plan(256, 16000, 0)
+            build_band_plan(256, 16000, 0)
         with pytest.raises(ConfigError, match="num_bands"):
-            ds.build_band_plan(256, 16000, 130)
+            build_band_plan(256, 16000, 130)
 
     def test_plan_arrays_read_only(self):
-        plan = ds.build_band_plan(256, 16000, 33)
+        plan = build_band_plan(256, 16000, 33)
         with pytest.raises(ValueError):
             plan.edges[0] = 1
 
@@ -64,11 +65,11 @@ class TestBandPlan:
 class TestPooling:
     def test_rms_pooling_hand_case(self):
         """Band magnitude is sqrt(mean bin power) within the band."""
-        plan = ds.build_band_plan(256, 16000, 2)
-        spec = ds.SpectralFrame(
+        plan = build_band_plan(256, 16000, 2)
+        spec = SpectralFrame(
             bins=np.zeros(129, dtype=complex), power=np.arange(129, dtype=float)
         )
-        mags = ds.pool_to_bands(spec, plan)
+        mags = pool_to_bands(spec, plan)
         lo, mid = plan.edges[0], plan.edges[1]
         np.testing.assert_allclose(
             mags,
@@ -80,19 +81,19 @@ class TestPooling:
         )
 
     def test_flat_power_pools_flat(self):
-        plan = ds.build_band_plan(256, 16000, 33)
-        spec = ds.SpectralFrame(
+        plan = build_band_plan(256, 16000, 33)
+        spec = SpectralFrame(
             bins=np.zeros(129, dtype=complex), power=np.full(129, 4.0)
         )
-        np.testing.assert_allclose(ds.pool_to_bands(spec, plan), 2.0, rtol=1e-12)
+        np.testing.assert_allclose(pool_to_bands(spec, plan), 2.0, rtol=1e-12)
 
 
 class TestExpansion:
     def test_two_band_ramp_is_monotone_and_clamped(self):
         """Gains ramp between the two band centers and hold flat
         outside them."""
-        plan = ds.build_band_plan(256, 16000, 2)
-        gains = ds.expand_to_bins(np.array([0.2, 1.0]), plan)
+        plan = build_band_plan(256, 16000, 2)
+        gains = expand_to_bins(np.array([0.2, 1.0]), plan)
         c0, c1 = plan.center_bins
         lo = int(np.floor(c0))
         hi = int(np.ceil(c1))
@@ -102,21 +103,21 @@ class TestExpansion:
 
     def test_band_centers_map_to_their_gains(self):
         """Integer-center bands reproduce their gain exactly."""
-        plan = ds.build_band_plan(256, 16000, 33)
+        plan = build_band_plan(256, 16000, 33)
         rng = np.random.default_rng(21)
         gains = rng.uniform(0.2, 1.0, 33)
-        bins = ds.expand_to_bins(gains, plan)
+        bins = expand_to_bins(gains, plan)
         for k in range(33):
             c = plan.center_bins[k]
             if c == int(c):
                 assert abs(bins[int(c)] - gains[k]) < 1e-12
 
     def test_monotone_band_gains_stay_monotone(self):
-        plan = ds.build_band_plan(256, 16000, 33)
+        plan = build_band_plan(256, 16000, 33)
         rng = np.random.default_rng(22)
         for _ in range(20):
             gains = np.sort(rng.uniform(0.1, 1.0, 33))
-            bins = ds.expand_to_bins(gains, plan)
+            bins = expand_to_bins(gains, plan)
             assert np.all(np.diff(bins) >= -1e-15)
 
 
@@ -124,15 +125,15 @@ class TestApplyGains:
     def test_bins_scale_and_power_squares(self):
         rng = np.random.default_rng(23)
         bins = rng.standard_normal(129) + 1j * rng.standard_normal(129)
-        spec = ds.SpectralFrame(bins=bins, power=np.abs(bins) ** 2)
+        spec = SpectralFrame(bins=bins, power=np.abs(bins) ** 2)
         gains = rng.uniform(0.1, 1.0, 129)
-        out = ds.apply_gains(spec, gains)
+        out = apply_gains(spec, gains)
         np.testing.assert_allclose(out.bins, bins * gains, rtol=1e-12)
         np.testing.assert_allclose(out.power, spec.power * gains**2, rtol=1e-12)
 
     def test_phase_is_preserved(self):
         rng = np.random.default_rng(24)
         bins = rng.standard_normal(129) + 1j * rng.standard_normal(129)
-        spec = ds.SpectralFrame(bins=bins, power=np.abs(bins) ** 2)
-        out = ds.apply_gains(spec, rng.uniform(0.05, 1.0, 129))
+        spec = SpectralFrame(bins=bins, power=np.abs(bins) ** 2)
+        out = apply_gains(spec, rng.uniform(0.05, 1.0, 129))
         np.testing.assert_allclose(np.angle(out.bins), np.angle(bins), atol=1e-13)

@@ -15,6 +15,8 @@ from scipy.io import wavfile
 import dualstage as ds
 from dualstage import cli, pipeline
 from dualstage.cli import main
+from dualstage.config import config_dumps, config_to_dict
+from dualstage.metrics import REPORT_COLUMNS, SnriReport
 from conftest import pcm24_wav_bytes
 
 
@@ -26,7 +28,7 @@ def _numeric_leaves(doc, prefix=""):
             yield prefix + key
 
 
-NUMERIC_LEAVES = list(_numeric_leaves(ds.config_to_dict(ds.load_preset("communication"))))
+NUMERIC_LEAVES = list(_numeric_leaves(config_to_dict(ds.load_preset("communication"))))
 
 
 def run(*argv):
@@ -72,7 +74,7 @@ class TestExitCodes:
     def test_preset_and_config_conflict(self, tmp_path, capsys):
         wav = write_tone_wav(tmp_path / "in.wav")
         cfg = tmp_path / "c.json"
-        cfg.write_text(ds.config_dumps(ds.load_preset("communication")))
+        cfg.write_text(config_dumps(ds.load_preset("communication")))
         code = run(
             "enhance", str(wav), str(tmp_path / "o.wav"),
             "--preset", "communication", "--config", str(cfg),
@@ -381,7 +383,7 @@ class TestEvaluate:
         out = tmp_path / "report.csv"
         assert run("evaluate", str(m), str(out)) == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == ",".join(ds.REPORT_COLUMNS)
+        assert lines[0] == ",".join(REPORT_COLUMNS)
         assert len(lines) == 1 + 1 * 1 * 2 * 1 * 2
         assert "4 rows" in capsys.readouterr().out
 
@@ -393,14 +395,14 @@ class TestEvaluate:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         for row in rows:
-            for field in dataclasses.fields(ds.SnriReport):
+            for field in dataclasses.fields(SnriReport):
                 assert np.isfinite(float(row[field.name])), (field.name, row)
 
     def test_empty_matrix_writes_header_only(self, tmp_path):
         m = self._matrix(tmp_path, snr_db=[])
         out = tmp_path / "report.csv"
         assert run("evaluate", str(m), str(out)) == 0
-        assert out.read_text().strip() == ",".join(ds.REPORT_COLUMNS)
+        assert out.read_text().strip() == ",".join(REPORT_COLUMNS)
 
     def test_missing_wavs_fail_fast(self, tmp_path, capsys):
         m = self._matrix(tmp_path)
@@ -422,6 +424,30 @@ class TestEvaluate:
         m.write_text(json.dumps(doc))
         assert run("evaluate", str(m), str(tmp_path / "r.csv")) == 1
         assert "presets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("active_threshold_db", "loud"),
+            ("active_threshold_db", [1]),
+            ("active_threshold_db", float("nan")),
+            ("measure_start_s", None),
+            ("measure_start_s", float("inf")),
+            ("loop_noise", "yes"),
+            ("loop_noise", 1),
+            ("overrides", ["stage2.gains.mu=1.2"]),
+            ("variants", "dual"),
+            ("snr_db", [True]),
+        ],
+    )
+    def test_mistyped_matrix_value_is_a_usage_error(self, tmp_path, capsys, key, value):
+        """Each mistyped or non-finite value exits 1 with one line that
+        names its key, before any file is processed."""
+        m = self._matrix(tmp_path, **{key: value})
+        assert run("evaluate", str(m), str(tmp_path / "r.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err, err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_overrides_change_results(self, tmp_path):
         m1 = self._matrix(tmp_path, snr_db=[0.0])

@@ -3,15 +3,25 @@
 import numpy as np
 import pytest
 
-import dualstage as ds
 from dualstage.errors import ConfigError, UsageError
-from dualstage.framing import MAX_FFT_LEN
+from dualstage.framing import (
+    FrameConfig,
+    HpfState,
+    MAX_FFT_LEN,
+    OlaState,
+    algorithmic_latency_ms,
+    analyze,
+    design_hpf,
+    hpf_process,
+    synthesize,
+    windows_for,
+)
 
 
 class TestWindows:
     def test_sqrt_hann_pair_is_cola_at_half_overlap(self, frame_cfg):
         """Analysis*synthesis products shifted by hop sum to exactly 1."""
-        analysis, synthesis = ds.windows_for(frame_cfg)
+        analysis, synthesis = windows_for(frame_cfg)
         product = analysis * synthesis
         cola = product.reshape(frame_cfg.frame_len // frame_cfg.hop_len, -1).sum(axis=0)
         assert float(cola.mean()) == 1.0
@@ -19,8 +29,8 @@ class TestWindows:
 
     def test_hann_analysis_gets_unit_synthesis(self):
         """Periodic hann alone satisfies COLA, so synthesis is flat ones."""
-        cfg = ds.FrameConfig(window_kind="hann")
-        analysis, synthesis = ds.windows_for(cfg)
+        cfg = FrameConfig(window_kind="hann")
+        analysis, synthesis = windows_for(cfg)
         assert np.all(synthesis == 1.0)
         product = analysis * synthesis
         cola = product.reshape(2, -1).sum(axis=0)
@@ -28,13 +38,13 @@ class TestWindows:
 
     def test_rectangular_overlap_level_is_two(self):
         """Two overlapping flat frames sum to 2; synthesis divides it out."""
-        cfg = ds.FrameConfig(window_kind="rectangular")
-        analysis, synthesis = ds.windows_for(cfg)
+        cfg = FrameConfig(window_kind="rectangular")
+        analysis, synthesis = windows_for(cfg)
         assert np.all(analysis == 1.0)
         np.testing.assert_allclose(synthesis, 0.5, rtol=1e-12)
 
     def test_windows_are_read_only(self, frame_cfg):
-        analysis, synthesis = ds.windows_for(frame_cfg)
+        analysis, synthesis = windows_for(frame_cfg)
         with pytest.raises(ValueError):
             analysis[0] = 2.0
         with pytest.raises(ValueError):
@@ -42,7 +52,7 @@ class TestWindows:
 
     def test_unknown_window_kind_rejected(self):
         with pytest.raises(ConfigError, match="window_kind"):
-            ds.FrameConfig(window_kind="blackman")
+            FrameConfig(window_kind="blackman")
 
 
 class TestFrameConfig:
@@ -55,31 +65,31 @@ class TestFrameConfig:
 
     def test_hop_must_divide_frame(self):
         with pytest.raises(ConfigError, match="hop_len"):
-            ds.FrameConfig(frame_len=128, hop_len=48)
+            FrameConfig(frame_len=128, hop_len=48)
 
     def test_fft_len_must_be_power_of_two(self):
         with pytest.raises(ConfigError, match="fft_len"):
-            ds.FrameConfig(fft_len=200)
+            FrameConfig(fft_len=200)
 
     def test_fft_len_is_bounded(self):
-        assert ds.FrameConfig(fft_len=MAX_FFT_LEN).num_bins == MAX_FFT_LEN // 2 + 1
+        assert FrameConfig(fft_len=MAX_FFT_LEN).num_bins == MAX_FFT_LEN // 2 + 1
         with pytest.raises(ConfigError, match=f"fft_len must be at most {MAX_FFT_LEN}"):
-            ds.FrameConfig(fft_len=2 * MAX_FFT_LEN)
+            FrameConfig(fft_len=2 * MAX_FFT_LEN)
 
     def test_fft_len_must_cover_frame(self):
         with pytest.raises(ConfigError, match="fft_len"):
-            ds.FrameConfig(frame_len=128, hop_len=64, fft_len=64)
+            FrameConfig(frame_len=128, hop_len=64, fft_len=64)
 
     def test_cutoff_must_be_below_nyquist(self):
         with pytest.raises(ConfigError, match="hpf_cutoff_hz"):
-            ds.FrameConfig(hpf_cutoff_hz=9000.0)
+            FrameConfig(hpf_cutoff_hz=9000.0)
 
 
 class TestAnalyzeSynthesize:
     def test_analyze_shape_and_power(self, frame_cfg):
         rng = np.random.default_rng(11)
         frame = rng.standard_normal(frame_cfg.frame_len)
-        spec = ds.analyze(frame, frame_cfg)
+        spec = analyze(frame, frame_cfg)
         assert spec.bins.shape == (129,)
         np.testing.assert_allclose(
             spec.power, spec.bins.real**2 + spec.bins.imag**2, rtol=1e-12
@@ -87,14 +97,14 @@ class TestAnalyzeSynthesize:
 
     def test_analyze_rejects_wrong_length(self, frame_cfg):
         with pytest.raises(UsageError, match="128 samples"):
-            ds.analyze(np.zeros(64), frame_cfg)
+            analyze(np.zeros(64), frame_cfg)
 
     def test_sinusoid_lands_on_its_bin(self, frame_cfg):
         """A bin-centered tone concentrates at that rfft bin."""
         k = 16  # 16 * 16000 / 256 = 1000 Hz
         n = np.arange(frame_cfg.frame_len)
         frame = np.cos(2.0 * np.pi * k * n / frame_cfg.fft_len)
-        spec = ds.analyze(frame, frame_cfg)
+        spec = analyze(frame, frame_cfg)
         assert int(np.argmax(spec.power[1:])) + 1 == k
 
     def test_unity_chain_reconstructs_input(self, frame_cfg):
@@ -103,11 +113,11 @@ class TestAnalyzeSynthesize:
         rng = np.random.default_rng(12)
         hop, flen = frame_cfg.hop_len, frame_cfg.frame_len
         x = rng.standard_normal(hop * 40)
-        ola = ds.OlaState.for_config(frame_cfg)
+        ola = OlaState.for_config(frame_cfg)
         out = []
         for f in range((x.size - flen) // hop + 1):
-            spec = ds.analyze(x[f * hop : f * hop + flen], frame_cfg)
-            out.append(ds.synthesize(spec, ola, frame_cfg))
+            spec = analyze(x[f * hop : f * hop + flen], frame_cfg)
+            out.append(synthesize(spec, ola, frame_cfg))
         y = np.concatenate(out)
         # output block f sums the two windowed copies of input block f,
         # complete from block 1 on
@@ -116,57 +126,57 @@ class TestAnalyzeSynthesize:
 
 class TestHighPass:
     def test_design_blocks_dc_exactly(self):
-        b, a = ds.design_hpf(100.0, 16000)
+        b, a = design_hpf(100.0, 16000)
         assert float(np.sum(b)) == 0.0
 
     def test_minus_three_db_at_cutoff(self):
         from scipy.signal import freqz
 
-        b, a = ds.design_hpf(100.0, 16000)
+        b, a = design_hpf(100.0, 16000)
         w, h = freqz(b, a, worN=[100.0], fs=16000)
         assert abs(20.0 * np.log10(abs(h[0])) - (-3.0103)) < 0.01
 
     def test_passband_is_flat_at_1khz(self):
         from scipy.signal import freqz
 
-        b, a = ds.design_hpf(100.0, 16000)
+        b, a = design_hpf(100.0, 16000)
         w, h = freqz(b, a, worN=[1000.0], fs=16000)
         assert 20.0 * np.log10(abs(h[0])) > -0.01
 
     def test_constant_input_decays_to_zero(self):
-        hpf = ds.design_hpf(100.0, 16000)
-        state = ds.HpfState()
-        y = ds.hpf_process(np.ones(16000), hpf, state)
+        hpf = design_hpf(100.0, 16000)
+        state = HpfState()
+        y = hpf_process(np.ones(16000), hpf, state)
         assert float(np.max(np.abs(y[-100:]))) < 1.2e-15
 
     def test_chunked_equals_whole(self):
         """Streaming state carries across arbitrary block splits."""
         rng = np.random.default_rng(13)
         x = rng.standard_normal(5000)
-        hpf = ds.design_hpf(100.0, 16000)
-        whole = ds.hpf_process(x, hpf, ds.HpfState())
-        state = ds.HpfState()
+        hpf = design_hpf(100.0, 16000)
+        whole = hpf_process(x, hpf, HpfState())
+        state = HpfState()
         parts = []
         pos = 0
         for size in (1, 7, 300, 64, 1000, 2000, 628, 1000):
-            parts.append(ds.hpf_process(x[pos : pos + size], hpf, state))
+            parts.append(hpf_process(x[pos : pos + size], hpf, state))
             pos += size
         np.testing.assert_array_equal(np.concatenate(parts), whole)
 
     def test_bad_cutoff_rejected(self):
         with pytest.raises(ConfigError):
-            ds.design_hpf(-5.0, 16000)
+            design_hpf(-5.0, 16000)
         with pytest.raises(ConfigError):
-            ds.design_hpf(8000.0, 16000)
+            design_hpf(8000.0, 16000)
 
 
 class TestLatency:
     def test_default_preset_budget(self, frame_cfg):
         """8 ms frame + 4 ms hop of buffering stays under 16 ms."""
-        ms = ds.algorithmic_latency_ms(frame_cfg)
+        ms = algorithmic_latency_ms(frame_cfg)
         assert ms == 12.0
         assert ms < 16.0
 
     def test_scales_with_frame_geometry(self):
-        cfg = ds.FrameConfig(frame_len=256, hop_len=128, fft_len=256)
-        assert ds.algorithmic_latency_ms(cfg) == 24.0
+        cfg = FrameConfig(frame_len=256, hop_len=128, fft_len=256)
+        assert algorithmic_latency_ms(cfg) == 24.0

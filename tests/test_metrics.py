@@ -10,6 +10,18 @@ import pytest
 import dualstage as ds
 from dualstage import pipeline
 from dualstage.errors import InputError, UsageError
+from dualstage.metrics import (
+    MixSpec,
+    REPORT_COLUMNS,
+    active_frame_mask,
+    block_rms,
+    mix_at_snr,
+    noise_segment_reduction,
+    relative_improvement,
+    spectrogram_db,
+    write_report_csv,
+    write_spectrogram_csv,
+)
 from synth import FS, surrogate_speech, white_noise
 
 from conftest import no_hpf
@@ -21,25 +33,25 @@ FLOOR_GAIN_DB = 14.99159995382212
 class TestBlockRms:
     def test_hand_case(self):
         x = np.array([3.0, 4.0, 0.0, 0.0, 1.0])
-        np.testing.assert_allclose(ds.block_rms(x, 2), [np.sqrt(12.5), 0.0])
+        np.testing.assert_allclose(block_rms(x, 2), [np.sqrt(12.5), 0.0])
 
     def test_too_short_for_one_block(self):
-        assert ds.block_rms(np.ones(3), 4).size == 0
+        assert block_rms(np.ones(3), 4).size == 0
 
 
 class TestActiveFrameMask:
     def test_marks_loud_blocks(self):
         x = np.concatenate([np.full(64, 1.0), np.full(64, 0.001), np.full(64, 0.5)])
-        mask = ds.active_frame_mask(x, 64, 35.0)
+        mask = active_frame_mask(x, 64, 35.0)
         np.testing.assert_array_equal(mask, [True, False, True])
 
     def test_silent_signal_has_no_active_blocks(self):
-        assert not ds.active_frame_mask(np.zeros(640), 64, 35.0).any()
+        assert not active_frame_mask(np.zeros(640), 64, 35.0).any()
 
 
 class TestMixAtSnr:
     def _spec(self, speech, noise, snr, **kw):
-        return ds.MixSpec(
+        return MixSpec(
             speech=speech, noise=noise, target_snr_db=snr, sample_rate_hz=FS, **kw
         )
 
@@ -47,7 +59,7 @@ class TestMixAtSnr:
         rng = np.random.default_rng(20)
         speech = rng.normal(0.0, 0.2, 2 * FS)
         noise = rng.normal(0.0, 0.2, 2 * FS)
-        mix, sp, nz = ds.mix_at_snr(self._spec(speech, noise, 0.0))
+        mix, sp, nz = mix_at_snr(self._spec(speech, noise, 0.0))
         np.testing.assert_array_equal(mix, sp + nz)
         # a fully active speech signal: scale matches the RMS ratio
         expect = np.sqrt(np.mean(speech**2) / np.mean(noise**2))
@@ -58,7 +70,7 @@ class TestMixAtSnr:
         speech = rng.normal(0.0, 0.2, 2 * FS)
         noise = rng.normal(0.0, 0.07, 2 * FS)
         for target in (-6.0, 0.0, 12.0):
-            _, sp, nz = ds.mix_at_snr(self._spec(speech, noise, target))
+            _, sp, nz = mix_at_snr(self._spec(speech, noise, target))
             got = 10.0 * np.log10(np.mean(sp**2) / np.mean(nz**2))
             assert got == pytest.approx(target, abs=1e-9)
 
@@ -70,7 +82,7 @@ class TestMixAtSnr:
         speech = np.zeros(2 * FS)
         speech[: FS + FS // 2] = rng.normal(0.0, 0.2, FS + FS // 2)
         noise = rng.normal(0.0, 0.1, 2 * FS)
-        _, sp, nz = ds.mix_at_snr(self._spec(speech, noise, 0.0))
+        _, sp, nz = mix_at_snr(self._spec(speech, noise, 0.0))
         voiced = sp[: FS + FS // 2]
         got = 10.0 * np.log10(np.mean(voiced**2) / np.mean(nz**2))
         assert got == pytest.approx(0.0, abs=0.05)
@@ -79,7 +91,7 @@ class TestMixAtSnr:
         rng = np.random.default_rng(23)
         speech = rng.normal(0.0, 0.2, FS + FS // 2)
         noise = rng.normal(0.0, 0.1, 4 * FS)
-        mix, sp, nz = ds.mix_at_snr(self._spec(speech, noise, 0.0))
+        mix, sp, nz = mix_at_snr(self._spec(speech, noise, 0.0))
         assert mix.size == sp.size == nz.size == speech.size
 
     def test_rejects_bad_inputs(self):
@@ -87,15 +99,15 @@ class TestMixAtSnr:
         speech = rng.normal(0.0, 0.2, 2 * FS)
         noise = rng.normal(0.0, 0.1, 2 * FS)
         with pytest.raises(InputError, match="finite"):
-            ds.mix_at_snr(self._spec(speech, noise, float("nan")))
+            mix_at_snr(self._spec(speech, noise, float("nan")))
         with pytest.raises(InputError, match="at least as long"):
-            ds.mix_at_snr(self._spec(speech, noise[: FS // 2], 0.0))
+            mix_at_snr(self._spec(speech, noise[: FS // 2], 0.0))
         with pytest.raises(InputError, match="1 s of active"):
             short = np.zeros(2 * FS)
             short[:1000] = 0.5
-            ds.mix_at_snr(self._spec(short, noise, 0.0))
+            mix_at_snr(self._spec(short, noise, 0.0))
         with pytest.raises(InputError, match="silent"):
-            ds.mix_at_snr(self._spec(speech, np.zeros(2 * FS), 0.0))
+            mix_at_snr(self._spec(speech, np.zeros(2 * FS), 0.0))
 
 
 def _tone_and_noise(n_periods, rng):
@@ -208,7 +220,7 @@ class TestStreamedShadowing:
         rng = np.random.default_rng(32)
         speech = _voiced_tone(n) if n < 2 * FS else surrogate_speech(n / FS, rng)
         noise = white_noise(n / FS, rng)
-        mix, sp, nz = ds.mix_at_snr(ds.MixSpec(speech, noise, 0.0, FS))
+        mix, sp, nz = mix_at_snr(MixSpec(speech, noise, 0.0, FS))
         log = ds.process_stream(mix, comm_cfg, single_stage=single)[1]
         before = set(threading.enumerate())
         # the engine and the worker trade the interpreter lock every
@@ -292,70 +304,70 @@ class TestTransformBudget:
 class TestNoiseSegmentReduction:
     def test_identity_is_zero(self):
         x = np.linspace(-1, 1, 500)
-        assert ds.noise_segment_reduction(x, x, [(0, 500)]) == 0.0
+        assert noise_segment_reduction(x, x, [(0, 500)]) == 0.0
 
     def test_half_amplitude(self):
         x = np.linspace(-1, 1, 500)
-        got = ds.noise_segment_reduction(x, 0.5 * x, [(100, 400)])
+        got = noise_segment_reduction(x, 0.5 * x, [(100, 400)])
         assert got == pytest.approx(6.020599913279624, abs=1e-12)
 
     def test_silence_caps(self):
         x = np.ones(100)
-        assert ds.noise_segment_reduction(x, np.zeros(100), [(0, 100)]) == 120.0
-        assert ds.noise_segment_reduction(np.zeros(100), x, [(0, 100)]) == -120.0
-        assert ds.noise_segment_reduction(np.zeros(100), np.zeros(100), [(0, 100)]) == 0.0
+        assert noise_segment_reduction(x, np.zeros(100), [(0, 100)]) == 120.0
+        assert noise_segment_reduction(np.zeros(100), x, [(0, 100)]) == -120.0
+        assert noise_segment_reduction(np.zeros(100), np.zeros(100), [(0, 100)]) == 0.0
 
     def test_extreme_ratio_clipped_to_cap(self):
         x = np.ones(100)
-        assert ds.noise_segment_reduction(x, 1e-9 * x, [(0, 100)]) == 120.0
+        assert noise_segment_reduction(x, 1e-9 * x, [(0, 100)]) == 120.0
 
     def test_multiple_ranges_pool_power(self):
         x = np.ones(300)
         y = x.copy()
         y[:100] = 0.1
         y[200:] = 0.1
-        got = ds.noise_segment_reduction(x, y, [(0, 100), (200, 300)])
+        got = noise_segment_reduction(x, y, [(0, 100), (200, 300)])
         assert got == pytest.approx(20.0, abs=1e-12)
 
     def test_range_validation(self):
         x = np.ones(100)
         with pytest.raises(InputError, match="not be empty"):
-            ds.noise_segment_reduction(x, x, [])
+            noise_segment_reduction(x, x, [])
         with pytest.raises(InputError, match="within both signals"):
-            ds.noise_segment_reduction(x, x, [(50, 200)])
+            noise_segment_reduction(x, x, [(50, 200)])
         with pytest.raises(InputError, match="within both signals"):
-            ds.noise_segment_reduction(x, x, [(60, 60)])
+            noise_segment_reduction(x, x, [(60, 60)])
 
 
 class TestRelativeImprovement:
     def test_examples(self):
-        assert ds.relative_improvement(2.0, 2.2) == pytest.approx(10.0)
-        assert ds.relative_improvement(3.7, 3.7) == 0.0
-        assert ds.relative_improvement(2.0, 1.75) == pytest.approx(-12.5)
+        assert relative_improvement(2.0, 2.2) == pytest.approx(10.0)
+        assert relative_improvement(3.7, 3.7) == 0.0
+        assert relative_improvement(2.0, 1.75) == pytest.approx(-12.5)
 
     def test_rejects_nonpositive_baseline(self):
         with pytest.raises(InputError, match="positive"):
-            ds.relative_improvement(0.0, 1.0)
+            relative_improvement(0.0, 1.0)
         with pytest.raises(InputError, match="positive"):
-            ds.relative_improvement(-1.0, 1.0)
+            relative_improvement(-1.0, 1.0)
 
 
 class TestSpectrogram:
     def test_shape_and_tone_peak(self, frame_cfg):
         t = np.arange(FS) / FS
         x = 0.5 * np.sin(2 * np.pi * 1000.0 * t)
-        rows = ds.spectrogram_db(x, frame_cfg)
+        rows = spectrogram_db(x, frame_cfg)
         assert rows.shape == ((FS - 128) // 64 + 1, 129)
         # 1 kHz sits at bin 16 of the 256-point transform
         assert np.argmax(np.median(rows, axis=0)) == 16
 
     def test_short_input_yields_no_rows(self, frame_cfg):
-        assert ds.spectrogram_db(np.zeros(100), frame_cfg).shape[0] == 0
+        assert spectrogram_db(np.zeros(100), frame_cfg).shape[0] == 0
 
     def test_csv_writers(self, tmp_path, frame_cfg):
         rng = np.random.default_rng(29)
         p = tmp_path / "spec.csv"
-        ds.write_spectrogram_csv(p, rng.normal(0.0, 0.1, 2000), frame_cfg)
+        write_spectrogram_csv(p, rng.normal(0.0, 0.1, 2000), frame_cfg)
         lines = p.read_text().strip().splitlines()
         assert len(lines) == (2000 - 128) // 64 + 1
         assert len(lines[0].split(",")) == 129
@@ -374,8 +386,8 @@ class TestSpectrogram:
             }
         ]
         rp = tmp_path / "report.csv"
-        ds.write_report_csv(rp, rows)
+        write_report_csv(rp, rows)
         text = rp.read_text().strip().splitlines()
-        assert text[0] == ",".join(ds.REPORT_COLUMNS)
+        assert text[0] == ",".join(REPORT_COLUMNS)
         assert "12.3457" in text[1]
         assert ",6," in text[1]

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import dualstage as ds
-from dualstage import pipeline
+from dualstage import gain, noise_tracking, pipeline
+from dualstage.config import config_from_dict, config_to_dict
 from dualstage.errors import InputError, UsageError
+from dualstage.framing import algorithmic_latency_ms
 from synth import FS, pink_noise, surrogate_speech, white_noise
 
 from conftest import no_hpf, with_mu
@@ -172,9 +174,9 @@ class TestNonFiniteInput:
         rng = np.random.default_rng(21)
         noise = rng.normal(0.0, 1.0, FS // 2)
         noise *= limit * (1 - 1e-12) / np.abs(noise).max()
-        doc = ds.config_to_dict(no_hpf(comm_cfg))
+        doc = config_to_dict(no_hpf(comm_cfg))
         doc["frame"]["window_kind"] = "rectangular"
-        rect = ds.config_from_dict(doc)
+        rect = config_from_dict(doc)
         assert rect.frame.max_abs_sample == limit
         with np.errstate(over="ignore", invalid="ignore"):
             for cfg, x in ((comm_cfg, noise), (rect, np.full(FS // 2, limit))):
@@ -265,7 +267,7 @@ class TestLatency:
         assert int(np.argmax(np.abs(y))) == 1000
 
     def test_reported_latency(self, comm_cfg):
-        assert ds.algorithmic_latency_ms(comm_cfg.frame) == 12.0
+        assert algorithmic_latency_ms(comm_cfg.frame) == 12.0
 
 
 class TestWarmup:
@@ -356,12 +358,54 @@ class TestStageInteraction:
             ds.process_stream(x, cfg, tracker_sink=sink)
             return np.asarray(raws), np.asarray(smooths)
 
-        doc = ds.config_to_dict(comm_cfg)
+        doc = config_to_dict(comm_cfg)
         doc["stage2"]["tracker"]["alpha_snr_map"] = None
-        raw_u, unfed = run(ds.config_from_dict(doc))
+        raw_u, unfed = run(config_from_dict(doc))
         raw_f, fed = run(comm_cfg)
         np.testing.assert_array_equal(raw_f, raw_u)
 
         lag_fed = np.mean(np.abs(fed - raw_f))
         lag_unfed = np.mean(np.abs(unfed - raw_u))
         assert lag_fed < lag_unfed
+
+
+class TestLayerCalls:
+    # every tracker and gain layer the engine runs per block
+    LAYERS = (
+        (noise_tracking, "update"),
+        (noise_tracking, "track_raw"),
+        (noise_tracking, "smooth_noise"),
+        (noise_tracking, "effective_alpha"),
+        (gain, "compute_snr"),
+        (gain, "compute_raw_gain"),
+        (gain, "smooth_gain"),
+    )
+
+    @pytest.mark.parametrize("snr_map", [True, False])
+    def test_engine_calls_each_layer_by_its_module_name(self, comm_cfg, monkeypatch, snr_map):
+        """A wrapper set on a layer's module attribute, as the
+        benchmark's tracer sets one, sees the engine's calls, on the
+        block path and on the lone-frame path alike; effective_alpha
+        runs exactly when Stage 2 has an alpha map."""
+        calls = dict.fromkeys((name for _, name in self.LAYERS), 0)
+        for module, name in self.LAYERS:
+
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        doc = config_to_dict(comm_cfg)
+        if not snr_map:
+            doc["stage2"]["tracker"]["alpha_snr_map"] = None
+        proc = pipeline.StreamProcessor(config_from_dict(doc))
+        hop = comm_cfg.frame.hop_len
+        x = white_noise(1.0, np.random.default_rng(18), level=0.1)
+        feeds = {"blocks": [x[: 2 * pipeline.BLOCK_FRAMES * hop]], "hops": [x[:hop]] * 4}
+        for path, blocks in feeds.items():
+            calls.update(dict.fromkeys(calls, 0))
+            for block in blocks:
+                proc.process(block)
+            expected = {name: 1 for name in calls}
+            expected["effective_alpha"] = int(snr_map)
+            assert {name: min(n, 1) for name, n in calls.items()} == expected, path

@@ -8,8 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dualstage as ds
+from dualstage.config import config_from_dict, config_to_dict
 from dualstage.framing import WINDOW_KINDS
-from dualstage.gain import MU_MAX
+from dualstage.gain import GainParams, GainState, MU_MAX, compute_raw_gain, smooth_gain
 from dualstage.noise_tracking import smooth_rows
 from dualstage.pipeline import BLOCK_FRAMES, _replay
 
@@ -29,7 +30,7 @@ def pipeline_configs(draw, window_kind=None):
     hop = draw(st.sampled_from([8, 16, 32, 64]))
     frame_len = hop * draw(st.integers(2, 4))
     fft_len = (1 << (frame_len - 1).bit_length()) * draw(st.sampled_from([1, 2]))
-    doc = ds.config_to_dict(ds.load_preset("communication"))
+    doc = config_to_dict(ds.load_preset("communication"))
     doc["frame"].update(
         frame_len=frame_len,
         hop_len=hop,
@@ -48,7 +49,7 @@ def pipeline_configs(draw, window_kind=None):
         doc[stage]["tracker"]["alpha"] = per_band(0.0, 1.0)
         doc[stage]["gains"]["mu"] = per_band(0.0, MU_MAX)
         doc[stage]["gains"]["gain_floor"] = per_band(1e-3, 1.0)
-    return ds.config_from_dict(doc)
+    return config_from_dict(doc)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -186,17 +187,17 @@ def test_smoothed_gain_blocks_stay_within_bounds(
     for any floor and any 0 <= gamma_min <= gamma_max <= 1."""
     rng = np.random.default_rng(seed)
     floor = rng.uniform(1e-3, 1.0, num_bands if per_band_floor else None)
-    params = ds.GainParams(
+    params = GainParams(
         mu=float(rng.uniform(0.0, 1.5)),
         gain_floor=tuple(floor) if per_band_floor else float(floor),
         gamma_min=gammas[0],
         gamma_max=gammas[1],
     )
-    state = ds.GainState(num_bands)
+    state = GainState(num_bands)
     for n in block_sizes:
         snr = rng.exponential(1.0, (n, num_bands)) * 10.0 ** rng.uniform(-2, 3, (n, 1))
-        raw = ds.compute_raw_gain(snr, params.mu, params.gain_floor)
-        out = ds.smooth_gain(raw if n > 1 else raw[0], state, params)
+        raw = compute_raw_gain(snr, params)
+        out = smooth_gain(raw if n > 1 else raw[0], state, params)
         assert np.all(out >= floor) and np.all(out <= 1.0)
 
 
