@@ -37,13 +37,13 @@ _RETIRED = {
     "its tracker.alpha_snr_map is set",
 }
 
-# the scalar leaf types in words; a union reads as its annotation
-_TYPE_NAMES = {
-    int: "an integer",
-    float: "a number",
-    str: "a string",
-    bool: "true or false",
-    dict: "an object",
+# the scalar leaf types as JSON nouns; _words builds the rest from them
+_NOUNS = {
+    int: "integer",
+    float: "number",
+    str: "string",
+    bool: "boolean",
+    dict: "object",
 }
 
 
@@ -128,7 +128,28 @@ def _decode(tp, v, key: str):
             pass
     elif type(v) is tp:  # int, str or None; True is no integer here
         return v
-    raise ConfigError(f"config key {key!r} must be {_TYPE_NAMES.get(tp, tp)}, got {v!r}")
+    raise ConfigError(f"config key {key!r} must be {_words(tp)}, got {json.dumps(v, default=repr)}")
+
+
+def _words(tp, plural: bool = False) -> str:
+    """Annotation tp as the JSON values it takes, e.g. "null or a list
+    of [number, number] pairs" or "a number or a list of numbers"."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        if args[-1] is ...:
+            return ("lists of " if plural else "a list of ") + _words(args[0], plural=True)
+        items = ", ".join(_NOUNS[t] for t in args)
+        noun = f"[{items}] " + ("pair" if len(args) == 2 else "list")
+    elif args:  # a union; null reads first
+        members = sorted(args, key=lambda t: t is not type(None))
+        return " or ".join(_words(t, plural) for t in members)
+    elif tp is type(None):
+        return "null"
+    else:
+        noun = _NOUNS[tp]
+    if plural:
+        return noun + "s"
+    return ("an " if noun[0] in "aeiou" else "a ") + noun
 
 
 def _decode_section(cls, d, key: str):

@@ -7,10 +7,12 @@ the caller and passed in explicitly, so the operations themselves are
 pure and a stream can be moved between threads.
 """
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
+from scipy.linalg.lapack import dgttrs as _dgttrs
 
 from .errors import ConfigError, UsageError, refuse_huge_integers
 
@@ -30,6 +32,10 @@ MAX_SAMPLE_RATE_HZ = 2**32 - 1
 # bounds the high-pass filter's l1 gain (below 2.44 for a second-order
 # Butterworth high-pass at any cutoff) with room for rounding
 _HPF_GAIN_BOUND = 8.0
+
+# most samples one high-pass solve takes; longer calls run in pieces of
+# this size, so the solve's constant arrays stay small
+_HPF_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -176,32 +182,90 @@ def design_hpf(cutoff_hz: float, sample_rate_hz: int) -> tuple[np.ndarray, np.nd
     """Design the second-order Butterworth high-pass pre-filter.
 
     Returns (b, a) transfer-function coefficients with the -3 dB point
-    at cutoff_hz. The numerator sums to zero, so DC is rejected exactly.
+    at cutoff_hz: the bilinear transform of the analog prototype, with
+    the cutoff prewarped to k = tan(pi fc / fs). The numerator is
+    norm [1, -2, 1], which sums to exactly zero, so DC is rejected
+    exactly.
     """
     if not 0.0 < cutoff_hz < sample_rate_hz / 2:
         raise ConfigError(
             f"hpf cutoff must lie in (0, fs/2) = (0, {sample_rate_hz / 2}), got {cutoff_hz}"
         )
-    b, a = scipy.signal.butter(2, cutoff_hz, btype="highpass", fs=sample_rate_hz)
+    k = math.tan(math.pi * cutoff_hz / sample_rate_hz)
+    norm = 1.0 / (1.0 + math.sqrt(2.0) * k + k * k)
+    b = np.array([norm, -2.0 * norm, norm])
+    a = np.array([1.0, 2.0 * (k * k - 1.0) * norm, (1.0 - math.sqrt(2.0) * k + k * k) * norm])
     return b, a
 
 
 @dataclass
 class HpfState:
-    """Streaming filter memory; zeros at stream start."""
+    """Streaming filter memory, oldest first: the last two inputs and
+    the last two outputs; zeros at stream start."""
 
-    zi: np.ndarray = field(default_factory=lambda: np.zeros(2))
+    inputs: np.ndarray = field(default_factory=lambda: np.zeros(2))
+    outputs: np.ndarray = field(default_factory=lambda: np.zeros(2))
+
+
+@functools.lru_cache(maxsize=64)
+def _hpf_poles(a1: float, a2: float, n: int) -> tuple[np.ndarray, ...]:
+    """The tridiagonal LU factor (DL, D, DU, DU2, IPIV) whose transposed
+    solve runs the poles over an n-sample piece.
+
+    Unknowns are [y(-2), y(-1), y(0), ...]. L is the identity (DL = 0,
+    no row interchanges); U has a unit diagonal, DU = [0, a1, a1, ...]
+    and DU2 = a2. dgttrs solves U^T y = v as y(i) = (v(i) - a1 y(i-1))
+    - a2 y(i-2), divided by 1: the direct-form recursion, rounded as a
+    sample-by-sample loop rounds it; the L^T pass then subtracts 0 * y,
+    which is exact while y is finite. A piece shorter than _HPF_CHUNK
+    gets views of the full-size factor. The arrays are read-only, as
+    every caller shares them.
+    """
+    if n < _HPF_CHUNK:
+        dl, d, du, du2, ipiv = _hpf_poles(a1, a2, _HPF_CHUNK)
+        return dl[: n + 1], d[: n + 2], du[: n + 1], du2[:n], ipiv[: n + 2]
+    du = np.full(n + 1, a1)
+    du[0] = 0.0
+    parts = np.zeros(n + 1), np.ones(n + 2), du, np.full(n, a2), np.arange(1, n + 3, dtype=np.int32)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 def hpf_process(samples: np.ndarray, coeffs, state: HpfState) -> np.ndarray:
-    """Apply the high-pass filter to one block, carrying state.
+    """Apply the high-pass filter to a 1-D block, carrying state.
 
-    Splitting a signal at any point and filtering the pieces with the
-    same carried state is bit-identical to filtering it in one call.
+    Direct form I: v(i) = (b0 x(i) + b1 x(i-1)) + b2 x(i-2) as numpy
+    slices, then the poles y(i) = (v(i) - a1 y(i-1)) - a2 y(i-2) as one
+    LAPACK solve per _HPF_CHUNK samples (see _hpf_poles). Every sample
+    is computed from the same values in the same order wherever a
+    split falls, so filtering the pieces of a signal with the same
+    carried state is bit-identical to filtering it in one call. The
+    samples must be finite (the engine screens them first): the solve
+    spreads a non-finite value back to the start of its piece.
     """
+    x = np.asarray(samples, dtype=float)
+    n = len(x)
+    if not n:  # a solve needs at least three unknowns
+        return x.copy()
     b, a = coeffs
-    out, state.zi = scipy.signal.lfilter(b, a, samples, zi=state.zi)
-    return out
+    xs = np.concatenate([state.inputs, x])
+    # [y(-2), y(-1), v(0), ...], solved into y in place
+    y = np.empty(n + 2)
+    y[:2] = state.outputs
+    v = y[2:]
+    np.multiply(xs[2:], b[0], out=v)
+    tap = xs[1:-1] * b[1]
+    v += tap
+    np.multiply(xs[:-2], b[2], out=tap)
+    v += tap
+    # each piece starts from the last two outputs of the one before
+    for start in range(0, n, _HPF_CHUNK):
+        m = min(_HPF_CHUNK, n - start)
+        _dgttrs(*_hpf_poles(a[1], a[2], m), y[start : start + m + 2, None], "T", 1)
+    state.inputs = xs[-2:]
+    state.outputs = y[-2:].copy()
+    return v
 
 
 def analyze(frame: np.ndarray, cfg: FrameConfig) -> SpectralFrame:

@@ -9,25 +9,26 @@ where the first stage says the signal is mostly noise.
 
 All three smoothers (magnitude pre-smoothing, noise smoothing, and the
 gain smoothing in the gain module) are the recursion in smooth_rows,
-p(m) = c(m) * p(m-1) + a(m) * x(m) with c = 1 - a. A block whose
-factor is one scalar and that has no clamp (pre-smoothing in every
-stage, noise smoothing wherever alpha is not per band or per frame) is
-a time-invariant filter and runs as one scipy.signal.lfilter call. The
-rest (Stage-2 noise, whose factor follows the Stage-1 frame SNR,
-per-band factors and both gain smoothers) have a factor that changes
-from frame to frame, which lfilter cannot take; such a block is one
-unit lower-bidiagonal linear system, solved by one LAPACK dgttrs call.
-Both round each step exactly as a lone frame does (see smooth_rows),
-so chunking a stream never changes a bit.
+p(m) = c(m) * p(m-1) + a(m) * x(m) with c = 1 - a, and each runs as
+one LAPACK solve per block. Where every band of a frame shares one
+factor (pre-smoothing in every stage, and noise smoothing with a
+scalar alpha, also in Stage 2, where the factor follows the Stage-1
+frame SNR) the block is one tridiagonal solve (dgtsv) with one band
+per right-hand side. Where the factor changes from band to band
+(per-band alphas and both gain smoothers) the block is one unit
+lower-bidiagonal system over all bands (dgttrs). Both round each step
+exactly as a lone frame does (see smooth_rows), so chunking a stream
+never changes a bit.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-import scipy.linalg.lapack
-import scipy.signal
+from scipy.linalg.lapack import dgtsv as _dgtsv
+from scipy.linalg.lapack import dgttrs as _dgttrs
 
 from .errors import ConfigError, refuse_huge_integers
 
@@ -186,26 +187,29 @@ def smooth_rows(prev, alpha, x: np.ndarray, floor=None, c=None) -> np.ndarray:
     """First-order recursion p(m) = (1 - alpha(m)) * p(m-1) + alpha(m) * x(m).
 
     x is one frame (1-D) or a block, one frame per row; the result has
-    its shape. A 2-D alpha gives each frame of a block its own row,
-    other alphas apply to every frame. c, when given, is 1 - alpha
-    built ahead for an alpha that is not 2-D. prev = None seeds
-    p(0) = x(0). A floor clamps every p(m) to [floor, 1] before the
-    next step.
+    its shape. A 2-D alpha gives each frame of a block its own row
+    (of one value, or one per band), other alphas apply to every
+    frame. c, when given, is 1 - alpha built ahead for an alpha that
+    is not 2-D. prev = None seeds p(0) = x(0). A floor clamps every
+    p(m) to [floor, 1] before the next step.
 
     Every path rounds each step as fl(fl(c * p) + fl(alpha * x)) with
     c = 1 - alpha, as a lone frame does, so every split of a stream
     gives the same bits:
-    - a block with a scalar alpha and no floor is one lfilter call with
-      b = [alpha, 0] and a = [1, -c], whose transposed direct form
-      computes exactly that sum;
-    - any other block is one unit lower-bidiagonal solve (_solve_rows),
-      whose forward step computes the same sum;
+    - a block whose factor each row shares across its bands (a scalar,
+      or one value per row) is one tridiagonal solve with one band per
+      right-hand side (_solve_shared);
+    - a block with a factor per band is one unit lower-bidiagonal solve
+      over all bands (_solve_rows);
+    - both solves' forward steps compute that sum; where a solve meets
+      a non-finite value it reports None and the block steps row by
+      row instead;
     - with a floor, the clamp runs only from the first row that left
       [floor, 1], since a clamp that changes nothing can be skipped;
       from that row on the block steps row by row.
-    A LAPACK or scipy built to fuse the multiply and add would round
-    the solve differently; test_block_smoother_equals_frame_by_frame
-    would catch it.
+    A LAPACK built to fuse the multiply and add would round the solves
+    differently; test_block_smoother_equals_frame_by_frame would catch
+    it.
     """
     if x.ndim == 1:
         if prev is None:
@@ -223,11 +227,8 @@ def smooth_rows(prev, alpha, x: np.ndarray, floor=None, c=None) -> np.ndarray:
             return first[None]
         rest = smooth_rows(first, alpha[1:] if np.ndim(alpha) == 2 else alpha, x[1:], floor, c)
         return np.concatenate([first[None], rest])
-    if c is None and np.ndim(alpha) == 0:
-        c = 1 - alpha
-    if floor is None and np.ndim(alpha) == 0:
-        return scipy.signal.lfilter([alpha, 0.0], [1.0, -c], x, axis=0, zi=[c * prev])[0]
-    rows = _solve_rows(prev, alpha, x)
+    shared = np.ndim(alpha) == 0 or np.shape(alpha)[-1] == 1
+    rows = (_solve_shared if shared else _solve_rows)(prev, alpha, x)
     if rows is None:
         rows = np.empty_like(x)
         _step_rows(prev, 1 - alpha if c is None else c, alpha * x, rows)
@@ -243,6 +244,40 @@ def smooth_rows(prev, alpha, x: np.ndarray, floor=None, c=None) -> np.ndarray:
             c_rest = 1 - alpha_rest if c is None else c
             _step_rows(rows[m], c_rest, alpha_rest * x[m + 1 :], rows[m + 1 :], floor)
     return rows
+
+
+def _rhs(prev, alpha, x: np.ndarray) -> np.ndarray:
+    """[prev, alpha * x] as one Fortran-ordered (n + 1, bands) array: a
+    column per band, so the products land there without a transpose."""
+    b = np.empty((len(x) + 1, x.shape[1]), order="F")
+    b[0] = prev
+    np.multiply(alpha, x, out=b[1:])
+    return b
+
+
+def _solve_shared(prev, alpha, x: np.ndarray) -> np.ndarray | None:
+    """The recursion over a block whose factor each row shares across
+    bands, as one LAPACK dgtsv solve with a right-hand side per band.
+
+    The n + 1 unknowns are p(-1) = prev, then rows 1..n. The matrix has
+    ones on its diagonal, zeros above it and alpha(m) - 1 below it,
+    which rounds to exactly -c(m); b = [prev, alpha * x]. As |-c| <= 1
+    no rows are swapped, so elimination computes b(m) - (-c(m)) p(m-1),
+    the row loop's sum, for every band at once, and
+    back-substitution subtracts 0 * p and divides by 1, which is exact
+    while every p is finite. A non-finite p spreads NaN back to its
+    band's prev through 0 * inf; the solve then returns None, as for an
+    empty block, and the caller steps the rows instead. The result is
+    a Fortran-ordered view.
+    """
+    n = len(x)
+    if not n:
+        return None
+    b = _rhs(prev, alpha, x)
+    dl = np.subtract(alpha, 1.0, out=np.empty((n, 1))).reshape(-1)
+    ones, zeros, _ = _unit_factor(n + 1)
+    _dgtsv(dl, ones, zeros[:-1], b, overwrite_dl=1, overwrite_b=1)
+    return b[1:] if np.isfinite(b[0]).all() else None
 
 
 def _solve_rows(prev, alpha, x: np.ndarray) -> np.ndarray | None:
@@ -264,28 +299,29 @@ def _solve_rows(prev, alpha, x: np.ndarray) -> np.ndarray | None:
     size = bands * (n + 1)
     if size < 3:
         return None
-    # b and the subdiagonal in the unknowns' order: Fortran order over
-    # (n + 1, bands), so the products land there without a transpose
-    b = np.empty((n + 1, bands), order="F")
-    b[0] = prev
-    np.multiply(alpha, x, out=b[1:])
+    b = _rhs(prev, alpha, x)
+    # the subdiagonal in the unknowns' order, as b
     dl = np.empty((n + 1, bands), order="F")
     dl[0] = 0.0
     np.subtract(alpha, 1.0, out=dl[1:])
     # the LU factor's other parts: a unit diagonal, nothing above it
     # and no row interchanges
-    zeros = np.zeros(size)
-    ipiv = np.arange(1, size + 1, dtype=np.int32)
-    scipy.linalg.lapack.dgttrs(
-        dl.T.reshape(-1)[1:],
-        np.ones(size),
-        zeros[:-1],
-        zeros[:-2],
-        ipiv,
-        b.T.reshape(-1, 1),
-        overwrite_b=1,
-    )
+    ones, zeros, ipiv = _unit_factor(size)
+    lower, rhs = dl.T.reshape(-1)[1:], b.T.reshape(-1, 1)
+    _dgttrs(lower, ones, zeros[:-1], zeros[:-2], ipiv, rhs, overwrite_b=1)
     return b[1:] if math.isfinite(b[0, 0]) else None
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_factor(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ones, zeros and the pivots 1..size, each size long and read-only:
+    the parts of a tridiagonal LU factor that every block of that size
+    shares. The solves only read them (dgtsv works on copies of its
+    diagonals)."""
+    parts = np.ones(size), np.zeros(size), np.arange(1, size + 1, dtype=np.int32)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 def _step_rows(p, c, ax, rows, floor=None) -> None:

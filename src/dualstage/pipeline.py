@@ -12,13 +12,13 @@ framer, and shadows one block of gain rows at a time: one analysis,
 then one synthesis per output. shadow_stream runs the engine and that
 replay as a two-stage pipeline, so no gain log is kept.
 
-Every layer runs once per block of frames. Of the first-order
-smoothers, those with a fixed scalar factor are one lfilter call per
-block; the noise smoother with a per-frame or per-band factor and the
-gain smoothers are one LAPACK bidiagonal solve per block. A row's
-result depends only on that row and the carried state, and both block
-forms round as a frame-by-frame step does, so any chunking of a
-stream gives bit-identical output.
+Every layer runs once per block of frames. The high-pass is one LAPACK
+solve per block, and so is each first-order smoother: one tridiagonal
+solve for a factor each frame shares across bands, one bidiagonal
+solve for a factor per band (see noise_tracking). A row's result
+depends only on that row and the carried state, and every block form
+rounds as a sample-by-sample or frame-by-frame step does, so any
+chunking of a stream gives bit-identical output.
 """
 
 import itertools

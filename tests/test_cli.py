@@ -89,6 +89,28 @@ class TestExitCodes:
         assert code == 1
         assert "mu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "assignment,message",
+        [
+            (
+                "stage2.tracker.alpha_snr_map=5",
+                "'stage2.tracker.alpha_snr_map' must be null or a list of "
+                "[number, number] pairs, got 5",
+            ),
+            (
+                'stage2.gains.mu="x"',
+                "'stage2.gains.mu' must be a number or a list of numbers, got \"x\"",
+            ),
+        ],
+    )
+    def test_mistyped_override_names_json_values(self, tmp_path, capsys, assignment, message):
+        """A value of the wrong type exits 1, and the message names the
+        values the key takes in JSON words, not as Python annotations."""
+        wav = write_tone_wav(tmp_path / "in.wav")
+        code = run("enhance", str(wav), str(tmp_path / "o.wav"), "--set", assignment)
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_wrong_sample_rate(self, tmp_path, capsys):
         p = tmp_path / "hi.wav"
         wavfile.write(p, 48000, np.zeros(48000, dtype=np.int16))
@@ -448,6 +470,11 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and key in err, err
         assert not (tmp_path / "r.csv").exists()
+
+    def test_mistyped_list_names_json_values(self, tmp_path, capsys):
+        m = self._matrix(tmp_path, speech="a.wav")
+        assert run("evaluate", str(m), str(tmp_path / "r.csv")) == 1
+        assert "'speech' must be a list of strings, got \"a.wav\"" in capsys.readouterr().err
 
     def test_overrides_change_results(self, tmp_path):
         m1 = self._matrix(tmp_path, snr_db=[0.0])

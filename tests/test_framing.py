@@ -150,18 +150,62 @@ class TestHighPass:
         assert float(np.max(np.abs(y[-100:]))) < 1.2e-15
 
     def test_chunked_equals_whole(self):
-        """Streaming state carries across arbitrary block splits."""
+        """Streaming state carries across arbitrary block splits, down to
+        empty, 1- and 2-sample calls, and across the pieces a long call
+        is solved in."""
         rng = np.random.default_rng(13)
-        x = rng.standard_normal(5000)
+        x = rng.standard_normal(40000)
         hpf = design_hpf(100.0, 16000)
         whole = hpf_process(x, hpf, HpfState())
         state = HpfState()
         parts = []
         pos = 0
-        for size in (1, 7, 300, 64, 1000, 2000, 628, 1000):
+        for size in (1, 2, 1, 0, 7, 300, 64, 2, 1000, 2000, 623, 1000, 35000):
             parts.append(hpf_process(x[pos : pos + size], hpf, state))
             pos += size
+        assert pos == x.size
         np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize(
+        "cutoff_hz,sample_rate_hz",
+        [(100.0, 16000), (50.0, 8000), (3000.0, 16000), (100.0, 48000),
+         (1.0, 8000), (7000.0, 16000), (20.0, 48000)],
+    )
+    def test_design_matches_scipy_butter(self, cutoff_hz, sample_rate_hz):
+        """The closed form gives scipy's coefficients to within rounding,
+        from a 1 Hz cutoff to one near Nyquist."""
+        from scipy.signal import butter
+
+        b, a = design_hpf(cutoff_hz, sample_rate_hz)
+        ref_b, ref_a = butter(2, cutoff_hz, btype="highpass", fs=sample_rate_hz)
+        np.testing.assert_allclose(b, ref_b, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(a, ref_a, rtol=0, atol=1e-15)
+        assert float(np.sum(b)) == 0.0
+
+    def test_matches_a_direct_form_loop_bit_for_bit(self):
+        """y(i) = (v(i) - a1 y(i-1)) - a2 y(i-2) with
+        v(i) = (b0 x(i) + b1 x(i-1)) + b2 x(i-2), rounded step by step."""
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal(3000) * 10.0 ** rng.uniform(-3, 3, 3000)
+        b, a = design_hpf(100.0, 16000)
+        expected = np.empty_like(x)
+        x1 = x2 = y1 = y2 = 0.0
+        for i, xi in enumerate(x):
+            v = b[0] * xi + b[1] * x1 + b[2] * x2
+            y = (v - a[1] * y1) - a[2] * y2
+            expected[i] = y
+            x1, x2, y1, y2 = xi, x1, y, y1
+        np.testing.assert_array_equal(hpf_process(x, (b, a), HpfState()), expected)
+
+    def test_matches_lfilter_on_a_minute_of_noise(self):
+        from scipy.signal import lfilter
+
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal(60 * 16000)
+        b, a = design_hpf(100.0, 16000)
+        y = hpf_process(x, (b, a), HpfState())
+        ref = lfilter(b, a, x)
+        assert float(np.max(np.abs(y - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
 
     def test_bad_cutoff_rejected(self):
         with pytest.raises(ConfigError):

@@ -101,7 +101,7 @@ def _recorder(rows):
 @given(
     n=st.sampled_from([1, 2, BLOCK_FRAMES + 3]),
     num_bands=st.sampled_from([1, 2, 3, 6, 33]),
-    alpha_kind=st.sampled_from(["scalar", "per band", "per row"]),
+    alpha_kind=st.sampled_from(["scalar", "per band", "per frame", "per row"]),
     scalar_alpha=unit_floats,
     floor_kind=st.sampled_from([None, "scalar", "per band"]),
     seeded=st.booleans(),
@@ -113,13 +113,14 @@ def test_block_smoother_equals_frame_by_frame(
     n, num_bands, alpha_kind, scalar_alpha, floor_kind, seeded, in_range_rows, blowup, seed
 ):
     """One smooth_rows call over a block gives the bits of n successive
-    one-frame calls, whichever path (lfilter, bidiagonal solve, row loop,
-    or a solve whose clamp or non-finite fallback steps the rest) the
-    block takes, and leaves its inputs untouched. One band and one row
-    make a system too small for the solve; in_range_rows keeps clamped
-    blocks inside [floor, 1] up to a random row, so the clamp starts
-    part-way after a solve; blowup puts an infinity in a block that does
-    not take the lfilter path."""
+    one-frame calls, whichever path (the shared-factor solve for a
+    scalar or per-frame alpha, the bidiagonal solve for a per-band one,
+    the row loop, or a solve whose clamp or non-finite fallback steps
+    the rest) the block takes, and leaves its inputs untouched. One
+    band and one row make a system too small for the bidiagonal solve;
+    in_range_rows keeps clamped blocks inside [floor, 1] up to a random
+    row, so the clamp starts part-way after a solve; blowup puts an
+    infinity in the block."""
     rng = np.random.default_rng(seed)
 
     def unit_values(shape):
@@ -133,6 +134,10 @@ def test_block_smoother_equals_frame_by_frame(
         alpha = scalar_alpha
     elif alpha_kind == "per band":
         alpha = unit_values(num_bands)
+    elif alpha_kind == "per frame":
+        # one factor per row, shared by its bands, as effective_alpha
+        # gives a scalar base alpha
+        alpha = unit_values((n, 1))
     else:
         alpha = unit_values((n, num_bands))
         # whole rows at exactly 0 (hold) and 1 (follow the input)
@@ -150,9 +155,6 @@ def test_block_smoother_equals_frame_by_frame(
         x[:k] = rng.uniform(np.max(floor), 1.0, (k, num_bands))
         if prev is not None:
             prev = rng.uniform(np.max(floor), 1.0, num_bands)
-    # lfilter's zero b1 tap turns an infinity into NaN, so only the
-    # other paths match a lone frame on non-finite input
-    blowup = blowup and not (alpha_kind == "scalar" and floor is None)
     if blowup:
         x[rng.integers(n), rng.integers(num_bands)] = np.inf
     x_before = x.copy()
@@ -166,7 +168,7 @@ def test_block_smoother_equals_frame_by_frame(
             np.testing.assert_array_equal(prev, prev_before)
         p = prev
         for m in range(n):
-            p = smooth_rows(p, alpha[m] if alpha_kind == "per row" else alpha, x[m], floor)
+            p = smooth_rows(p, alpha[m] if np.ndim(alpha) == 2 else alpha, x[m], floor)
             np.testing.assert_array_equal(block[m], p)
     if floor is not None and not blowup:
         assert np.all(block >= floor) and np.all(block <= 1.0)
