@@ -107,7 +107,7 @@ class FrameConfig:
     def num_bins(self) -> int:
         return self.fft_len // 2 + 1
 
-    @property
+    @functools.cached_property
     def max_abs_sample(self) -> float:
         """Largest input magnitude whose spectra and band powers stay finite.
 

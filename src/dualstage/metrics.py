@@ -104,8 +104,8 @@ def mix_at_snr(spec: MixSpec):
     level the RMS over the full (truncated-to-length) noise. Returns
     (mix, speech, scaled noise); the components sum to the mix exactly.
     """
-    speech = np.asarray(spec.speech, dtype=float)
-    noise = np.asarray(spec.noise, dtype=float)
+    speech = pipeline._real(spec.speech, "speech")
+    noise = pipeline._real(spec.noise, "noise")
     if speech.ndim != 1 or noise.ndim != 1:
         raise InputError("speech and noise must be mono 1-D signals")
     if not np.isfinite(spec.target_snr_db):
@@ -156,8 +156,8 @@ def snri_by_gain_shadowing(
     from measure_start_s on (earlier frames cover the tracker warm-up
     and are excluded from the measurement).
     """
-    speech = np.asarray(speech, dtype=float)
-    noise = np.asarray(noise, dtype=float)
+    speech = pipeline._real(speech, "speech")
+    noise = pipeline._real(noise, "noise")
     if speech.shape != noise.shape:
         raise UsageError(
             f"speech and noise components must have equal shape, got "

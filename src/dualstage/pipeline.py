@@ -6,11 +6,12 @@ the spectrum; Stage-2 pools the modified spectrum, speeds its noise
 tracking up or down from Stage-1's frame SNR, and applies the fine
 gains. The final per-frame bin gains (the product of both stages) are
 logged so the measurement harness can replay them over the clean
-components of a mix. Replay (_Shadow) frames a component as the
-engine frames its input, with the engine's input screen and block
-framer, and shadows one block of gain rows at a time: one analysis,
-then one synthesis per output. shadow_stream runs the engine and that
-replay as a two-stage pipeline, so no gain log is kept.
+components of a mix. One framer (_Framer) owns a stream's shape: the
+seeded zeros, the input screen, the high-pass, the carry, the blocks
+and the zero flush. Replay (_Shadow) is fed the engine's pieces
+through a framer of its own, and shadows each block's gain rows: one
+analysis, then one synthesis per output. shadow_stream runs the
+engine and that replay as a two-stage pipeline, so no gain log is kept.
 
 Every layer runs once per block of frames. The high-pass is one LAPACK
 solve per block, and so is each first-order smoother: one tridiagonal
@@ -37,6 +38,87 @@ from .errors import InputError, UsageError
 _IDLE_FRAME_SNR = 1e10
 # most frames run through the layers at once; bounds a call's memory
 BLOCK_FRAMES = 256
+
+
+class _Framer:
+    """The shape of one stream: latency seeded zeros, the signal fed to
+    push piece by piece, then flush_len zeros, which bring out at least
+    size + 2 * latency samples in all. push yields blocks (frames, n)
+    of at most BLOCK_FRAMES (see _frames), the first warm_frames frames,
+    which hold seeded zeros, in blocks of their own; frames counts the
+    frames run, so it is the running block's first frame."""
+
+    def __init__(self, fcfg: framing.FrameConfig):
+        self.fcfg = fcfg
+        cutoff = fcfg.hpf_cutoff_hz
+        self.hpf = None if cutoff is None else framing.design_hpf(cutoff, fcfg.sample_rate_hz)
+        self.hpf_state = framing.HpfState()
+        self.latency = fcfg.frame_len + fcfg.hop_len
+        self.warm_frames = fcfg.frame_len // fcfg.hop_len + 1
+        self.flush_len = self.latency + fcfg.frame_len
+        # input no frame has consumed yet is carry[:fill]; sized for the
+        # seeded zeros, it holds less than a frame after the first piece
+        self.carry = np.zeros(self.latency)
+        self.fill = self.latency
+        self.samples_in = 0
+        self.frames = 0
+
+    def push(self, samples):
+        """Screen and high-pass a piece; yield the blocks it completes.
+        A NaN, an infinity or a magnitude above max_abs_sample raises
+        InputError naming its stream index, before any state changes."""
+        fcfg = self.fcfg
+        x = _mono(samples)
+        # the peak magnitude is exact and cannot overflow, and a NaN fails
+        # the test too; a sum of squares would need a prescale that leaves
+        # ordinary samples' squares subnormal, which is slow
+        limit = fcfg.max_abs_sample
+        if not np.maximum.reduce(np.abs(x), initial=0.0) <= limit:
+            i = np.flatnonzero(~(np.abs(x) <= limit))[0]
+            what = f"sample magnitude above {limit:.3g}" if math.isfinite(x[i]) else "non-finite sample"
+            raise InputError(f"{what} at stream index {self.samples_in + i}")
+        self.samples_in += x.size
+        if x.size and self.hpf is not None:
+            x = framing.hpf_process(x, self.hpf, self.hpf_state)
+        hop, flen = fcfg.hop_len, fcfg.frame_len
+        fill, carry = self.fill, self.carry
+        end = fill + x.size
+        if flen <= end < flen + hop:
+            # exactly one frame (the carry is then short of one): complete
+            # it in place, run it, and shift the remainder down
+            take = flen - fill
+            carry[fill:flen] = x[:take]
+            yield carry[:flen], 1
+            self.frames += 1
+            carry[: flen - hop] = carry[hop:flen]
+            if end > flen:
+                carry[flen - hop : end - hop] = x[take:]
+            self.fill = end - hop
+            return
+        buf = np.concatenate([carry[:fill], x])
+        n_frames = max(0, (end - flen) // hop + 1)
+        first = 0
+        while first < n_frames:
+            warm = self.warm_frames - self.frames
+            n = min(BLOCK_FRAMES, n_frames - first, warm if warm > 0 else n_frames)
+            yield _frames(buf, first, n, fcfg), n
+            self.frames += n
+            first += n
+        self.fill = end - n_frames * hop
+        carry[: self.fill] = buf[n_frames * hop :]
+
+    def pieces(self, x: np.ndarray):
+        """x in the pieces its stream is fed in: BLOCK_FRAMES hops each,
+        the last one followed by the zero flush, so that every piece
+        completes a frame; none for an empty x."""
+        feed = BLOCK_FRAMES * self.fcfg.hop_len
+        for i in range(0, x.size, feed):
+            yield x[i : i + feed] if i + feed < x.size else np.append(x[i:], np.zeros(self.flush_len))
+
+    def frames_of(self, size: int) -> int:
+        """Frames in the stream of a size-sample signal; none if empty."""
+        end = self.latency + size + self.flush_len
+        return (end - self.fcfg.frame_len) // self.fcfg.hop_len + 1 if size else 0
 
 
 class _StageState:
@@ -79,21 +161,9 @@ class StreamProcessor:
         self.cfg = cfg
         fcfg = cfg.frame
         self.plan = bands.build_band_plan(fcfg.fft_len, fcfg.sample_rate_hz, cfg.num_bands)
-        cutoff = fcfg.hpf_cutoff_hz
-        self.hpf = None if cutoff is None else framing.design_hpf(cutoff, fcfg.sample_rate_hz)
-        self.hpf_state = framing.HpfState()
+        self.framer = _Framer(fcfg)
         self.ola = framing.OlaState.for_config(fcfg)
-        self.latency_samples = fcfg.frame_len + fcfg.hop_len
-        # frames whose analysis buffer still holds seeded zeros
-        self.warm_frames = fcfg.frame_len // fcfg.hop_len + 1
-        self.max_abs = fcfg.max_abs_sample
-        # input no frame has consumed yet is carry[:fill]; the buffer is
-        # sized for the seeded zeros, and after the first call holds less
-        # than a frame
-        self.carry = np.zeros(self.latency_samples)
-        self.fill = self.latency_samples
-        self.samples_in = 0
-        self.frame_index = 0
+        self.latency_samples = self.framer.latency
         self.gain_log: list[np.ndarray] | None = [] if log_gains else None
         self.tracker_sink = tracker_sink
         self.stage1 = _StageState(cfg.stage1, cfg.num_bands)
@@ -104,6 +174,8 @@ class StreamProcessor:
         self.loud_weight = cfg.stage1.gains.noise_floor_eps * math.sqrt(sys.float_info.max) / 2
         self.stage2 = None if single_stage else _StageState(cfg.stage2, cfg.num_bands)
 
+    frame_index = property(lambda self: self.framer.frames, doc="Frames run so far.")
+
     def process(self, samples: np.ndarray) -> np.ndarray:
         """Feed a block; return whatever output samples are now complete.
 
@@ -111,37 +183,7 @@ class StreamProcessor:
         (which could overflow a band power) raises InputError naming
         its stream index; no state changes.
         """
-        x = _screen(samples, self.max_abs, self.samples_in)
-        self.samples_in += x.size
-        if x.size and self.hpf is not None:
-            x = framing.hpf_process(x, self.hpf, self.hpf_state)
-        fcfg = self.cfg.frame
-        hop, flen = fcfg.hop_len, fcfg.frame_len
-        fill, carry = self.fill, self.carry
-        end = fill + x.size
-        if flen <= end < flen + hop:
-            # exactly one frame (the carry is then short of one): complete
-            # it in place, run it, and shift the remainder down
-            take = flen - fill
-            carry[fill:flen] = x[:take]
-            out = self._run_block(carry[:flen], 1)
-            carry[: flen - hop] = carry[hop:flen]
-            if end > flen:
-                carry[flen - hop : end - hop] = x[take:]
-            self.fill = end - hop
-            return out
-        buf = np.concatenate([carry[:fill], x])
-        n_frames = max(0, (end - flen) // hop + 1)
-        outs = []
-        first = 0
-        while first < n_frames:
-            # warm-up frames form blocks of their own
-            warm = self.warm_frames - self.frame_index
-            n = min(BLOCK_FRAMES, n_frames - first, warm if warm > 0 else n_frames)
-            outs.append(self._run_block(_frames(buf, first, n, fcfg), n))
-            first += n
-        self.fill = end - n_frames * hop
-        carry[: self.fill] = buf[n_frames * hop :]
+        outs = [self._run_block(frames, n) for frames, n in self.framer.push(samples)]
         return outs[0] if len(outs) == 1 else np.concatenate(outs or [np.zeros(0)])
 
     def _run_block(self, frames: np.ndarray, n: int) -> np.ndarray:
@@ -152,12 +194,12 @@ class StreamProcessor:
         spec.bins, bin_gains = self._suppress(spec, n)
         if self.gain_log is not None:
             self.gain_log.append(bin_gains.reshape(n, -1))
-        self.frame_index += n
         return framing.synthesize(spec, self.ola, fcfg)
 
     def _suppress(self, spec: framing.SpectralFrame, n: int):
         """Run both stages over n frames; return (output bins, bin gains)."""
-        if self.frame_index < self.warm_frames:
+        first = self.framer.frames
+        if first < self.framer.warm_frames:
             return spec.bins, np.ones(spec.bins.shape)
         mags1 = bands.pool_to_bands(spec, self.plan)
         g1, snr1, raw_n1, n1 = self.stage1.step(mags1, None)
@@ -179,7 +221,7 @@ class StreamProcessor:
             for i in range(n):
                 for stage, raw_n, noise_est in tracks:
                     rows = (np.reshape(raw_n, (n, -1))[i], np.reshape(noise_est, (n, -1))[i])
-                    self.tracker_sink(self.frame_index + i, stage, *rows)
+                    self.tracker_sink(first + i, stage, *rows)
         return spec.bins, bin_gains
 
     def _frame_snr_db(self, band_mags: np.ndarray, snr: np.ndarray):
@@ -201,16 +243,14 @@ class StreamProcessor:
 
 
 def run_stream(proc: StreamProcessor, blocks, size: int, *, latency_aligned: bool = False):
-    """Feed blocks of a signal (size samples in all) and a zero flush
+    """Feed blocks of a signal (size samples in all) and the zero flush
     through proc; yield the output as it completes, size samples in all,
     starting after the algorithmic latency when latency_aligned. An
     empty signal runs no frame."""
     if size == 0:
         return
     lead = proc.latency_samples if latency_aligned else 0
-    # the flush yields at least size + 2 * latency samples in all
-    flush = np.zeros(proc.latency_samples + proc.cfg.frame.frame_len)
-    for block in itertools.chain(blocks, (flush,)):
+    for block in itertools.chain(blocks, (np.zeros(proc.framer.flush_len),)):
         y = proc.process(block)
         cut = min(lead, y.size)
         lead -= cut
@@ -247,46 +287,36 @@ def process_stream(
 def shadow_stream(mix, components, cfg: PipelineConfig, *, single_stage: bool = False):
     """Run the engine over mix and replay its gains over each component.
 
-    The mix goes through a StreamProcessor BLOCK_FRAMES hops at a time,
-    then the zero flush. Each time a block's gain rows come out they go
-    to one worker thread, which shadows them over every component (see
-    _Shadow) while the engine runs the next block. The shadow work is
-    mostly transforms, which numpy runs with the interpreter lock
-    released, so the two overlap. Every operation is the one
-    process_stream and _replay do, in the same order, so the outputs
-    are bit-identical to theirs, and no gain log is kept. Returns, per
-    component, [unity reference, shadowed output], each as long as the
-    mix and delayed by the algorithmic latency.
+    The mix goes through a StreamProcessor in _Framer.pieces. Each
+    piece's gain rows go, with the components' matching pieces, to one
+    worker thread, which shadows them (see _Shadow) while the engine
+    runs the next piece: the shadow work is mostly transforms, which
+    numpy runs with the interpreter lock released. The outputs are
+    bit-identical to process_stream's and _replay's, and no gain log is
+    kept. Returns, per component (as long as the mix), [unity
+    reference, shadowed output], delayed by the algorithmic latency.
     """
-    fcfg = cfg.frame
-    # screened whole before the components, as by process_stream before
-    # _replay, so a sample bad in both is reported at its mix index
-    x = _screen(mix, fcfg.max_abs_sample, 0)
-    shadows = [_Shadow(c, cfg, outputs=2) for c in components]
     proc = StreamProcessor(cfg, single_stage=single_stage)
-    feed = BLOCK_FRAMES * fcfg.hop_len
-    blocks = (x[i : i + feed] for i in range(0, x.size, feed))
+    shadows = [_Shadow(cfg, len(c), outputs=2) for c in components]
 
-    def replay_block(rows):
-        for s in shadows:
-            for gains in rows:
-                s.step(len(gains), (None, gains))
+    def replay(parts, rows):
+        rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        for s, part in zip(shadows, parts):
+            s.push(part, (None, rows))
 
     with ThreadPoolExecutor(max_workers=1) as worker:
         try:
-            running = None
-            # one more round after the stream ends drains the last rows
-            for _ in itertools.chain(run_stream(proc, blocks, x.size), (None,)):
+            job = None
+            for piece, *parts in zip(*(proc.framer.pieces(_mono(s)) for s in (mix, *components))):
+                proc.process(piece)
                 rows, proc.gain_log = proc.gain_log, []
-                if rows:
-                    # hand this block over, then wait for the previous
-                    # one, so at most one block waits while the engine runs
-                    job = worker.submit(replay_block, rows)
-                    if running is not None:
-                        running.result()
-                    running = job
-            if running is not None:
-                running.result()
+                # hand this piece over, then wait for the previous one,
+                # so at most one piece waits while the engine runs
+                job, last = worker.submit(replay, parts, rows), job
+                if last is not None:
+                    last.result()
+            if job is not None:
+                job.result()
         except BaseException:
             worker.shutdown(cancel_futures=True)
             raise
@@ -298,109 +328,79 @@ def replay_gains(samples, gain_log: np.ndarray, cfg: PipelineConfig) -> np.ndarr
 
     The signal goes through the same high-pass, framing and synthesis
     as the run that produced the log, but the logged bin gains are
-    applied verbatim. The log must have exactly as many frames as the
-    stream produces, otherwise a UsageError is raised.
+    applied verbatim. A log of other than as many frames as the stream
+    produces, or with a complex or non-finite gain, raises UsageError.
     """
     return _replay(samples, [gain_log], cfg)[0]
 
 
 def _replay(samples, gain_logs, cfg: PipelineConfig) -> list[np.ndarray]:
-    """replay_gains for several logs, one _Shadow step per BLOCK_FRAMES
-    frames; a None log stands for unity gains."""
-    fcfg = cfg.frame
-    x = np.asarray(samples, dtype=float)
-    logs = [None if g is None else np.asarray(g, dtype=float) for g in gain_logs]
-    given = [g for g in logs if g is not None]
-    if x.shape == (0,):
-        if frames := [len(g) for g in given if len(g)]:
-            raise UsageError(f"gain log has {frames[0]} frames, empty stream has none")
-        return [np.zeros(0) for _ in logs]
-    for g in given:
-        if (rows := g.shape[1:]) != (fcfg.num_bins,):
-            raise UsageError(f"gain log rows have shape {rows}, expected {(fcfg.num_bins,)}")
-    shadow = _Shadow(x, cfg, outputs=len(logs))
-    # frames of run_stream's stream: seeded zeros, signal, flush
-    n_frames = (2 * (fcfg.frame_len + fcfg.hop_len) + x.size) // fcfg.hop_len + 1
-    for g in given:
+    """replay_gains for several logs, fed in the engine's pieces; a None
+    log stands for unity gains."""
+    x = _mono(samples)
+    logs = [None if g is None else _real(g, "gain log") for g in gain_logs]
+    shadow = _Shadow(cfg, x.size, outputs=len(logs))
+    n_frames = shadow.framer.frames_of(x.size)
+    for g in (g for g in logs if g is not None):
+        if g.size and (rows := g.shape[1:]) != (cfg.frame.num_bins,):
+            raise UsageError(f"gain log rows have shape {rows}, expected {(cfg.frame.num_bins,)}")
         if len(g) != n_frames:
             raise UsageError(f"gain log has {len(g)} frames, stream produced {n_frames}")
-    for first in range(0, n_frames, BLOCK_FRAMES):
-        block = slice(first, first + BLOCK_FRAMES)
-        shadow.step(min(BLOCK_FRAMES, n_frames - first), [None if g is None else g[block] for g in logs])
+        if not (finite := np.isfinite(g).all(axis=-1)).all():
+            raise UsageError(f"gain log frame {np.argmin(finite)} holds a non-finite gain")
+    row = 0
+    for piece in shadow.framer.pieces(x):
+        row += shadow.push(piece, [None if g is None else g[row:] for g in logs])
     return shadow.outs
 
 
 class _Shadow:
-    """Replays gain rows over one signal, a block of frames at a time.
+    """Replays gain rows over a size-sample signal fed to push in the
+    engine's pieces, which a framer of its own frames as the engine's
+    does. Each block is analysed once and every output synthesised
+    from those bins into an overlap-add state of its own; outs holds
+    the outputs, size samples each."""
 
-    The signal is screened, high-passed and framed as run_stream frames
-    its input: seeded zeros, then the signal and the zero flush. Each
-    step analyses its frames once and synthesises every output from
-    those bins, each into an overlap-add state of its own. outs holds
-    the outputs, as long as the signal.
-    """
-
-    def __init__(self, samples, cfg: PipelineConfig, *, outputs: int):
+    def __init__(self, cfg: PipelineConfig, size: int, *, outputs: int):
         fcfg = self.fcfg = cfg.frame
-        self.x = _screen(samples, fcfg.max_abs_sample, 0)
-        cutoff = fcfg.hpf_cutoff_hz
-        self.hpf = None if cutoff is None else framing.design_hpf(cutoff, fcfg.sample_rate_hz)
-        self.hpf_state = framing.HpfState()
-        # the framed stream from the next frame on
-        self.buf = np.zeros(fcfg.frame_len + fcfg.hop_len)
-        self.read = 0  # samples of signal and flush high-passed so far
+        self.framer = _Framer(fcfg)
+        self.size = size
         self.done = 0  # output samples written
         self.olas = [framing.OlaState.for_config(fcfg) for _ in range(outputs)]
-        self.outs = [np.empty(self.x.size) for _ in range(outputs)]
+        self.outs = [np.empty(size) for _ in range(outputs)]
 
-    def step(self, n: int, gains) -> None:
-        """Shadow the next n frames: output k takes gains[k], n bin-gain
-        rows, or where that is None unity gains, synthesised from the
-        unmodified bins (a multiply by 1.0 is exact)."""
+    def push(self, piece: np.ndarray, gains) -> int:
+        """Shadow the frames piece completes; return how many. Output k
+        takes gains[k]'s rows from the piece's first frame on, or where
+        that is None unity gains (a multiply by 1.0 is exact)."""
         fcfg = self.fcfg
-        hop = fcfg.hop_len
-        need = (n - 1) * hop + fcfg.frame_len - self.buf.size
-        if need > 0:
-            new = self.x[self.read : self.read + need]
-            if new.size < need:  # into the flush
-                new = np.concatenate([new, np.zeros(need - new.size)])
-            self.read += need
-            if self.hpf is not None:
-                new = framing.hpf_process(new, self.hpf, self.hpf_state)
-            self.buf = np.concatenate([self.buf, new])
-        spec = framing.analyze(_frames(self.buf, 0, n, fcfg), fcfg)
-        self.buf = self.buf[n * hop :]
-        end = min(self.done + n * hop, self.x.size)
-        for g, ola, out in zip(gains, self.olas, self.outs):
-            bins = spec.bins if g is None else spec.bins * g.reshape(spec.bins.shape)
-            # synthesis reads only the bins
-            y = framing.synthesize(framing.SpectralFrame(bins=bins, power=None), ola, fcfg)
-            out[self.done : end] = y[: end - self.done]
-        self.done = end
-
-
-def _screen(samples, limit: float, offset: int) -> np.ndarray:
-    """samples as a mono float array; a NaN, an infinity or a magnitude
-    above limit raises InputError naming its stream index."""
-    x = _mono(samples)
-    # the peak magnitude is exact and cannot overflow, and a NaN fails the
-    # test too; a sum of squares would need a prescale that leaves
-    # ordinary samples' squares subnormal, which is slow
-    mags = np.abs(x)
-    if not np.maximum.reduce(mags, initial=0.0) <= limit:
-        bad = np.flatnonzero(~(mags <= limit))
-        if bad.size:
-            i = bad[0]
-            what = f"sample magnitude above {limit:.3g}" if math.isfinite(x[i]) else "non-finite sample"
-            raise InputError(f"{what} at stream index {offset + i}")
-    return x
+        row = 0
+        for frames, n in self.framer.push(piece):
+            spec = framing.analyze(frames, fcfg)
+            end = min(self.done + n * fcfg.hop_len, self.size)
+            for g, ola, out in zip(gains, self.olas, self.outs):
+                bins = spec.bins if g is None else spec.bins * g[row : row + n].reshape(spec.bins.shape)
+                # synthesis reads only the bins
+                y = framing.synthesize(framing.SpectralFrame(bins=bins, power=None), ola, fcfg)
+                out[self.done : end] = y[: end - self.done]
+            self.done = end
+            row += n
+        return row
 
 
 def _mono(samples) -> np.ndarray:
-    x = np.asarray(samples, dtype=float)
+    x = _real(samples, "samples")
     if x.ndim != 1:
         raise UsageError(f"expected a mono 1-D signal, got shape {x.shape}")
     return x
+
+
+def _real(values, what: str) -> np.ndarray:
+    """values as a float array; complex or non-numeric ones raise UsageError."""
+    x = np.asarray(values)
+    if x.dtype.kind not in "biuf":
+        raise UsageError(f"{what} must be real numbers, got dtype {x.dtype}")
+    return x.astype(float, copy=False)
 
 
 def _frames(buf: np.ndarray, first: int, n: int, fcfg) -> np.ndarray:

@@ -187,6 +187,17 @@ class TestGainShadowing:
         with pytest.raises(UsageError, match="equal shape"):
             ds.snri_by_gain_shadowing(np.zeros(100), np.zeros(99), np.ones((1, 129)), comm_cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_log_names_its_frame(self, comm_cfg, bad):
+        cfg = no_hpf(comm_cfg)
+        speech, noise = _tone_and_noise(1, np.random.default_rng(41))
+        log = np.ones(self._log_shape(speech.size, cfg))
+        log[123, 7] = bad
+        with pytest.raises(UsageError, match="gain log frame 123 "):
+            ds.snri_by_gain_shadowing(speech, noise, log, cfg)
+        with pytest.raises(UsageError, match="got dtype complex128"):
+            ds.snri_by_gain_shadowing(speech, noise, log.astype(complex), cfg)
+
     def test_measure_start_past_the_end(self, comm_cfg):
         cfg = no_hpf(comm_cfg)
         rng = np.random.default_rng(28)
@@ -253,17 +264,17 @@ class TestStreamedShadowing:
     def test_worker_exception_surfaces_as_itself(self, comm_cfg, monkeypatch):
         rng = np.random.default_rng(34)
         speech, noise = surrogate_speech(4.0, rng), white_noise(4.0, rng)
-        boom = RuntimeError("shadow step failed")
-        step = pipeline._Shadow.step
+        boom = RuntimeError("shadow push failed")
+        push = pipeline._Shadow.push
         calls = []
 
-        def failing(self, n, gains):
-            calls.append(n)
+        def failing(self, piece, gains):
+            calls.append(piece.size)
             if len(calls) == 3:
                 raise boom
-            step(self, n, gains)
+            return push(self, piece, gains)
 
-        monkeypatch.setattr(pipeline._Shadow, "step", failing)
+        monkeypatch.setattr(pipeline._Shadow, "push", failing)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError) as caught:
             ds.evaluate_condition(speech, noise, 0.0, comm_cfg)

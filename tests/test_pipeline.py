@@ -236,6 +236,43 @@ class TestNonFiniteInput:
         np.testing.assert_array_equal(outs[0], outs[1])
 
 
+class TestSampleType:
+    """Complex or non-numeric samples raise UsageError naming their
+    dtype at every entry point, where numpy would drop the imaginary
+    part with a warning or raise a bare ValueError."""
+
+    BAD = {"complex128": np.full(2000, 0.1 + 0.1j), "<U1": ["a"] * 2000}
+
+    @pytest.mark.parametrize("dtype", BAD)
+    def test_process(self, comm_cfg, dtype):
+        x = np.random.default_rng(36).normal(0.0, 0.1, 3000)
+        proc, ref = ds.StreamProcessor(comm_cfg), ds.StreamProcessor(comm_cfg)
+        with pytest.raises(UsageError, match=f"got dtype {dtype}"):
+            proc.process(self.BAD[dtype])
+        np.testing.assert_array_equal(proc.process(x), ref.process(x))
+
+    @pytest.mark.parametrize("dtype", BAD)
+    def test_process_stream(self, comm_cfg, dtype):
+        with pytest.raises(UsageError, match=f"got dtype {dtype}"):
+            ds.process_stream(self.BAD[dtype], comm_cfg)
+
+    @pytest.mark.parametrize("dtype", BAD)
+    def test_replay_gains(self, comm_cfg, dtype):
+        _, log = ds.process_stream(np.zeros(2000), comm_cfg)
+        with pytest.raises(UsageError, match=f"got dtype {dtype}"):
+            ds.replay_gains(self.BAD[dtype], log, comm_cfg)
+
+    @pytest.mark.parametrize("dtype", BAD)
+    @pytest.mark.parametrize("component", ["speech", "noise"])
+    def test_evaluate_condition(self, comm_cfg, dtype, component):
+        rng = np.random.default_rng(37)
+        signals = {"speech": surrogate_speech(2.0, rng), "noise": white_noise(2.0, rng)}
+        bad = self.BAD[dtype]
+        signals[component] = np.resize(np.asarray(bad), signals[component].size)
+        with pytest.raises(UsageError, match=f"{component} must be real numbers, got dtype {dtype}"):
+            ds.evaluate_condition(signals["speech"], signals["noise"], 0.0, comm_cfg)
+
+
 class TestTransformBudget:
     @pytest.mark.parametrize("single", [False, True])
     def test_one_fft_pair_per_frame(self, comm_cfg, transform_rows, single):
@@ -318,6 +355,32 @@ class TestGainShadowing:
         for bad in (log[:, :-1], log[:, 0]):
             with pytest.raises(UsageError, match=r"gain log rows have shape \(\d*,?\), expected \(129,\)"):
                 ds.replay_gains(x, bad, comm_cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_replay_log_non_finite_gain(self, comm_cfg, bad):
+        """A NaN or infinite gain would make the output non-finite (an
+        infinity with RuntimeWarnings); it raises UsageError naming the
+        first frame that holds one."""
+        x = np.random.default_rng(38).normal(0.0, 0.1, FS // 4)
+        _, log = ds.process_stream(x, comm_cfg)
+        log[60, 0] = log[37, 128] = bad
+        with pytest.raises(UsageError, match="gain log frame 37 holds a non-finite gain"):
+            ds.replay_gains(x, log, comm_cfg)
+
+    def test_replay_log_complex(self, comm_cfg):
+        x = np.random.default_rng(39).normal(0.0, 0.1, FS // 4)
+        _, log = ds.process_stream(x, comm_cfg)
+        with pytest.raises(UsageError, match="gain log must be real numbers, got dtype complex128"):
+            ds.replay_gains(x, log.astype(complex), comm_cfg)
+
+    def test_replay_takes_gains_above_one_and_negative(self, comm_cfg):
+        """Replay is linear in the gains, and -2 is a power of two, so
+        the replay of -2 times a log is exactly -2 times its replay."""
+        x = np.random.default_rng(40).normal(0.0, 0.1, FS // 4)
+        _, log = ds.process_stream(x, comm_cfg)
+        np.testing.assert_array_equal(
+            ds.replay_gains(x, -2.0 * log, comm_cfg), -2.0 * ds.replay_gains(x, log, comm_cfg)
+        )
 
 
 class TestStageInteraction:

@@ -1,6 +1,6 @@
 """Property tests: chunk invariance over random valid configurations,
 exact block smoothers, gain bounds, mu=0 transparency, replay
-linearity and shared-analysis replay."""
+linearity, shared-analysis replay and the stream framer."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from dualstage.config import config_from_dict, config_to_dict
 from dualstage.framing import WINDOW_KINDS
 from dualstage.gain import GainParams, GainState, MU_MAX, compute_raw_gain, smooth_gain
 from dualstage.noise_tracking import smooth_rows
-from dualstage.pipeline import BLOCK_FRAMES, _replay
+from dualstage.pipeline import BLOCK_FRAMES, _Framer, _Shadow, _replay
 
 from conftest import no_hpf, with_mu
 
@@ -272,3 +272,59 @@ def test_shared_analysis_replay_equals_separate_replays(cfg, seed, data):
     for out, log in zip(shadowed, logs):
         assert out.tobytes() == ds.replay_gains(x, log, cfg).tobytes()
     assert unity.tobytes() == ds.replay_gains(x, np.ones_like(logs[0]), cfg).tobytes()
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=pipeline_configs(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_framer_blocks_equal_one_whole_push(cfg, seed, data):
+    """Pieces of 0, 1, hop - 1, hop and BLOCK_FRAMES * hop + 3 samples,
+    and of random sizes, yield blocks whose frames, in order, are the
+    frames of one whole push; no block exceeds BLOCK_FRAMES, the warm
+    frames never share a block with later ones, and a lone frame comes
+    1-D. The zero flush after the signal completes frames_of frames,
+    and a shadow fed the engine's pieces frames each in the engine's
+    blocks."""
+    fcfg = cfg.frame
+    hop, frame_len = fcfg.hop_len, fcfg.frame_len
+    special = st.sampled_from([0, 1, hop - 1, hop, BLOCK_FRAMES * hop + 3])
+    sizes = st.one_of(special, st.integers(0, 3000), st.integers(0, 3 * BLOCK_FRAMES * hop))
+    sizes = data.draw(st.lists(sizes, min_size=1, max_size=8))
+    x = np.random.default_rng(seed).normal(0.0, 0.1, sum(sizes))
+    pieces = np.split(x, np.cumsum(sizes)[:-1])
+
+    def blocks(framer, feed):
+        # copies: a lone frame is a view of the carry, which the next
+        # step shifts
+        return [(frames.copy(), n) for piece in feed for frames, n in framer.push(piece)]
+
+    def stacked(got):
+        return np.vstack([np.zeros((0, frame_len))] + [np.atleast_2d(f) for f, _ in got])
+
+    framer = _Framer(fcfg)
+    got = blocks(framer, pieces)
+    np.testing.assert_array_equal(stacked(got), stacked(blocks(_Framer(fcfg), [x])))
+    first = 0
+    for frames, n in got:
+        assert 1 <= n <= BLOCK_FRAMES
+        assert frames.shape == ((frame_len,) if n == 1 else (n, frame_len))
+        assert first >= framer.warm_frames or first + n <= framer.warm_frames
+        first += n
+    blocks(framer, [np.zeros(framer.flush_len)])
+    if x.size:  # an empty signal runs no frame, so its stream has no flush
+        assert framer.frames == framer.frames_of(x.size)
+
+    proc = ds.StreamProcessor(cfg, single_stage=True)
+    shadow = _Shadow(cfg, x.size, outputs=1)
+    push, shadow_blocks = shadow.framer.push, []
+
+    def recording(piece):
+        for frames, n in push(piece):
+            shadow_blocks.append(n)
+            yield frames, n
+
+    shadow.framer.push = recording
+    for piece in [*pieces, np.zeros(framer.flush_len)]:
+        proc.gain_log, shadow_blocks[:] = [], []
+        proc.process(piece)
+        assert shadow.push(piece, [None]) == sum(shadow_blocks)
+        assert shadow_blocks == [len(rows) for rows in proc.gain_log]
