@@ -3,9 +3,11 @@
 Writes a 1 min and a 10 min float32 WAV of noise into a temporary
 directory, runs `dualstage enhance` on each in a child process of its
 own, and reads each child's peak resident set (ru_maxrss, KiB on Linux)
-from wait4. Exits 1 if a run fails or the two peaks differ by more than
-8 MiB. The WAVs are written a second at a time, so this process stays
-smaller than either child, whose peak would otherwise include it.
+from wait4. A second pair, on the 1 min file and a 2 min one, runs with
+the tracker dump and both spectrogram dumps sent to /dev/null. Exits 1
+if a run fails or the two peaks of a pair differ by more than 8 MiB.
+The WAVs are written a second at a time, so this process stays smaller
+than any child, whose peak would otherwise include it.
 
 usage: python scripts/check_enhance_rss.py [DUALSTAGE]
 
@@ -37,20 +39,25 @@ def peak_rss_mib(argv):
 def main():
     command = sys.argv[1] if len(sys.argv) > 1 else "dualstage"
     rng = np.random.default_rng(0)
-    peaks = {}
+    dumps = ["--tracker-dump", "--dump-spectrogram-in", "--dump-spectrogram-out"]
+    pairs = {"plain": ((1, 10), []), "with all dumps": ((1, 2), [a for d in dumps for a in (d, os.devnull)])}
+    failed = False
     with tempfile.TemporaryDirectory() as tmp:
-        for minutes in (1, 10):
-            wav = os.path.join(tmp, f"{minutes}min.wav")
+        wavs = {}
+        for minutes in (1, 2, 10):
+            wav = wavs[minutes] = os.path.join(tmp, f"{minutes}min.wav")
             seconds = (rng.normal(0.0, 0.1, FS) for _ in range(60 * minutes))
             write_wav(wav, seconds, FS, "float32", size=60 * minutes * FS)
-            out = os.path.join(tmp, "out.wav")
-            peaks[minutes] = peak_rss_mib([command, "enhance", wav, out])
-    growth = peaks[10] - peaks[1]
-    print(
-        f"enhance peak RSS: 1 min {peaks[1]:.1f} MiB, 10 min {peaks[10]:.1f} MiB, "
-        f"difference {growth:+.1f} MiB (limit {LIMIT_MIB:g})"
-    )
-    return 0 if abs(growth) <= LIMIT_MIB else 1
+        out = os.path.join(tmp, "out.wav")
+        for name, ((short, long), flags) in pairs.items():
+            peaks = [peak_rss_mib([command, "enhance", wavs[m], out, *flags]) for m in (short, long)]
+            growth = peaks[1] - peaks[0]
+            print(
+                f"enhance peak RSS, {name}: {short} min {peaks[0]:.1f} MiB, {long} min "
+                f"{peaks[1]:.1f} MiB, difference {growth:+.1f} MiB (limit {LIMIT_MIB:g})"
+            )
+            failed |= abs(growth) > LIMIT_MIB
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

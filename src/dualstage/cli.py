@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -36,7 +37,7 @@ from .errors import (
     UsageError,
 )
 from .framing import algorithmic_latency_ms
-from .wavio import FLOAT32, WavReader, read_wav, replacing, write_wav
+from .wavio import FLOAT32, WavReader, guarded, read_wav, replacing, write_wav
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,6 +49,9 @@ _VARIANTS = ("dual", "single")
 # enhance reads, processes and writes this many blocks of
 # pipeline.BLOCK_FRAMES hops at a time, which bounds its memory
 _FEED_BLOCKS = 4
+
+# writes a spectrogram dump's rows to its file
+_SPECTROGRAM_ROWS = functools.partial(np.savetxt, delimiter=",", fmt="%.3f")
 
 # the optional keys of an evaluation matrix
 _MATRIX_DEFAULTS = {
@@ -118,32 +122,34 @@ def cmd_enhance(args) -> int:
         return EXIT_OK
     with WavReader(args.input) as src, contextlib.ExitStack() as files:
         _require_rate(args.input, src.rate, cfg)
+
+        def dump(path, what, write):
+            """Open path through replacing; return a write(rows) that calls
+            write(fh, rows) and raises an OSError as an AudioIOError."""
+            fh = files.enter_context(replacing(path, "w", what, newline=""))
+            return guarded(functools.partial(write, fh), path, what)
+
         sink = None
         if args.tracker_dump:
-            dump = files.enter_context(
-                replacing(args.tracker_dump, "w", "tracker dump", newline="")
-            )
-            sink = _tracker_dump_sink(dump, args.tracker_dump, args.tracker_dump_stage)
+            write = dump(args.tracker_dump, "tracker dump", lambda fh, r: csv.writer(fh).writerows(r))
+            sink = _tracker_dump_sink(write, args.tracker_dump_stage)
         t0 = time.perf_counter()
         # no gain log: only its frame count would be printed
         proc = pipeline.StreamProcessor(
             cfg, single_stage=args.single_stage, log_gains=False, tracker_sink=sink
         )
-        # the spectrogram dumps are the one use that keeps the whole signal
-        kept_in, kept_out = [], []
         blocks = src.blocks(_FEED_BLOCKS * pipeline.BLOCK_FRAMES * cfg.frame.hop_len)
         if args.dump_spectrogram_in:
-            blocks = _keeping(blocks, kept_in)
+            write = dump(args.dump_spectrogram_in, "spectrogram dump", _SPECTROGRAM_ROWS)
+            blocks = _spectrogram_dump(blocks, write, cfg)
         out = pipeline.run_stream(
             proc, blocks, src.size, latency_aligned=not args.no_latency_compensation
         )
         if args.dump_spectrogram_out:
-            out = _keeping(out, kept_out)
+            write = dump(args.dump_spectrogram_out, "spectrogram dump", _SPECTROGRAM_ROWS)
+            out = _spectrogram_dump(out, write, cfg)
         write_wav(args.output, out, cfg.frame.sample_rate_hz, src.subtype, size=src.size)
         elapsed = time.perf_counter() - t0
-    for path, kept in ((args.dump_spectrogram_in, kept_in), (args.dump_spectrogram_out, kept_out)):
-        if path:
-            metrics.write_spectrogram_csv(path, np.concatenate([np.zeros(0), *kept]), cfg.frame)
     duration = src.size / cfg.frame.sample_rate_hz
     rtf = elapsed / duration if duration > 0 else 0.0
     print(
@@ -154,32 +160,26 @@ def cmd_enhance(args) -> int:
     return EXIT_OK
 
 
-def _tracker_dump_sink(fh, path, wanted_stage):
-    """A tracker_sink writing wanted_stage's rows to fh, open on path, as CSV."""
-    writer = csv.writer(fh)
-
-    def write(rows):
-        try:
-            writer.writerows(rows)
-        except OSError as exc:
-            raise AudioIOError(f"{path}: cannot write tracker dump ({exc})") from exc
-
+def _tracker_dump_sink(write, wanted_stage):
+    """A tracker_sink writing wanted_stage's rows as CSV rows through write."""
     write([("frame", "band", "raw_noise", "smoothed_noise")])
 
-    def sink(frame, stage, raw, smoothed):
+    def sink(first, stage, raw, smoothed):
         if stage == wanted_stage:
             write(
-                (frame, band, f"{raw[band]:.8g}", f"{smoothed[band]:.8g}")
-                for band in range(raw.size)
+                (first + i, band, f"{r:.8g}", f"{s:.8g}")
+                for i, rows in enumerate(zip(raw, smoothed))
+                for band, (r, s) in enumerate(zip(*rows))
             )
 
     return sink
 
 
-def _keeping(blocks, kept):
-    """Pass blocks through, appending each to kept."""
-    for block in blocks:
-        kept.append(block)
+def _spectrogram_dump(blocks, write, cfg):
+    """Pass blocks, the pieces of a signal, through, handing write the
+    spectrogram rows each completes (metrics.spectrogram_stream)."""
+    for block, rows in metrics.spectrogram_stream(blocks, cfg.frame):
+        write(rows)
         yield block
 
 

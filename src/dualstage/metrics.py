@@ -12,11 +12,12 @@ speech-active frames, noise level over the speech-free frames, as a
 desk-scale stand-in for a calibrated measurement front end.
 """
 
+import dataclasses
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import pipeline
+from . import framing, pipeline
 from .config import PipelineConfig
 from .errors import InputError, UsageError
 
@@ -104,10 +105,8 @@ def mix_at_snr(spec: MixSpec):
     level the RMS over the full (truncated-to-length) noise. Returns
     (mix, speech, scaled noise); the components sum to the mix exactly.
     """
-    speech = pipeline._real(spec.speech, "speech")
-    noise = pipeline._real(spec.noise, "noise")
-    if speech.ndim != 1 or noise.ndim != 1:
-        raise InputError("speech and noise must be mono 1-D signals")
+    speech = pipeline._mono(spec.speech, "speech")
+    noise = pipeline._mono(spec.noise, "noise")
     if not np.isfinite(spec.target_snr_db):
         raise InputError(f"target_snr_db must be finite, got {spec.target_snr_db}")
     if noise.size < speech.size:
@@ -156,8 +155,8 @@ def snri_by_gain_shadowing(
     from measure_start_s on (earlier frames cover the tracker warm-up
     and are excluded from the measurement).
     """
-    speech = pipeline._real(speech, "speech")
-    noise = pipeline._real(noise, "noise")
+    speech = pipeline._mono(speech, "speech")
+    noise = pipeline._mono(noise, "noise")
     if speech.shape != noise.shape:
         raise UsageError(
             f"speech and noise components must have equal shape, got "
@@ -185,10 +184,8 @@ def _shadowing_report(speech, noise, cfg: PipelineConfig, active_threshold_db, m
         raise InputError(
             f"measure_start_s={measure_start_s} leaves no frames to measure"
         )
-    region = np.zeros(mask.size, dtype=bool)
-    region[start_block:] = True
-    active = mask & region
-    inactive = ~mask & region
+    active, inactive = mask.copy(), ~mask
+    active[:start_block] = inactive[:start_block] = False
     if not active.any():
         raise InputError("no speech-active frames in the measurement region")
     if not inactive.any():
@@ -210,30 +207,16 @@ def _shadowing_report(speech, noise, cfg: PipelineConfig, active_threshold_db, m
     # new signal-length array is made
     ref_speech += ref_noise
     out_speech += out_noise
-    ranges = _mask_to_ranges(inactive, block)
-    reduction = noise_segment_reduction(ref_speech, out_speech, ranges)
+    reduction = _reduction_db(
+        _region_power(ref_speech, inactive, block), _region_power(out_speech, inactive, block)
+    )
     return SnriReport(
         input_snr_db=float(input_snr_db),
         output_snr_db=float(output_snr_db),
         snri_db=float(output_snr_db - input_snr_db),
-        noise_reduction_db=float(reduction),
+        noise_reduction_db=reduction,
         speech_attenuation_db=float(10.0 * np.log10(ref_speech_pow / out_speech_pow)),
     )
-
-
-def _mask_to_ranges(block_mask: np.ndarray, block_len: int) -> list[tuple[int, int]]:
-    """Contiguous runs of marked blocks, as (start, stop) sample ranges."""
-    ranges = []
-    start = None
-    for i, flag in enumerate(block_mask):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            ranges.append((start * block_len, i * block_len))
-            start = None
-    if start is not None:
-        ranges.append((start * block_len, block_mask.size * block_len))
-    return ranges
 
 
 def noise_segment_reduction(input_sig, output_sig, noise_only_ranges) -> float:
@@ -247,17 +230,19 @@ def noise_segment_reduction(input_sig, output_sig, noise_only_ranges) -> float:
     ranges = list(noise_only_ranges)
     if not ranges:
         raise InputError("noise_only_ranges must not be empty")
-    pieces_in = []
-    pieces_out = []
     for start, stop in ranges:
         if not 0 <= start < stop <= min(input_sig.size, output_sig.size):
-            raise InputError(
-                f"range ({start}, {stop}) does not lie within both signals"
-            )
-        pieces_in.append(input_sig[start:stop])
-        pieces_out.append(output_sig[start:stop])
-    p_in = float(np.mean(np.concatenate(pieces_in) ** 2))
-    p_out = float(np.mean(np.concatenate(pieces_out) ** 2))
+            raise InputError(f"range ({start}, {stop}) does not lie within both signals")
+    p_in, p_out = (
+        float(np.mean(np.concatenate([x[a:b] for a, b in ranges]) ** 2))
+        for x in (input_sig, output_sig)
+    )
+    return _reduction_db(p_in, p_out)
+
+
+def _reduction_db(p_in: float, p_out: float) -> float:
+    """10*log10(p_in / p_out), within +/- REDUCTION_CAP_DB; 0 dB when
+    both powers are zero."""
     if p_in == 0.0 and p_out == 0.0:
         return 0.0
     if p_out == 0.0:
@@ -306,21 +291,26 @@ def evaluate_condition(
 
 def spectrogram_db(samples, frame_cfg, floor_db: float = -120.0) -> np.ndarray:
     """Frame-by-bin magnitude matrix in dB for before/after inspection."""
-    from . import framing  # local import keeps module deps one-way
-
-    x = np.asarray(samples, dtype=float)
-    n_frames = max(0, (x.size - frame_cfg.frame_len) // frame_cfg.hop_len + 1)
-    rows = np.empty((n_frames, frame_cfg.num_bins))
-    floor_pow, step = 10.0 ** (floor_db / 10.0), pipeline.BLOCK_FRAMES
-    for i in range(0, n_frames, step):
-        n = min(step, n_frames - i)
-        power = framing.analyze(pipeline._frames(x, i, n, frame_cfg), frame_cfg).power
-        rows[i : i + n] = 10.0 * np.log10(np.maximum(power, floor_pow))
+    [(_, rows)] = spectrogram_stream([samples], frame_cfg, floor_db)
     return rows
 
 
-def write_spectrogram_csv(path, samples, frame_cfg) -> None:
-    np.savetxt(path, spectrogram_db(samples, frame_cfg), delimiter=",", fmt="%.3f")
+def spectrogram_stream(blocks, frame_cfg, floor_db: float = -120.0):
+    """Yield each of blocks, the pieces of a signal, with the (n, bins)
+    spectrogram_db rows it completes: the frames of the engine's framer
+    with the high-pass off, past those of its seeded zeros, so that row
+    i starts at sample i * hop_len. Bad samples raise as in the engine."""
+    fcfg = dataclasses.replace(frame_cfg, hpf_cutoff_hz=None)
+    framer = pipeline._Framer(fcfg)
+    floor_pow = 10.0 ** (floor_db / 10.0)
+    for block in blocks:
+        power = [
+            framing.analyze(frames, fcfg).power.reshape(n, -1)
+            for frames, n in framer.push(block)
+            if framer.frames >= framer.warm_frames
+        ]
+        power = np.concatenate([np.zeros((0, fcfg.num_bins)), *power])
+        yield block, 10.0 * np.log10(np.maximum(power, floor_pow))
 
 
 def write_report_csv(path, rows) -> None:

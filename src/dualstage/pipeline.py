@@ -9,7 +9,8 @@ logged so the measurement harness can replay them over the clean
 components of a mix. One framer (_Framer) owns a stream's shape: the
 seeded zeros, the input screen, the high-pass, the carry, the blocks
 and the zero flush. Replay (_Shadow) is fed the engine's pieces
-through a framer of its own, and shadows each block's gain rows: one
+through a framer of its own, as is metrics.spectrogram_stream (with
+no high-pass). Replay shadows each block's gain rows: one
 analysis, then one synthesis per output. shadow_stream runs the
 engine and that replay as a two-stage pipeline, so no gain log is kept.
 
@@ -148,6 +149,11 @@ class StreamProcessor:
     call. The input buffer is pre-seeded with frame_len + hop_len
     zeros, so the output is the input delayed by exactly the
     algorithmic latency.
+
+    tracker_sink(first_frame, stage, raw, smoothed), if given, is called
+    per block of n frames past the warm-up and per stage (1, then 2) with
+    that stage's raw and smoothed noise estimates, (n, bands) arrays the
+    engine may overwrite after the call.
     """
 
     def __init__(
@@ -201,9 +207,11 @@ class StreamProcessor:
         first = self.framer.frames
         if first < self.framer.warm_frames:
             return spec.bins, np.ones(spec.bins.shape)
+        sink = self.tracker_sink
         mags1 = bands.pool_to_bands(spec, self.plan)
         g1, snr1, raw_n1, n1 = self.stage1.step(mags1, None)
-        tracks = [(1, raw_n1, n1)]
+        if sink is not None:
+            sink(first, 1, raw_n1.reshape(n, -1), n1.reshape(n, -1))
         bin_gains = bands.expand_to_bins(g1, self.plan)
         spec = bands.apply_gains(spec, bin_gains)
         if self.stage2 is not None:
@@ -212,16 +220,12 @@ class StreamProcessor:
             fed = self.stage2.cfg.tracker.alpha_snr_map is not None
             snr_db = self._frame_snr_db(mags1, snr1) if fed else None
             g2, _, raw_n2, n2 = self.stage2.step(mags2, snr_db)
-            tracks.append((2, raw_n2, n2))
+            if sink is not None:
+                sink(first, 2, raw_n2.reshape(n, -1), n2.reshape(n, -1))
             bin_g2 = bands.expand_to_bins(g2, self.plan)
             spec.bins *= bin_g2
             if self.gain_log is not None:  # only the log needs the product
                 bin_gains = bin_gains * bin_g2
-        if self.tracker_sink is not None:
-            for i in range(n):
-                for stage, raw_n, noise_est in tracks:
-                    rows = (np.reshape(raw_n, (n, -1))[i], np.reshape(noise_est, (n, -1))[i])
-                    self.tracker_sink(first + i, stage, *rows)
         return spec.bins, bin_gains
 
     def _frame_snr_db(self, band_mags: np.ndarray, snr: np.ndarray):
@@ -388,16 +392,19 @@ class _Shadow:
         return row
 
 
-def _mono(samples) -> np.ndarray:
-    x = _real(samples, "samples")
+def _mono(samples, what: str = "samples") -> np.ndarray:
+    x = _real(samples, what)
     if x.ndim != 1:
-        raise UsageError(f"expected a mono 1-D signal, got shape {x.shape}")
+        raise UsageError(f"{what} must be a mono 1-D signal, got shape {x.shape}")
     return x
 
 
 def _real(values, what: str) -> np.ndarray:
-    """values as a float array; complex or non-numeric ones raise UsageError."""
-    x = np.asarray(values)
+    """values as a float array; ragged, complex or non-numeric ones raise UsageError."""
+    try:
+        x = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting
+        raise UsageError(f"{what} must be a regular array, not a ragged nesting ({exc})") from None
     if x.dtype.kind not in "biuf":
         raise UsageError(f"{what} must be real numbers, got dtype {x.dtype}")
     return x.astype(float, copy=False)

@@ -140,7 +140,7 @@ def write_wav(path, samples, sample_rate_hz: int, subtype: str = PCM16, *, size=
         raise UsageError(f"unsupported output subtype {subtype!r}")
     header = wav_header(int(sample_rate_hz), _DISK_DTYPES[subtype], size)
     with replacing(path, "wb", "WAV file") as fh:
-        write = _writer(fh, path, "WAV file")
+        write = guarded(fh.write, path, "WAV file")
         write(header)
         written = 0
         for block in samples:
@@ -222,16 +222,16 @@ def replacing(path, mode: str, what: str, **kwargs):
         raise AudioIOError(f"{path}: cannot write {what} ({exc})") from exc
 
 
-def _writer(fh, path, what: str):
-    """fh.write, raising an OSError as an AudioIOError naming path."""
+def guarded(write, path, what: str):
+    """write, raising an OSError as an AudioIOError naming path and what."""
 
-    def write(data):
+    def guarded_write(data):
         try:
-            fh.write(data)
+            write(data)
         except OSError as exc:
             raise AudioIOError(f"{path}: cannot write {what} ({exc})") from exc
 
-    return write
+    return guarded_write
 
 
 def _remove(tmp) -> None:

@@ -1,3 +1,4 @@
+import bisect
 import struct
 
 import numpy as np
@@ -51,6 +52,18 @@ def with_mu(cfg, mu, stages=("stage1", "stage2")):
     for stage in stages:
         d[stage]["gains"]["mu"] = mu
     return config_from_dict(d)
+
+
+def frame_rows_sink(rows):
+    """A tracker_sink that files a copy of each frame's rows of each
+    block into rows as (frame, stage, raw, smoothed), in frame, then
+    stage order: whatever the blocks, the rows of a frame-by-frame run."""
+
+    def sink(first, stage, raw, smoothed):
+        for i, (r, s) in enumerate(zip(raw, smoothed)):
+            bisect.insort(rows, (first + i, stage, r.copy(), s.copy()), key=lambda row: row[:2])
+
+    return sink
 
 
 def pcm24_wav_bytes(n):

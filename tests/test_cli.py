@@ -16,8 +16,8 @@ import dualstage as ds
 from dualstage import cli, pipeline
 from dualstage.cli import main
 from dualstage.config import config_dumps, config_to_dict
-from dualstage.metrics import REPORT_COLUMNS, SnriReport
-from conftest import pcm24_wav_bytes
+from dualstage.metrics import REPORT_COLUMNS, SnriReport, spectrogram_db
+from conftest import frame_rows_sink, pcm24_wav_bytes
 
 
 def _numeric_leaves(doc, prefix=""):
@@ -212,16 +212,26 @@ class TestEnhance:
             assert float(raw) >= 0.0 and float(smooth) >= 0.0
         assert bands == set(range(33))
 
-    def test_spectrogram_dumps(self, tmp_path):
-        wav = write_noise_wav(tmp_path / "in.wav", seconds=0.5)
-        si, so = tmp_path / "in.csv", tmp_path / "out.csv"
-        code = run(
-            "enhance", str(wav), str(tmp_path / "o.wav"),
-            "--dump-spectrogram-in", str(si), "--dump-spectrogram-out", str(so),
-        )
-        assert code == 0
-        assert len(si.read_text().strip().splitlines()) > 50
-        assert len(so.read_text().strip().splitlines()) > 50
+    def test_spectrogram_dumps(self, tmp_path, comm_cfg):
+        """Each dump holds (N - 128) // 64 + 1 rows: spectrogram_db of
+        the input and of the output (before its conversion to the WAV's
+        format), as %.3f, one row a line; for a signal of one feed block
+        and one of several."""
+        for seconds in (0.5, 2.5 * FEED / 16000):
+            wav = write_noise_wav(tmp_path / "in.wav", seconds=seconds)
+            si, so = tmp_path / "in.csv", tmp_path / "out.csv"
+            code = run(
+                "enhance", str(wav), str(tmp_path / "o.wav"),
+                "--dump-spectrogram-in", str(si), "--dump-spectrogram-out", str(so),
+            )
+            assert code == 0
+            x = ds.read_wav(wav)[0]
+            y, _ = ds.process_stream(x, comm_cfg, latency_aligned=True)
+            for dump, signal in ((si, x), (so, y)):
+                want = spectrogram_db(signal, comm_cfg.frame)
+                assert want.shape == ((signal.size - 128) // 64 + 1, 129)
+                lines = dump.read_text().splitlines()
+                assert lines == [",".join(f"{v:.3f}" for v in row) for row in want]
 
 
 FEED = cli._FEED_BLOCKS * pipeline.BLOCK_FRAMES * 64
@@ -280,6 +290,22 @@ class TestStreamedEnhance:
         assert dump.read_bytes() == b"earlier dump"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.wav", "o.wav", "trk.csv"]
 
+    def test_late_nan_leaves_existing_spectrograms_untouched(self, tmp_path, capsys):
+        x = np.random.default_rng(41).normal(0.0, 0.1, 2 * FEED + 100).astype(np.float32)
+        x[FEED + 1234] = np.nan
+        src = tmp_path / "bad.wav"
+        wavfile.write(src, 16000, x)
+        si, so = tmp_path / "si.csv", tmp_path / "so.csv"
+        si.write_bytes(b"earlier input spectrogram")
+        so.write_bytes(b"earlier output spectrogram")
+        flags = ["--dump-spectrogram-in", str(si), "--dump-spectrogram-out", str(so)]
+        assert run("enhance", str(src), str(tmp_path / "o.wav"), *flags) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: non-finite sample at stream index {FEED + 1234}\n"
+        assert si.read_bytes() == b"earlier input spectrogram"
+        assert so.read_bytes() == b"earlier output spectrogram"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.wav", "si.csv", "so.csv"]
+
     def test_unreadable_inputs_keep_their_exit_codes(self, tmp_path, capsys):
         """Each input rejected before an output is opened, with the exit
         code and message of a whole-file read."""
@@ -311,13 +337,13 @@ class TestStreamedEnhance:
         dump = tmp_path / "trk.csv"
         assert run("enhance", str(wav), str(tmp_path / "o.wav"), "--tracker-dump", str(dump)) == 0
         lines = ["frame,band,raw_noise,smoothed_noise"]
-
-        def sink(frame, stage, raw, smoothed):
+        rows = []
+        sink = frame_rows_sink(rows)
+        ds.process_stream(ds.read_wav(wav)[0], comm_cfg, latency_aligned=True, tracker_sink=sink)
+        for frame, stage, raw, smoothed in rows:
             if stage == 2:
                 for band, (r, s) in enumerate(zip(raw, smoothed)):
                     lines.append(f"{frame},{band},{r:.8g},{s:.8g}")
-
-        ds.process_stream(ds.read_wav(wav)[0], comm_cfg, latency_aligned=True, tracker_sink=sink)
         assert dump.read_text().splitlines() == lines
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -336,6 +362,27 @@ class TestStreamedEnhance:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {dump}: cannot write tracker dump (")
         assert not (tmp_path / "o.wav").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("flag", ["--dump-spectrogram-in", "--dump-spectrogram-out"])
+    def test_failed_spectrogram_dump_names_the_dump(self, tmp_path, capsys, flag):
+        """A spectrogram dump that cannot be written (a pipe whose reader
+        has gone) fails with its own path and leaves the output WAV as
+        it was."""
+        wav = write_noise_wav(tmp_path / "in.wav", seconds=2.0)
+        out, dump = tmp_path / "o.wav", tmp_path / "spec.csv"
+        out.write_bytes(b"earlier output")
+        os.mkfifo(dump)
+        reader = threading.Thread(target=lambda: open(dump, "rb").close(), daemon=True)
+        reader.start()
+        try:
+            code = run("enhance", str(wav), str(out), flag, str(dump))
+        finally:
+            reader.join(timeout=10)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {dump}: cannot write spectrogram dump (")
+        assert out.read_bytes() == b"earlier output"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "o.wav", "spec.csv"]
 
     def test_memory_is_flat_in_file_length(self, tmp_path):
         """Peak traced allocation of enhance on a 10 min file is within

@@ -20,7 +20,6 @@ from dualstage.metrics import (
     relative_improvement,
     spectrogram_db,
     write_report_csv,
-    write_spectrogram_csv,
 )
 from synth import FS, surrogate_speech, white_noise
 
@@ -108,6 +107,16 @@ class TestMixAtSnr:
             mix_at_snr(self._spec(short, noise, 0.0))
         with pytest.raises(InputError, match="silent"):
             mix_at_snr(self._spec(speech, np.zeros(2 * FS), 0.0))
+
+    @pytest.mark.parametrize("component", ["speech", "noise"])
+    def test_two_dimensional_component_is_usage_error(self, component):
+        """A 2-D signal is the shape fault process and process_stream
+        report as UsageError, so mix_at_snr raises the same class."""
+        rng = np.random.default_rng(24)
+        signals = {"speech": rng.normal(0.0, 0.2, 2 * FS), "noise": rng.normal(0.0, 0.1, 2 * FS)}
+        signals[component] = signals[component].reshape(2, -1)
+        with pytest.raises(UsageError, match=f"{component} must be a mono 1-D signal, got shape"):
+            mix_at_snr(self._spec(signals["speech"], signals["noise"], 0.0))
 
 
 def _tone_and_noise(n_periods, rng):
@@ -375,14 +384,19 @@ class TestSpectrogram:
     def test_short_input_yields_no_rows(self, frame_cfg):
         assert spectrogram_db(np.zeros(100), frame_cfg).shape[0] == 0
 
-    def test_csv_writers(self, tmp_path, frame_cfg):
-        rng = np.random.default_rng(29)
-        p = tmp_path / "spec.csv"
-        write_spectrogram_csv(p, rng.normal(0.0, 0.1, 2000), frame_cfg)
-        lines = p.read_text().strip().splitlines()
-        assert len(lines) == (2000 - 128) // 64 + 1
-        assert len(lines[0].split(",")) == 129
+    def test_non_finite_sample_is_rejected(self, frame_cfg):
+        """A NaN sample raises the engine's InputError with its index
+        rather than giving NaN rows."""
+        x = np.random.default_rng(29).normal(0.0, 0.1, 2000)
+        x[1500] = np.nan
+        with pytest.raises(InputError, match="non-finite sample at stream index 1500"):
+            spectrogram_db(x, frame_cfg)
 
+    def test_ragged_input_is_usage_error(self, frame_cfg):
+        with pytest.raises(UsageError, match="samples must be a regular array"):
+            spectrogram_db([[0.1, 0.2], [0.3]], frame_cfg)
+
+    def test_csv_writers(self, tmp_path):
         rows = [
             {
                 "noise_type": "white",

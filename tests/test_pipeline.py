@@ -10,7 +10,7 @@ from dualstage.errors import InputError, UsageError
 from dualstage.framing import algorithmic_latency_ms
 from synth import FS, pink_noise, surrogate_speech, white_noise
 
-from conftest import no_hpf, with_mu
+from conftest import frame_rows_sink, no_hpf, with_mu
 
 
 class TestBypass:
@@ -64,11 +64,7 @@ class TestStreaming:
 
         def run(chunks):
             rows = []
-
-            def sink(frame, stage, raw, noise):
-                rows.append((frame, stage, raw.copy(), noise.copy()))
-
-            proc = ds.StreamProcessor(cfg, single_stage=single, tracker_sink=sink)
+            proc = ds.StreamProcessor(cfg, single_stage=single, tracker_sink=frame_rows_sink(rows))
             y = np.concatenate([proc.process(c) for c in chunks])
             return y, np.concatenate(proc.gain_log), rows
 
@@ -180,10 +176,11 @@ class TestNonFiniteInput:
         assert rect.frame.max_abs_sample == limit
         with np.errstate(over="ignore", invalid="ignore"):
             for cfg, x in ((comm_cfg, noise), (rect, np.full(FS // 2, limit))):
-                tracks = []
+                rows = []
                 y, log = ds.process_stream(
-                    x, cfg, single_stage=single, tracker_sink=lambda *row: tracks.append(row[2:])
+                    x, cfg, single_stage=single, tracker_sink=frame_rows_sink(rows)
                 )
+                tracks = [row[2:] for row in rows]
                 assert np.all(np.isfinite(y)) and np.all(np.isfinite(log))
                 assert tracks and np.all(np.isfinite(tracks))
 
@@ -200,8 +197,9 @@ class TestNonFiniteInput:
         with pytest.raises(InputError, match="sample magnitude above .* at stream index 12000"):
             ds.process_stream(x, comm_cfg)
         x[burst] *= comm_cfg.frame.max_abs_sample * (1 - 1e-12) / np.abs(x[burst]).max()
-        tracks = []
-        ds.process_stream(x, comm_cfg, tracker_sink=lambda *row: tracks.append(row[2:]))
+        rows = []
+        ds.process_stream(x, comm_cfg, tracker_sink=frame_rows_sink(rows))
+        tracks = [row[2:] for row in rows]
         assert len(tracks) > 500 and np.all(np.isfinite(tracks))
 
     @pytest.mark.parametrize("level", [1e-3, 1e-6])
@@ -270,6 +268,34 @@ class TestSampleType:
         bad = self.BAD[dtype]
         signals[component] = np.resize(np.asarray(bad), signals[component].size)
         with pytest.raises(UsageError, match=f"{component} must be real numbers, got dtype {dtype}"):
+            ds.evaluate_condition(signals["speech"], signals["noise"], 0.0, comm_cfg)
+
+
+class TestRaggedInput:
+    """A ragged nesting raises UsageError naming what it was passed as,
+    where numpy would raise a bare ValueError."""
+
+    RAGGED = [[0.1, 0.2], [0.3]]
+
+    def test_process(self, comm_cfg):
+        with pytest.raises(UsageError, match="samples must be a regular array"):
+            ds.StreamProcessor(comm_cfg).process(self.RAGGED)
+
+    def test_process_stream(self, comm_cfg):
+        with pytest.raises(UsageError, match="samples must be a regular array"):
+            ds.process_stream(self.RAGGED, comm_cfg)
+
+    def test_replay_gains(self, comm_cfg):
+        _, log = ds.process_stream(np.zeros(2000), comm_cfg)
+        with pytest.raises(UsageError, match="samples must be a regular array"):
+            ds.replay_gains(self.RAGGED, log, comm_cfg)
+
+    @pytest.mark.parametrize("component", ["speech", "noise"])
+    def test_evaluate_condition(self, comm_cfg, component):
+        rng = np.random.default_rng(37)
+        signals = {"speech": surrogate_speech(2.0, rng), "noise": white_noise(2.0, rng)}
+        signals[component] = self.RAGGED
+        with pytest.raises(UsageError, match=f"{component} must be a regular array"):
             ds.evaluate_condition(signals["speech"], signals["noise"], 0.0, comm_cfg)
 
 
@@ -411,14 +437,10 @@ class TestStageInteraction:
         x = white_noise(2.0, rng, level=0.1)
 
         def run(cfg):
-            raws, smooths = [], []
-
-            def sink(frame, stage, raw, smoothed):
-                if stage == 2:
-                    raws.append(raw.copy())
-                    smooths.append(smoothed.copy())
-
-            ds.process_stream(x, cfg, tracker_sink=sink)
+            rows = []
+            ds.process_stream(x, cfg, tracker_sink=frame_rows_sink(rows))
+            raws = [raw for _, stage, raw, _ in rows if stage == 2]
+            smooths = [smoothed for _, stage, _, smoothed in rows if stage == 2]
             return np.asarray(raws), np.asarray(smooths)
 
         doc = config_to_dict(comm_cfg)

@@ -1,6 +1,7 @@
 """Property tests: chunk invariance over random valid configurations,
 exact block smoothers, gain bounds, mu=0 transparency, replay
-linearity, shared-analysis replay and the stream framer."""
+linearity, shared-analysis replay, the stream framer and the streamed
+spectrogram."""
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 
 import dualstage as ds
 from dualstage.config import config_from_dict, config_to_dict
-from dualstage.framing import WINDOW_KINDS
+from dualstage.framing import WINDOW_KINDS, analyze
+from dualstage.metrics import spectrogram_db, spectrogram_stream
 from dualstage.gain import GainParams, GainState, MU_MAX, compute_raw_gain, smooth_gain
 from dualstage.noise_tracking import smooth_rows
 from dualstage.pipeline import BLOCK_FRAMES, _Framer, _Shadow, _replay
 
-from conftest import no_hpf, with_mu
+from conftest import frame_rows_sink, no_hpf, with_mu
 
 # alphas and gammas in [0, 1], with both ends drawn often
 unit_floats = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -65,7 +67,7 @@ def test_chunking_never_changes_the_output(cfg, single, seed, data):
     cap = BLOCK_FRAMES * hop
     x = np.random.default_rng(seed).normal(0.0, 0.1, int(2.5 * cap))
     expected_rows = []
-    whole = ds.StreamProcessor(cfg, single_stage=single, tracker_sink=_recorder(expected_rows))
+    whole = ds.StreamProcessor(cfg, single_stage=single, tracker_sink=frame_rows_sink(expected_rows))
     expected = whole.process(x)
 
     chunks = st.one_of(
@@ -76,7 +78,7 @@ def test_chunking_never_changes_the_output(cfg, single, seed, data):
     )
     sizes = [size for run in data.draw(st.lists(chunks, min_size=1, max_size=10)) for size in run]
     rows = []
-    proc = ds.StreamProcessor(cfg, single_stage=single, tracker_sink=_recorder(rows))
+    proc = ds.StreamProcessor(cfg, single_stage=single, tracker_sink=frame_rows_sink(rows))
     pieces = []
     pos = 0
     for size in sizes:
@@ -90,11 +92,6 @@ def test_chunking_never_changes_the_output(cfg, single, seed, data):
         assert got[:2] == want[:2]
         np.testing.assert_array_equal(got[2], want[2])
         np.testing.assert_array_equal(got[3], want[3])
-
-
-def _recorder(rows):
-    """A tracker_sink that keeps copies of every row it is given."""
-    return lambda frame, stage, raw, noise: rows.append((frame, stage, raw.copy(), noise.copy()))
 
 
 @settings(max_examples=200, deadline=None)
@@ -328,3 +325,33 @@ def test_framer_blocks_equal_one_whole_push(cfg, seed, data):
         proc.process(piece)
         assert shadow.push(piece, [None]) == sum(shadow_blocks)
         assert shadow_blocks == [len(rows) for rows in proc.gain_log]
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=pipeline_configs(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_spectrogram_stream_equals_whole_signal(cfg, seed, data):
+    """Pieces of 0, 1, hop - 1 and hop samples, runs of one-hop pieces
+    (each completing a lone frame) and random sizes give, concatenated,
+    the spectrogram_db rows of the whole signal, and each piece back
+    unchanged."""
+    fcfg = cfg.frame
+    hop = fcfg.hop_len
+    special = st.sampled_from([0, 1, hop - 1, hop])
+    runs = st.one_of(
+        special.map(lambda size: [size]),
+        st.integers(1, 12).map(lambda calls: [hop] * calls),
+        st.integers(0, 3 * BLOCK_FRAMES * hop).map(lambda size: [size]),
+    )
+    sizes = [size for run in data.draw(st.lists(runs, min_size=1, max_size=8)) for size in run]
+    x = np.random.default_rng(seed).normal(0.0, 0.1, sum(sizes))
+    pieces = np.split(x, np.cumsum(sizes)[:-1])
+    got = list(spectrogram_stream(pieces, fcfg))
+    assert all(block is piece for (block, _), piece in zip(got, pieces))
+    rows = np.concatenate([r for _, r in got])
+    assert rows.tobytes() == spectrogram_db(x, fcfg).tobytes()
+    want = max(0, (x.size - fcfg.frame_len) // hop + 1)
+    assert rows.shape == (want, fcfg.num_bins)
+    # row i is the frame of the raw samples from i * hop on, with no high-pass
+    for i in range(0, want, 37):
+        power = analyze(x[i * hop : i * hop + fcfg.frame_len], fcfg).power
+        np.testing.assert_array_equal(rows[i], 10.0 * np.log10(np.maximum(power, 1e-12)))
