@@ -304,13 +304,12 @@ def spectrogram_stream(blocks, frame_cfg, floor_db: float = -120.0):
     framer = pipeline._Framer(fcfg)
     floor_pow = 10.0 ** (floor_db / 10.0)
     for block in blocks:
-        power = [
-            framing.analyze(frames, fcfg).power.reshape(n, -1)
-            for frames, n in framer.push(block)
+        rows = [
+            10.0 * np.log10(np.maximum(framing.analyze(frames, fcfg).power, floor_pow))
+            for frames, _ in framer.push(block)
             if framer.frames >= framer.warm_frames
         ]
-        power = np.concatenate([np.zeros((0, fcfg.num_bins)), *power])
-        yield block, 10.0 * np.log10(np.maximum(power, floor_pow))
+        yield block, np.concatenate([np.zeros((0, fcfg.num_bins)), *map(np.atleast_2d, rows)])
 
 
 def write_report_csv(path, rows) -> None:
