@@ -1,12 +1,18 @@
-"""Check that running dualstage never imports scipy.signal or scipy.stats.
+"""Check that running dualstage imports none of scipy's heavy packages.
 
 In one fresh interpreter: imports dualstage, runs `dualstage enhance`
 through cli.main on a 1 s WAV of noise, and evaluates one condition
-with evaluate_condition. Exits 1, naming them, if scipy.signal or
-scipy.stats is then in sys.modules. Importing scipy.signal (which
-pulls in scipy.stats, scipy.optimize and scipy.interpolate) takes
-about a second, which every process that starts on demand would pay
-before its first sample.
+with evaluate_condition. Exits 1, naming them, if scipy.signal,
+scipy.stats, scipy.linalg or scipy.io is then in sys.modules, or if
+scipy.linalg._flapack or scipy.io.wavfile is missing or was loaded from
+a file outside the installed scipy's linalg or io directory. Importing
+scipy.signal (which pulls in scipy.stats, scipy.optimize and
+scipy.interpolate) takes about a second; the scipy.linalg and scipy.io
+packages take about a quarter of one, for two LAPACK wrappers and a WAV
+codec that dualstage loads from their files alone (dualstage._scipy).
+Every process that starts on demand would pay that before its first
+sample. A scipy whose layout moved those files makes dualstage import
+the packages after all, which this check reports.
 
 usage: python scripts/check_imports.py
 
@@ -21,10 +27,13 @@ import sys
 import tempfile
 
 import numpy as np
+import scipy
 
 from dualstage import cli, evaluate_condition, load_preset, write_wav
 
-FORBIDDEN = ("scipy.signal", "scipy.stats")
+FORBIDDEN = ("scipy.signal", "scipy.stats", "scipy.linalg", "scipy.io")
+# the leaf modules dualstage loads, and the directory each must come from
+LEAVES = {"scipy.linalg._flapack": "linalg", "scipy.io.wavfile": "io"}
 FS = 16000
 
 
@@ -44,6 +53,11 @@ def main():
     loaded = [name for name in FORBIDDEN if name in sys.modules]
     if loaded:
         sys.exit(f"running dualstage imported {', '.join(loaded)}")
+    scipy_dir = os.path.dirname(os.path.realpath(scipy.__file__))
+    for name, folder in LEAVES.items():
+        path = getattr(sys.modules.get(name), "__file__", None)
+        if path is None or os.path.dirname(os.path.realpath(path)) != os.path.join(scipy_dir, folder):
+            sys.exit(f"{name} was loaded from {path}, not from {os.path.join(scipy_dir, folder)}")
     print(f"ok: {len(sys.modules)} modules loaded, none of {', '.join(FORBIDDEN)}")
 
 

@@ -1,0 +1,49 @@
+"""scipy's leaf modules without their packages' __init__.
+
+The engine needs two LAPACK wrappers from scipy.linalg._flapack and the
+WAV codec scipy.io.wavfile. Importing them by their usual names runs
+scipy.linalg's and scipy.io's __init__ first, which load some 360
+modules (scipy.sparse, scipy._lib._array_api and through it numpy.f2py
+and numpy.testing) in about a quarter of a second: a cost a process
+that starts on demand pays before its first sample. leaf loads the one
+file instead.
+"""
+
+import importlib
+import os
+import sys
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
+
+# top-level scipy is cheap, and it sets up scipy's shared libraries
+# (which Windows wheels need) before any extension of it loads
+import scipy
+
+SCIPY_DIR = os.path.dirname(scipy.__file__)
+
+
+def leaf(name: str):
+    """The module name ("scipy.linalg._flapack"), loaded from its file
+    in SCIPY_DIR without importing the package that holds it.
+
+    It goes into sys.modules under its own name before it runs, so a
+    later `import scipy.linalg` or `scipy.io` reuses this module object
+    and every routine is the one scipy hands out. A module already
+    imported is returned as it is; one not found where scipy's layout
+    puts it is imported the usual way, package and all.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    # importlib.util.find_spec would import the parent package
+    spec = PathFinder.find_spec(name, [os.path.join(SCIPY_DIR, *name.split(".")[1:-1])])
+    if spec is None:
+        return importlib.import_module(name)
+    module = module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module

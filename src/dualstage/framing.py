@@ -12,9 +12,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrs as _dgttrs
 
+from ._scipy import leaf
 from .errors import ConfigError, UsageError, refuse_huge_integers
+
+_dgttrs = leaf("scipy.linalg._flapack").dgttrs
 
 WINDOW_KINDS = ("sqrt-hann", "hann", "rectangular")
 

@@ -303,13 +303,20 @@ def spectrogram_stream(blocks, frame_cfg, floor_db: float = -120.0):
     fcfg = dataclasses.replace(frame_cfg, hpf_cutoff_hz=None)
     framer = pipeline._Framer(fcfg)
     floor_pow = 10.0 ** (floor_db / 10.0)
+    # the framer copies what it is pushed; pieces of this size keep that
+    # copy, and each block's rows, small beside a whole signal's rows
+    feed = pipeline.BLOCK_FRAMES * fcfg.hop_len
     for block in blocks:
-        rows = [
-            10.0 * np.log10(np.maximum(framing.analyze(frames, fcfg).power, floor_pow))
-            for frames, _ in framer.push(block)
-            if framer.frames >= framer.warm_frames
-        ]
-        yield block, np.concatenate([np.zeros((0, fcfg.num_bins)), *map(np.atleast_2d, rows)])
+        x = pipeline._mono(block)
+        first = max(framer.frames, framer.warm_frames)
+        rows = np.empty((max(0, framer.frames + framer.completes(x.size) - first), fcfg.num_bins))
+        for i in range(0, x.size, feed):
+            for frames, n in framer.push(x[i : i + feed]):
+                if framer.frames >= first:
+                    power = framing.analyze(frames, fcfg).power
+                    at = framer.frames - first
+                    rows[at : at + n] = 10.0 * np.log10(np.maximum(power, floor_pow))
+        yield block, rows
 
 
 def write_report_csv(path, rows) -> None:

@@ -27,10 +27,12 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv as _dgtsv
-from scipy.linalg.lapack import dgttrs as _dgttrs
 
+from ._scipy import leaf
 from .errors import ConfigError, refuse_huge_integers
+
+_flapack = leaf("scipy.linalg._flapack")
+_dgtsv, _dgttrs = _flapack.dgtsv, _flapack.dgttrs
 
 # a smoothing factor or gain bound: one value for every band, or one per band
 PerBand = float | tuple[float, ...]

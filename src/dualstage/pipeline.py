@@ -97,7 +97,7 @@ class _Framer:
             self.fill = end - hop
             return
         buf = np.concatenate([carry[:fill], x])
-        n_frames = max(0, (end - flen) // hop + 1)
+        n_frames = self.completes(x.size)
         first = 0
         while first < n_frames:
             warm = self.warm_frames - self.frames
@@ -107,6 +107,10 @@ class _Framer:
             first += n
         self.fill = end - n_frames * hop
         carry[: self.fill] = buf[n_frames * hop :]
+
+    def completes(self, size: int) -> int:
+        """Frames a push of size samples completes."""
+        return max(0, (self.fill + size - self.fcfg.frame_len) // self.fcfg.hop_len + 1)
 
     def pieces(self, x: np.ndarray):
         """x in the pieces its stream is fed in: BLOCK_FRAMES hops each,

@@ -16,9 +16,11 @@ import stat
 import struct
 
 import numpy as np
-from scipy.io import wavfile
 
+from ._scipy import leaf
 from .errors import AudioIOError, InputError, InternalError, UsageError
+
+wavfile = leaf("scipy.io.wavfile")
 
 PCM16 = "pcm16"
 FLOAT32 = "float32"

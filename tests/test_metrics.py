@@ -396,6 +396,20 @@ class TestSpectrogram:
         with pytest.raises(UsageError, match="samples must be a regular array"):
             spectrogram_db([[0.1, 0.2], [0.3]], frame_cfg)
 
+    def test_whole_signal_memory_is_its_rows(self, frame_cfg):
+        """60 s peaks at its 14.8 MiB of rows plus a framer block's
+        temporaries; gathering the rows in a list and concatenating them
+        took twice the rows."""
+        x = np.random.default_rng(30).normal(0.0, 0.1, 60 * FS)
+        tracemalloc.start()
+        try:
+            rows = spectrogram_db(x, frame_cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == ((x.size - 128) // 64 + 1, 129)
+        assert peak < 1.25 * rows.nbytes, peak / rows.nbytes
+
     def test_csv_writers(self, tmp_path):
         rows = [
             {

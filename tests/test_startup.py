@@ -1,24 +1,82 @@
-"""Start-up cost: running dualstage imports neither scipy.signal nor
-scipy.stats, which together take most of a second to import."""
+"""Start-up cost: running dualstage imports none of scipy.signal,
+scipy.stats, scipy.linalg or scipy.io, which between them take most of
+a second to import; it loads scipy.linalg._flapack and scipy.io.wavfile
+from their files alone (dualstage._scipy), and those are the very
+module objects scipy hands out when its packages are imported too."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_a_run_imports_neither_scipy_signal_nor_scipy_stats():
-    """scripts/check_imports.py in a fresh interpreter: enhance a 1 s WAV
-    through cli.main, evaluate one condition, then look in sys.modules."""
+def run_python(*args):
+    """A fresh interpreter with the checkout's src first on its path."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "check_imports.py")],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_run_imports_no_heavy_scipy_package():
+    """scripts/check_imports.py in a fresh interpreter: enhance a 1 s WAV
+    through cli.main, evaluate one condition, then look in sys.modules
+    and at where the two scipy leaf modules came from."""
+    run_python(str(ROOT / "scripts" / "check_imports.py"))
+
+
+IMPORT_DUALSTAGE = """
+import numpy as np
+from dualstage import framing, load_preset, noise_tracking, wavio
+from dualstage.pipeline import StreamProcessor
+out = StreamProcessor(load_preset("communication")).process(np.ones(4096))
+assert out.size and np.isfinite(out).all()
+"""
+
+IMPORT_SCIPY = """
+import scipy.io.wavfile
+import scipy.linalg
+import scipy.linalg.lapack as lapack
+import scipy.signal
+"""
+
+SAME_OBJECTS = """
+assert lapack.dgtsv is noise_tracking._dgtsv
+assert lapack.dgttrs is framing._dgttrs
+assert lapack.dgttrs is noise_tracking._dgttrs
+assert scipy.io.wavfile is wavio.wavfile
+ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
+x = scipy.linalg.solve_banded((1, 1), ab, [5.0, 6.0, 5.0])
+np.testing.assert_allclose(x, [1.0, 1.0, 1.0])
+"""
+
+
+@pytest.mark.parametrize("first", ["dualstage", "scipy"])
+def test_scipy_packages_share_the_leaf_modules(first):
+    """Whichever is imported first, dualstage's LAPACK wrappers and WAV
+    codec are the objects scipy.linalg.lapack and scipy.io hand out,
+    and scipy.linalg still solves."""
+    parts = [IMPORT_DUALSTAGE, IMPORT_SCIPY] if first == "dualstage" else [IMPORT_SCIPY, IMPORT_DUALSTAGE]
+    run_python("-c", "".join(parts) + SAME_OBJECTS)
+
+
+FALLBACK = """
+import sys
+from dualstage import _scipy, wavio
+# a leaf not loaded yet, and not where the loader looks for it
+del sys.modules["scipy.io.wavfile"]
+_scipy.SCIPY_DIR = sys.argv[1]
+module = _scipy.leaf("scipy.io.wavfile")
+import scipy.io
+assert "scipy.io" in sys.modules
+assert module is sys.modules["scipy.io.wavfile"] is scipy.io.wavfile
+assert module is not wavio.wavfile
+"""
+
+
+def test_a_leaf_not_where_scipy_puts_it_is_imported_the_usual_way(tmp_path):
+    run_python("-c", FALLBACK, str(tmp_path))
