@@ -4,15 +4,16 @@ In one fresh interpreter: imports dualstage, runs `dualstage enhance`
 through cli.main on a 1 s WAV of noise, and evaluates one condition
 with evaluate_condition. Exits 1, naming them, if scipy.signal,
 scipy.stats, scipy.linalg or scipy.io is then in sys.modules, or if
-scipy.linalg._flapack or scipy.io.wavfile is missing or was loaded from
-a file outside the installed scipy's linalg or io directory. Importing
-scipy.signal (which pulls in scipy.stats, scipy.optimize and
+one of the three leaf modules dualstage uses (scipy.signal._sigtools,
+scipy.linalg._flapack, scipy.io.wavfile) is missing or was loaded from
+a file outside the installed scipy's signal, linalg or io directory.
+Importing scipy.signal (which pulls in scipy.stats, scipy.optimize and
 scipy.interpolate) takes about a second; the scipy.linalg and scipy.io
-packages take about a quarter of one, for two LAPACK wrappers and a WAV
-codec that dualstage loads from their files alone (dualstage._scipy).
-Every process that starts on demand would pay that before its first
-sample. A scipy whose layout moved those files makes dualstage import
-the packages after all, which this check reports.
+packages take about a quarter of one, for lfilter's C loop, a LAPACK
+wrapper and a WAV codec that dualstage loads from their files alone
+(dualstage._scipy). Every process that starts on demand would pay that
+before its first sample. A scipy whose layout moved those files makes
+dualstage import the packages after all, which this check reports.
 
 usage: python scripts/check_imports.py
 
@@ -33,7 +34,11 @@ from dualstage import cli, evaluate_condition, load_preset, write_wav
 
 FORBIDDEN = ("scipy.signal", "scipy.stats", "scipy.linalg", "scipy.io")
 # the leaf modules dualstage loads, and the directory each must come from
-LEAVES = {"scipy.linalg._flapack": "linalg", "scipy.io.wavfile": "io"}
+LEAVES = {
+    "scipy.signal._sigtools": "signal",
+    "scipy.linalg._flapack": "linalg",
+    "scipy.io.wavfile": "io",
+}
 FS = 16000
 
 

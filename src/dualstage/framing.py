@@ -2,9 +2,12 @@
 
 High-pass pre-filter, analysis windowing and forward transform with
 zero-padding, and the inverse transform with weighted overlap-add
-synthesis. All state (filter memory, overlap accumulator) is owned by
-the caller and passed in explicitly, so the operations themselves are
-pure and a stream can be moved between threads.
+synthesis. The high-pass runs on the C loop inside
+scipy.signal.lfilter (scipy.signal._sigtools, loaded without
+scipy.signal; see dualstage._scipy), which releases the interpreter
+lock. All state (filter memory, overlap accumulator) is owned by the
+caller and passed in explicitly, so the operations themselves are pure
+and a stream can be moved between threads.
 """
 
 import functools
@@ -16,7 +19,8 @@ import numpy as np
 from ._scipy import leaf
 from .errors import ConfigError, UsageError, refuse_huge_integers
 
-_dgttrs = leaf("scipy.linalg._flapack").dgttrs
+# the loop inside scipy.signal.lfilter, without scipy.signal's imports
+_linear_filter = leaf("scipy.signal._sigtools")._linear_filter
 
 WINDOW_KINDS = ("sqrt-hann", "hann", "rectangular")
 
@@ -34,10 +38,6 @@ MAX_SAMPLE_RATE_HZ = 2**32 - 1
 # bounds the high-pass filter's l1 gain (below 2.44 for a second-order
 # Butterworth high-pass at any cutoff) with room for rounding
 _HPF_GAIN_BOUND = 8.0
-
-# most samples one high-pass solve takes; longer calls run in pieces of
-# this size, so the solve's constant arrays stay small
-_HPF_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -202,72 +202,27 @@ def design_hpf(cutoff_hz: float, sample_rate_hz: int) -> tuple[np.ndarray, np.nd
 
 @dataclass
 class HpfState:
-    """Streaming filter memory, oldest first: the last two inputs and
-    the last two outputs; zeros at stream start."""
+    """Streaming filter memory: the two delays of the transposed direct
+    form (lfilter's zi); zeros at stream start."""
 
-    inputs: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    outputs: np.ndarray = field(default_factory=lambda: np.zeros(2))
-
-
-@functools.lru_cache(maxsize=64)
-def _hpf_poles(a1: float, a2: float, n: int) -> tuple[np.ndarray, ...]:
-    """The tridiagonal LU factor (DL, D, DU, DU2, IPIV) whose transposed
-    solve runs the poles over an n-sample piece.
-
-    Unknowns are [y(-2), y(-1), y(0), ...]. L is the identity (DL = 0,
-    no row interchanges); U has a unit diagonal, DU = [0, a1, a1, ...]
-    and DU2 = a2. dgttrs solves U^T y = v as y(i) = (v(i) - a1 y(i-1))
-    - a2 y(i-2), divided by 1: the direct-form recursion, rounded as a
-    sample-by-sample loop rounds it; the L^T pass then subtracts 0 * y,
-    which is exact while y is finite. A piece shorter than _HPF_CHUNK
-    gets views of the full-size factor. The arrays are read-only, as
-    every caller shares them.
-    """
-    if n < _HPF_CHUNK:
-        dl, d, du, du2, ipiv = _hpf_poles(a1, a2, _HPF_CHUNK)
-        return dl[: n + 1], d[: n + 2], du[: n + 1], du2[:n], ipiv[: n + 2]
-    du = np.full(n + 1, a1)
-    du[0] = 0.0
-    parts = np.zeros(n + 1), np.ones(n + 2), du, np.full(n, a2), np.arange(1, n + 3, dtype=np.int32)
-    for part in parts:
-        part.flags.writeable = False
-    return parts
+    zi: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
 
 def hpf_process(samples: np.ndarray, coeffs, state: HpfState) -> np.ndarray:
     """Apply the high-pass filter to a 1-D block, carrying state.
 
-    Direct form I: v(i) = (b0 x(i) + b1 x(i-1)) + b2 x(i-2) as numpy
-    slices, then the poles y(i) = (v(i) - a1 y(i-1)) - a2 y(i-2) as one
-    LAPACK solve per _HPF_CHUNK samples (see _hpf_poles). Every sample
-    is computed from the same values in the same order wherever a
-    split falls, so filtering the pieces of a signal with the same
-    carried state is bit-identical to filtering it in one call. The
-    samples must be finite (the engine screens them first): the solve
-    spreads a non-finite value back to the start of its piece.
+    Direct form II transposed, in scipy.signal.lfilter's C loop:
+    y(i) = z1 + b0 x(i), z1 = (z2 + b1 x(i)) - a1 y(i),
+    z2 = b2 x(i) - a2 y(i). The delays are the whole state and are
+    carried exactly, so filtering the pieces of a signal with the same
+    state is bit-identical to filtering it in one call.
     """
     x = np.asarray(samples, dtype=float)
-    n = len(x)
-    if not n:  # a solve needs at least three unknowns
+    if not x.size:  # the kernel leaves zf unset for an empty block
         return x.copy()
     b, a = coeffs
-    xs = np.concatenate([state.inputs, x])
-    # [y(-2), y(-1), v(0), ...], solved into y in place
-    y = np.empty(n + 2)
-    y[:2] = state.outputs
-    v = y[2:]
-    np.multiply(xs[2:], b[0], out=v)
-    tap = xs[1:-1] * b[1]
-    v += tap
-    np.multiply(xs[:-2], b[2], out=tap)
-    v += tap
-    # each piece starts from the last two outputs of the one before
-    for start in range(0, n, _HPF_CHUNK):
-        m = min(_HPF_CHUNK, n - start)
-        _dgttrs(*_hpf_poles(a[1], a[2], m), y[start : start + m + 2, None], "T", 1)
-    state.inputs = xs[-2:]
-    state.outputs = y[-2:].copy()
-    return v
+    y, state.zi = _linear_filter(b, a, x, -1, state.zi)
+    return y
 
 
 def analyze(frame: np.ndarray, cfg: FrameConfig) -> SpectralFrame:

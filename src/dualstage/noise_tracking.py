@@ -9,16 +9,16 @@ where the first stage says the signal is mostly noise.
 
 All three smoothers (magnitude pre-smoothing, noise smoothing, and the
 gain smoothing in the gain module) are the recursion in smooth_rows,
-p(m) = c(m) * p(m-1) + a(m) * x(m) with c = 1 - a, and each runs as
-one LAPACK solve per block. Where every band of a frame shares one
-factor (pre-smoothing in every stage, and noise smoothing with a
-scalar alpha, also in Stage 2, where the factor follows the Stage-1
-frame SNR) the block is one tridiagonal solve (dgtsv) with one band
-per right-hand side. Where the factor changes from band to band
-(per-band alphas and both gain smoothers) the block is one unit
-lower-bidiagonal system over all bands (dgttrs). Both round each step
-exactly as a lone frame does (see smooth_rows), so chunking a stream
-never changes a bit.
+p(m) = c(m) * p(m-1) + a(m) * x(m) with c = 1 - a, and each runs once
+per block on one of two kernels. A factor that is one constant for the
+whole block (pre-smoothing in every stage, and noise smoothing with a
+scalar alpha without an alpha map) runs down the rows on
+scipy.signal.lfilter's C loop (scipy.signal._sigtools, loaded without
+scipy.signal). A factor that varies (the Stage-2 factor that follows
+each frame's Stage-1 SNR, per-band alphas and both gain smoothers) is
+one unit lower-bidiagonal LAPACK solve over all bands (dgttrs). Both
+round each step exactly as a lone frame does (see smooth_rows), so
+chunking a stream never changes a bit.
 """
 
 import functools
@@ -31,8 +31,8 @@ import numpy as np
 from ._scipy import leaf
 from .errors import ConfigError, refuse_huge_integers
 
-_flapack = leaf("scipy.linalg._flapack")
-_dgtsv, _dgttrs = _flapack.dgtsv, _flapack.dgttrs
+_dgttrs = leaf("scipy.linalg._flapack").dgttrs
+_linear_filter = leaf("scipy.signal._sigtools")._linear_filter
 
 # a smoothing factor or gain bound: one value for every band, or one per band
 PerBand = float | tuple[float, ...]
@@ -198,18 +198,15 @@ def smooth_rows(prev, alpha, x: np.ndarray, floor=None, c=None) -> np.ndarray:
     Every path rounds each step as fl(fl(c * p) + fl(alpha * x)) with
     c = 1 - alpha, as a lone frame does, so every split of a stream
     gives the same bits:
-    - a block whose factor each row shares across its bands (a scalar,
-      or one value per row) is one tridiagonal solve with one band per
-      right-hand side (_solve_shared);
-    - a block with a factor per band is one unit lower-bidiagonal solve
-      over all bands (_solve_rows);
-    - both solves' forward steps compute that sum; where a solve meets
-      a non-finite value it reports None and the block steps row by
-      row instead;
+    - a block with a 0-d alpha runs on lfilter's C loop (_filter_rows);
+    - a block whose factor varies (by row, by band or both) is one unit
+      lower-bidiagonal solve over all bands (_solve_rows);
+    - where either kernel meets a non-finite value it reports None and
+      the block steps row by row instead;
     - with a floor, the clamp runs only from the first row that left
       [floor, 1], since a clamp that changes nothing can be skipped;
       from that row on the block steps row by row.
-    A LAPACK built to fuse the multiply and add would round the solves
+    A LAPACK built to fuse the multiply and add would round the solve
     differently; test_block_smoother_equals_frame_by_frame would catch
     it.
     """
@@ -223,14 +220,19 @@ def smooth_rows(prev, alpha, x: np.ndarray, floor=None, c=None) -> np.ndarray:
             np.maximum(p, floor, out=p)
             np.minimum(p, _ONE, out=p)
         return p
+    if not len(x):
+        return np.empty_like(x)
     if prev is None:  # the seeded first row, then the recursion from it
         first = smooth_rows(None, alpha, x[0], floor, c)
         if len(x) == 1:
             return first[None]
         rest = smooth_rows(first, alpha[1:] if np.ndim(alpha) == 2 else alpha, x[1:], floor, c)
         return np.concatenate([first[None], rest])
-    shared = np.ndim(alpha) == 0 or np.shape(alpha)[-1] == 1
-    rows = (_solve_shared if shared else _solve_rows)(prev, alpha, x)
+    if np.ndim(alpha) == 0:
+        c = _ONE - alpha if c is None else c
+        rows = _filter_rows(prev, alpha, c, x)
+    else:
+        rows = _solve_rows(prev, alpha, x)
     if rows is None:
         rows = np.empty_like(x)
         _step_rows(prev, 1 - alpha if c is None else c, alpha * x, rows)
@@ -248,38 +250,19 @@ def smooth_rows(prev, alpha, x: np.ndarray, floor=None, c=None) -> np.ndarray:
     return rows
 
 
-def _rhs(prev, alpha, x: np.ndarray) -> np.ndarray:
-    """[prev, alpha * x] as one Fortran-ordered (n + 1, bands) array: a
-    column per band, so the products land there without a transpose."""
-    b = np.empty((len(x) + 1, x.shape[1]), order="F")
-    b[0] = prev
-    np.multiply(alpha, x, out=b[1:])
-    return b
+def _filter_rows(prev, alpha, c, x: np.ndarray) -> np.ndarray | None:
+    """The recursion over a block with one factor throughout, as
+    scipy.signal.lfilter's C loop down the rows: b = [alpha],
+    a = [1, -c], and the delay starts at z = c * prev.
 
-
-def _solve_shared(prev, alpha, x: np.ndarray) -> np.ndarray | None:
-    """The recursion over a block whose factor each row shares across
-    bands, as one LAPACK dgtsv solve with a right-hand side per band.
-
-    The n + 1 unknowns are p(-1) = prev, then rows 1..n. The matrix has
-    ones on its diagonal, zeros above it and alpha(m) - 1 below it,
-    which rounds to exactly -c(m); b = [prev, alpha * x]. As |-c| <= 1
-    no rows are swapped, so elimination computes b(m) - (-c(m)) p(m-1),
-    the row loop's sum, for every band at once, and
-    back-substitution subtracts 0 * p and divides by 1, which is exact
-    while every p is finite. A non-finite p spreads NaN back to its
-    band's prev through 0 * inf; the solve then returns None, as for an
-    empty block, and the caller steps the rows instead. The result is
-    a Fortran-ordered view.
+    The loop computes y = z + alpha * x, then z = 0 * x - (-c) * y,
+    which is exactly c * y while x is finite, so each row is the row
+    loop's fl(fl(c * p) + fl(alpha * x)). An infinite x makes 0 * x
+    NaN, and a non-finite value runs on to its band's last row; the
+    filter then returns None and the caller steps the rows instead.
     """
-    n = len(x)
-    if not n:
-        return None
-    b = _rhs(prev, alpha, x)
-    dl = np.subtract(alpha, 1.0, out=np.empty((n, 1))).reshape(-1)
-    ones, zeros, _ = _unit_factor(n + 1)
-    _dgtsv(dl, ones, zeros[:-1], b, overwrite_dl=1, overwrite_b=1)
-    return b[1:] if np.isfinite(b[0]).all() else None
+    rows, _ = _linear_filter(np.array((alpha,)), np.array((1.0, -c)), x, 0, (c * prev)[None])
+    return rows if np.isfinite(rows[-1]).all() else None
 
 
 def _solve_rows(prev, alpha, x: np.ndarray) -> np.ndarray | None:
@@ -301,7 +284,10 @@ def _solve_rows(prev, alpha, x: np.ndarray) -> np.ndarray | None:
     size = bands * (n + 1)
     if size < 3:
         return None
-    b = _rhs(prev, alpha, x)
+    # a column per band, so the products land there without a transpose
+    b = np.empty((n + 1, bands), order="F")
+    b[0] = prev
+    np.multiply(alpha, x, out=b[1:])
     # the subdiagonal in the unknowns' order, as b
     dl = np.empty((n + 1, bands), order="F")
     dl[0] = 0.0
@@ -318,8 +304,7 @@ def _solve_rows(prev, alpha, x: np.ndarray) -> np.ndarray | None:
 def _unit_factor(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ones, zeros and the pivots 1..size, each size long and read-only:
     the parts of a tridiagonal LU factor that every block of that size
-    shares. The solves only read them (dgtsv works on copies of its
-    diagonals)."""
+    shares. The solve only reads them."""
     parts = np.ones(size), np.zeros(size), np.arange(1, size + 1, dtype=np.int32)
     for part in parts:
         part.flags.writeable = False

@@ -14,13 +14,14 @@ no high-pass). Replay shadows each block's gain rows: one
 analysis, then one synthesis per output. shadow_stream runs the
 engine and that replay as a two-stage pipeline, so no gain log is kept.
 
-Every layer runs once per block of frames. The high-pass is one LAPACK
-solve per block, and so is each first-order smoother: one tridiagonal
-solve for a factor each frame shares across bands, one bidiagonal
-solve for a factor per band (see noise_tracking). A row's result
-depends only on that row and the carried state, and every block form
-rounds as a sample-by-sample or frame-by-frame step does, so any
-chunking of a stream gives bit-identical output.
+Every layer runs once per block of frames. The high-pass runs once per
+block on scipy.signal.lfilter's C loop, and so does each first-order
+smoother whose factor is one constant; a smoother whose factor varies
+by frame or band is one bidiagonal LAPACK solve per block (see
+noise_tracking). A row's result depends only on that row and the
+carried state, and every block form rounds as a sample-by-sample or
+frame-by-frame step does, so any chunking of a stream gives
+bit-identical output.
 """
 
 import itertools
@@ -282,14 +283,28 @@ def process_stream(
     the input's length; the algorithmic latency appears as a leading
     delay and the tail is flushed with zeros. With latency_aligned the
     leading delay is trimmed instead, so output sample i corresponds
-    to input sample i.
+    to input sample i. The signal is fed in _Framer.pieces, and the
+    output and the log are written into arrays of their final size, so
+    a call holds little more than what it returns.
     """
     x = _mono(samples)
-    if x.size == 0:
-        return np.zeros(0), np.zeros((0, cfg.frame.num_bins))
     proc = StreamProcessor(cfg, single_stage=single_stage, tracker_sink=tracker_sink)
-    y = np.concatenate(list(run_stream(proc, [x], x.size, latency_aligned=latency_aligned)))
-    return y, np.concatenate(proc.gain_log)
+    y = np.empty(x.size)
+    log = np.empty((proc.framer.frames_of(x.size), cfg.frame.num_bins))
+    # y[i] is stream output sample start + i; pos counts those run out
+    start = proc.latency_samples if latency_aligned else 0
+    pos = row = 0
+    for piece in proc.framer.pieces(x):
+        out = proc.process(piece)
+        lo, hi = max(start - pos, 0), min(out.size, start + x.size - pos)
+        if lo < hi:
+            y[pos - start + lo : pos - start + hi] = out[lo:hi]
+        pos += out.size
+        for rows in proc.gain_log:
+            log[row : row + len(rows)] = rows
+            row += len(rows)
+        proc.gain_log.clear()
+    return y, log
 
 
 def shadow_stream(mix, components, cfg: PipelineConfig, *, single_stage: bool = False):

@@ -1,5 +1,7 @@
 """End-to-end pipeline behaviour: streaming, latency, gain replay."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ class TestStreaming:
     def test_chunked_equals_whole(self, comm_cfg):
         rng = np.random.default_rng(8)
         x = rng.normal(0.0, 0.1, 3 * FS)
-        whole, _ = ds.process_stream(x, comm_cfg)
+        whole, log = ds.process_stream(x, comm_cfg)
 
         proc = ds.StreamProcessor(comm_cfg)
         pieces = []
@@ -50,6 +52,9 @@ class TestStreaming:
         # process_stream trims to the input length
         assert chunked.size >= whole.size
         np.testing.assert_array_equal(chunked[: whole.size], whole)
+        # process_stream also runs the zero flush
+        chunked_log = np.concatenate(proc.gain_log)
+        np.testing.assert_array_equal(chunked_log, log[: len(chunked_log)])
 
     @pytest.mark.parametrize("single", [False, True])
     @pytest.mark.parametrize("preset", ["communication", "voice-trigger", "multimedia"])
@@ -90,6 +95,20 @@ class TestStreaming:
             assert all(p.size for p in pieces)
             np.testing.assert_array_equal(np.concatenate(pieces), whole)
             assert proc.frame_index == len(log)
+
+    def test_whole_signal_memory_is_its_output(self, comm_cfg):
+        """60 s peaks at the 22.1 MiB of output and gain log it returns
+        plus one block's temporaries; pushing the whole signal at once
+        and concatenating the pieces took 2.2 times that."""
+        x = np.random.default_rng(31).normal(0.0, 0.1, 60 * FS)
+        tracemalloc.start()
+        try:
+            y, log = ds.process_stream(x, comm_cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = y.nbytes + log.nbytes
+        assert peak < 1.25 * returned, peak / returned
 
     def test_output_matches_input_length(self, comm_cfg):
         for n in (1, 63, 64, 8191, FS):

@@ -13,7 +13,7 @@ from dualstage.config import config_from_dict, config_to_dict
 from dualstage.framing import WINDOW_KINDS, analyze
 from dualstage.metrics import spectrogram_db, spectrogram_stream
 from dualstage.gain import GainParams, GainState, MU_MAX, compute_raw_gain, smooth_gain
-from dualstage.noise_tracking import smooth_rows
+from dualstage.noise_tracking import frozen_array, smooth_rows
 from dualstage.pipeline import BLOCK_FRAMES, _Framer, _Shadow, _replay
 
 from conftest import frame_rows_sink, no_hpf, with_mu
@@ -98,7 +98,7 @@ def test_chunking_never_changes_the_output(cfg, single, seed, data):
 @given(
     n=st.sampled_from([1, 2, BLOCK_FRAMES + 3]),
     num_bands=st.sampled_from([1, 2, 3, 6, 33]),
-    alpha_kind=st.sampled_from(["scalar", "per band", "per frame", "per row"]),
+    alpha_kind=st.sampled_from(["scalar", "scalar with c", "per band", "per frame", "per row"]),
     scalar_alpha=unit_floats,
     floor_kind=st.sampled_from([None, "scalar", "per band"]),
     seeded=st.booleans(),
@@ -110,14 +110,16 @@ def test_block_smoother_equals_frame_by_frame(
     n, num_bands, alpha_kind, scalar_alpha, floor_kind, seeded, in_range_rows, blowup, seed
 ):
     """One smooth_rows call over a block gives the bits of n successive
-    one-frame calls, whichever path (the shared-factor solve for a
-    scalar or per-frame alpha, the bidiagonal solve for a per-band one,
-    the row loop, or a solve whose clamp or non-finite fallback steps
-    the rest) the block takes, and leaves its inputs untouched. One
-    band and one row make a system too small for the bidiagonal solve;
-    in_range_rows keeps clamped blocks inside [floor, 1] up to a random
-    row, so the clamp starts part-way after a solve; blowup puts an
-    infinity in the block."""
+    one-frame calls, whichever path the block takes: lfilter's C loop
+    for a 0-d alpha (a float, or a frozen array with c = 1 - alpha
+    built ahead, as update passes them), the bidiagonal solve for a
+    varying one (per frame, per band or per row), the row loop, or a
+    kernel whose clamp or non-finite fallback steps the rest. The
+    inputs stay untouched, and an empty block gives an empty result.
+    One band and one row make a system too small for the bidiagonal
+    solve; in_range_rows keeps clamped blocks inside [floor, 1] up to a
+    random row, so the clamp starts part-way after a kernel; blowup
+    puts an infinity in the block."""
     rng = np.random.default_rng(seed)
 
     def unit_values(shape):
@@ -127,8 +129,11 @@ def test_block_smoother_equals_frame_by_frame(
         v[ends] = rng.integers(0, 2, shape)[ends]
         return v
 
+    c = None
     if alpha_kind == "scalar":
         alpha = scalar_alpha
+    elif alpha_kind == "scalar with c":
+        alpha, c = frozen_array(scalar_alpha), frozen_array(1.0 - scalar_alpha)
     elif alpha_kind == "per band":
         alpha = unit_values(num_bands)
     elif alpha_kind == "per frame":
@@ -158,7 +163,7 @@ def test_block_smoother_equals_frame_by_frame(
     prev_before = None if prev is None else prev.copy()
 
     with np.errstate(invalid="ignore"):
-        block = smooth_rows(prev, alpha, x, floor)
+        block = smooth_rows(prev, alpha, x, floor, c)
 
         np.testing.assert_array_equal(x, x_before)
         if prev is not None:
@@ -169,6 +174,8 @@ def test_block_smoother_equals_frame_by_frame(
             np.testing.assert_array_equal(block[m], p)
     if floor is not None and not blowup:
         assert np.all(block >= floor) and np.all(block <= 1.0)
+    empty_alpha = alpha[:0] if np.ndim(alpha) == 2 else alpha
+    assert smooth_rows(prev, empty_alpha, x[:0], floor, c).shape == (0, num_bands)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,9 @@
 """Start-up cost: running dualstage imports none of scipy.signal,
 scipy.stats, scipy.linalg or scipy.io, which between them take most of
-a second to import; it loads scipy.linalg._flapack and scipy.io.wavfile
-from their files alone (dualstage._scipy), and those are the very
-module objects scipy hands out when its packages are imported too."""
+a second to import; it loads scipy.signal._sigtools,
+scipy.linalg._flapack and scipy.io.wavfile from their files alone
+(dualstage._scipy), and those are the very module objects scipy hands
+out when its packages are imported too."""
 
 import os
 import subprocess
@@ -25,7 +26,7 @@ def run_python(*args):
 def test_a_run_imports_no_heavy_scipy_package():
     """scripts/check_imports.py in a fresh interpreter: enhance a 1 s WAV
     through cli.main, evaluate one condition, then look in sys.modules
-    and at where the two scipy leaf modules came from."""
+    and at where the three scipy leaf modules came from."""
     run_python(str(ROOT / "scripts" / "check_imports.py"))
 
 
@@ -45,21 +46,25 @@ import scipy.signal
 """
 
 SAME_OBJECTS = """
-assert lapack.dgtsv is noise_tracking._dgtsv
-assert lapack.dgttrs is framing._dgttrs
+import scipy.signal._sigtools as sigtools
+assert sigtools._linear_filter is framing._linear_filter
+assert sigtools._linear_filter is noise_tracking._linear_filter
 assert lapack.dgttrs is noise_tracking._dgttrs
 assert scipy.io.wavfile is wavio.wavfile
 ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
 x = scipy.linalg.solve_banded((1, 1), ab, [5.0, 6.0, 5.0])
 np.testing.assert_allclose(x, [1.0, 1.0, 1.0])
+y = scipy.signal.lfilter([0.5], [1.0, -0.5], [1.0, 1.0, 1.0])
+np.testing.assert_array_equal(y, [0.5, 0.75, 0.875])
 """
 
 
 @pytest.mark.parametrize("first", ["dualstage", "scipy"])
 def test_scipy_packages_share_the_leaf_modules(first):
-    """Whichever is imported first, dualstage's LAPACK wrappers and WAV
-    codec are the objects scipy.linalg.lapack and scipy.io hand out,
-    and scipy.linalg still solves."""
+    """Whichever is imported first, dualstage's filter loop, LAPACK
+    wrapper and WAV codec are the objects scipy.signal, scipy.linalg
+    and scipy.io hand out, scipy.linalg still solves and
+    scipy.signal.lfilter still filters."""
     parts = [IMPORT_DUALSTAGE, IMPORT_SCIPY] if first == "dualstage" else [IMPORT_SCIPY, IMPORT_DUALSTAGE]
     run_python("-c", "".join(parts) + SAME_OBJECTS)
 
