@@ -3,17 +3,21 @@
 In one fresh interpreter: imports dualstage, runs `dualstage enhance`
 through cli.main on a 1 s WAV of noise, and evaluates one condition
 with evaluate_condition. Exits 1, naming them, if scipy.signal,
-scipy.stats, scipy.linalg or scipy.io is then in sys.modules, or if
-one of the three leaf modules dualstage uses (scipy.signal._sigtools,
-scipy.linalg._flapack, scipy.io.wavfile) is missing or was loaded from
-a file outside the installed scipy's signal, linalg or io directory.
-Importing scipy.signal (which pulls in scipy.stats, scipy.optimize and
-scipy.interpolate) takes about a second; the scipy.linalg and scipy.io
-packages take about a quarter of one, for lfilter's C loop, a LAPACK
-wrapper and a WAV codec that dualstage loads from their files alone
-(dualstage._scipy). Every process that starts on demand would pay that
-before its first sample. A scipy whose layout moved those files makes
-dualstage import the packages after all, which this check reports.
+scipy.stats, scipy.linalg, scipy.io, scipy.fft or numpy.fft is then in
+sys.modules, or if one of the four leaf modules dualstage uses
+(scipy.signal._sigtools, scipy.linalg._flapack, scipy.io.wavfile,
+scipy.fft._pocketfft.pypocketfft) is missing or was loaded from a file
+outside the installed scipy's signal, linalg, io or fft/_pocketfft
+directory. Importing scipy.signal (which pulls in scipy.stats,
+scipy.optimize and scipy.interpolate) takes about a second; the
+scipy.linalg, scipy.io and scipy.fft packages take about a quarter of
+one, for lfilter's C loop, a LAPACK wrapper, a WAV codec and an FFT
+pair that dualstage loads from their files alone (dualstage._scipy).
+Every process that starts on demand would pay that before its first
+sample. A scipy whose layout moved those files makes dualstage import
+the packages after all, which this check reports. The engine's
+transforms are scipy's, so numpy.fft, which numpy loads on first use,
+stays unloaded too.
 
 usage: python scripts/check_imports.py
 
@@ -32,12 +36,13 @@ import scipy
 
 from dualstage import cli, evaluate_condition, load_preset, write_wav
 
-FORBIDDEN = ("scipy.signal", "scipy.stats", "scipy.linalg", "scipy.io")
+FORBIDDEN = ("scipy.signal", "scipy.stats", "scipy.linalg", "scipy.io", "scipy.fft", "numpy.fft")
 # the leaf modules dualstage loads, and the directory each must come from
 LEAVES = {
     "scipy.signal._sigtools": "signal",
     "scipy.linalg._flapack": "linalg",
     "scipy.io.wavfile": "io",
+    "scipy.fft._pocketfft.pypocketfft": "fft/_pocketfft",
 }
 FS = 16000
 
@@ -61,8 +66,9 @@ def main():
     scipy_dir = os.path.dirname(os.path.realpath(scipy.__file__))
     for name, folder in LEAVES.items():
         path = getattr(sys.modules.get(name), "__file__", None)
-        if path is None or os.path.dirname(os.path.realpath(path)) != os.path.join(scipy_dir, folder):
-            sys.exit(f"{name} was loaded from {path}, not from {os.path.join(scipy_dir, folder)}")
+        expected = os.path.join(scipy_dir, *folder.split("/"))
+        if path is None or os.path.dirname(os.path.realpath(path)) != expected:
+            sys.exit(f"{name} was loaded from {path}, not from {expected}")
     print(f"ok: {len(sys.modules)} modules loaded, none of {', '.join(FORBIDDEN)}")
 
 

@@ -1,14 +1,15 @@
 """scipy's leaf modules without their packages' __init__.
 
-The engine needs lfilter's C loop from scipy.signal._sigtools, one
-LAPACK wrapper from scipy.linalg._flapack and the WAV codec
-scipy.io.wavfile. Importing them by their usual names runs
-scipy.signal's, scipy.linalg's and scipy.io's __init__ first:
-scipy.signal alone takes about a second, and the other two load some
-360 modules (scipy.sparse, scipy._lib._array_api and through it
-numpy.f2py and numpy.testing) in about a quarter of one, a cost a
-process that starts on demand pays before its first sample. leaf loads
-the one file instead.
+The engine needs four leaves: lfilter's C loop from
+scipy.signal._sigtools, one LAPACK wrapper from scipy.linalg._flapack,
+the WAV codec scipy.io.wavfile and the FFT pair from
+scipy.fft._pocketfft.pypocketfft. Importing them by their usual names
+runs scipy.signal's, scipy.linalg's, scipy.io's and scipy.fft's
+__init__ first: scipy.signal alone takes about a second, and the
+others load some 360 modules (scipy.sparse, scipy._lib._array_api and
+through it numpy.f2py and numpy.testing) in about a quarter of one, a
+cost a process that starts on demand pays before its first sample.
+leaf loads the one file instead.
 """
 
 import importlib
@@ -29,10 +30,11 @@ def leaf(name: str):
     in SCIPY_DIR without importing the package that holds it.
 
     It goes into sys.modules under its own name before it runs, so a
-    later `import scipy.signal`, `scipy.linalg` or `scipy.io` reuses
-    this module object and every routine is the one scipy hands out. A
-    module already imported is returned as it is; one not found where
-    scipy's layout puts it is imported the usual way, package and all.
+    later `import scipy.signal`, `scipy.linalg`, `scipy.io` or
+    `scipy.fft` reuses this module object and every routine is the one
+    scipy hands out. A module already imported is returned as it is;
+    one not found where scipy's layout puts it is imported the usual
+    way, package and all.
     """
     module = sys.modules.get(name)
     if module is not None:

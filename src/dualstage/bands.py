@@ -133,8 +133,11 @@ def expand_to_bins(band_gains: np.ndarray, plan: BandPlan) -> np.ndarray:
 
 
 def apply_gains(spec: SpectralFrame, bin_gains: np.ndarray) -> SpectralFrame:
-    """Scale each complex bin by its real gain, keeping the phase."""
-    bins = spec.bins * bin_gains
-    # real gains leave phase alone, so the power scales by the square
-    power = spec.power * bin_gains * bin_gains
-    return SpectralFrame(bins=bins, power=power)
+    """Scale each complex bin by its real gain in place, keeping the
+    phase; return spec."""
+    spec.bins *= bin_gains
+    # real gains leave phase alone, so the power scales by the square,
+    # in the order of power * g * g
+    spec.power *= bin_gains
+    spec.power *= bin_gains
+    return spec

@@ -14,14 +14,16 @@ no high-pass). Replay shadows each block's gain rows: one
 analysis, then one synthesis per output. shadow_stream runs the
 engine and that replay as a two-stage pipeline, so no gain log is kept.
 
-Every layer runs once per block of frames. The high-pass runs once per
-block on scipy.signal.lfilter's C loop, and so does each first-order
-smoother whose factor is one constant; a smoother whose factor varies
-by frame or band is one bidiagonal LAPACK solve per block (see
-noise_tracking). A row's result depends only on that row and the
-carried state, and every block form rounds as a sample-by-sample or
-frame-by-frame step does, so any chunking of a stream gives
-bit-identical output.
+Every layer runs once per block of frames. The transform pair runs
+once per block on scipy.fft's pocketfft extension (see framing), and
+each stage scales the block's fresh spectrum in place. The high-pass
+runs once per block on scipy.signal.lfilter's C loop, and so does each
+first-order smoother whose factor is one constant; a smoother whose
+factor varies by frame or band is one bidiagonal LAPACK solve per
+block (see noise_tracking). A row's result depends only on that row
+and the carried state, and every block form rounds as a
+sample-by-sample or frame-by-frame step does, so any chunking of a
+stream gives bit-identical output.
 """
 
 import itertools
@@ -218,7 +220,7 @@ class StreamProcessor:
         if sink is not None:
             sink(first, 1, raw_n1.reshape(n, -1), n1.reshape(n, -1))
         bin_gains = bands.expand_to_bins(g1, self.plan)
-        spec = bands.apply_gains(spec, bin_gains)
+        bands.apply_gains(spec, bin_gains)
         if self.stage2 is not None:
             mags2 = bands.pool_to_bands(spec, self.plan)
             # Stage 2 takes the Stage-1 frame SNR exactly when it maps it to alpha
@@ -230,7 +232,7 @@ class StreamProcessor:
             bin_g2 = bands.expand_to_bins(g2, self.plan)
             spec.bins *= bin_g2
             if self.gain_log is not None:  # only the log needs the product
-                bin_gains = bin_gains * bin_g2
+                bin_gains *= bin_g2
         return spec.bins, bin_gains
 
     def _frame_snr_db(self, band_mags: np.ndarray, snr: np.ndarray):
@@ -314,7 +316,10 @@ def shadow_stream(mix, components, cfg: PipelineConfig, *, single_stage: bool = 
     piece's gain rows go, with the components' matching pieces, to one
     worker thread, which shadows them (see _Shadow) while the engine
     runs the next piece: the shadow work is mostly transforms, which
-    numpy runs with the interpreter lock released. The outputs are
+    scipy's pocketfft extension runs with the interpreter lock
+    released (two threads of 256-frame analyze and synthesize reached
+    1.0-2.6 times one thread's throughput on a loaded 2-core box, and
+    1.3-2.1 on numpy's transforms). The outputs are
     bit-identical to process_stream's and _replay's, and no gain log is
     kept. Returns, per component (as long as the mix), [unity
     reference, shadowed output], delayed by the algorithmic latency.

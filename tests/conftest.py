@@ -1,10 +1,12 @@
 import bisect
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import dualstage as ds
+from dualstage import framing
 from dualstage.config import config_from_dict, config_to_dict
 from dualstage.framing import FrameConfig
 
@@ -21,21 +23,24 @@ def frame_cfg():
 
 @pytest.fixture
 def transform_rows(monkeypatch):
-    """Rows sent through np.fft.rfft ("fwd") and np.fft.irfft ("inv")
-    from here on. The engine transforms blocks of frames, so rows are
-    counted, not calls."""
+    """Rows sent through the forward ("fwd") and inverse ("inv")
+    transform from here on: pocketfft's r2c and c2r, through the name
+    framing calls them by. The engine transforms blocks of frames, so
+    rows are counted, not calls."""
     counts = {"fwd": 0, "inv": 0}
+    real = framing._pocketfft
 
-    def counting(kind, real):
-        def transform(a, *args, **k):
-            assert k.get("axis", -1) in (-1, a.ndim - 1)
+    def counting(kind, transform):
+        def counted(a, axes, *args):
+            assert tuple(axes) in ((-1,), (a.ndim - 1,))
             counts[kind] += a.size // a.shape[-1]
-            return real(a, *args, **k)
+            return transform(a, axes, *args)
 
-        return transform
+        return counted
 
-    monkeypatch.setattr(np.fft, "rfft", counting("fwd", np.fft.rfft))
-    monkeypatch.setattr(np.fft, "irfft", counting("inv", np.fft.irfft))
+    monkeypatch.setattr(
+        framing, "_pocketfft", SimpleNamespace(r2c=counting("fwd", real.r2c), c2r=counting("inv", real.c2r))
+    )
     return counts
 
 

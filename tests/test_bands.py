@@ -127,13 +127,15 @@ class TestApplyGains:
         bins = rng.standard_normal(129) + 1j * rng.standard_normal(129)
         spec = SpectralFrame(bins=bins, power=np.abs(bins) ** 2)
         gains = rng.uniform(0.1, 1.0, 129)
+        before = SpectralFrame(bins=bins.copy(), power=spec.power.copy())
         out = apply_gains(spec, gains)
-        np.testing.assert_allclose(out.bins, bins * gains, rtol=1e-12)
-        np.testing.assert_allclose(out.power, spec.power * gains**2, rtol=1e-12)
+        assert out is spec
+        np.testing.assert_allclose(out.bins, before.bins * gains, rtol=1e-12)
+        np.testing.assert_allclose(out.power, before.power * gains**2, rtol=1e-12)
 
     def test_phase_is_preserved(self):
         rng = np.random.default_rng(24)
         bins = rng.standard_normal(129) + 1j * rng.standard_normal(129)
-        spec = SpectralFrame(bins=bins, power=np.abs(bins) ** 2)
+        spec = SpectralFrame(bins=bins.copy(), power=np.abs(bins) ** 2)
         out = apply_gains(spec, rng.uniform(0.05, 1.0, 129))
         np.testing.assert_allclose(np.angle(out.bins), np.angle(bins), atol=1e-13)

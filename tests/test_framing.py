@@ -9,6 +9,7 @@ from dualstage.framing import (
     HpfState,
     MAX_FFT_LEN,
     OlaState,
+    SpectralFrame,
     algorithmic_latency_ms,
     analyze,
     design_hpf,
@@ -122,6 +123,39 @@ class TestAnalyzeSynthesize:
         # output block f sums the two windowed copies of input block f,
         # complete from block 1 on
         np.testing.assert_allclose(y[hop:], x[hop : y.size], atol=1e-12)
+
+    @pytest.mark.parametrize("fft_len", [2**k for k in range(1, 14)])
+    def test_transforms_equal_numpys_bit_for_bit(self, fft_len):
+        """analyze and synthesize run pocketfft's r2c and c2r from
+        scipy.fft's extension; they give np.fft.rfft's and
+        np.fft.irfft's bits, lone frame and block, over 300 decades of
+        magnitude. No engine contract rests on this: a numpy or scipy
+        that rounds differently fails here first, by name."""
+        flen = max(2, fft_len // 2)  # zero-padded from fft_len 4 on
+        cfg = FrameConfig(frame_len=flen, hop_len=flen // 2, fft_len=fft_len)
+        analysis, synthesis = windows_for(cfg)
+        rng = np.random.default_rng(fft_len)
+        scale = 10.0 ** rng.uniform(-150, 150, (5, 1))
+        frames = rng.standard_normal((5, flen)) * scale
+        for x in (frames[0], frames):
+            spec = analyze(x, cfg)
+            np.testing.assert_array_equal(spec.bins, np.fft.rfft(x * analysis, n=fft_len))
+        gains = rng.uniform(0.0, 1.0, spec.bins.shape)
+        bins = spec.bins * gains
+        # the reference runs frame by frame, which the block form rounds as
+        ref_ola = OlaState(tail=rng.standard_normal(flen - cfg.hop_len) * scale[0])
+        tail = ref_ola.tail.copy()
+        expected = []
+        for row in bins:
+            frame = np.fft.irfft(row, n=fft_len)[:flen] * synthesis
+            frame[: -cfg.hop_len] += ref_ola.tail
+            ref_ola.tail = frame[cfg.hop_len :]
+            expected.append(frame[: cfg.hop_len])
+        ola = OlaState(tail=tail.copy())
+        np.testing.assert_array_equal(synthesize(SpectralFrame(bins[0], None), ola, cfg), expected[0])
+        ola = OlaState(tail=tail.copy())
+        np.testing.assert_array_equal(synthesize(SpectralFrame(bins, None), ola, cfg), np.concatenate(expected))
+        np.testing.assert_array_equal(ola.tail, ref_ola.tail)
 
 
 class TestHighPass:

@@ -1,7 +1,8 @@
 """Start-up cost: running dualstage imports none of scipy.signal,
-scipy.stats, scipy.linalg or scipy.io, which between them take most of
-a second to import; it loads scipy.signal._sigtools,
-scipy.linalg._flapack and scipy.io.wavfile from their files alone
+scipy.stats, scipy.linalg, scipy.io or scipy.fft, which between them
+take most of a second to import, nor numpy.fft; it loads
+scipy.signal._sigtools, scipy.linalg._flapack, scipy.io.wavfile and
+scipy.fft._pocketfft.pypocketfft from their files alone
 (dualstage._scipy), and those are the very module objects scipy hands
 out when its packages are imported too."""
 
@@ -26,7 +27,7 @@ def run_python(*args):
 def test_a_run_imports_no_heavy_scipy_package():
     """scripts/check_imports.py in a fresh interpreter: enhance a 1 s WAV
     through cli.main, evaluate one condition, then look in sys.modules
-    and at where the three scipy leaf modules came from."""
+    and at where the four scipy leaf modules came from."""
     run_python(str(ROOT / "scripts" / "check_imports.py"))
 
 
@@ -39,6 +40,7 @@ assert out.size and np.isfinite(out).all()
 """
 
 IMPORT_SCIPY = """
+import scipy.fft
 import scipy.io.wavfile
 import scipy.linalg
 import scipy.linalg.lapack as lapack
@@ -51,20 +53,25 @@ assert sigtools._linear_filter is framing._linear_filter
 assert sigtools._linear_filter is noise_tracking._linear_filter
 assert lapack.dgttrs is noise_tracking._dgttrs
 assert scipy.io.wavfile is wavio.wavfile
+import scipy.fft._pocketfft.pypocketfft as pocketfft
+# the name scipy.fft's transforms call it by
+assert pocketfft is scipy.fft._pocketfft.basic.pfft is framing._pocketfft
 ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
 x = scipy.linalg.solve_banded((1, 1), ab, [5.0, 6.0, 5.0])
 np.testing.assert_allclose(x, [1.0, 1.0, 1.0])
 y = scipy.signal.lfilter([0.5], [1.0, -0.5], [1.0, 1.0, 1.0])
 np.testing.assert_array_equal(y, [0.5, 0.75, 0.875])
+np.testing.assert_allclose(scipy.fft.rfft([1.0, 2.0, 3.0, 4.0]), [10.0, -2.0 + 2.0j, -2.0])
 """
 
 
 @pytest.mark.parametrize("first", ["dualstage", "scipy"])
 def test_scipy_packages_share_the_leaf_modules(first):
     """Whichever is imported first, dualstage's filter loop, LAPACK
-    wrapper and WAV codec are the objects scipy.signal, scipy.linalg
-    and scipy.io hand out, scipy.linalg still solves and
-    scipy.signal.lfilter still filters."""
+    wrapper, WAV codec and transforms are the objects scipy.signal,
+    scipy.linalg, scipy.io and scipy.fft hand out, scipy.linalg still
+    solves, scipy.signal.lfilter still filters and scipy.fft.rfft
+    still transforms."""
     parts = [IMPORT_DUALSTAGE, IMPORT_SCIPY] if first == "dualstage" else [IMPORT_SCIPY, IMPORT_DUALSTAGE]
     run_python("-c", "".join(parts) + SAME_OBJECTS)
 
