@@ -1,13 +1,17 @@
-"""Check that `dualstage enhance` runs in memory flat in file length.
+"""Check that enhance and library streaming run in memory flat in
+stream length.
 
 Writes a 1 min and a 10 min float32 WAV of noise into a temporary
 directory, runs `dualstage enhance` on each in a child process of its
 own, and reads each child's peak resident set (ru_maxrss, KiB on Linux)
 from wait4. A second pair, on the 1 min file and a 2 min one, runs with
-the tracker dump and both spectrogram dumps sent to /dev/null. Exits 1
-if a run fails or the two peaks of a pair differ by more than 8 MiB.
-The WAVs are written a second at a time, so this process stays smaller
-than any child, whose peak would otherwise include it.
+the tracker dump and both spectrogram dumps sent to /dev/null. A third
+pair streams 1 min and 10 min of noise through a default
+`StreamProcessor.process` in 1024-sample calls, in child processes of
+this interpreter, so it tests the package this interpreter imports.
+Exits 1 if a run fails or the two peaks of a pair differ by more than
+8 MiB. The WAVs are written a second at a time, so this process stays
+smaller than any child, whose peak would otherwise include it.
 
 usage: python scripts/check_enhance_rss.py [DUALSTAGE]
 
@@ -25,6 +29,17 @@ from dualstage import write_wav
 FS = 16000
 LIMIT_MIB = 8.0
 
+# a realtime caller: argv[1] minutes of noise, 1024 samples per call
+_STREAM = f"""
+import sys
+import numpy as np
+import dualstage as ds
+proc = ds.StreamProcessor(ds.load_preset("communication"))
+rng = np.random.default_rng(0)
+for _ in range(int(sys.argv[1]) * 60 * {FS} // 1024):
+    proc.process(rng.normal(0.0, 0.1, 1024))
+"""
+
 
 def peak_rss_mib(argv):
     """Run argv in a child process; return its peak RSS in MiB."""
@@ -40,7 +55,7 @@ def main():
     command = sys.argv[1] if len(sys.argv) > 1 else "dualstage"
     rng = np.random.default_rng(0)
     dumps = ["--tracker-dump", "--dump-spectrogram-in", "--dump-spectrogram-out"]
-    pairs = {"plain": ((1, 10), []), "with all dumps": ((1, 2), [a for d in dumps for a in (d, os.devnull)])}
+    dumps = [a for d in dumps for a in (d, os.devnull)]
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         wavs = {}
@@ -49,11 +64,16 @@ def main():
             seconds = (rng.normal(0.0, 0.1, FS) for _ in range(60 * minutes))
             write_wav(wav, seconds, FS, "float32", size=60 * minutes * FS)
         out = os.path.join(tmp, "out.wav")
-        for name, ((short, long), flags) in pairs.items():
-            peaks = [peak_rss_mib([command, "enhance", wavs[m], out, *flags]) for m in (short, long)]
+        pairs = {
+            "enhance, plain": ((1, 10), lambda m: [command, "enhance", wavs[m], out]),
+            "enhance, with all dumps": ((1, 2), lambda m: [command, "enhance", wavs[m], out, *dumps]),
+            "StreamProcessor.process": ((1, 10), lambda m: [sys.executable, "-c", _STREAM, str(m)]),
+        }
+        for name, ((short, long), argv) in pairs.items():
+            peaks = [peak_rss_mib(argv(m)) for m in (short, long)]
             growth = peaks[1] - peaks[0]
             print(
-                f"enhance peak RSS, {name}: {short} min {peaks[0]:.1f} MiB, {long} min "
+                f"peak RSS, {name}: {short} min {peaks[0]:.1f} MiB, {long} min "
                 f"{peaks[1]:.1f} MiB, difference {growth:+.1f} MiB (limit {LIMIT_MIB:g})"
             )
             failed |= abs(growth) > LIMIT_MIB

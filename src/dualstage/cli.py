@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage/validation/config error, 2 I/O error,
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import functools
 import json
@@ -49,6 +48,9 @@ _VARIANTS = ("dual", "single")
 # enhance reads, processes and writes this many blocks of
 # pipeline.BLOCK_FRAMES hops at a time, which bounds its memory
 _FEED_BLOCKS = 4
+
+# one frame and band of a tracker dump (see _tracker_dump)
+_TRACKER_ROW = "%d,%d,%.8g,%.8g\r\n"
 
 # writes a spectrogram dump's rows to its file
 _SPECTROGRAM_ROWS = functools.partial(np.savetxt, delimiter=",", fmt="%.3f")
@@ -129,22 +131,19 @@ def cmd_enhance(args) -> int:
             fh = files.enter_context(replacing(path, "w", what, newline=""))
             return guarded(functools.partial(write, fh), path, what)
 
-        sink = None
-        if args.tracker_dump:
-            write = dump(args.tracker_dump, "tracker dump", lambda fh, r: csv.writer(fh).writerows(r))
-            sink = _tracker_dump_sink(write, args.tracker_dump_stage)
         t0 = time.perf_counter()
-        # no gain log: only its frame count would be printed
-        proc = pipeline.StreamProcessor(
-            cfg, single_stage=args.single_stage, log_gains=False, tracker_sink=sink
-        )
+        proc = pipeline.StreamProcessor(cfg, single_stage=args.single_stage)
         blocks = src.blocks(_FEED_BLOCKS * pipeline.BLOCK_FRAMES * cfg.frame.hop_len)
         if args.dump_spectrogram_in:
             write = dump(args.dump_spectrogram_in, "spectrogram dump", _SPECTROGRAM_ROWS)
             blocks = _spectrogram_dump(blocks, write, cfg)
-        out = pipeline.run_stream(
+        records = pipeline.run_stream(
             proc, blocks, src.size, latency_aligned=not args.no_latency_compensation
         )
+        if args.tracker_dump:
+            write = dump(args.tracker_dump, "tracker dump", lambda fh, text: fh.write(text))
+            records = _tracker_dump(records, write, args.tracker_dump_stage)
+        out = (record.out for record in records if record.out.size)
         if args.dump_spectrogram_out:
             write = dump(args.dump_spectrogram_out, "spectrogram dump", _SPECTROGRAM_ROWS)
             out = _spectrogram_dump(out, write, cfg)
@@ -160,19 +159,18 @@ def cmd_enhance(args) -> int:
     return EXIT_OK
 
 
-def _tracker_dump_sink(write, wanted_stage):
-    """A tracker_sink writing wanted_stage's rows as CSV rows through write."""
-    write([("frame", "band", "raw_noise", "smoothed_noise")])
-
-    def sink(first, stage, raw, smoothed):
-        if stage == wanted_stage:
-            write(
-                (first + i, band, f"{r:.8g}", f"{s:.8g}")
-                for i, rows in enumerate(zip(raw, smoothed))
-                for band, (r, s) in enumerate(zip(*rows))
-            )
-
-    return sink
+def _tracker_dump(records, write, stage):
+    """Pass records, pipeline.BlockRecords, through, handing write the
+    CSV text of the stage's noise rows each holds: one line per frame
+    and band, with csv.writer's line end."""
+    write("frame,band,raw_noise,smoothed_noise\r\n")
+    for record in records:
+        if len(record.noise) >= stage:
+            raw, smoothed = record.noise[stage - 1]
+            frame, band = np.indices(raw.shape)
+            rows = np.stack((frame + record.frame, band, raw, smoothed), axis=-1)
+            write(_TRACKER_ROW * raw.size % tuple(rows.ravel().tolist()))
+        yield record
 
 
 def _spectrogram_dump(blocks, write, cfg):

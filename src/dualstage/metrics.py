@@ -5,11 +5,13 @@ of a processed mix are replayed separately over the scaled speech and
 noise components, which decomposes the enhanced output exactly (the
 pipeline is linear in its input once the gains are fixed); one
 analysis per component serves both its unity-gain reference and its
-shadowed output. evaluate_condition replays each block's gains as the
-engine produces them, on a second thread, without a gain log;
-snri_by_gain_shadowing replays a given log. Speech level is taken over
-speech-active frames, noise level over the speech-free frames, as a
-desk-scale stand-in for a calibrated measurement front end.
+shadowed output. evaluate_condition replays the gains of each block
+record the engine yields (StreamProcessor.blocks), on a second thread,
+without a gain log; snri_by_gain_shadowing replays a given log. Speech
+level is taken over speech-active frames, noise level over the
+speech-free frames, as a desk-scale stand-in for a calibrated
+measurement front end. spectrogram_stream frames its signal in the
+engine framer's pieces.
 """
 
 import dataclasses
@@ -303,15 +305,13 @@ def spectrogram_stream(blocks, frame_cfg, floor_db: float = -120.0):
     fcfg = dataclasses.replace(frame_cfg, hpf_cutoff_hz=None)
     framer = pipeline._Framer(fcfg)
     floor_pow = 10.0 ** (floor_db / 10.0)
-    # the framer copies what it is pushed; pieces of this size keep that
-    # copy, and each block's rows, small beside a whole signal's rows
-    feed = pipeline.BLOCK_FRAMES * fcfg.hop_len
     for block in blocks:
         x = pipeline._mono(block)
         first = max(framer.frames, framer.warm_frames)
         rows = np.empty((max(0, framer.frames + framer.completes(x.size) - first), fcfg.num_bins))
-        for i in range(0, x.size, feed):
-            for frames, n in framer.push(x[i : i + feed]):
+        # pieces keep the framer's copy of what it is pushed small
+        for piece in framer.pieces(x):
+            for frames, n in framer.push(piece):
                 if framer.frames >= first:
                     power = framing.analyze(frames, fcfg).power
                     at = framer.frames - first

@@ -4,15 +4,17 @@ One analysis and one synthesis per frame. Stage-1 tracks noise on the
 analyzed spectrum's band magnitudes and applies its coarse gains to
 the spectrum; Stage-2 pools the modified spectrum, speeds its noise
 tracking up or down from Stage-1's frame SNR, and applies the fine
-gains. The final per-frame bin gains (the product of both stages) are
-logged so the measurement harness can replay them over the clean
-components of a mix. One framer (_Framer) owns a stream's shape: the
-seeded zeros, the input screen, the high-pass, the carry, the blocks
-and the zero flush. Replay (_Shadow) is fed the engine's pieces
-through a framer of its own, as is metrics.spectrogram_stream (with
-no high-pass). Replay shadows each block's gain rows: one
-analysis, then one synthesis per output. shadow_stream runs the
-engine and that replay as a two-stage pipeline, so no gain log is kept.
+gains. The engine hands each block's record (BlockRecord) to its
+caller, who keeps what it needs: its output, its final bin gains (the
+product of both stages), which the measurement harness replays over
+the clean components of a mix, and its noise estimates. One framer
+(_Framer) owns a stream's shape: the seeded zeros, the input screen,
+the high-pass, the carry, the blocks, the pieces and the zero flush.
+Replay (_Shadow) is fed the engine's pieces through a framer of its
+own, as is metrics.spectrogram_stream (with no high-pass). Replay
+shadows each block's gain rows: one analysis, then one synthesis per
+output. shadow_stream runs the engine and that replay as a two-stage
+pipeline, so no gain log is kept.
 
 Every layer runs once per block of frames. The transform pair runs
 once per block on scipy.fft's pocketfft extension (see framing), and
@@ -30,6 +32,7 @@ import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,12 +119,15 @@ class _Framer:
         return max(0, (self.fill + size - self.fcfg.frame_len) // self.fcfg.hop_len + 1)
 
     def pieces(self, x: np.ndarray):
-        """x in the pieces its stream is fed in: BLOCK_FRAMES hops each,
-        the last one followed by the zero flush, so that every piece
-        completes a frame; none for an empty x."""
+        """x in the pieces a stream is fed in, BLOCK_FRAMES hops each."""
         feed = BLOCK_FRAMES * self.fcfg.hop_len
-        for i in range(0, x.size, feed):
-            yield x[i : i + feed] if i + feed < x.size else np.append(x[i:], np.zeros(self.flush_len))
+        return (x[i : i + feed] for i in range(0, x.size, feed))
+
+    def stream(self, x: np.ndarray):
+        """The pieces of x, then the zero flush; none for an empty x."""
+        yield from self.pieces(x)
+        if x.size:
+            yield np.zeros(self.flush_len)
 
     def frames_of(self, size: int) -> int:
         """Frames in the stream of a size-sample signal; none if empty."""
@@ -147,6 +153,23 @@ class _StageState:
         return gain.smooth_gain(raw_g, self.gains, cfg.gains), snr, raw_n, noise_est
 
 
+class BlockRecord(NamedTuple):
+    """One engine block of n frames, as StreamProcessor.blocks yields it.
+
+    frame is the index of its first frame and out its n hops of output.
+    gains holds its (n, bins) final bin gains (unity in the warm-up)
+    with log_gains, else None. noise holds, per stage run (none in the
+    warm-up), that stage's (raw, smoothed) noise estimates, (n, bands)
+    each. All are arrays the engine made for this block and does not
+    write again.
+    """
+
+    frame: int
+    out: np.ndarray
+    gains: np.ndarray | None
+    noise: tuple
+
+
 class StreamProcessor:
     """Streaming processor for one audio stream.
 
@@ -155,30 +178,19 @@ class StreamProcessor:
     returns of chunked calls is bit-identical to one whole-signal
     call. The input buffer is pre-seeded with frame_len + hop_len
     zeros, so the output is the input delayed by exactly the
-    algorithmic latency.
-
-    tracker_sink(first_frame, stage, raw, smoothed), if given, is called
-    per block of n frames past the warm-up and per stage (1, then 2) with
-    that stage's raw and smoothed noise estimates, (n, bands) arrays the
-    engine may overwrite after the call.
+    algorithmic latency. blocks() runs the same engine and yields each
+    block's BlockRecord, with its bin gains when log_gains is set.
+    Neither keeps anything per frame.
     """
 
-    def __init__(
-        self,
-        cfg: PipelineConfig,
-        *,
-        single_stage: bool = False,
-        log_gains: bool = True,
-        tracker_sink=None,
-    ):
+    def __init__(self, cfg: PipelineConfig, *, single_stage: bool = False, log_gains: bool = False):
         self.cfg = cfg
         fcfg = cfg.frame
         self.plan = bands.build_band_plan(fcfg.fft_len, fcfg.sample_rate_hz, cfg.num_bands)
         self.framer = _Framer(fcfg)
         self.ola = framing.OlaState.for_config(fcfg)
         self.latency_samples = self.framer.latency
-        self.gain_log: list[np.ndarray] | None = [] if log_gains else None
-        self.tracker_sink = tracker_sink
+        self.log_gains = log_gains
         self.stage1 = _StageState(cfg.stage1, cfg.num_bands)
         # below this sum of a frame's weights (see _frame_snr_db) no
         # weight * SNR can overflow: a band's Stage-1 SNR is at most its
@@ -196,29 +208,29 @@ class StreamProcessor:
         (which could overflow a band power) raises InputError naming
         its stream index; no state changes.
         """
-        outs = [self._run_block(frames, n) for frames, n in self.framer.push(samples)]
+        outs = [record.out for record in self.blocks(samples)]
         return outs[0] if len(outs) == 1 else np.concatenate(outs or [np.zeros(0)])
 
-    def _run_block(self, frames: np.ndarray, n: int) -> np.ndarray:
-        """Process n frames (one per row, or a lone 1-D frame); return n
-        hops of output."""
+    def blocks(self, samples: np.ndarray):
+        """Feed a block of samples, as process does; yield the
+        BlockRecord of each engine block it completes. Run the
+        generator to its end before feeding more."""
         fcfg = self.cfg.frame
-        spec = framing.analyze(frames, fcfg)
-        spec.bins, bin_gains = self._suppress(spec, n)
-        if self.gain_log is not None:
-            self.gain_log.append(bin_gains.reshape(n, -1))
-        return framing.synthesize(spec, self.ola, fcfg)
+        for frames, n in self.framer.push(samples):
+            first = self.framer.frames
+            spec = framing.analyze(frames, fcfg)
+            gains, noise = self._suppress(spec, first, n)
+            yield BlockRecord(first, framing.synthesize(spec, self.ola, fcfg), gains, noise)
 
-    def _suppress(self, spec: framing.SpectralFrame, n: int):
-        """Run both stages over n frames; return (output bins, bin gains)."""
-        first = self.framer.frames
+    def _suppress(self, spec: framing.SpectralFrame, first: int, n: int):
+        """Run both stages over n frames, from frame first, on spec in
+        place; return (bin gains or None, noise rows) for BlockRecord."""
+        log = self.log_gains
         if first < self.framer.warm_frames:
-            return spec.bins, np.ones(spec.bins.shape)
-        sink = self.tracker_sink
+            return (np.ones((n, spec.bins.shape[-1])) if log else None), ()
         mags1 = bands.pool_to_bands(spec, self.plan)
         g1, snr1, raw_n1, n1 = self.stage1.step(mags1, None)
-        if sink is not None:
-            sink(first, 1, raw_n1.reshape(n, -1), n1.reshape(n, -1))
+        noise = [(raw_n1.reshape(n, -1), n1.reshape(n, -1))]
         bin_gains = bands.expand_to_bins(g1, self.plan)
         bands.apply_gains(spec, bin_gains)
         if self.stage2 is not None:
@@ -227,13 +239,12 @@ class StreamProcessor:
             fed = self.stage2.cfg.tracker.alpha_snr_map is not None
             snr_db = self._frame_snr_db(mags1, snr1) if fed else None
             g2, _, raw_n2, n2 = self.stage2.step(mags2, snr_db)
-            if sink is not None:
-                sink(first, 2, raw_n2.reshape(n, -1), n2.reshape(n, -1))
+            noise.append((raw_n2.reshape(n, -1), n2.reshape(n, -1)))
             bin_g2 = bands.expand_to_bins(g2, self.plan)
             spec.bins *= bin_g2
-            if self.gain_log is not None:  # only the log needs the product
+            if log:  # only the caller's gains need the product
                 bin_gains *= bin_g2
-        return spec.bins, bin_gains
+        return (bin_gains.reshape(n, -1) if log else None), tuple(noise)
 
     def _frame_snr_db(self, band_mags: np.ndarray, snr: np.ndarray):
         """Energy-weighted mean of Stage-1 per-band SNR per frame, dB."""
@@ -255,29 +266,25 @@ class StreamProcessor:
 
 def run_stream(proc: StreamProcessor, blocks, size: int, *, latency_aligned: bool = False):
     """Feed blocks of a signal (size samples in all) and the zero flush
-    through proc; yield the output as it completes, size samples in all,
-    starting after the algorithmic latency when latency_aligned. An
-    empty signal runs no frame."""
+    through proc; yield the BlockRecord of each engine block, its out
+    cut so that the outs hold size samples in all, starting after the
+    algorithmic latency when latency_aligned. An empty signal runs no
+    frame."""
     if size == 0:
         return
     lead = proc.latency_samples if latency_aligned else 0
     for block in itertools.chain(blocks, (np.zeros(proc.framer.flush_len),)):
-        y = proc.process(block)
-        cut = min(lead, y.size)
-        lead -= cut
-        y = y[cut : cut + size]
-        size -= y.size
-        if y.size:
-            yield y
+        for record in proc.blocks(block):
+            y = record.out
+            cut = min(lead, y.size)
+            lead -= cut
+            y = y[cut : cut + size]
+            size -= y.size
+            yield record._replace(out=y)
 
 
 def process_stream(
-    samples,
-    cfg: PipelineConfig,
-    *,
-    single_stage: bool = False,
-    latency_aligned: bool = False,
-    tracker_sink=None,
+    samples, cfg: PipelineConfig, *, single_stage: bool = False, latency_aligned: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the dual-stage pipeline over a whole signal.
 
@@ -290,31 +297,23 @@ def process_stream(
     a call holds little more than what it returns.
     """
     x = _mono(samples)
-    proc = StreamProcessor(cfg, single_stage=single_stage, tracker_sink=tracker_sink)
+    proc = StreamProcessor(cfg, single_stage=single_stage, log_gains=True)
     y = np.empty(x.size)
     log = np.empty((proc.framer.frames_of(x.size), cfg.frame.num_bins))
-    # y[i] is stream output sample start + i; pos counts those run out
-    start = proc.latency_samples if latency_aligned else 0
-    pos = row = 0
-    for piece in proc.framer.pieces(x):
-        out = proc.process(piece)
-        lo, hi = max(start - pos, 0), min(out.size, start + x.size - pos)
-        if lo < hi:
-            y[pos - start + lo : pos - start + hi] = out[lo:hi]
-        pos += out.size
-        for rows in proc.gain_log:
-            log[row : row + len(rows)] = rows
-            row += len(rows)
-        proc.gain_log.clear()
+    pos = 0
+    for record in run_stream(proc, proc.framer.pieces(x), x.size, latency_aligned=latency_aligned):
+        y[pos : pos + record.out.size] = record.out
+        pos += record.out.size
+        log[record.frame : record.frame + len(record.gains)] = record.gains
     return y, log
 
 
 def shadow_stream(mix, components, cfg: PipelineConfig, *, single_stage: bool = False):
     """Run the engine over mix and replay its gains over each component.
 
-    The mix goes through a StreamProcessor in _Framer.pieces. Each
-    piece's gain rows go, with the components' matching pieces, to one
-    worker thread, which shadows them (see _Shadow) while the engine
+    The mix goes through a StreamProcessor in _Framer.stream's pieces.
+    Each piece's gain rows go, with the components' matching pieces, to
+    one worker thread, which shadows them (see _Shadow) while the engine
     runs the next piece: the shadow work is mostly transforms, which
     scipy's pocketfft extension runs with the interpreter lock
     released (two threads of 256-frame analyze and synthesize reached
@@ -324,20 +323,21 @@ def shadow_stream(mix, components, cfg: PipelineConfig, *, single_stage: bool = 
     kept. Returns, per component (as long as the mix), [unity
     reference, shadowed output], delayed by the algorithmic latency.
     """
-    proc = StreamProcessor(cfg, single_stage=single_stage)
+    proc = StreamProcessor(cfg, single_stage=single_stage, log_gains=True)
     shadows = [_Shadow(cfg, len(c), outputs=2) for c in components]
 
     def replay(parts, rows):
-        rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        # a piece completes one block, several in the warm-up, or none,
+        # and then its shadows read no rows
+        rows = rows[0] if len(rows) == 1 else np.concatenate(rows) if rows else None
         for s, part in zip(shadows, parts):
             s.push(part, (None, rows))
 
     with ThreadPoolExecutor(max_workers=1) as worker:
         try:
             job = None
-            for piece, *parts in zip(*(proc.framer.pieces(_mono(s)) for s in (mix, *components))):
-                proc.process(piece)
-                rows, proc.gain_log = proc.gain_log, []
+            for piece, *parts in zip(*(proc.framer.stream(_mono(s)) for s in (mix, *components))):
+                rows = [record.gains for record in proc.blocks(piece)]
                 # hand this piece over, then wait for the previous one,
                 # so at most one piece waits while the engine runs
                 job, last = worker.submit(replay, parts, rows), job
@@ -377,7 +377,7 @@ def _replay(samples, gain_logs, cfg: PipelineConfig) -> list[np.ndarray]:
         if not (finite := np.isfinite(g).all(axis=-1)).all():
             raise UsageError(f"gain log frame {np.argmin(finite)} holds a non-finite gain")
     row = 0
-    for piece in shadow.framer.pieces(x):
+    for piece in shadow.framer.stream(x):
         row += shadow.push(piece, [None if g is None else g[row:] for g in logs])
     return shadow.outs
 

@@ -1,4 +1,3 @@
-import bisect
 import struct
 from types import SimpleNamespace
 
@@ -59,16 +58,23 @@ def with_mu(cfg, mu, stages=("stage1", "stage2")):
     return config_from_dict(d)
 
 
-def frame_rows_sink(rows):
-    """A tracker_sink that files a copy of each frame's rows of each
-    block into rows as (frame, stage, raw, smoothed), in frame, then
-    stage order: whatever the blocks, the rows of a frame-by-frame run."""
-
-    def sink(first, stage, raw, smoothed):
-        for i, (r, s) in enumerate(zip(raw, smoothed)):
-            bisect.insort(rows, (first + i, stage, r.copy(), s.copy()), key=lambda row: row[:2])
-
-    return sink
+def run_blocks(proc, chunks):
+    """Feed chunks through proc.blocks, one call per chunk as process
+    takes them; return (the joined outputs, the joined bin gains, or
+    None without log_gains, and the tracker rows). The rows are
+    (frame, stage, raw, smoothed), one per frame and stage in frame,
+    then stage order: whatever the blocks, the rows of a frame-by-frame
+    run."""
+    records = [record for chunk in chunks for record in proc.blocks(chunk)]
+    y = np.concatenate([np.zeros(0)] + [r.out for r in records])
+    gains = np.concatenate([r.gains for r in records]) if proc.log_gains else None
+    rows = [
+        (r.frame + i, stage, raw[i], smoothed[i])
+        for r in records
+        for i in range(len(r.out) // proc.cfg.frame.hop_len)
+        for stage, (raw, smoothed) in enumerate(r.noise, start=1)
+    ]
+    return y, gains, rows
 
 
 def pcm24_wav_bytes(n):

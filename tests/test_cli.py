@@ -17,7 +17,7 @@ from dualstage import cli, pipeline
 from dualstage.cli import main
 from dualstage.config import config_dumps, config_to_dict
 from dualstage.metrics import REPORT_COLUMNS, SnriReport, spectrogram_db
-from conftest import frame_rows_sink, pcm24_wav_bytes
+from conftest import pcm24_wav_bytes, run_blocks
 
 
 def _numeric_leaves(doc, prefix=""):
@@ -332,19 +332,21 @@ class TestStreamedEnhance:
             assert capsys.readouterr().err.startswith(f"error: {message}")
             assert not out.exists()
 
-    def test_tracker_dump_rows_are_those_of_the_sink(self, tmp_path, comm_cfg):
+    def test_tracker_dump_rows_are_those_of_the_records(self, tmp_path, comm_cfg):
+        """The dump holds the Stage-2 noise rows of the block records
+        of the input's stream, one CSV line per frame and band, ended
+        as csv.writer ends them."""
         wav = write_noise_wav(tmp_path / "in.wav", seconds=(FEED + 500) / 16000)
         dump = tmp_path / "trk.csv"
         assert run("enhance", str(wav), str(tmp_path / "o.wav"), "--tracker-dump", str(dump)) == 0
         lines = ["frame,band,raw_noise,smoothed_noise"]
-        rows = []
-        sink = frame_rows_sink(rows)
-        ds.process_stream(ds.read_wav(wav)[0], comm_cfg, latency_aligned=True, tracker_sink=sink)
+        proc = ds.StreamProcessor(comm_cfg)
+        _, _, rows = run_blocks(proc, proc.framer.stream(ds.read_wav(wav)[0]))
         for frame, stage, raw, smoothed in rows:
             if stage == 2:
                 for band, (r, s) in enumerate(zip(raw, smoothed)):
                     lines.append(f"{frame},{band},{r:.8g},{s:.8g}")
-        assert dump.read_text().splitlines() == lines
+        assert dump.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_failed_tracker_dump_names_the_dump(self, tmp_path, capsys):

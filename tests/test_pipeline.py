@@ -12,7 +12,7 @@ from dualstage.errors import InputError, UsageError
 from dualstage.framing import algorithmic_latency_ms
 from synth import FS, pink_noise, surrogate_speech, white_noise
 
-from conftest import frame_rows_sink, no_hpf, with_mu
+from conftest import no_hpf, run_blocks, with_mu
 
 
 class TestBypass:
@@ -41,19 +41,17 @@ class TestStreaming:
         whole, log = ds.process_stream(x, comm_cfg)
 
         proc = ds.StreamProcessor(comm_cfg)
-        pieces = []
-        pos = 0
-        for size in rng.integers(1, 700, 200):
-            pieces.append(proc.process(x[pos : pos + size]))
-            pos += size
-        pieces.append(proc.process(x[pos:]))
-        chunked = np.concatenate(pieces)
+        edges = np.cumsum(rng.integers(1, 700, 200))
+        chunks = np.split(x, edges[edges < x.size])
+        chunked = np.concatenate([proc.process(c) for c in chunks])
         # the raw stream runs ahead by up to a frame of seeded zeros;
         # process_stream trims to the input length
         assert chunked.size >= whole.size
         np.testing.assert_array_equal(chunked[: whole.size], whole)
-        # process_stream also runs the zero flush
-        chunked_log = np.concatenate(proc.gain_log)
+        # the same calls' block records carry the same output and, with
+        # log_gains, the log's rows (process_stream also runs the flush)
+        y, chunked_log, _ = run_blocks(ds.StreamProcessor(comm_cfg, log_gains=True), chunks)
+        np.testing.assert_array_equal(y, chunked)
         np.testing.assert_array_equal(chunked_log, log[: len(chunked_log)])
 
     @pytest.mark.parametrize("single", [False, True])
@@ -68,10 +66,7 @@ class TestStreaming:
         x = surrogate_speech(1.5, rng) + pink_noise(1.5, rng)
 
         def run(chunks):
-            rows = []
-            proc = ds.StreamProcessor(cfg, single_stage=single, tracker_sink=frame_rows_sink(rows))
-            y = np.concatenate([proc.process(c) for c in chunks])
-            return y, np.concatenate(proc.gain_log), rows
+            return run_blocks(ds.StreamProcessor(cfg, single_stage=single, log_gains=True), chunks)
 
         y, log, rows = run([x[pos : pos + hop] for pos in range(0, x.size, hop)])
         y_whole, log_whole, rows_whole = run([x])
@@ -82,8 +77,9 @@ class TestStreaming:
 
     @pytest.mark.parametrize("aligned", [False, True])
     def test_run_stream_blocks_equal_whole(self, comm_cfg, aligned):
-        """run_stream over any split of a signal yields, in pieces, the
-        samples process_stream returns, and runs the same frames."""
+        """run_stream over any split of a signal yields block records
+        whose outs hold, in pieces, the samples process_stream returns,
+        and whose frames are, in order, the frames of its log."""
         rng = np.random.default_rng(25)
         x = rng.normal(0.0, 0.1, FS // 2)
         whole, log = ds.process_stream(x, comm_cfg, latency_aligned=aligned)
@@ -91,9 +87,10 @@ class TestStreaming:
             edges = [0, *cuts, x.size]
             proc = ds.StreamProcessor(comm_cfg, log_gains=False)
             blocks = (x[a:b] for a, b in zip(edges, edges[1:]))
-            pieces = list(pipeline.run_stream(proc, blocks, x.size, latency_aligned=aligned))
-            assert all(p.size for p in pieces)
-            np.testing.assert_array_equal(np.concatenate(pieces), whole)
+            records = list(pipeline.run_stream(proc, blocks, x.size, latency_aligned=aligned))
+            np.testing.assert_array_equal(np.concatenate([r.out for r in records]), whole)
+            starts = [r.frame for r in records]
+            assert starts[0] == 0 and starts == sorted(set(starts))
             assert proc.frame_index == len(log)
 
     def test_whole_signal_memory_is_its_output(self, comm_cfg):
@@ -109,6 +106,23 @@ class TestStreaming:
             tracemalloc.stop()
         returned = y.nbytes + log.nbytes
         assert peak < 1.25 * returned, peak / returned
+
+    def test_streaming_memory_stays_flat(self, comm_cfg):
+        """A default processor fed 1 min, then 2 min, of noise in
+        1024-sample process calls holds under 1 MiB after each run:
+        nothing is kept per frame. A gain log kept by default held
+        15.1 and 30.0 MiB."""
+        rng = np.random.default_rng(36)
+        for minutes in (1, 2):
+            tracemalloc.start()
+            try:
+                proc = ds.StreamProcessor(comm_cfg)
+                for _ in range(minutes * 60 * FS // 1024):
+                    proc.process(rng.normal(0.0, 0.1, 1024))
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert held < 2**20, (minutes, held)
 
     def test_output_matches_input_length(self, comm_cfg):
         for n in (1, 63, 64, 8191, FS):
@@ -195,10 +209,8 @@ class TestNonFiniteInput:
         assert rect.frame.max_abs_sample == limit
         with np.errstate(over="ignore", invalid="ignore"):
             for cfg, x in ((comm_cfg, noise), (rect, np.full(FS // 2, limit))):
-                rows = []
-                y, log = ds.process_stream(
-                    x, cfg, single_stage=single, tracker_sink=frame_rows_sink(rows)
-                )
+                proc = ds.StreamProcessor(cfg, single_stage=single, log_gains=True)
+                y, log, rows = run_blocks(proc, proc.framer.stream(x))
                 tracks = [row[2:] for row in rows]
                 assert np.all(np.isfinite(y)) and np.all(np.isfinite(log))
                 assert tracks and np.all(np.isfinite(tracks))
@@ -216,8 +228,8 @@ class TestNonFiniteInput:
         with pytest.raises(InputError, match="sample magnitude above .* at stream index 12000"):
             ds.process_stream(x, comm_cfg)
         x[burst] *= comm_cfg.frame.max_abs_sample * (1 - 1e-12) / np.abs(x[burst]).max()
-        rows = []
-        ds.process_stream(x, comm_cfg, tracker_sink=frame_rows_sink(rows))
+        proc = ds.StreamProcessor(comm_cfg)
+        _, _, rows = run_blocks(proc, proc.framer.stream(x))
         tracks = [row[2:] for row in rows]
         assert len(tracks) > 500 and np.all(np.isfinite(tracks))
 
@@ -456,8 +468,8 @@ class TestStageInteraction:
         x = white_noise(2.0, rng, level=0.1)
 
         def run(cfg):
-            rows = []
-            ds.process_stream(x, cfg, tracker_sink=frame_rows_sink(rows))
+            proc = ds.StreamProcessor(cfg)
+            _, _, rows = run_blocks(proc, proc.framer.stream(x))
             raws = [raw for _, stage, raw, _ in rows if stage == 2]
             smooths = [smoothed for _, stage, _, smoothed in rows if stage == 2]
             return np.asarray(raws), np.asarray(smooths)

@@ -16,7 +16,7 @@ from dualstage.gain import GainParams, GainState, MU_MAX, compute_raw_gain, smoo
 from dualstage.noise_tracking import frozen_array, smooth_rows
 from dualstage.pipeline import BLOCK_FRAMES, _Framer, _Shadow, _replay
 
-from conftest import frame_rows_sink, no_hpf, with_mu
+from conftest import no_hpf, run_blocks, with_mu
 
 # alphas and gammas in [0, 1], with both ends drawn often
 unit_floats = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -61,14 +61,15 @@ def pipeline_configs(draw, window_kind=None):
 def test_chunking_never_changes_the_output(cfg, single, seed, data):
     """Chunks of 0 samples, of less than a hop, of about the internal
     block cap, and runs of one-hop calls (each a lone frame once the
-    first call has filled the carry) give the same samples, gain log
-    and tracker rows as one whole call."""
+    first call has filled the carry) give the same samples, through
+    process and through the block records, and the same gain log and
+    tracker rows as one whole call."""
     hop = cfg.frame.hop_len
     cap = BLOCK_FRAMES * hop
     x = np.random.default_rng(seed).normal(0.0, 0.1, int(2.5 * cap))
-    expected_rows = []
-    whole = ds.StreamProcessor(cfg, single_stage=single, tracker_sink=frame_rows_sink(expected_rows))
-    expected = whole.process(x)
+    expected, expected_log, expected_rows = run_blocks(
+        ds.StreamProcessor(cfg, single_stage=single, log_gains=True), [x]
+    )
 
     chunks = st.one_of(
         st.sampled_from([[0]]),
@@ -77,16 +78,13 @@ def test_chunking_never_changes_the_output(cfg, single, seed, data):
         st.integers(1, 40).map(lambda calls: [hop] * calls),
     )
     sizes = [size for run in data.draw(st.lists(chunks, min_size=1, max_size=10)) for size in run]
-    rows = []
-    proc = ds.StreamProcessor(cfg, single_stage=single, tracker_sink=frame_rows_sink(rows))
-    pieces = []
-    pos = 0
-    for size in sizes:
-        pieces.append(proc.process(x[pos : pos + size]))
-        pos += size
-    pieces.append(proc.process(x[pos:]))
-    np.testing.assert_array_equal(np.concatenate(pieces), expected)
-    np.testing.assert_array_equal(np.concatenate(proc.gain_log), np.concatenate(whole.gain_log))
+    chunks = np.split(x, np.cumsum(sizes))
+    proc = ds.StreamProcessor(cfg, single_stage=single)
+    np.testing.assert_array_equal(np.concatenate([proc.process(c) for c in chunks]), expected)
+    proc = ds.StreamProcessor(cfg, single_stage=single, log_gains=True)
+    y, log, rows = run_blocks(proc, chunks)
+    np.testing.assert_array_equal(y, expected)
+    np.testing.assert_array_equal(log, expected_log)
     assert len(rows) == len(expected_rows)
     for got, want in zip(rows, expected_rows):
         assert got[:2] == want[:2]
@@ -328,10 +326,10 @@ def test_framer_blocks_equal_one_whole_push(cfg, seed, data):
 
     shadow.framer.push = recording
     for piece in [*pieces, np.zeros(framer.flush_len)]:
-        proc.gain_log, shadow_blocks[:] = [], []
-        proc.process(piece)
+        shadow_blocks[:] = []
+        engine_blocks = [len(record.out) // hop for record in proc.blocks(piece)]
         assert shadow.push(piece, [None]) == sum(shadow_blocks)
-        assert shadow_blocks == [len(rows) for rows in proc.gain_log]
+        assert shadow_blocks == engine_blocks
 
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
