@@ -1,12 +1,21 @@
-"""Check `dualstage mix` and `dualstage evaluate` end to end.
+"""Check `dualstage mix` and `dualstage evaluate` end to end, and that
+evaluate's memory is flat in signal length.
 
 Writes 5 s of surrogate speech and 5 s of white noise as WAVs into a
 temporary directory, mixes them with `dualstage mix`, and evaluates the
 pair with `dualstage evaluate` at two SNRs, dual and single stage.
-Exits 1 unless both commands succeed, the mix comes out as long as the
-speech, the report has one row per condition, and every figure in it
-is finite. evaluate shadows the gains on a worker thread, so this runs
-that path through the command as installed.
+Then it evaluates a 1 min and a 4 min speech/noise pair (one SNR, dual
+stage), each in a child process of its own, and reads each child's
+peak resident set (ru_maxrss, KiB on Linux) from wait4. Exits 1 unless
+every command succeeds, the mix comes out as long as the speech, the
+report has one row per condition, every figure in it is finite, and
+the 4 min peak exceeds the 1 min peak by at most four float64 copies
+of the extra 3 min of signal plus 8 MiB: the command holds the speech
+and the noise it read, and evaluate_condition one transient copy
+while it scales the noise. evaluate shadows the gains on a worker
+thread, so this runs that path through the command as installed. The
+long WAVs are written a few seconds at a time, so this process stays
+smaller than any child, whose peak would otherwise include it.
 
 usage: python scripts/check_evaluate.py [DUALSTAGE]
 
@@ -27,6 +36,9 @@ import numpy as np
 
 from dualstage import read_wav, write_wav
 
+# the script beside this one, which the CI's enhance step runs
+from check_enhance_rss import peak_rss_mib
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from synth import FS, surrogate_speech, white_noise  # noqa: E402
 
@@ -34,6 +46,13 @@ SECONDS = 5.0
 SNRS_DB = [0.0, 12.0]
 VARIANTS = ["dual", "single"]
 KEY_COLUMNS = {"noise_type", "preset", "variant"}
+FLAT_MINUTES = (1, 4)
+# growth allowed per extra sample: four float64 copies, plus a margin
+COPIES = 4
+SLACK_MIB = 8.0
+# surrogate speech is written in pieces of this many seconds, a whole
+# number of its 300 ms burst periods
+SPEECH_PIECE_S = 3.0
 
 
 def finite(text):
@@ -47,6 +66,21 @@ def run(argv):
     proc = subprocess.run(argv, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{' '.join(argv)} exited with {proc.returncode}: {proc.stderr.strip()}")
+
+
+def evaluate_peak_mib(command, tmp, minutes, rng):
+    """Write a minutes-long speech/noise pair and its one-condition
+    matrix; return the peak RSS of `dualstage evaluate` on it."""
+    size = 60 * minutes * FS
+    speech, noise = (os.path.join(tmp, f"{name}{minutes}.wav") for name in ("speech", "noise"))
+    pieces = round(60 * minutes / SPEECH_PIECE_S)
+    write_wav(speech, (surrogate_speech(SPEECH_PIECE_S, rng) for _ in range(pieces)), FS, "float32", size=size)
+    write_wav(noise, (white_noise(1.0, rng) for _ in range(60 * minutes)), FS, "float32", size=size)
+    matrix = os.path.join(tmp, f"matrix{minutes}.json")
+    with open(matrix, "w") as fh:
+        doc = {"speech": [speech], "noise": [noise], "snr_db": [6.0], "presets": ["communication"]}
+        json.dump({**doc, "variants": ["dual"], "measure_start_s": 1.0}, fh)
+    return peak_rss_mib([command, "evaluate", matrix, os.path.join(tmp, f"report{minutes}.csv")])
 
 
 def main():
@@ -76,7 +110,16 @@ def main():
         if key not in KEY_COLUMNS and not finite(value)
     ]
     print(f"evaluate: {len(rows)} rows (expected {expected}), {len(bad)} non-finite values")
-    return 0 if len(rows) == expected and not bad else 1
+    with tempfile.TemporaryDirectory() as tmp:
+        short, long = FLAT_MINUTES
+        peaks = [evaluate_peak_mib(command, tmp, m, rng) for m in FLAT_MINUTES]
+    limit = COPIES * 60 * (long - short) * FS * 8 / 2**20 + SLACK_MIB
+    growth = peaks[1] - peaks[0]
+    print(
+        f"peak RSS, evaluate: {short} min {peaks[0]:.1f} MiB, {long} min {peaks[1]:.1f} MiB, "
+        f"difference {growth:+.1f} MiB (limit {limit:.1f})"
+    )
+    return 0 if len(rows) == expected and not bad and growth <= limit else 1
 
 
 if __name__ == "__main__":

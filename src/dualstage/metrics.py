@@ -5,16 +5,21 @@ of a processed mix are replayed separately over the scaled speech and
 noise components, which decomposes the enhanced output exactly (the
 pipeline is linear in its input once the gains are fixed); one
 analysis per component serves both its unity-gain reference and its
-shadowed output. evaluate_condition replays the gains of each block
-record the engine yields (StreamProcessor.blocks), on a second thread,
-without a gain log; snri_by_gain_shadowing replays a given log. Speech
-level is taken over speech-active frames, noise level over the
-speech-free frames, as a desk-scale stand-in for a calibrated
-measurement front end. spectrogram_stream frames its signal in the
-engine framer's pieces.
+shadowed output. evaluate_condition forms the mix piece by piece as
+it feeds the engine and replays the gains of each block record the
+engine yields (StreamProcessor.blocks) on a second thread, which
+reduces each block's outputs to per-hop powers
+(pipeline.shadow_stream), so it keeps no gain log and no array as long
+as the signal; snri_by_gain_shadowing replays a given log and reduces
+its outputs with the same function. Speech level is taken over
+speech-active hops, noise level over the speech-free hops, each the
+mean of those hops' mean squares, as a desk-scale stand-in for a
+calibrated measurement front end. spectrogram_stream frames its signal
+in the engine framer's pieces.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -81,17 +86,16 @@ _REPORT_FIELDS = tuple(f.name for f in fields(SnriReport))
 def block_rms(samples: np.ndarray, block_len: int) -> np.ndarray:
     """RMS of consecutive non-overlapping full blocks; the trailing
     partial block, if any, is ignored."""
-    x = np.asarray(samples, dtype=float)
-    nfull = x.size // block_len
-    if nfull == 0:
-        return np.zeros(0)
-    blocks = x[: nfull * block_len].reshape(nfull, block_len)
-    return np.sqrt(np.mean(blocks * blocks, axis=1))
+    return np.sqrt(pipeline._block_power(np.asarray(samples, dtype=float), block_len))
 
 
 def active_frame_mask(samples, block_len: int, threshold_db: float) -> np.ndarray:
     """Mark blocks whose RMS is within threshold_db of the peak block RMS."""
-    rms = block_rms(samples, block_len)
+    return _active(block_rms(samples, block_len), threshold_db)
+
+
+def _active(rms: np.ndarray, threshold_db: float) -> np.ndarray:
+    """active_frame_mask from the blocks' RMS."""
     if rms.size == 0:
         return np.zeros(0, dtype=bool)
     peak = rms.max()
@@ -106,7 +110,20 @@ def mix_at_snr(spec: MixSpec):
     The speech level is the RMS over speech-active blocks, the noise
     level the RMS over the full (truncated-to-length) noise. Returns
     (mix, speech, scaled noise); the components sum to the mix exactly.
+    A non-finite sample in the speech or in the noise it uses raises
+    InputError naming the signal and the sample's index, and a signal
+    whose power overflows one naming the signal.
     """
+    speech, noise, scale = _noise_scale(spec)
+    noise_scaled = noise * scale
+    return speech + noise_scaled, speech, noise_scaled
+
+
+def _noise_scale(spec: MixSpec):
+    """(speech, noise truncated to the speech's length, the factor that
+    brings that noise to the target SNR), screened as mix_at_snr says.
+    Beside boolean masks, one signal-length array at a time is made,
+    and none is kept."""
     speech = pipeline._mono(spec.speech, "speech")
     noise = pipeline._mono(spec.noise, "noise")
     if not np.isfinite(spec.target_snr_db):
@@ -116,28 +133,39 @@ def mix_at_snr(spec: MixSpec):
             f"noise ({noise.size} samples) must be at least as long as "
             f"speech ({speech.size} samples)"
         )
+    noise = noise[: speech.size]
+    for what, x in (("speech", speech), ("noise", noise)):
+        if not (finite := np.isfinite(x)).all():
+            raise InputError(f"{what} holds a non-finite sample at index {np.argmin(finite)}")
     block = max(1, round(ACTIVITY_BLOCK_S * spec.sample_rate_hz))
-    mask = active_frame_mask(speech, block, spec.active_threshold_db)
-    active_samples = int(mask.sum()) * block
-    if active_samples < spec.sample_rate_hz:
-        raise InputError(
-            f"speech must contain at least 1 s of active signal, found "
-            f"{active_samples / spec.sample_rate_hz:.2f} s"
-        )
-    active = np.repeat(mask, block)
-    speech_pow = float(np.mean(speech[: active.size][active] ** 2))
-    noise_cut = noise[: speech.size]
-    noise_pow = float(np.mean(noise_cut**2))
+    # a square or a sum of squares can overflow a finite signal's power:
+    # numpy stays quiet and the signal is named instead
+    with np.errstate(over="ignore"):
+        block_pow = pipeline._block_power(speech, block)
+        _finite_power("speech", block_pow.max(initial=0.0))
+        mask = _active(np.sqrt(block_pow), spec.active_threshold_db)
+        active_samples = int(mask.sum()) * block
+        if active_samples < spec.sample_rate_hz:
+            raise InputError(
+                f"speech must contain at least 1 s of active signal, found "
+                f"{active_samples / spec.sample_rate_hz:.2f} s"
+            )
+        # squared in place: the selection is the one transient array
+        active = speech[: mask.size * block][np.repeat(mask, block)]
+        speech_pow = _finite_power("speech", float(np.mean(np.square(active, out=active))))
+        del active
+        noise_pow = _finite_power("noise", float(np.mean(noise**2)))
     if noise_pow <= 0.0:
         raise InputError("noise signal is silent; cannot scale it to a target SNR")
     scale = np.sqrt(speech_pow / noise_pow) * 10.0 ** (-spec.target_snr_db / 20.0)
-    noise_scaled = noise_cut * scale
-    return speech + noise_scaled, speech, noise_scaled
+    return speech, noise, scale
 
 
-def _region_power(samples: np.ndarray, block_mask: np.ndarray, block_len: int) -> float:
-    picked = np.repeat(block_mask, block_len)
-    return float(np.mean(samples[: picked.size][picked] ** 2))
+def _finite_power(what: str, power: float) -> float:
+    """power, unless it overflowed to inf."""
+    if not math.isfinite(power):
+        raise InputError(f"{what} power overflows the float range")
+    return power
 
 
 def snri_by_gain_shadowing(
@@ -165,23 +193,23 @@ def snri_by_gain_shadowing(
             f"{speech.shape} and {noise.shape}"
         )
     # None asks for the unity-gain reference
-    return _shadowing_report(
+    powers = pipeline._shadow_powers(
         pipeline._replay(speech, (None, gain_log), cfg),
         pipeline._replay(noise, (None, gain_log), cfg),
-        cfg,
-        active_threshold_db,
-        measure_start_s,
+        cfg.frame.hop_len,
     )
+    return _shadowing_report(powers, cfg, active_threshold_db, measure_start_s)
 
 
-def _shadowing_report(speech, noise, cfg: PipelineConfig, active_threshold_db, measure_start_s):
-    """The report from each component's [unity reference, shadowed
-    output]; the noise arrays are added into the speech arrays."""
-    ref_speech, out_speech = speech
-    ref_noise, out_noise = noise
-    block = cfg.frame.hop_len
-    mask = active_frame_mask(ref_speech, block, active_threshold_db)
-    start_block = int(np.ceil(measure_start_s * cfg.frame.sample_rate_hz / block))
+def _shadowing_report(powers, cfg: PipelineConfig, active_threshold_db, measure_start_s):
+    """The report from pipeline._shadow_powers' per-hop powers. The
+    activity mask is active_frame_mask's over the speech reference's
+    hops, and a region's power is the mean of its hops' mean squares:
+    hops are of equal length, so that is the mean square over the
+    region's samples up to rounding."""
+    ref_speech, out_speech, ref_noise, out_noise, ref_mix, out_mix = powers
+    mask = _active(np.sqrt(ref_speech), active_threshold_db)
+    start_block = int(np.ceil(measure_start_s * cfg.frame.sample_rate_hz / cfg.frame.hop_len))
     if start_block >= mask.size:
         raise InputError(
             f"measure_start_s={measure_start_s} leaves no frames to measure"
@@ -193,10 +221,8 @@ def _shadowing_report(speech, noise, cfg: PipelineConfig, active_threshold_db, m
     if not inactive.any():
         raise InputError("no speech-free frames to measure the noise on")
 
-    ref_speech_pow = _region_power(ref_speech, active, block)
-    ref_noise_pow = _region_power(ref_noise, inactive, block)
-    out_speech_pow = _region_power(out_speech, active, block)
-    out_noise_pow = _region_power(out_noise, inactive, block)
+    ref_speech_pow, out_speech_pow = (float(np.mean(p[active])) for p in (ref_speech, out_speech))
+    ref_noise_pow, out_noise_pow = (float(np.mean(p[inactive])) for p in (ref_noise, out_noise))
     if ref_noise_pow <= 0.0 or out_noise_pow <= 0.0:
         raise InputError("noise component is silent over the measurement frames")
     if ref_speech_pow <= 0.0 or out_speech_pow <= 0.0:
@@ -205,13 +231,7 @@ def _shadowing_report(speech, noise, cfg: PipelineConfig, active_threshold_db, m
     input_snr_db = 10.0 * np.log10(ref_speech_pow / ref_noise_pow)
     output_snr_db = 10.0 * np.log10(out_speech_pow / out_noise_pow)
 
-    # the enhanced mix and its reference, summed in place so that no
-    # new signal-length array is made
-    ref_speech += ref_noise
-    out_speech += out_noise
-    reduction = _reduction_db(
-        _region_power(ref_speech, inactive, block), _region_power(out_speech, inactive, block)
-    )
+    reduction = _reduction_db(float(np.mean(ref_mix[inactive])), float(np.mean(out_mix[inactive])))
     return SnriReport(
         input_snr_db=float(input_snr_db),
         output_snr_db=float(output_snr_db),
@@ -274,11 +294,14 @@ def evaluate_condition(
     """Mix, process and shadow one evaluation condition.
 
     Equal to snri_by_gain_shadowing over the mix's components and the
-    gain log process_stream gives for the mix, field for field; the
-    gains are replayed block by block as the engine produces them
-    (pipeline.shadow_stream), so no gain log is built.
+    gain log process_stream gives for the mix, field for field. Each
+    feed piece's mix and scaled noise are formed as the piece is fed,
+    which gives the engine mix_at_snr's samples, and the gains are
+    replayed and reduced to per-hop powers block by block as the engine
+    produces them (pipeline.shadow_stream), so once the noise scale is
+    known no array as long as the signal is made.
     """
-    mix, sp, nz = mix_at_snr(
+    speech, noise, scale = _noise_scale(
         MixSpec(
             speech=speech,
             noise=noise,
@@ -287,8 +310,15 @@ def evaluate_condition(
             active_threshold_db=active_threshold_db,
         )
     )
-    speech_pair, noise_pair = pipeline.shadow_stream(mix, (sp, nz), cfg, single_stage=single_stage)
-    return _shadowing_report(speech_pair, noise_pair, cfg, active_threshold_db, measure_start_s)
+    feed = pipeline.BLOCK_FRAMES * cfg.frame.hop_len
+
+    def pieces():
+        for at in range(0, speech.size, feed):
+            sp, nz = speech[at : at + feed], noise[at : at + feed] * scale
+            yield sp + nz, sp, nz
+
+    powers = pipeline.shadow_stream(pieces(), speech.size, cfg, single_stage=single_stage)
+    return _shadowing_report(powers, cfg, active_threshold_db, measure_start_s)
 
 
 def spectrogram_db(samples, frame_cfg, floor_db: float = -120.0) -> np.ndarray:

@@ -12,9 +12,11 @@ the clean components of a mix, and its noise estimates. One framer
 the high-pass, the carry, the blocks, the pieces and the zero flush.
 Replay (_Shadow) is fed the engine's pieces through a framer of its
 own, as is metrics.spectrogram_stream (with no high-pass). Replay
-shadows each block's gain rows: one analysis, then one synthesis per
-output. shadow_stream runs the engine and that replay as a two-stage
-pipeline, so no gain log is kept.
+shadows each block's gain rows, one analysis, then one synthesis per
+output, and hands the block's outputs to its caller. shadow_stream
+runs the engine and that replay as a two-stage pipeline whose second
+stage reduces each block's outputs to per-hop powers (_shadow_powers),
+so it keeps neither a gain log nor an array as long as the signal.
 
 Every layer runs once per block of frames. The transform pair runs
 once per block on scipy.fft's pocketfft extension (see framing), and
@@ -308,35 +310,50 @@ def process_stream(
     return y, log
 
 
-def shadow_stream(mix, components, cfg: PipelineConfig, *, single_stage: bool = False):
-    """Run the engine over mix and replay its gains over each component.
+def shadow_stream(
+    pieces, size: int, cfg: PipelineConfig, *, single_stage: bool = False
+) -> np.ndarray:
+    """Run the engine over a mix and replay its gains over the mix's
+    speech and noise; return their per-hop powers (see _shadow_powers).
 
-    The mix goes through a StreamProcessor in _Framer.stream's pieces.
-    Each piece's gain rows go, with the components' matching pieces, to
-    one worker thread, which shadows them (see _Shadow) while the engine
-    runs the next piece: the shadow work is mostly transforms, which
-    scipy's pocketfft extension runs with the interpreter lock
+    pieces yields (mix, speech, noise) triples, size samples of each in
+    all; pieces of BLOCK_FRAMES hops, _Framer.pieces' length, keep the
+    blocks whole. The zero flush follows them. Each mix piece goes
+    through a StreamProcessor, and its gain rows go, with the speech
+    and noise pieces, to one worker thread, which shadows them (see
+    _Shadow) and reduces each block's outputs to powers while the
+    engine runs the next piece: the shadow work is mostly transforms,
+    which scipy's pocketfft extension runs with the interpreter lock
     released (two threads of 256-frame analyze and synthesize reached
     1.0-2.6 times one thread's throughput on a loaded 2-core box, and
-    1.3-2.1 on numpy's transforms). The outputs are
-    bit-identical to process_stream's and _replay's, and no gain log is
-    kept. Returns, per component (as long as the mix), [unity
-    reference, shadowed output], delayed by the algorithmic latency.
+    1.3-2.1 on numpy's transforms). The powers are bit-identical to
+    _shadow_powers over _replay's outputs for process_stream's gain
+    log, and the only arrays kept are the powers, 6 per hop.
     """
     proc = StreamProcessor(cfg, single_stage=single_stage, log_gains=True)
-    shadows = [_Shadow(cfg, len(c), outputs=2) for c in components]
+    hop = cfg.frame.hop_len
+    shadows = [_Shadow(cfg, size, outputs=2) for _ in range(2)]
+    powers = np.empty((6, size // hop))
+    done = 0  # hops reduced
 
     def replay(parts, rows):
+        nonlocal done
         # a piece completes one block, several in the warm-up, or none,
         # and then its shadows read no rows
         rows = rows[0] if len(rows) == 1 else np.concatenate(rows) if rows else None
-        for s, part in zip(shadows, parts):
-            s.push(part, (None, rows))
+        # both shadows frame the same pieces, so their blocks pair up;
+        # strict runs the second push to its end after the first's
+        pushes = [s.push(part, (None, rows)) for s, part in zip(shadows, parts)]
+        for speech, noise in zip(*pushes, strict=True):
+            block = _shadow_powers(speech, noise, hop)
+            powers[:, done : done + block.shape[1]] = block
+            done += block.shape[1]
 
+    flush = np.zeros(proc.framer.flush_len)
     with ThreadPoolExecutor(max_workers=1) as worker:
         try:
             job = None
-            for piece, *parts in zip(*(proc.framer.stream(_mono(s)) for s in (mix, *components))):
+            for piece, *parts in itertools.chain(pieces, [(flush,) * 3] if size else ()):
                 rows = [record.gains for record in proc.blocks(piece)]
                 # hand this piece over, then wait for the previous one,
                 # so at most one piece waits while the engine runs
@@ -348,7 +365,27 @@ def shadow_stream(mix, components, cfg: PipelineConfig, *, single_stage: bool = 
         except BaseException:
             worker.shutdown(cancel_futures=True)
             raise
-    return [s.outs for s in shadows]
+    return powers
+
+
+def _shadow_powers(speech, noise, hop: int) -> np.ndarray:
+    """Per-hop powers of a mix's speech and noise, each given as
+    [unity reference, shadowed output]: one row each of the mean
+    square of every full hop of the speech reference, the speech
+    output, the noise reference, the noise output, the references' sum
+    and the outputs' sum (the mix before and after processing). A row
+    depends only on its hop, so the rows of hop-aligned pieces joined
+    are the rows of the whole signals."""
+    rows = [_block_power(y, hop) for y in (*speech, *noise)]
+    rows += [_block_power(s + n, hop) for s, n in zip(speech, noise)]
+    return np.array(rows)
+
+
+def _block_power(x: np.ndarray, block_len: int) -> np.ndarray:
+    """Mean square of each full block_len-sample block of x; a trailing
+    partial block is left out."""
+    blocks = x[: x.size - x.size % block_len].reshape(-1, block_len)
+    return np.mean(blocks * blocks, axis=1)
 
 
 def replay_gains(samples, gain_log: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
@@ -376,44 +413,56 @@ def _replay(samples, gain_logs, cfg: PipelineConfig) -> list[np.ndarray]:
             raise UsageError(f"gain log has {len(g)} frames, stream produced {n_frames}")
         if not (finite := np.isfinite(g).all(axis=-1)).all():
             raise UsageError(f"gain log frame {np.argmin(finite)} holds a non-finite gain")
-    row = 0
+    outs = [np.empty(x.size) for _ in logs]
+    pos = 0
     for piece in shadow.framer.stream(x):
-        row += shadow.push(piece, [None if g is None else g[row:] for g in logs])
-    return shadow.outs
+        first = shadow.framer.frames
+        for ys in shadow.push(piece, [None if g is None else g[first:] for g in logs]):
+            for out, y in zip(outs, ys):
+                out[pos : pos + y.size] = y
+            pos += ys[0].size
+    return outs
 
 
 class _Shadow:
     """Replays gain rows over a size-sample signal fed to push in the
     engine's pieces, which a framer of its own frames as the engine's
     does. Each block is analysed once and every output synthesised
-    from those bins into an overlap-add state of its own; outs holds
-    the outputs, size samples each."""
+    from those bins into an overlap-add state of its own; push hands
+    each block's outputs to its caller, cut so that they hold size
+    samples each in all, and keeps none of them."""
 
     def __init__(self, cfg: PipelineConfig, size: int, *, outputs: int):
         fcfg = self.fcfg = cfg.frame
         self.framer = _Framer(fcfg)
-        self.size = size
-        self.done = 0  # output samples written
+        self.left = size  # output samples still to hand over
         self.olas = [framing.OlaState.for_config(fcfg) for _ in range(outputs)]
-        self.outs = [np.empty(size) for _ in range(outputs)]
 
-    def push(self, piece: np.ndarray, gains) -> int:
-        """Shadow the frames piece completes; return how many. Output k
-        takes gains[k]'s rows from the piece's first frame on, or where
-        that is None unity gains (a multiply by 1.0 is exact)."""
-        fcfg = self.fcfg
+    def push(self, piece: np.ndarray, gains):
+        """Shadow the frames piece completes; yield each block's outputs,
+        one array per output. Output k takes gains[k]'s rows from the
+        piece's first frame on, or where that is None unity gains (a
+        multiply by 1.0 is exact). Run the generator to its end before
+        pushing more."""
         row = 0
         for frames, n in self.framer.push(piece):
-            spec = framing.analyze(frames, fcfg)
-            end = min(self.done + n * fcfg.hop_len, self.size)
-            for g, ola, out in zip(gains, self.olas, self.outs):
-                bins = spec.bins if g is None else spec.bins * g[row : row + n].reshape(spec.bins.shape)
-                # synthesis reads only the bins
-                y = framing.synthesize(framing.SpectralFrame(bins=bins, power=None), ola, fcfg)
-                out[self.done : end] = y[: end - self.done]
-            self.done = end
+            ys = self._outputs(frames, [None if g is None else g[row : row + n] for g in gains])
+            self.left -= ys[0].size
             row += n
-        return row
+            yield ys
+
+    def _outputs(self, frames, gains) -> list[np.ndarray]:
+        """One block's outputs; its spectra are freed on return, so a
+        caller holding a block holds only its outputs."""
+        fcfg = self.fcfg
+        spec = framing.analyze(frames, fcfg)
+        ys = []
+        for g, ola in zip(gains, self.olas):
+            bins = spec.bins if g is None else spec.bins * g.reshape(spec.bins.shape)
+            # synthesis reads only the bins
+            y = framing.synthesize(framing.SpectralFrame(bins=bins, power=None), ola, fcfg)
+            ys.append(y[: self.left])
+        return ys
 
 
 def _mono(samples, what: str = "samples") -> np.ndarray:

@@ -427,6 +427,22 @@ class TestMix:
             "mix", str(speech), str(noise), str(out), "--snr-db", "0", "--loop-noise"
         ) == 0
 
+    @pytest.mark.parametrize("what, bad", [("noise", np.nan), ("speech", np.nan), ("speech", np.inf)])
+    def test_non_finite_sample_is_named(self, tmp_path, capsys, what, bad):
+        """A NaN in the noise once gave exit 0 and an all-NaN mix, and
+        one in the speech reported no active speech. (A float32 WAV
+        sample cannot make a power overflow.)"""
+        rng = np.random.default_rng(44)
+        t = np.arange(4 * 16000) / 16000
+        signals = {"speech": 0.3 * np.sin(2 * np.pi * 440.0 * t), "noise": rng.normal(0.0, 0.1, t.size)}
+        signals[what][20000] = bad
+        for name, x in signals.items():
+            ds.write_wav(tmp_path / f"{name}.wav", x, 16000, "float32")
+        speech, noise, out = (str(tmp_path / f"{name}.wav") for name in ("speech", "noise", "mix"))
+        assert run("mix", speech, noise, out, "--snr-db", "0") == 1
+        assert capsys.readouterr().err == f"error: {what} holds a non-finite sample at index 20000\n"
+        assert not os.path.exists(out)
+
     def test_rate_mismatch(self, tmp_path):
         speech = write_tone_wav(tmp_path / "sp.wav")
         p = tmp_path / "nz.wav"

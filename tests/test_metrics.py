@@ -1,5 +1,7 @@
 """Mixing, activity masking and the gain-shadowing SNR measurement."""
 
+import dataclasses
+import math
 import sys
 import threading
 import tracemalloc
@@ -8,11 +10,12 @@ import numpy as np
 import pytest
 
 import dualstage as ds
-from dualstage import pipeline
+from dualstage import metrics, pipeline
 from dualstage.errors import InputError, UsageError
 from dualstage.metrics import (
     MixSpec,
     REPORT_COLUMNS,
+    SnriReport,
     active_frame_mask,
     block_rms,
     mix_at_snr,
@@ -21,7 +24,7 @@ from dualstage.metrics import (
     spectrogram_db,
     write_report_csv,
 )
-from synth import FS, surrogate_speech, white_noise
+from synth import FS, am_noise, surrogate_speech, white_noise
 
 from conftest import no_hpf
 
@@ -107,6 +110,29 @@ class TestMixAtSnr:
             mix_at_snr(self._spec(short, noise, 0.0))
         with pytest.raises(InputError, match="silent"):
             mix_at_snr(self._spec(speech, np.zeros(2 * FS), 0.0))
+
+    @pytest.mark.parametrize("entry", ["mix_at_snr", "evaluate_condition"])
+    @pytest.mark.parametrize(
+        "what, bad", [("noise", np.nan), ("speech", np.nan), ("speech", -np.inf), ("noise", 1e200), ("speech", 1e200)]
+    )
+    def test_bad_sample_is_named(self, comm_cfg, entry, what, bad):
+        """A NaN or an infinity is named with its signal and index, and
+        a power that overflows with its signal, before any mixing. Once
+        a NaN in the noise gave an all-NaN mix, or a report naming
+        stream index 0; one in the speech reported no active speech;
+        and a 1e200 noise sample warned of an overflow (an error under
+        the test settings) and then reported silent noise."""
+        rng = np.random.default_rng(42)
+        signals = {"speech": surrogate_speech(4.0, rng), "noise": white_noise(4.0, rng)}
+        signals[what][20000] = bad
+        message = "holds a non-finite sample at index 20000"
+        if np.isfinite(bad):
+            message = "power overflows the float range"
+        with pytest.raises(InputError, match=f"^{what} {message}$"):
+            if entry == "mix_at_snr":
+                mix_at_snr(self._spec(signals["speech"], signals["noise"], 0.0))
+            else:
+                ds.evaluate_condition(signals["speech"], signals["noise"], 0.0, comm_cfg)
 
     @pytest.mark.parametrize("component", ["speech", "noise"])
     def test_two_dimensional_component_is_usage_error(self, component):
@@ -291,19 +317,114 @@ class TestStreamedShadowing:
         assert set(threading.enumerate()) == before
 
     def test_memory_holds_no_gain_log(self, comm_cfg):
-        """A 60 s condition peaks at about 7 signal-length arrays (the
-        mix, the scaled noise, each component's reference and shadowed
-        output, and block temporaries); with a gain log of 129 bins per
-        64-sample hop beside them it took 11.4."""
-        rng = np.random.default_rng(35)
-        speech, noise = surrogate_speech(60.0, rng, lead_in_s=2.5), white_noise(60.0, rng)
-        tracemalloc.start()
-        try:
-            ds.evaluate_condition(speech, noise, 0.0, comm_cfg, measure_start_s=3.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * speech.nbytes, peak / speech.nbytes
+        """A 60 s condition peaks at about 1.15 times its speech array:
+        the one signal-length transient the noise scale needs (the
+        speech's active samples, squared in place, then the noise's
+        squares), or the engine's and the worker's block temporaries
+        beside the per-hop powers, 6 per 64-sample hop. Holding the mix,
+        the scaled noise and each component's reference and shadowed
+        output whole, it took 7.03; with a gain log beside them, 11.4."""
+        speech, peak = _condition_peak(60.0, comm_cfg)
+        assert peak < 1.5 * speech.nbytes, peak / speech.nbytes
+
+    def test_memory_is_flat_in_length(self, comm_cfg):
+        """From a 30 s to a 60 s condition the peak grows by less than
+        1.5 times the speech array's growth, the noise scale's
+        transient; with every signal held whole it grew 22.1 MiB for
+        3.7 MiB more speech."""
+        (short, short_peak), (long, long_peak) = (_condition_peak(s, comm_cfg) for s in (30.0, 60.0))
+        growth = long.nbytes - short.nbytes
+        assert long_peak - short_peak < 1.5 * growth, (long_peak - short_peak) / growth
+
+    def test_engine_is_fed_the_mix(self, comm_cfg, monkeypatch):
+        """The mix formed piece by piece holds mix_at_snr's bits."""
+        rng = np.random.default_rng(36)
+        speech, noise = surrogate_speech(12.0, rng), white_noise(13.0, rng)
+        fed = []
+        blocks = pipeline.StreamProcessor.blocks
+
+        def recording(self, samples):
+            fed.append(samples.copy())
+            return blocks(self, samples)
+
+        monkeypatch.setattr(pipeline.StreamProcessor, "blocks", recording)
+        ds.evaluate_condition(speech, noise, 12.0, comm_cfg)
+        mix = mix_at_snr(MixSpec(speech, noise, 12.0, FS))[0]
+        # the last piece is the zero flush
+        assert np.concatenate(fed[:-1]).tobytes() == mix.tobytes()
+        assert not fed[-1].any()
+
+
+def _condition_peak(seconds, cfg):
+    """(speech, tracemalloc peak of its evaluate_condition call)."""
+    rng = np.random.default_rng(35)
+    speech, noise = surrogate_speech(seconds, rng, lead_in_s=2.5), white_noise(seconds, rng)
+    tracemalloc.start()
+    try:
+        ds.evaluate_condition(speech, noise, 0.0, cfg, measure_start_s=3.0)
+        return speech, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRegionPowers:
+    """The report reads per-hop mean squares; its mask is
+    active_frame_mask's to the bit, and its figures are those of mean
+    squares over the regions' samples up to rounding."""
+
+    def _condition(self, cfg, noise_kind, snr, single):
+        rng = np.random.default_rng(43)
+        speech = surrogate_speech(8.0, rng, lead_in_s=0.5)[:-37]  # not a whole number of hops
+        noise = white_noise(8.0, rng) if noise_kind == "white" else am_noise(8.0, rng, 6.0, 0.7)
+        _, sp, nz = mix_at_snr(MixSpec(speech, noise, snr, FS))
+        log = ds.process_stream(sp + nz, cfg, single_stage=single)[1]
+        pairs = [pipeline._replay(x, (None, log), cfg) for x in (sp, nz)]
+        return speech, noise, pairs
+
+    @pytest.mark.parametrize("threshold", [20.0, 35.0, 50.0])
+    def test_mask_is_active_frame_mask(self, comm_cfg, threshold):
+        _, _, (speech_pair, noise_pair) = self._condition(comm_cfg, "am6", 0.0, False)
+        hop = comm_cfg.frame.hop_len
+        powers = pipeline._shadow_powers(speech_pair, noise_pair, hop)
+        expected = active_frame_mask(speech_pair[0], hop, threshold)
+        np.testing.assert_array_equal(metrics._active(np.sqrt(powers[0]), threshold), expected)
+
+    @pytest.mark.parametrize("single", [False, True])
+    @pytest.mark.parametrize("snr", [0.0, 12.0])
+    @pytest.mark.parametrize("noise_kind", ["white", "am6"])
+    def test_report_matches_sample_powers(self, comm_cfg, noise_kind, snr, single):
+        speech, noise, pairs = self._condition(comm_cfg, noise_kind, snr, single)
+        got = ds.evaluate_condition(speech, noise, snr, comm_cfg, single_stage=single, measure_start_s=3.0)
+        expected = _sample_power_report(*pairs, comm_cfg, 35.0, 3.0)
+        for field in dataclasses.fields(SnriReport):
+            assert abs(getattr(got, field.name) - expected[field.name]) <= 1e-12, field.name
+
+
+def _sample_power_report(speech_pair, noise_pair, cfg, threshold, measure_start_s):
+    """The report's fields with each region power the mean square over
+    the region's samples."""
+    (ref_speech, out_speech), (ref_noise, out_noise) = speech_pair, noise_pair
+    hop = cfg.frame.hop_len
+    mask = active_frame_mask(ref_speech, hop, threshold)
+    start = math.ceil(measure_start_s * cfg.frame.sample_rate_hz / hop)
+    active, inactive = mask.copy(), ~mask
+    active[:start] = inactive[:start] = False
+
+    def power(x, region):
+        picked = np.repeat(region, hop)
+        return np.mean(x[: picked.size][picked] ** 2)
+
+    speech_in, speech_out = power(ref_speech, active), power(out_speech, active)
+    noise_in, noise_out = power(ref_noise, inactive), power(out_noise, inactive)
+    mix_in, mix_out = power(ref_speech + ref_noise, inactive), power(out_speech + out_noise, inactive)
+    input_snr, output_snr = (10.0 * np.log10(s / n) for s, n in ((speech_in, noise_in), (speech_out, noise_out)))
+    return {
+        "input_snr_db": input_snr,
+        "output_snr_db": output_snr,
+        "snri_db": output_snr - input_snr,
+        "noise_reduction_db": 10.0 * np.log10(mix_in / mix_out),
+        "speech_attenuation_db": 10.0 * np.log10(speech_in / speech_out),
+    }
 
 
 class TestTransformBudget:

@@ -328,7 +328,7 @@ def test_framer_blocks_equal_one_whole_push(cfg, seed, data):
     for piece in [*pieces, np.zeros(framer.flush_len)]:
         shadow_blocks[:] = []
         engine_blocks = [len(record.out) // hop for record in proc.blocks(piece)]
-        assert shadow.push(piece, [None]) == sum(shadow_blocks)
+        assert len(list(shadow.push(piece, [None]))) == len(shadow_blocks)
         assert shadow_blocks == engine_blocks
 
 
