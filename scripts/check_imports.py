@@ -1,8 +1,13 @@
 """Check that running dualstage imports none of scipy's heavy packages.
 
-In one fresh interpreter: imports dualstage, runs `dualstage enhance`
-through cli.main on a 1 s WAV of noise, and evaluates one condition
-with evaluate_condition. Exits 1, naming them, if scipy.signal,
+In one fresh interpreter: imports dualstage and runs `dualstage enhance`
+through cli.main on a 1 s WAV of noise. Exits 1, naming it, if
+top-level scipy (outside Windows) or concurrent.futures is then in
+sys.modules: their __init__s cost a process that starts on demand
+time and memory, and enhance needs neither (only Windows wheels need
+scipy's, to set up their libraries, and only evaluation runs a worker
+thread). It then evaluates one condition with evaluate_condition and
+exits 1, naming them, if scipy.signal,
 scipy.stats, scipy.linalg, scipy.io, scipy.fft or numpy.fft is then in
 sys.modules, or if one of the four leaf modules dualstage uses
 (scipy.signal._sigtools, scipy.linalg._flapack, scipy.io.wavfile,
@@ -30,12 +35,14 @@ import io
 import os
 import sys
 import tempfile
+from importlib.util import find_spec
 
 import numpy as np
-import scipy
 
 from dualstage import cli, evaluate_condition, load_preset, write_wav
 
+# what an enhance run leaves unloaded
+LEAN = ("concurrent.futures",) if os.name == "nt" else ("scipy", "concurrent.futures")
 FORBIDDEN = ("scipy.signal", "scipy.stats", "scipy.linalg", "scipy.io", "scipy.fft", "numpy.fft")
 # the leaf modules dualstage loads, and the directory each must come from
 LEAVES = {
@@ -59,17 +66,23 @@ def main():
             code = cli.main(["enhance", src, dst])
         if code != 0:
             sys.exit(f"dualstage enhance exited with {code}")
+    loaded = [name for name in LEAN if name in sys.modules]
+    if loaded:
+        sys.exit(f"dualstage enhance imported {', '.join(loaded)}")
     evaluate_condition(speech, noise, 6.0, load_preset("communication"))
     loaded = [name for name in FORBIDDEN if name in sys.modules]
     if loaded:
         sys.exit(f"running dualstage imported {', '.join(loaded)}")
-    scipy_dir = os.path.dirname(os.path.realpath(scipy.__file__))
+    scipy_dir = os.path.dirname(os.path.realpath(find_spec("scipy").origin))
     for name, folder in LEAVES.items():
         path = getattr(sys.modules.get(name), "__file__", None)
         expected = os.path.join(scipy_dir, *folder.split("/"))
         if path is None or os.path.dirname(os.path.realpath(path)) != expected:
             sys.exit(f"{name} was loaded from {path}, not from {expected}")
-    print(f"ok: {len(sys.modules)} modules loaded, none of {', '.join(FORBIDDEN)}")
+    print(
+        f"ok: {len(sys.modules)} modules loaded, none of {', '.join(FORBIDDEN)}; "
+        f"enhance loaded none of {', '.join(LEAN)}"
+    )
 
 
 if __name__ == "__main__":

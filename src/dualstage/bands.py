@@ -124,9 +124,14 @@ def expand_to_bins(band_gains: np.ndarray, plan: BandPlan) -> np.ndarray:
     first and last centers take the edge band's gain unchanged.
     """
     g = np.asarray(band_gains, dtype=float)
-    out = g.take(plan.left_band, axis=-1)
+    # numpy's fastest gathers: for a block an index on the last axis
+    # (take runs about twice as long), for a lone frame a plain index
+    # (an ellipsis costs more than the gather)
+    if g.ndim == 1:
+        out, from_right = g[plan.left_band], g[plan.right_band]
+    else:
+        out, from_right = g[..., plan.left_band], g[..., plan.right_band]
     out *= plan.left_weight
-    from_right = g.take(plan.right_band, axis=-1)
     from_right *= plan.right_weight
     out += from_right
     return out

@@ -280,14 +280,17 @@ def synthesize(spec: SpectralFrame, ola_state: OlaState, cfg: FrameConfig) -> np
     pocketfft's c2r inverts each row with a 1/fft_len normalisation,
     the bits of np.fft.irfft(bins, n=fft_len). Each inverse transform
     is truncated to frame_len samples (dropping the zero-pad tail),
-    synthesis-windowed and added into the overlap accumulator, oldest
-    frame first; the hop_len samples per frame that can receive no
-    further contributions are returned.
+    synthesis-windowed in place and added into the overlap
+    accumulator, oldest frame first; the hop_len samples per frame
+    that can receive no further contributions are returned. Synthesis
+    reads only spec.bins.
     """
     _, synthesis = windows_for(cfg)
-    frames = _pocketfft.c2r(spec.bins, (-1,), cfg.fft_len, False, 2)[..., : cfg.frame_len] * synthesis
+    # c2r's output is fresh: window it, and add into it, in place
+    frames = _pocketfft.c2r(spec.bins, (-1,), cfg.fft_len, False, 2)[..., : cfg.frame_len]
+    frames *= synthesis
     hop = cfg.hop_len
-    if frames.ndim == 1:  # the product is a fresh array: add in place
+    if frames.ndim == 1:
         frames[:-hop] += ola_state.tail
         ola_state.tail = frames[hop:]
         return frames[:hop]

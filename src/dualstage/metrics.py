@@ -111,8 +111,9 @@ def mix_at_snr(spec: MixSpec):
     level the RMS over the full (truncated-to-length) noise. Returns
     (mix, speech, scaled noise); the components sum to the mix exactly.
     A non-finite sample in the speech or in the noise it uses raises
-    InputError naming the signal and the sample's index, and a signal
-    whose power overflows one naming the signal.
+    InputError naming the signal and the sample's index, a signal
+    whose power overflows one naming the signal, and a target whose
+    noise scale overflows or rounds to 0 one naming the target.
     """
     speech, noise, scale = _noise_scale(spec)
     noise_scaled = noise * scale
@@ -157,7 +158,16 @@ def _noise_scale(spec: MixSpec):
         noise_pow = _finite_power("noise", float(np.mean(noise**2)))
     if noise_pow <= 0.0:
         raise InputError("noise signal is silent; cannot scale it to a target SNR")
-    scale = np.sqrt(speech_pow / noise_pow) * 10.0 ** (-spec.target_snr_db / 20.0)
+    try:
+        with np.errstate(over="ignore"):
+            scale = np.sqrt(speech_pow / noise_pow) * 10.0 ** (-spec.target_snr_db / 20.0)
+    except OverflowError:  # the float power; numpy's product gives inf
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise InputError(
+            f"target_snr_db {spec.target_snr_db:g} cannot scale the noise: its scale "
+            f"factor {'overflows the float range' if scale else 'rounds to 0'}"
+        )
     return speech, noise, scale
 
 
@@ -239,27 +249,6 @@ def _shadowing_report(powers, cfg: PipelineConfig, active_threshold_db, measure_
         noise_reduction_db=reduction,
         speech_attenuation_db=float(10.0 * np.log10(ref_speech_pow / out_speech_pow)),
     )
-
-
-def noise_segment_reduction(input_sig, output_sig, noise_only_ranges) -> float:
-    """10*log10(input power / output power) over the given sample ranges.
-
-    Digital-silence outputs report the +/-120 dB cap instead of an
-    infinite ratio.
-    """
-    input_sig = np.asarray(input_sig, dtype=float)
-    output_sig = np.asarray(output_sig, dtype=float)
-    ranges = list(noise_only_ranges)
-    if not ranges:
-        raise InputError("noise_only_ranges must not be empty")
-    for start, stop in ranges:
-        if not 0 <= start < stop <= min(input_sig.size, output_sig.size):
-            raise InputError(f"range ({start}, {stop}) does not lie within both signals")
-    p_in, p_out = (
-        float(np.mean(np.concatenate([x[a:b] for a, b in ranges]) ** 2))
-        for x in (input_sig, output_sig)
-    )
-    return _reduction_db(p_in, p_out)
 
 
 def _reduction_db(p_in: float, p_out: float) -> float:

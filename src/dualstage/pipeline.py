@@ -20,7 +20,12 @@ so it keeps neither a gain log nor an array as long as the signal.
 
 Every layer runs once per block of frames. The transform pair runs
 once per block on scipy.fft's pocketfft extension (see framing), and
-each stage scales the block's fresh spectrum in place. The high-pass
+each stage scales the block's fresh spectrum in place. A block holds
+only what a later step reads: the high-passed piece goes once the
+framer's buffer holds it, the frames once analysed, Stage 1's bin
+gains once applied (unless the caller logs gains) and the per-bin
+powers once Stage 2 has pooled them, so a block's working set is
+about its spectrum and one set of bin gains. The high-pass
 runs once per block on scipy.signal.lfilter's C loop, and so does each
 first-order smoother whose factor is one constant; a smoother whose
 factor varies by frame or band is one bidiagonal LAPACK solve per
@@ -33,7 +38,6 @@ stream gives bit-identical output.
 import itertools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -104,8 +108,9 @@ class _Framer:
                 carry[flen - hop : end - hop] = x[take:]
             self.fill = end - hop
             return
-        buf = np.concatenate([carry[:fill], x])
         n_frames = self.completes(x.size)
+        buf = np.concatenate([carry[:fill], x])
+        del x  # spent: buf holds it
         first = 0
         while first < n_frames:
             warm = self.warm_frames - self.frames
@@ -221,6 +226,7 @@ class StreamProcessor:
         for frames, n in self.framer.push(samples):
             first = self.framer.frames
             spec = framing.analyze(frames, fcfg)
+            del frames  # spent: the layers below read the spectrum
             gains, noise = self._suppress(spec, first, n)
             yield BlockRecord(first, framing.synthesize(spec, self.ola, fcfg), gains, noise)
 
@@ -235,8 +241,11 @@ class StreamProcessor:
         noise = [(raw_n1.reshape(n, -1), n1.reshape(n, -1))]
         bin_gains = bands.expand_to_bins(g1, self.plan)
         bands.apply_gains(spec, bin_gains)
+        if not log:
+            del bin_gains
         if self.stage2 is not None:
             mags2 = bands.pool_to_bands(spec, self.plan)
+            spec.power = None  # pooled: nothing reads it again
             # Stage 2 takes the Stage-1 frame SNR exactly when it maps it to alpha
             fed = self.stage2.cfg.tracker.alpha_snr_map is not None
             snr_db = self._frame_snr_db(mags1, snr1) if fed else None
@@ -330,6 +339,10 @@ def shadow_stream(
     _shadow_powers over _replay's outputs for process_stream's gain
     log, and the only arrays kept are the powers, 6 per hop.
     """
+    # here, not at the top: only evaluation pays for concurrent.futures
+    # and what it imports (logging and queue among them)
+    from concurrent.futures import ThreadPoolExecutor
+
     proc = StreamProcessor(cfg, single_stage=single_stage, log_gains=True)
     hop = cfg.frame.hop_len
     shadows = [_Shadow(cfg, size, outputs=2) for _ in range(2)]

@@ -13,7 +13,7 @@ import pytest
 from scipy.io import wavfile
 
 import dualstage as ds
-from dualstage import cli, pipeline
+from dualstage import cli
 from dualstage.cli import main
 from dualstage.config import config_dumps, config_to_dict
 from dualstage.metrics import REPORT_COLUMNS, SnriReport, spectrogram_db
@@ -234,7 +234,7 @@ class TestEnhance:
                 assert lines == [",".join(f"{v:.3f}" for v in row) for row in want]
 
 
-FEED = cli._FEED_BLOCKS * pipeline.BLOCK_FRAMES * 64
+FEED = cli._FEED_HOPS * 64
 
 
 def scipy_wav_bytes(path, y, subtype):
@@ -388,7 +388,9 @@ class TestStreamedEnhance:
 
     def test_memory_is_flat_in_file_length(self, tmp_path):
         """Peak traced allocation of enhance on a 10 min file is within
-        2 MiB of that on a 1 min file."""
+        2 MiB of that on a 1 min file, and the 1 min run's is below
+        2.5 MiB (it was 5.1 MiB while enhance read four 256-frame
+        engine blocks at a time and kept each block's spent arrays)."""
         rng = np.random.default_rng(42)
         peaks = []
         for minutes in (1, 10):
@@ -402,6 +404,7 @@ class TestStreamedEnhance:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 2 * 2**20, peaks
+        assert peaks[0] < 2.5 * 2**20, peaks
 
 
 class TestMix:
@@ -442,6 +445,18 @@ class TestMix:
         assert run("mix", speech, noise, out, "--snr-db", "0") == 1
         assert capsys.readouterr().err == f"error: {what} holds a non-finite sample at index 20000\n"
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("snr", ["-7000", "7000"])
+    def test_target_that_cannot_scale_the_noise_is_input_error(self, tmp_path, capsys, snr):
+        """Once -7000 dB exited 3 with an internal OverflowError, and
+        7000 dB exited 0 with an all-zero noise sidecar."""
+        speech = write_tone_wav(tmp_path / "sp.wav")
+        noise = write_noise_wav(tmp_path / "nz.wav")
+        out = tmp_path / "mix.wav"
+        assert run("mix", str(speech), str(noise), str(out), "--snr-db", snr) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: target_snr_db {snr} cannot scale the noise") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["nz.wav", "sp.wav"]
 
     def test_rate_mismatch(self, tmp_path):
         speech = write_tone_wav(tmp_path / "sp.wav")

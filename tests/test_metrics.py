@@ -19,7 +19,6 @@ from dualstage.metrics import (
     active_frame_mask,
     block_rms,
     mix_at_snr,
-    noise_segment_reduction,
     relative_improvement,
     spectrogram_db,
     write_report_csv,
@@ -133,6 +132,21 @@ class TestMixAtSnr:
                 mix_at_snr(self._spec(signals["speech"], signals["noise"], 0.0))
             else:
                 ds.evaluate_condition(signals["speech"], signals["noise"], 0.0, comm_cfg)
+
+    @pytest.mark.parametrize("entry", ["mix_at_snr", "evaluate_condition"])
+    @pytest.mark.parametrize("target, why", [(-7000.0, "overflows the float range"), (7000.0, "rounds to 0")])
+    def test_target_that_cannot_scale_the_noise_is_named(self, comm_cfg, entry, target, why):
+        """A target whose noise scale factor overflows (once a bare
+        OverflowError from the float power) or rounds to 0 (once an
+        all-zero scaled noise) raises InputError naming the target."""
+        rng = np.random.default_rng(25)
+        speech, noise = surrogate_speech(2.0, rng), white_noise(2.0, rng)
+        message = f"^target_snr_db {target:g} cannot scale the noise: its scale factor {why}$"
+        with pytest.raises(InputError, match=message):
+            if entry == "mix_at_snr":
+                mix_at_snr(self._spec(speech, noise, target))
+            else:
+                ds.evaluate_condition(speech, noise, target, comm_cfg)
 
     @pytest.mark.parametrize("component", ["speech", "noise"])
     def test_two_dimensional_component_is_usage_error(self, component):
@@ -443,41 +457,26 @@ class TestTransformBudget:
 
 
 class TestNoiseSegmentReduction:
+    """A report's noise_reduction_db over the speech-free hops,
+    metrics._reduction_db of the mix's power before and after."""
+
     def test_identity_is_zero(self):
-        x = np.linspace(-1, 1, 500)
-        assert noise_segment_reduction(x, x, [(0, 500)]) == 0.0
+        p = float(np.mean(np.linspace(-1, 1, 500) ** 2))
+        assert metrics._reduction_db(p, p) == 0.0
 
     def test_half_amplitude(self):
-        x = np.linspace(-1, 1, 500)
-        got = noise_segment_reduction(x, 0.5 * x, [(100, 400)])
+        p = float(np.mean(np.linspace(-1, 1, 500) ** 2))
+        got = metrics._reduction_db(p, 0.25 * p)
         assert got == pytest.approx(6.020599913279624, abs=1e-12)
 
     def test_silence_caps(self):
-        x = np.ones(100)
-        assert noise_segment_reduction(x, np.zeros(100), [(0, 100)]) == 120.0
-        assert noise_segment_reduction(np.zeros(100), x, [(0, 100)]) == -120.0
-        assert noise_segment_reduction(np.zeros(100), np.zeros(100), [(0, 100)]) == 0.0
+        assert metrics._reduction_db(1.0, 0.0) == 120.0
+        assert metrics._reduction_db(0.0, 1.0) == -120.0
+        assert metrics._reduction_db(0.0, 0.0) == 0.0
 
     def test_extreme_ratio_clipped_to_cap(self):
-        x = np.ones(100)
-        assert noise_segment_reduction(x, 1e-9 * x, [(0, 100)]) == 120.0
-
-    def test_multiple_ranges_pool_power(self):
-        x = np.ones(300)
-        y = x.copy()
-        y[:100] = 0.1
-        y[200:] = 0.1
-        got = noise_segment_reduction(x, y, [(0, 100), (200, 300)])
-        assert got == pytest.approx(20.0, abs=1e-12)
-
-    def test_range_validation(self):
-        x = np.ones(100)
-        with pytest.raises(InputError, match="not be empty"):
-            noise_segment_reduction(x, x, [])
-        with pytest.raises(InputError, match="within both signals"):
-            noise_segment_reduction(x, x, [(50, 200)])
-        with pytest.raises(InputError, match="within both signals"):
-            noise_segment_reduction(x, x, [(60, 60)])
+        assert metrics._reduction_db(1.0, 1e-18) == 120.0
+        assert metrics._reduction_db(1e-18, 1.0) == -120.0
 
 
 class TestRelativeImprovement:

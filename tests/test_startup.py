@@ -4,7 +4,9 @@ take most of a second to import, nor numpy.fft; it loads
 scipy.signal._sigtools, scipy.linalg._flapack, scipy.io.wavfile and
 scipy.fft._pocketfft.pypocketfft from their files alone
 (dualstage._scipy), and those are the very module objects scipy hands
-out when its packages are imported too."""
+out when its packages are imported too. A stream imports neither
+top-level scipy (outside Windows) nor concurrent.futures, which only
+evaluation uses."""
 
 import os
 import subprocess
@@ -26,8 +28,9 @@ def run_python(*args):
 
 def test_a_run_imports_no_heavy_scipy_package():
     """scripts/check_imports.py in a fresh interpreter: enhance a 1 s WAV
-    through cli.main, evaluate one condition, then look in sys.modules
-    and at where the four scipy leaf modules came from."""
+    through cli.main and look in sys.modules, then evaluate one
+    condition, look again and at where the four scipy leaf modules
+    came from."""
     run_python(str(ROOT / "scripts" / "check_imports.py"))
 
 
@@ -74,6 +77,34 @@ def test_scipy_packages_share_the_leaf_modules(first):
     still transforms."""
     parts = [IMPORT_DUALSTAGE, IMPORT_SCIPY] if first == "dualstage" else [IMPORT_SCIPY, IMPORT_DUALSTAGE]
     run_python("-c", "".join(parts) + SAME_OBJECTS)
+
+
+STREAM = """
+import sys
+import numpy as np
+import dualstage
+out = dualstage.StreamProcessor(dualstage.load_preset("communication")).process(np.ones(4096))
+assert out.size and np.isfinite(out).all()
+assert sys.argv[1] not in sys.modules, f"running a stream imported {sys.argv[1]}"
+"""
+
+
+@pytest.mark.parametrize(
+    "package",
+    [
+        "concurrent.futures",
+        pytest.param(
+            "scipy",
+            marks=pytest.mark.skipif(
+                os.name == "nt", reason="Windows wheels set up their libraries in scipy's __init__"
+            ),
+        ),
+    ],
+)
+def test_a_stream_imports_only_what_runs(package):
+    """In a fresh interpreter, import dualstage and run a
+    StreamProcessor; package is then still not loaded."""
+    run_python("-c", STREAM, package)
 
 
 FALLBACK = """
