@@ -3,7 +3,11 @@
 The engine needs four leaves: lfilter's C loop from
 scipy.signal._sigtools, one LAPACK wrapper from scipy.linalg._flapack,
 the WAV codec scipy.io.wavfile and the FFT pair from
-scipy.fft._pocketfft.pypocketfft. Importing them by their usual names
+scipy.fft._pocketfft.pypocketfft. The filter loop and the FFT pair run
+on every hop and load with the package; the LAPACK wrapper loads on
+the first block solve and the codec on the first WAV read, so a
+stream fed one hop at a time loads neither (2.8 MiB and one OpenBLAS
+thread between them). Importing them by their usual names
 runs scipy.signal's, scipy.linalg's, scipy.io's and scipy.fft's
 __init__ first: scipy.signal alone takes about a second, and the
 others load some 360 modules (scipy.sparse, scipy._lib._array_api and
@@ -18,6 +22,7 @@ importing it.
 import importlib
 import os
 import sys
+import threading
 from importlib.machinery import PathFinder
 from importlib.util import find_spec, module_from_spec
 
@@ -32,6 +37,9 @@ if _SPEC is None:
     raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
 SCIPY_DIR = os.path.dirname(_SPEC.origin)
 
+# a first use can come from several threads at once
+_LOCK = threading.Lock()
+
 
 def leaf(name: str):
     """The module name ("scipy.linalg._flapack"), loaded from its file
@@ -43,19 +51,24 @@ def leaf(name: str):
     scipy hands out. A module already imported is returned as it is;
     one not found where scipy's layout puts it is imported the usual
     way, package and all.
+
+    Callers may call it on first use, from any thread: it holds a lock
+    from the lookup to the end of the load, so threads that ask at once
+    get one module object, and no caller sees it half run.
     """
-    module = sys.modules.get(name)
-    if module is not None:
+    with _LOCK:
+        module = sys.modules.get(name)
+        if module is not None:
+            return module
+        # importlib.util.find_spec would import the parent package
+        spec = PathFinder.find_spec(name, [os.path.join(SCIPY_DIR, *name.split(".")[1:-1])])
+        if spec is None:
+            return importlib.import_module(name)
+        module = module_from_spec(spec)
+        sys.modules[name] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[name]
+            raise
         return module
-    # importlib.util.find_spec would import the parent package
-    spec = PathFinder.find_spec(name, [os.path.join(SCIPY_DIR, *name.split(".")[1:-1])])
-    if spec is None:
-        return importlib.import_module(name)
-    module = module_from_spec(spec)
-    sys.modules[name] = module
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[name]
-        raise
-    return module

@@ -312,6 +312,11 @@ def cmd_evaluate(args) -> int:
                                 **dataclasses.asdict(report),
                             }
                         )
+        # a noise file is used in this loop only: let it go before the
+        # next one is read
+        noise = None
+        if noise_path not in matrix.speech:
+            cache.pop(noise_path, None)
     metrics.write_report_csv(args.out, rows)
     print(f"{args.out}: {len(rows)} rows")
     return EXIT_OK

@@ -16,9 +16,11 @@ scalar alpha without an alpha map) runs down the rows on
 scipy.signal.lfilter's C loop (scipy.signal._sigtools, loaded without
 scipy.signal). A factor that varies (the Stage-2 factor that follows
 each frame's Stage-1 SNR, per-band alphas and both gain smoothers) is
-one unit lower-bidiagonal LAPACK solve over all bands (dgttrs). Both
-round each step exactly as a lone frame does (see smooth_rows), so
-chunking a stream never changes a bit.
+one unit lower-bidiagonal LAPACK solve over all bands (dgttrs, from
+scipy.linalg._flapack, loaded on the first solve: a lone frame never
+solves, so a stream fed one hop at a time never loads it). Both round
+each step exactly as a lone frame does (see smooth_rows), so chunking
+a stream never changes a bit.
 """
 
 import functools
@@ -31,7 +33,6 @@ import numpy as np
 from ._scipy import leaf
 from .errors import ConfigError, refuse_huge_integers
 
-_dgttrs = leaf("scipy.linalg._flapack").dgttrs
 _linear_filter = leaf("scipy.signal._sigtools")._linear_filter
 
 # a smoothing factor or gain bound: one value for every band, or one per band
@@ -296,7 +297,8 @@ def _solve_rows(prev, alpha, x: np.ndarray) -> np.ndarray | None:
     # and no row interchanges
     ones, zeros, ipiv = _unit_factor(size)
     lower, rhs = dl.T.reshape(-1)[1:], b.T.reshape(-1, 1)
-    _dgttrs(lower, ones, zeros[:-1], zeros[:-2], ipiv, rhs, overwrite_b=1)
+    dgttrs = leaf("scipy.linalg._flapack").dgttrs
+    dgttrs(lower, ones, zeros[:-1], zeros[:-2], ipiv, rhs, overwrite_b=1)
     return b[1:] if math.isfinite(b[0, 0]) else None
 
 

@@ -6,7 +6,9 @@ pass-through run is bit exact. WavReader parses the header once and
 reads the samples in blocks; write_wav writes the header for the known
 length, then each block as it comes, so neither holds more than a block
 of a long file. read_wav and a one-array write_wav are their one-block
-case.
+case. Reading parses the header with scipy.io.wavfile, loaded on the
+first read (its import builds a 260-member IntEnum); writing needs no
+codec.
 """
 
 import contextlib
@@ -20,12 +22,11 @@ import numpy as np
 from ._scipy import leaf
 from .errors import AudioIOError, InputError, InternalError, UsageError
 
-wavfile = leaf("scipy.io.wavfile")
-
 PCM16 = "pcm16"
 FLOAT32 = "float32"
 
 _PCM_SCALE = 32768.0
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 # little-endian sample types on disk, as scipy.io.wavfile writes them
 _DISK_DTYPES = {PCM16: np.dtype("<i2"), FLOAT32: np.dtype("<f4")}
@@ -48,7 +49,7 @@ class WavReader:
         self.path = path
         try:
             # scipy maps regular files only
-            rate, data = wavfile.read(path, mmap=os.path.isfile(path))
+            rate, data = leaf("scipy.io.wavfile").read(path, mmap=os.path.isfile(path))
         except FileNotFoundError:
             raise
         except (ValueError, OSError):
@@ -107,7 +108,7 @@ class WavReader:
 
 def _read_whole(path):
     try:
-        return wavfile.read(path)
+        return leaf("scipy.io.wavfile").read(path)
     except FileNotFoundError:
         raise
     except (ValueError, OSError) as exc:
@@ -131,7 +132,9 @@ def write_wav(path, samples, sample_rate_hz: int, subtype: str = PCM16, *, size=
     of size samples in all, each converted and written as it comes. The
     file is written beside path and replaces it only once complete, so a
     failed write leaves path as it was. The bytes are those
-    scipy.io.wavfile.write produces for the whole signal.
+    scipy.io.wavfile.write produces for the whole signal. A float32
+    sample that float32 cannot hold (a NaN, an infinity or a magnitude
+    beyond its largest value) raises InputError naming its index.
     """
     if size is None:
         x = np.asarray(samples, dtype=np.float64)
@@ -146,17 +149,27 @@ def write_wav(path, samples, sample_rate_hz: int, subtype: str = PCM16, *, size=
         write(header)
         written = 0
         for block in samples:
-            payload = _encode(block, subtype)
+            payload = _encode(block, subtype, path, written)
             write(payload.data)
             written += payload.size
         if written != size:
             raise InternalError(f"{path}: {written} samples written, header says {size}")
 
 
-def _encode(samples, subtype: str) -> np.ndarray:
+def _encode(samples, subtype: str, path, start: int) -> np.ndarray:
+    """samples in subtype's disk type. A float32 sample that is not
+    finite or lies beyond float32's range raises InputError naming path
+    and its index in the file, start being the index of samples[0]."""
     x = np.asarray(samples, dtype=np.float64)
     if subtype == PCM16:
         x = np.clip(np.round(x * _PCM_SCALE), -32768, 32767)
+    else:
+        held = np.abs(x) <= _FLOAT32_MAX  # False for NaN as well
+        if not held.all():
+            i = int(np.argmin(held))
+            raise InputError(
+                f"{path}: sample {start + i} is {x[i]:g}, which a 32-bit float WAV cannot hold"
+            )
     return x.astype(_DISK_DTYPES[subtype])
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -440,7 +441,8 @@ class TestMix:
         signals = {"speech": 0.3 * np.sin(2 * np.pi * 440.0 * t), "noise": rng.normal(0.0, 0.1, t.size)}
         signals[what][20000] = bad
         for name, x in signals.items():
-            ds.write_wav(tmp_path / f"{name}.wav", x, 16000, "float32")
+            # write_wav refuses a non-finite float32 sample
+            wavfile.write(tmp_path / f"{name}.wav", 16000, x.astype(np.float32))
         speech, noise, out = (str(tmp_path / f"{name}.wav") for name in ("speech", "noise", "mix"))
         assert run("mix", speech, noise, out, "--snr-db", "0") == 1
         assert capsys.readouterr().err == f"error: {what} holds a non-finite sample at index 20000\n"
@@ -457,6 +459,21 @@ class TestMix:
         err = capsys.readouterr().err
         assert err.startswith(f"error: target_snr_db {snr} cannot scale the noise") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["nz.wav", "sp.wav"]
+
+    def test_noise_beyond_float32_is_refused(self, tmp_path, capsys):
+        """-1000 dB scales the noise by about 1e50, a finite factor,
+        and once wrote a mix and a noise sidecar of infinities with exit
+        0. The float32 write refuses it, and the old mix stays."""
+        speech = write_tone_wav(tmp_path / "sp.wav", seconds=3.0)
+        noise = write_noise_wav(tmp_path / "nz.wav", seconds=3.0)
+        out = tmp_path / "mix.wav"
+        out.write_bytes(b"old")
+        assert run("mix", str(speech), str(noise), str(out), "--snr-db", "-1000") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: sample 0 is ") and err.count("\n") == 1, err
+        assert err.endswith(", which a 32-bit float WAV cannot hold\n"), err
+        assert out.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mix.wav", "nz.wav", "sp.wav"]
 
     def test_rate_mismatch(self, tmp_path):
         speech = write_tone_wav(tmp_path / "sp.wav")
@@ -555,6 +572,30 @@ class TestEvaluate:
         m = self._matrix(tmp_path, speech="a.wav")
         assert run("evaluate", str(m), str(tmp_path / "r.csv")) == 1
         assert "'speech' must be a list of strings, got \"a.wav\"" in capsys.readouterr().err
+
+    def test_holds_one_noise_file_at_a_time(self, tmp_path, monkeypatch):
+        """Each noise file is used in its own loop only, and is let go
+        before the next one is read; every file is read once. Once the
+        matrix kept every file it read until it was done."""
+        m = self._matrix(tmp_path, snr_db=[0.0])
+        doc = json.loads(m.read_text())
+        doc["noise"].append(str(write_noise_wav(tmp_path / "nz2.wav", seconds=3.0, seed=1)))
+        m.write_text(json.dumps(doc))
+        reads, noises, held = [], [], []
+
+        def read_wav(path):
+            if path in doc["noise"]:
+                held.extend((path, earlier) for earlier, ref in noises if ref() is not None)
+            result = ds.read_wav(path)
+            reads.append(path)
+            if path in doc["noise"]:
+                noises.append((path, weakref.ref(result[0])))
+            return result
+
+        monkeypatch.setattr(cli, "read_wav", read_wav)
+        assert run("evaluate", str(m), str(tmp_path / "r.csv")) == 0
+        assert not held, f"(file read, noise file still held): {held}"
+        assert sorted(reads) == sorted(doc["speech"] + doc["noise"])
 
     def test_overrides_change_results(self, tmp_path):
         m1 = self._matrix(tmp_path, snr_db=[0.0])

@@ -43,6 +43,31 @@ class TestRoundTrip:
         assert y[1] == -1.0
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -3.5e38])
+    @pytest.mark.parametrize("blocks", [False, True])
+    def test_float32_refuses_what_it_cannot_hold(self, tmp_path, bad, blocks):
+        """A sample float32 cannot hold once became an infinity (or a
+        NaN) on disk with only numpy's cast warning. Now it raises
+        InputError naming the file and its index in the file, and the
+        old file stays."""
+        p = tmp_path / "a.wav"
+        p.write_bytes(b"old")
+        x = np.zeros(300)
+        x[250] = x[270] = bad
+        samples = (x[:200], x[200:]) if blocks else x
+        with pytest.raises(InputError) as err:
+            ds.write_wav(p, samples, 16000, "float32", size=300 if blocks else None)
+        assert str(err.value) == f"{p}: sample 250 is {bad:g}, which a 32-bit float WAV cannot hold"
+        assert p.read_bytes() == b"old"
+        assert [q.name for q in tmp_path.iterdir()] == ["a.wav"]
+
+    def test_float32_holds_its_largest_value(self, tmp_path):
+        big = float(np.finfo(np.float32).max)
+        p = tmp_path / "a.wav"
+        ds.write_wav(p, np.array([big, -big, 0.5]), 16000, "float32")
+        np.testing.assert_array_equal(ds.read_wav(p)[0], [big, -big, 0.5])
+
+
 class TestRejection:
     def test_stereo(self, tmp_path):
         p = tmp_path / "stereo.wav"
