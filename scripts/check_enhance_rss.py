@@ -15,10 +15,13 @@ smaller than any child, whose peak would otherwise include it.
 
 usage: python scripts/check_enhance_rss.py [DUALSTAGE]
 
-DUALSTAGE is the command to run (default: dualstage on PATH).
+DUALSTAGE is the command to run, split as a shell splits it (default:
+dualstage on PATH), so a checkout with no installed package can pass
+"python -m dualstage.cli" with src on PYTHONPATH.
 """
 
 import os
+import shlex
 import sys
 import tempfile
 
@@ -52,7 +55,7 @@ def peak_rss_mib(argv):
 
 
 def main():
-    command = sys.argv[1] if len(sys.argv) > 1 else "dualstage"
+    command = shlex.split(sys.argv[1]) if len(sys.argv) > 1 else ["dualstage"]
     rng = np.random.default_rng(0)
     dumps = ["--tracker-dump", "--dump-spectrogram-in", "--dump-spectrogram-out"]
     dumps = [a for d in dumps for a in (d, os.devnull)]
@@ -65,8 +68,8 @@ def main():
             write_wav(wav, seconds, FS, "float32", size=60 * minutes * FS)
         out = os.path.join(tmp, "out.wav")
         pairs = {
-            "enhance, plain": ((1, 10), lambda m: [command, "enhance", wavs[m], out]),
-            "enhance, with all dumps": ((1, 2), lambda m: [command, "enhance", wavs[m], out, *dumps]),
+            "enhance, plain": ((1, 10), lambda m: [*command, "enhance", wavs[m], out]),
+            "enhance, with all dumps": ((1, 2), lambda m: [*command, "enhance", wavs[m], out, *dumps]),
             "StreamProcessor.process": ((1, 10), lambda m: [sys.executable, "-c", _STREAM, str(m)]),
         }
         for name, ((short, long), argv) in pairs.items():

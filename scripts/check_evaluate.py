@@ -19,14 +19,17 @@ smaller than any child, whose peak would otherwise include it.
 
 usage: python scripts/check_evaluate.py [DUALSTAGE]
 
-DUALSTAGE is the command to run (default: dualstage on PATH). Run from
-the checkout: the signals come from tests/synth.py.
+DUALSTAGE is the command to run, split as a shell splits it (default:
+dualstage on PATH), so a checkout with no installed package can pass
+"python -m dualstage.cli" with src on PYTHONPATH. Run from the
+checkout: the signals come from tests/synth.py.
 """
 
 import csv
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -80,17 +83,17 @@ def evaluate_peak_mib(command, tmp, minutes, rng):
     with open(matrix, "w") as fh:
         doc = {"speech": [speech], "noise": [noise], "snr_db": [6.0], "presets": ["communication"]}
         json.dump({**doc, "variants": ["dual"], "measure_start_s": 1.0}, fh)
-    return peak_rss_mib([command, "evaluate", matrix, os.path.join(tmp, f"report{minutes}.csv")])
+    return peak_rss_mib([*command, "evaluate", matrix, os.path.join(tmp, f"report{minutes}.csv")])
 
 
 def main():
-    command = sys.argv[1] if len(sys.argv) > 1 else "dualstage"
+    command = shlex.split(sys.argv[1]) if len(sys.argv) > 1 else ["dualstage"]
     rng = np.random.default_rng(0)
     with tempfile.TemporaryDirectory() as tmp:
         speech, noise, mix = (os.path.join(tmp, f"{name}.wav") for name in ("speech", "noise", "mix"))
         write_wav(speech, surrogate_speech(SECONDS, rng, lead_in_s=0.5), FS, "float32")
         write_wav(noise, white_noise(SECONDS, rng), FS, "float32")
-        run([command, "mix", speech, noise, mix, "--snr-db", "6"])
+        run([*command, "mix", speech, noise, mix, "--snr-db", "6"])
         mixed = read_wav(mix)[0]
         if mixed.size != round(SECONDS * FS) or not np.all(np.isfinite(mixed)):
             sys.exit(f"mix: {mixed.size} samples, expected {round(SECONDS * FS)}, all finite")
@@ -99,7 +102,7 @@ def main():
             doc = {"speech": [speech], "noise": [noise], "snr_db": SNRS_DB, "presets": ["communication"]}
             json.dump({**doc, "variants": VARIANTS, "measure_start_s": 1.0}, fh)
         report = os.path.join(tmp, "report.csv")
-        run([command, "evaluate", matrix, report])
+        run([*command, "evaluate", matrix, report])
         with open(report, newline="") as fh:
             rows = list(csv.DictReader(fh))
     expected = len(SNRS_DB) * len(VARIANTS)

@@ -239,6 +239,8 @@ class _Matrix:
         for key in ("active_threshold_db", "measure_start_s"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"config key {key!r} must be finite, got {getattr(self, key)}")
+        if self.measure_start_s < 0:
+            raise ConfigError(f"config key 'measure_start_s' must be >= 0, got {self.measure_start_s}")
 
 
 def _load_matrix(path) -> _Matrix:

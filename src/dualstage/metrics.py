@@ -5,13 +5,13 @@ of a processed mix are replayed separately over the scaled speech and
 noise components, which decomposes the enhanced output exactly (the
 pipeline is linear in its input once the gains are fixed); one
 analysis per component serves both its unity-gain reference and its
-shadowed output. evaluate_condition forms the mix piece by piece as
-it feeds the engine and replays the gains of each block record the
-engine yields (StreamProcessor.blocks) on a second thread, which
-reduces each block's outputs to per-hop powers
-(pipeline.shadow_stream), so it keeps no gain log and no array as long
-as the signal; snri_by_gain_shadowing replays a given log and reduces
-its outputs with the same function. Speech level is taken over
+shadowed output. Both entry points hand the components' pieces and
+their gain rows to pipeline.shadow_stream, which replays them on a
+second thread and reduces each block's outputs to per-hop powers, so
+neither keeps an array as long as the signal: evaluate_condition
+hands over the gains of each block record (StreamProcessor.blocks) as
+the engine runs the mix it forms piece by piece, and
+snri_by_gain_shadowing a given log. Speech level is taken over
 speech-active hops, noise level over the speech-free hops, each the
 mean of those hops' mean squares, as a desk-scale stand-in for a
 calibrated measurement front end. spectrogram_stream frames its signal
@@ -202,30 +202,31 @@ def snri_by_gain_shadowing(
             f"speech and noise components must have equal shape, got "
             f"{speech.shape} and {noise.shape}"
         )
-    # None asks for the unity-gain reference
-    powers = pipeline._shadow_powers(
-        pipeline._replay(speech, (None, gain_log), cfg),
-        pipeline._replay(noise, (None, gain_log), cfg),
-        cfg.frame.hop_len,
-    )
-    return _shadowing_report(powers, cfg, active_threshold_db, measure_start_s)
+    framer = pipeline._Framer(cfg.frame)
+    log = pipeline._gain_log(gain_log, framer.frames_of(speech.size), cfg)
+    pieces = ((sp, nz, log, 0) for sp, nz in zip(framer.stream(speech), framer.stream(noise)))
+    return _shadowing_report(pieces, speech.size, cfg, active_threshold_db, measure_start_s)
 
 
-def _shadowing_report(powers, cfg: PipelineConfig, active_threshold_db, measure_start_s):
-    """The report from pipeline._shadow_powers' per-hop powers. The
+def _shadowing_report(pieces, size: int, cfg: PipelineConfig, active_threshold_db, measure_start_s):
+    """The report from the per-hop powers pipeline.shadow_stream gives
+    for pieces. A negative or non-finite measure_start_s, or one past
+    the last full hop, raises InputError before pieces is read. The
     activity mask is active_frame_mask's over the speech reference's
     hops, and a region's power is the mean of its hops' mean squares:
     hops are of equal length, so that is the mean square over the
     region's samples up to rounding."""
+    if not 0.0 <= measure_start_s < math.inf:  # False for NaN as well
+        raise InputError(f"measure_start_s must be finite and >= 0, got {measure_start_s}")
+    hop = cfg.frame.hop_len
+    start = math.ceil(measure_start_s * cfg.frame.sample_rate_hz / hop)
+    if start >= size // hop:
+        raise InputError(f"measure_start_s={measure_start_s} leaves no frames to measure")
+    powers = pipeline.shadow_stream(pieces, size, cfg)
     ref_speech, out_speech, ref_noise, out_noise, ref_mix, out_mix = powers
     mask = _active(np.sqrt(ref_speech), active_threshold_db)
-    start_block = int(np.ceil(measure_start_s * cfg.frame.sample_rate_hz / cfg.frame.hop_len))
-    if start_block >= mask.size:
-        raise InputError(
-            f"measure_start_s={measure_start_s} leaves no frames to measure"
-        )
     active, inactive = mask.copy(), ~mask
-    active[:start_block] = inactive[:start_block] = False
+    active[:start] = inactive[:start] = False
     if not active.any():
         raise InputError("no speech-active frames in the measurement region")
     if not inactive.any():
@@ -299,15 +300,18 @@ def evaluate_condition(
             active_threshold_db=active_threshold_db,
         )
     )
-    feed = pipeline.BLOCK_FRAMES * cfg.frame.hop_len
+    proc = pipeline.StreamProcessor(cfg, single_stage=single_stage, log_gains=True)
 
     def pieces():
-        for at in range(0, speech.size, feed):
-            sp, nz = speech[at : at + feed], noise[at : at + feed] * scale
-            yield sp + nz, sp, nz
+        for sp, nz in zip(proc.framer.stream(speech), proc.framer.stream(noise)):
+            nz = nz * scale
+            first = proc.framer.frames
+            rows = [record.gains for record in proc.blocks(sp + nz)]
+            # a piece completes one block, several in the warm-up, or none
+            rows = rows[0] if len(rows) == 1 else np.concatenate(rows) if rows else None
+            yield sp, nz, rows, first
 
-    powers = pipeline.shadow_stream(pieces(), speech.size, cfg, single_stage=single_stage)
-    return _shadowing_report(powers, cfg, active_threshold_db, measure_start_s)
+    return _shadowing_report(pieces(), speech.size, cfg, active_threshold_db, measure_start_s)
 
 
 def spectrogram_db(samples, frame_cfg, floor_db: float = -120.0) -> np.ndarray:

@@ -13,10 +13,10 @@ the high-pass, the carry, the blocks, the pieces and the zero flush.
 Replay (_Shadow) is fed the engine's pieces through a framer of its
 own, as is metrics.spectrogram_stream (with no high-pass). Replay
 shadows each block's gain rows, one analysis, then one synthesis per
-output, and hands the block's outputs to its caller. shadow_stream
-runs the engine and that replay as a two-stage pipeline whose second
-stage reduces each block's outputs to per-hop powers (_shadow_powers),
-so it keeps neither a gain log nor an array as long as the signal.
+output, and hands the block's outputs to its caller. replay_gains
+runs one log through it; shadow_stream runs a mix's speech and noise
+through it on a worker thread and reduces each block's outputs to
+per-hop powers (_shadow_powers), so it keeps no signal-long array.
 
 Every layer runs once per block of frames. The transform pair runs
 once per block on scipy.fft's pocketfft extension (see framing), and
@@ -319,58 +319,48 @@ def process_stream(
     return y, log
 
 
-def shadow_stream(
-    pieces, size: int, cfg: PipelineConfig, *, single_stage: bool = False
-) -> np.ndarray:
-    """Run the engine over a mix and replay its gains over the mix's
-    speech and noise; return their per-hop powers (see _shadow_powers).
+def shadow_stream(pieces, size: int, cfg: PipelineConfig) -> np.ndarray:
+    """Replay gain rows over a mix's speech and noise; return their
+    per-hop powers (see _shadow_powers).
 
-    pieces yields (mix, speech, noise) triples, size samples of each in
-    all; pieces of BLOCK_FRAMES hops, _Framer.pieces' length, keep the
-    blocks whole. The zero flush follows them. Each mix piece goes
-    through a StreamProcessor, and its gain rows go, with the speech
-    and noise pieces, to one worker thread, which shadows them (see
-    _Shadow) and reduces each block's outputs to powers while the
-    engine runs the next piece: the shadow work is mostly transforms,
-    which scipy's pocketfft extension runs with the interpreter lock
-    released (two threads of 256-frame analyze and synthesize reached
-    1.0-2.6 times one thread's throughput on a loaded 2-core box, and
-    1.3-2.1 on numpy's transforms). The powers are bit-identical to
-    _shadow_powers over _replay's outputs for process_stream's gain
-    log, and the only arrays kept are the powers, 6 per hop.
+    pieces yields (speech, noise, rows, first): a piece of each
+    component, in _Framer.stream's pieces of size samples, and gain
+    rows from frame first on (None if the piece completes no frame).
+    One worker thread shadows each (see _Shadow) and reduces its
+    blocks' outputs to powers while the caller makes the next: the
+    shadow work is mostly transforms, which scipy's pocketfft extension
+    runs with the interpreter lock released (two threads of 256-frame
+    analyze and synthesize reached 1.0-2.6 times one thread's
+    throughput on a loaded 2-core box, and 1.3-2.1 on numpy's
+    transforms). The only arrays kept are the powers, 6 per hop.
     """
     # here, not at the top: only evaluation pays for concurrent.futures
     # and what it imports (logging and queue among them)
     from concurrent.futures import ThreadPoolExecutor
 
-    proc = StreamProcessor(cfg, single_stage=single_stage, log_gains=True)
     hop = cfg.frame.hop_len
     shadows = [_Shadow(cfg, size, outputs=2) for _ in range(2)]
     powers = np.empty((6, size // hop))
     done = 0  # hops reduced
 
-    def replay(parts, rows):
+    def replay(speech, noise, rows, first):
         nonlocal done
-        # a piece completes one block, several in the warm-up, or none,
-        # and then its shadows read no rows
-        rows = rows[0] if len(rows) == 1 else np.concatenate(rows) if rows else None
         # both shadows frame the same pieces, so their blocks pair up;
         # strict runs the second push to its end after the first's
-        pushes = [s.push(part, (None, rows)) for s, part in zip(shadows, parts)]
+        rows = None if rows is None else rows[shadows[0].framer.frames - first :]
+        pushes = [s.push(part, (None, rows)) for s, part in zip(shadows, (speech, noise))]
         for speech, noise in zip(*pushes, strict=True):
             block = _shadow_powers(speech, noise, hop)
             powers[:, done : done + block.shape[1]] = block
             done += block.shape[1]
 
-    flush = np.zeros(proc.framer.flush_len)
     with ThreadPoolExecutor(max_workers=1) as worker:
         try:
             job = None
-            for piece, *parts in itertools.chain(pieces, [(flush,) * 3] if size else ()):
-                rows = [record.gains for record in proc.blocks(piece)]
+            for piece in pieces:
                 # hand this piece over, then wait for the previous one,
-                # so at most one piece waits while the engine runs
-                job, last = worker.submit(replay, parts, rows), job
+                # so at most one piece waits while the next is made
+                job, last = worker.submit(replay, *piece), job
                 if last is not None:
                     last.result()
             if job is not None:
@@ -409,32 +399,29 @@ def replay_gains(samples, gain_log: np.ndarray, cfg: PipelineConfig) -> np.ndarr
     applied verbatim. A log of other than as many frames as the stream
     produces, or with a complex or non-finite gain, raises UsageError.
     """
-    return _replay(samples, [gain_log], cfg)[0]
-
-
-def _replay(samples, gain_logs, cfg: PipelineConfig) -> list[np.ndarray]:
-    """replay_gains for several logs, fed in the engine's pieces; a None
-    log stands for unity gains."""
     x = _mono(samples)
-    logs = [None if g is None else _real(g, "gain log") for g in gain_logs]
-    shadow = _Shadow(cfg, x.size, outputs=len(logs))
-    n_frames = shadow.framer.frames_of(x.size)
-    for g in (g for g in logs if g is not None):
-        if g.size and (rows := g.shape[1:]) != (cfg.frame.num_bins,):
-            raise UsageError(f"gain log rows have shape {rows}, expected {(cfg.frame.num_bins,)}")
-        if len(g) != n_frames:
-            raise UsageError(f"gain log has {len(g)} frames, stream produced {n_frames}")
-        if not (finite := np.isfinite(g).all(axis=-1)).all():
-            raise UsageError(f"gain log frame {np.argmin(finite)} holds a non-finite gain")
-    outs = [np.empty(x.size) for _ in logs]
+    shadow = _Shadow(cfg, x.size, outputs=1)
+    log = _gain_log(gain_log, shadow.framer.frames_of(x.size), cfg)
+    y = np.empty(x.size)
     pos = 0
     for piece in shadow.framer.stream(x):
-        first = shadow.framer.frames
-        for ys in shadow.push(piece, [None if g is None else g[first:] for g in logs]):
-            for out, y in zip(outs, ys):
-                out[pos : pos + y.size] = y
-            pos += ys[0].size
-    return outs
+        for (out,) in shadow.push(piece, [log[shadow.framer.frames :]]):
+            y[pos : pos + out.size] = out
+            pos += out.size
+    return y
+
+
+def _gain_log(gain_log, n_frames: int, cfg: PipelineConfig) -> np.ndarray:
+    """gain_log as a float array of n_frames rows of bin gains; any
+    other shape, or a complex or non-finite gain, raises UsageError."""
+    g = _real(gain_log, "gain log")
+    if g.size and (rows := g.shape[1:]) != (cfg.frame.num_bins,):
+        raise UsageError(f"gain log rows have shape {rows}, expected {(cfg.frame.num_bins,)}")
+    if len(g) != n_frames:
+        raise UsageError(f"gain log has {len(g)} frames, stream produced {n_frames}")
+    if not (finite := np.isfinite(g).all(axis=-1)).all():
+        raise UsageError(f"gain log frame {np.argmin(finite)} holds a non-finite gain")
+    return g
 
 
 class _Shadow:

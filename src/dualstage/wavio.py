@@ -132,9 +132,9 @@ def write_wav(path, samples, sample_rate_hz: int, subtype: str = PCM16, *, size=
     of size samples in all, each converted and written as it comes. The
     file is written beside path and replaces it only once complete, so a
     failed write leaves path as it was. The bytes are those
-    scipy.io.wavfile.write produces for the whole signal. A float32
-    sample that float32 cannot hold (a NaN, an infinity or a magnitude
-    beyond its largest value) raises InputError naming its index.
+    scipy.io.wavfile.write produces for the whole signal. A NaN, or a
+    float32 sample that float32 cannot hold (an infinity or a magnitude
+    beyond its largest value), raises InputError naming its index.
     """
     if size is None:
         x = np.asarray(samples, dtype=np.float64)
@@ -157,12 +157,15 @@ def write_wav(path, samples, sample_rate_hz: int, subtype: str = PCM16, *, size=
 
 
 def _encode(samples, subtype: str, path, start: int) -> np.ndarray:
-    """samples in subtype's disk type. A float32 sample that is not
-    finite or lies beyond float32's range raises InputError naming path
-    and its index in the file, start being the index of samples[0]."""
+    """samples in subtype's disk type, PCM16 clipped to its range. A
+    NaN, or a float32 sample beyond float32's range, raises InputError
+    naming path and its index in the file, start being that of samples[0]."""
     x = np.asarray(samples, dtype=np.float64)
     if subtype == PCM16:
         x = np.clip(np.round(x * _PCM_SCALE), -32768, 32767)
+        if (nan := np.isnan(x)).any():
+            i = int(np.argmax(nan))
+            raise InputError(f"{path}: sample {start + i} is nan, which a PCM16 WAV cannot hold")
     else:
         held = np.abs(x) <= _FLOAT32_MAX  # False for NaN as well
         if not held.all():

@@ -557,11 +557,12 @@ class TestEvaluate:
             ("overrides", ["stage2.gains.mu=1.2"]),
             ("variants", "dual"),
             ("snr_db", [True]),
+            ("measure_start_s", -1),
         ],
     )
     def test_mistyped_matrix_value_is_a_usage_error(self, tmp_path, capsys, key, value):
-        """Each mistyped or non-finite value exits 1 with one line that
-        names its key, before any file is processed."""
+        """Each mistyped, non-finite or negative value exits 1 with one
+        line that names its key, before any file is processed."""
         m = self._matrix(tmp_path, **{key: value})
         assert run("evaluate", str(m), str(tmp_path / "r.csv")) == 1
         err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Mixing, activity masking and the gain-shadowing SNR measurement."""
 
 import dataclasses
+import functools
 import math
 import sys
 import threading
@@ -248,12 +249,21 @@ class TestGainShadowing:
             ds.snri_by_gain_shadowing(speech, noise, log.astype(complex), cfg)
 
     def test_measure_start_past_the_end(self, comm_cfg):
+        """A start past the end leaves no frame to measure, and a
+        negative or non-finite one is refused, by either entry point:
+        InputError naming measure_start_s. A negative start once
+        measured only the signal's last hops; NaN and inf raised bare
+        ValueError and OverflowError."""
         cfg = no_hpf(comm_cfg)
         rng = np.random.default_rng(28)
-        speech, noise = _tone_and_noise(1, rng)
+        # two periods hold the second of active speech a mix needs
+        speech, noise = _tone_and_noise(2, rng)
         log = np.ones(self._log_shape(speech.size, cfg))
-        with pytest.raises(InputError, match="measure_start_s"):
-            ds.snri_by_gain_shadowing(speech, noise, log, cfg, measure_start_s=10.0)
+        for start in (10.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InputError, match="measure_start_s"):
+                ds.snri_by_gain_shadowing(speech, noise, log, cfg, measure_start_s=start)
+            with pytest.raises(InputError, match="measure_start_s"):
+                ds.evaluate_condition(speech, noise, 0.0, cfg, measure_start_s=start)
 
 
 def _voiced_tone(n):
@@ -265,10 +275,15 @@ def _voiced_tone(n):
     return x
 
 
+# the two ways into gain shadowing: a condition, or a given gain log
+ENTRIES = ["evaluate_condition", "snri_by_gain_shadowing"]
+
+
 class TestStreamedShadowing:
     """evaluate_condition replays each block's gains on a worker thread
-    as the engine produces them; the report must be the one the whole
-    gain log gives, and the worker must not outlive the call."""
+    as the engine produces them, and snri_by_gain_shadowing a given
+    log's on the same path; the report must be the one the whole gain
+    log gives, and the worker must not outlive the call."""
 
     # shorter than one feed block, not a multiple of the hop, and an
     # exact multiple of the feed block
@@ -310,9 +325,10 @@ class TestStreamedShadowing:
             ds.evaluate_condition(speech, noise, 12.0, comm_cfg)
         assert set(threading.enumerate()) == before
 
-    def test_worker_exception_surfaces_as_itself(self, comm_cfg, monkeypatch):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_worker_exception_surfaces_as_itself(self, comm_cfg, monkeypatch, entry):
         rng = np.random.default_rng(34)
-        speech, noise = surrogate_speech(4.0, rng), white_noise(4.0, rng)
+        call = _shadowing_call(entry, surrogate_speech(4.0, rng), white_noise(4.0, rng), comm_cfg)
         boom = RuntimeError("shadow push failed")
         push = pipeline._Shadow.push
         calls = []
@@ -326,27 +342,33 @@ class TestStreamedShadowing:
         monkeypatch.setattr(pipeline._Shadow, "push", failing)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError) as caught:
-            ds.evaluate_condition(speech, noise, 0.0, comm_cfg)
+            call()
         assert caught.value is boom
         assert set(threading.enumerate()) == before
 
-    def test_memory_holds_no_gain_log(self, comm_cfg):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_memory_holds_no_gain_log(self, comm_cfg, entry):
         """A 60 s condition peaks at about 1.15 times its speech array:
         the one signal-length transient the noise scale needs (the
         speech's active samples, squared in place, then the noise's
         squares), or the engine's and the worker's block temporaries
         beside the per-hop powers, 6 per 64-sample hop. Holding the mix,
         the scaled noise and each component's reference and shadowed
-        output whole, it took 7.03; with a gain log beside them, 11.4."""
-        speech, peak = _condition_peak(60.0, comm_cfg)
+        output whole, it took 7.03; with a gain log beside them, 11.4.
+        snri_by_gain_shadowing took 6.1 while it held each component's
+        reference and shadowed output whole."""
+        speech, peak = _condition_peak(60.0, comm_cfg, entry)
         assert peak < 1.5 * speech.nbytes, peak / speech.nbytes
 
-    def test_memory_is_flat_in_length(self, comm_cfg):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_memory_is_flat_in_length(self, comm_cfg, entry):
         """From a 30 s to a 60 s condition the peak grows by less than
         1.5 times the speech array's growth, the noise scale's
         transient; with every signal held whole it grew 22.1 MiB for
         3.7 MiB more speech."""
-        (short, short_peak), (long, long_peak) = (_condition_peak(s, comm_cfg) for s in (30.0, 60.0))
+        (short, short_peak), (long, long_peak) = (
+            _condition_peak(s, comm_cfg, entry) for s in (30.0, 60.0)
+        )
         growth = long.nbytes - short.nbytes
         assert long_peak - short_peak < 1.5 * growth, (long_peak - short_peak) / growth
 
@@ -369,13 +391,25 @@ class TestStreamedShadowing:
         assert not fed[-1].any()
 
 
-def _condition_peak(seconds, cfg):
-    """(speech, tracemalloc peak of its evaluate_condition call)."""
+def _shadowing_call(entry, speech, noise, cfg, **kwargs):
+    """A call of entry on speech in noise at 0 dB: evaluate_condition's,
+    or snri_by_gain_shadowing's over the mix's components and the gain
+    log process_stream gives for the mix, which are made here."""
+    if entry == "evaluate_condition":
+        return functools.partial(ds.evaluate_condition, speech, noise, 0.0, cfg, **kwargs)
+    mix, sp, nz = mix_at_snr(MixSpec(speech, noise, 0.0, cfg.frame.sample_rate_hz))
+    log = ds.process_stream(mix, cfg)[1]
+    return functools.partial(ds.snri_by_gain_shadowing, sp, nz, log, cfg, **kwargs)
+
+
+def _condition_peak(seconds, cfg, entry):
+    """(speech, tracemalloc peak of entry's call on it; see _shadowing_call)."""
     rng = np.random.default_rng(35)
     speech, noise = surrogate_speech(seconds, rng, lead_in_s=2.5), white_noise(seconds, rng)
+    call = _shadowing_call(entry, speech, noise, cfg, measure_start_s=3.0)
     tracemalloc.start()
     try:
-        ds.evaluate_condition(speech, noise, 0.0, cfg, measure_start_s=3.0)
+        call()
         return speech, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -392,7 +426,7 @@ class TestRegionPowers:
         noise = white_noise(8.0, rng) if noise_kind == "white" else am_noise(8.0, rng, 6.0, 0.7)
         _, sp, nz = mix_at_snr(MixSpec(speech, noise, snr, FS))
         log = ds.process_stream(sp + nz, cfg, single_stage=single)[1]
-        pairs = [pipeline._replay(x, (None, log), cfg) for x in (sp, nz)]
+        pairs = [[ds.replay_gains(x, g, cfg) for g in (np.ones_like(log), log)] for x in (sp, nz)]
         return speech, noise, pairs
 
     @pytest.mark.parametrize("threshold", [20.0, 35.0, 50.0])

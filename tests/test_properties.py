@@ -14,7 +14,7 @@ from dualstage.framing import WINDOW_KINDS, analyze
 from dualstage.metrics import spectrogram_db, spectrogram_stream
 from dualstage.gain import GainParams, GainState, MU_MAX, compute_raw_gain, smooth_gain
 from dualstage.noise_tracking import frozen_array, smooth_rows
-from dualstage.pipeline import BLOCK_FRAMES, _Framer, _Shadow, _replay
+from dualstage.pipeline import BLOCK_FRAMES, _Framer, _Shadow
 
 from conftest import no_hpf, run_blocks, with_mu
 
@@ -270,7 +270,15 @@ def test_shared_analysis_replay_equals_separate_replays(cfg, seed, data):
     frames = len(ds.process_stream(np.zeros(size), cfg, single_stage=True)[1])
     logs = [rng.uniform(0.0, 1.0, (frames, cfg.frame.num_bins)) for _ in range(2)]
 
-    unity, *shadowed = _replay(x, [None, *logs], cfg)
+    shadow = _Shadow(cfg, x.size, outputs=3)
+    outs = [[], [], []]
+    for piece in shadow.framer.stream(x):
+        # None asks for unity gains
+        gains = [None, *(log[shadow.framer.frames :] for log in logs)]
+        for ys in shadow.push(piece, gains):
+            for out, y in zip(outs, ys):
+                out.append(y)
+    unity, *shadowed = (np.concatenate(out) for out in outs)
     for out, log in zip(shadowed, logs):
         assert out.tobytes() == ds.replay_gains(x, log, cfg).tobytes()
     assert unity.tobytes() == ds.replay_gains(x, np.ones_like(logs[0]), cfg).tobytes()

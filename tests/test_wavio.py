@@ -42,6 +42,23 @@ class TestRoundTrip:
         assert y[0] == 32767 / 32768.0
         assert y[1] == -1.0
 
+    @pytest.mark.parametrize("blocks", [False, True])
+    def test_pcm16_refuses_nan(self, tmp_path, blocks):
+        """A NaN once became a 0 sample on disk with only numpy's cast
+        warning. Now it raises InputError naming the file and its index
+        in the file, and the old file stays; infinities still clip."""
+        p = tmp_path / "a.wav"
+        p.write_bytes(b"old")
+        x = np.zeros(300)
+        x[240], x[250], x[270] = np.inf, np.nan, np.nan
+        samples = (x[:200], x[200:]) if blocks else x
+        with pytest.raises(InputError) as err:
+            ds.write_wav(p, samples, 16000, "pcm16", size=300 if blocks else None)
+        assert str(err.value) == f"{p}: sample 250 is nan, which a PCM16 WAV cannot hold"
+        assert p.read_bytes() == b"old"
+        assert [q.name for q in tmp_path.iterdir()] == ["a.wav"]
+        ds.write_wav(p, np.array([np.inf, -np.inf, 0.5]), 16000, "pcm16")
+        np.testing.assert_array_equal(ds.read_wav(p)[0], [32767 / 32768.0, -1.0, 0.5])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -3.5e38])
     @pytest.mark.parametrize("blocks", [False, True])
