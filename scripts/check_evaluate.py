@@ -1,9 +1,12 @@
 """Check `dualstage mix` and `dualstage evaluate` end to end, and that
 evaluate's memory is flat in signal length.
 
-Writes 5 s of surrogate speech and 5 s of white noise as WAVs into a
-temporary directory, mixes them with `dualstage mix`, and evaluates the
-pair with `dualstage evaluate` at two SNRs, dual and single stage.
+Writes 5 s and 4 s of surrogate speech, 5 s of white noise and 2 s of
+louder white noise as WAVs into a temporary directory, mixes the first
+speech and noise with `dualstage mix`, and evaluates both speech files
+in both noises with `dualstage evaluate` at two SNRs, dual and single
+stage, with loop_noise on, so the 2 s noise is tiled to each speech
+file's length.
 Then it evaluates a 1 min and a 4 min speech/noise pair (one SNR, dual
 stage), each in a child process of its own, and reads each child's
 peak resident set (ru_maxrss, KiB on Linux) from wait4. Exits 1 unless
@@ -46,6 +49,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from synth import FS, surrogate_speech, white_noise  # noqa: E402
 
 SECONDS = 5.0
+# the second speech file's length, and the looped noise's
+SPEECH2_S = 4.0
+SHORT_NOISE_S = 2.0
 SNRS_DB = [0.0, 12.0]
 VARIANTS = ["dual", "single"]
 KEY_COLUMNS = {"noise_type", "preset", "variant"}
@@ -93,19 +99,23 @@ def main():
         speech, noise, mix = (os.path.join(tmp, f"{name}.wav") for name in ("speech", "noise", "mix"))
         write_wav(speech, surrogate_speech(SECONDS, rng, lead_in_s=0.5), FS, "float32")
         write_wav(noise, white_noise(SECONDS, rng), FS, "float32")
+        speech2, short = (os.path.join(tmp, f"{name}.wav") for name in ("speech2", "short"))
+        write_wav(speech2, surrogate_speech(SPEECH2_S, rng, lead_in_s=0.5), FS, "float32")
+        write_wav(short, white_noise(SHORT_NOISE_S, rng, level=0.1), FS, "float32")
         run([*command, "mix", speech, noise, mix, "--snr-db", "6"])
         mixed = read_wav(mix)[0]
         if mixed.size != round(SECONDS * FS) or not np.all(np.isfinite(mixed)):
             sys.exit(f"mix: {mixed.size} samples, expected {round(SECONDS * FS)}, all finite")
         matrix = os.path.join(tmp, "matrix.json")
         with open(matrix, "w") as fh:
-            doc = {"speech": [speech], "noise": [noise], "snr_db": SNRS_DB, "presets": ["communication"]}
-            json.dump({**doc, "variants": VARIANTS, "measure_start_s": 1.0}, fh)
+            doc = {"speech": [speech, speech2], "noise": [noise, short], "snr_db": SNRS_DB}
+            doc.update(presets=["communication"], variants=VARIANTS, loop_noise=True)
+            json.dump({**doc, "measure_start_s": 1.0}, fh)
         report = os.path.join(tmp, "report.csv")
         run([*command, "evaluate", matrix, report])
         with open(report, newline="") as fh:
             rows = list(csv.DictReader(fh))
-    expected = len(SNRS_DB) * len(VARIANTS)
+    expected = len(doc["speech"]) * len(doc["noise"]) * len(SNRS_DB) * len(VARIANTS)
     bad = [
         (i, key, value)
         for i, row in enumerate(rows)

@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -107,11 +108,22 @@ def _require_rate(path, rate, cfg):
         )
 
 
-def _tile_noise(noise, length):
+def _looped(noise, length):
+    """noise, repeated from its start to length samples if it is shorter."""
+    if noise.size >= length:
+        return noise
     if noise.size == 0:
         raise InputError("noise signal is empty")
-    reps = -(-length // noise.size)
-    return np.tile(noise, reps)
+    return np.resize(noise, length)
+
+
+def _read_at_rate(path, configs):
+    """The samples of the WAV at path, whose rate every config in the
+    dict configs must run at."""
+    samples, rate, _ = read_wav(path)
+    for cfg in configs.values():
+        _require_rate(path, rate, cfg)
+    return samples
 
 
 def _sidecar(out_path, tag):
@@ -191,21 +203,17 @@ def cmd_mix(args) -> int:
             f"sample rates differ: {args.speech} is {sp_rate} Hz, "
             f"{args.noise} is {nz_rate} Hz"
         )
-    if noise.size < speech.size:
-        if not args.loop_noise:
-            raise InputError(
-                f"{args.noise}: noise ({noise.size} samples) is shorter than "
-                f"speech ({speech.size} samples); pass --loop-noise to tile it"
-            )
-        noise = _tile_noise(noise, speech.size)
-    mix, sp, nz = metrics.mix_at_snr(
-        metrics.MixSpec(
-            speech=speech,
-            noise=noise,
-            target_snr_db=args.snr_db,
-            sample_rate_hz=sp_rate,
-            active_threshold_db=args.active_threshold_db,
+    if noise.size < speech.size and not args.loop_noise:
+        raise InputError(
+            f"{args.noise}: noise ({noise.size} samples) is shorter than "
+            f"speech ({speech.size} samples); pass --loop-noise to tile it"
         )
+    mix, sp, nz = metrics.mix_at_snr(
+        speech,
+        _looped(noise, speech.size),
+        args.snr_db,
+        sp_rate,
+        active_threshold_db=args.active_threshold_db,
     )
     # float32 output: a mix of two full-scale signals can exceed the
     # PCM16 range, and the sidecars must sum to the mix exactly
@@ -275,50 +283,38 @@ def cmd_evaluate(args) -> int:
             cfg = apply_overrides(cfg, assignments)
         configs[preset] = cfg
 
-    cache = {}
-
-    def load(path):
-        if path not in cache:
-            samples, rate, _ = read_wav(path)
-            cache[path] = (samples, rate)
-        return cache[path]
-
+    # a file at the wrong rate stops the run before any condition does
+    speech = {path: _read_at_rate(path, configs) for path in sorted(set(matrix.speech))}
+    longest = max((x.size for x in speech.values()), default=0)
+    axes = (matrix.snr_db, matrix.presets, matrix.variants, matrix.speech)
+    conditions = list(itertools.product(*map(sorted, axes)))
     rows = []
     for noise_path in sorted(matrix.noise):
-        for snr in sorted(matrix.snr_db):
-            for preset in sorted(matrix.presets):
-                cfg = configs[preset]
-                for variant in sorted(matrix.variants):
-                    for speech_path in sorted(matrix.speech):
-                        speech, sp_rate = load(speech_path)
-                        noise, nz_rate = load(noise_path)
-                        _require_rate(speech_path, sp_rate, cfg)
-                        _require_rate(noise_path, nz_rate, cfg)
-                        if matrix.loop_noise and noise.size < speech.size:
-                            noise = _tile_noise(noise, speech.size)
-                        report = metrics.evaluate_condition(
-                            speech,
-                            noise,
-                            float(snr),
-                            cfg,
-                            single_stage=(variant == "single"),
-                            active_threshold_db=matrix.active_threshold_db,
-                            measure_start_s=matrix.measure_start_s,
-                        )
-                        rows.append(
-                            {
-                                "noise_type": Path(noise_path).stem,
-                                "target_snr_db": float(snr),
-                                "preset": preset,
-                                "variant": variant,
-                                **dataclasses.asdict(report),
-                            }
-                        )
+        noise = speech[noise_path] if noise_path in speech else _read_at_rate(noise_path, configs)
+        if matrix.loop_noise:
+            noise = _looped(noise, longest)
+        for snr, preset, variant, speech_path in conditions:
+            report = metrics.evaluate_condition(
+                speech[speech_path],
+                noise,
+                float(snr),
+                configs[preset],
+                single_stage=(variant == "single"),
+                active_threshold_db=matrix.active_threshold_db,
+                measure_start_s=matrix.measure_start_s,
+            )
+            rows.append(
+                {
+                    "noise_type": Path(noise_path).stem,
+                    "target_snr_db": float(snr),
+                    "preset": preset,
+                    "variant": variant,
+                    **dataclasses.asdict(report),
+                }
+            )
         # a noise file is used in this loop only: let it go before the
         # next one is read
-        noise = None
-        if noise_path not in matrix.speech:
-            cache.pop(noise_path, None)
+        del noise
     metrics.write_report_csv(args.out, rows)
     print(f"{args.out}: {len(rows)} rows")
     return EXIT_OK

@@ -32,6 +32,10 @@ from .errors import InputError, UsageError
 # cannot produce an infinite ratio
 REDUCTION_CAP_DB = 120.0
 
+# spectrogram rows floor each bin's power at this level, so a silent
+# bin reads a finite one
+SPECTROGRAM_FLOOR_DB = -120.0
+
 # block length for the speech-activity rule, seconds; one analysis
 # frame at the default 16 kHz setup
 ACTIVITY_BLOCK_S = 0.008
@@ -47,21 +51,6 @@ REPORT_COLUMNS = (
     "variant",
     "speech_attenuation_db",
 )
-
-
-@dataclass(frozen=True, eq=False)
-class MixSpec:
-    """A speech+noise mixing job at a target SNR.
-
-    active_threshold_db sets the speech-activity rule: a frame is
-    active when its RMS is within that many dB of the loudest frame.
-    """
-
-    speech: np.ndarray
-    noise: np.ndarray
-    target_snr_db: float
-    sample_rate_hz: int
-    active_threshold_db: float = 35.0
 
 
 @dataclass(frozen=True)
@@ -104,52 +93,57 @@ def _active(rms: np.ndarray, threshold_db: float) -> np.ndarray:
     return rms > peak * 10.0 ** (-threshold_db / 20.0)
 
 
-def mix_at_snr(spec: MixSpec):
+def mix_at_snr(
+    speech, noise, target_snr_db: float, sample_rate_hz: int, *, active_threshold_db: float = 35.0
+):
     """Scale the noise so the mix hits the target SNR.
 
     The speech level is the RMS over speech-active blocks, the noise
-    level the RMS over the full (truncated-to-length) noise. Returns
-    (mix, speech, scaled noise); the components sum to the mix exactly.
+    level the RMS over the full (truncated-to-length) noise.
+    active_threshold_db sets the speech-activity rule: a block is
+    active when its RMS is within that many dB of the loudest block.
+    Returns (mix, speech, scaled noise); the components sum to the mix
+    exactly.
     A non-finite sample in the speech or in the noise it uses raises
     InputError naming the signal and the sample's index, a signal
     whose power overflows one naming the signal, and a target whose
     noise scale overflows or rounds to 0 one naming the target.
     """
-    speech, noise, scale = _noise_scale(spec)
+    speech, noise, scale = _noise_scale(
+        speech, noise, target_snr_db, sample_rate_hz, active_threshold_db
+    )
     noise_scaled = noise * scale
     return speech + noise_scaled, speech, noise_scaled
 
 
-def _noise_scale(spec: MixSpec):
+def _noise_scale(speech, noise, target_snr_db, sample_rate_hz, active_threshold_db):
     """(speech, noise truncated to the speech's length, the factor that
     brings that noise to the target SNR), screened as mix_at_snr says.
     Beside boolean masks, one signal-length array at a time is made,
     and none is kept."""
-    speech = pipeline._mono(spec.speech, "speech")
-    noise = pipeline._mono(spec.noise, "noise")
-    if not np.isfinite(spec.target_snr_db):
-        raise InputError(f"target_snr_db must be finite, got {spec.target_snr_db}")
+    speech = pipeline._mono(speech, "speech")
+    noise = pipeline._mono(noise, "noise")
+    if not np.isfinite(target_snr_db):
+        raise InputError(f"target_snr_db must be finite, got {target_snr_db}")
     if noise.size < speech.size:
         raise InputError(
             f"noise ({noise.size} samples) must be at least as long as "
             f"speech ({speech.size} samples)"
         )
     noise = noise[: speech.size]
-    for what, x in (("speech", speech), ("noise", noise)):
-        if not (finite := np.isfinite(x)).all():
-            raise InputError(f"{what} holds a non-finite sample at index {np.argmin(finite)}")
-    block = max(1, round(ACTIVITY_BLOCK_S * spec.sample_rate_hz))
+    _require_finite(speech, noise)
+    block = max(1, round(ACTIVITY_BLOCK_S * sample_rate_hz))
     # a square or a sum of squares can overflow a finite signal's power:
     # numpy stays quiet and the signal is named instead
     with np.errstate(over="ignore"):
         block_pow = pipeline._block_power(speech, block)
         _finite_power("speech", block_pow.max(initial=0.0))
-        mask = _active(np.sqrt(block_pow), spec.active_threshold_db)
+        mask = _active(np.sqrt(block_pow), active_threshold_db)
         active_samples = int(mask.sum()) * block
-        if active_samples < spec.sample_rate_hz:
+        if active_samples < sample_rate_hz:
             raise InputError(
                 f"speech must contain at least 1 s of active signal, found "
-                f"{active_samples / spec.sample_rate_hz:.2f} s"
+                f"{active_samples / sample_rate_hz:.2f} s"
             )
         # squared in place: the selection is the one transient array
         active = speech[: mask.size * block][np.repeat(mask, block)]
@@ -160,15 +154,23 @@ def _noise_scale(spec: MixSpec):
         raise InputError("noise signal is silent; cannot scale it to a target SNR")
     try:
         with np.errstate(over="ignore"):
-            scale = np.sqrt(speech_pow / noise_pow) * 10.0 ** (-spec.target_snr_db / 20.0)
+            scale = np.sqrt(speech_pow / noise_pow) * 10.0 ** (-target_snr_db / 20.0)
     except OverflowError:  # the float power; numpy's product gives inf
         scale = math.inf
     if not 0.0 < scale < math.inf:
         raise InputError(
-            f"target_snr_db {spec.target_snr_db:g} cannot scale the noise: its scale "
+            f"target_snr_db {target_snr_db:g} cannot scale the noise: its scale "
             f"factor {'overflows the float range' if scale else 'rounds to 0'}"
         )
     return speech, noise, scale
+
+
+def _require_finite(speech, noise) -> None:
+    """Raise InputError naming the signal and the index of the first
+    NaN or infinity in speech, then in noise."""
+    for what, x in (("speech", speech), ("noise", noise)):
+        if not (finite := np.isfinite(x)).all():
+            raise InputError(f"{what} holds a non-finite sample at index {np.argmin(finite)}")
 
 
 def _finite_power(what: str, power: float) -> float:
@@ -193,7 +195,8 @@ def snri_by_gain_shadowing(
     each beside its unity-gain reference; speech power is measured on
     speech-active frames, noise power on the speech-free frames, both
     from measure_start_s on (earlier frames cover the tracker warm-up
-    and are excluded from the measurement).
+    and are excluded from the measurement). A NaN or infinite sample
+    raises InputError naming its component and index before any replay.
     """
     speech = pipeline._mono(speech, "speech")
     noise = pipeline._mono(noise, "noise")
@@ -202,6 +205,7 @@ def snri_by_gain_shadowing(
             f"speech and noise components must have equal shape, got "
             f"{speech.shape} and {noise.shape}"
         )
+    _require_finite(speech, noise)
     framer = pipeline._Framer(cfg.frame)
     log = pipeline._gain_log(gain_log, framer.frames_of(speech.size), cfg)
     pieces = ((sp, nz, log, 0) for sp, nz in zip(framer.stream(speech), framer.stream(noise)))
@@ -292,13 +296,7 @@ def evaluate_condition(
     known no array as long as the signal is made.
     """
     speech, noise, scale = _noise_scale(
-        MixSpec(
-            speech=speech,
-            noise=noise,
-            target_snr_db=target_snr_db,
-            sample_rate_hz=cfg.frame.sample_rate_hz,
-            active_threshold_db=active_threshold_db,
-        )
+        speech, noise, target_snr_db, cfg.frame.sample_rate_hz, active_threshold_db
     )
     proc = pipeline.StreamProcessor(cfg, single_stage=single_stage, log_gains=True)
 
@@ -314,20 +312,20 @@ def evaluate_condition(
     return _shadowing_report(pieces(), speech.size, cfg, active_threshold_db, measure_start_s)
 
 
-def spectrogram_db(samples, frame_cfg, floor_db: float = -120.0) -> np.ndarray:
+def spectrogram_db(samples, frame_cfg) -> np.ndarray:
     """Frame-by-bin magnitude matrix in dB for before/after inspection."""
-    [(_, rows)] = spectrogram_stream([samples], frame_cfg, floor_db)
+    [(_, rows)] = spectrogram_stream([samples], frame_cfg)
     return rows
 
 
-def spectrogram_stream(blocks, frame_cfg, floor_db: float = -120.0):
+def spectrogram_stream(blocks, frame_cfg):
     """Yield each of blocks, the pieces of a signal, with the (n, bins)
     spectrogram_db rows it completes: the frames of the engine's framer
     with the high-pass off, past those of its seeded zeros, so that row
     i starts at sample i * hop_len. Bad samples raise as in the engine."""
     fcfg = dataclasses.replace(frame_cfg, hpf_cutoff_hz=None)
     framer = pipeline._Framer(fcfg)
-    floor_pow = 10.0 ** (floor_db / 10.0)
+    floor_pow = 10.0 ** (SPECTROGRAM_FLOOR_DB / 10.0)
     for block in blocks:
         x = pipeline._mono(block)
         first = max(framer.frames, framer.warm_frames)

@@ -16,7 +16,7 @@ import dualstage as ds
 from dualstage import cli, framing, gain, noise_tracking
 from dualstage.bands import apply_gains, build_band_plan, expand_to_bins
 from dualstage.framing import algorithmic_latency_ms
-from dualstage.metrics import MixSpec, mix_at_snr, relative_improvement
+from dualstage.metrics import mix_at_snr, relative_improvement
 from synth import FS, am_noise, pink_noise, surrogate_speech, white_noise
 
 from conftest import no_hpf, with_mu
@@ -213,10 +213,7 @@ class TestCriterion09MuMonotonicity:
                 powers = []
                 for mu in (0.5, 1.0, 1.49):
                     cfg = with_mu(comm, mu)
-                    mix, _, nzs = mix_at_snr(
-                        MixSpec(speech=speech, noise=nz, target_snr_db=snr,
-                                sample_rate_hz=FS)
-                    )
+                    mix, _, nzs = mix_at_snr(speech, nz, snr, FS)
                     _, log = ds.process_stream(mix, cfg)
                     shadow = ds.replay_gains(nzs, log, cfg)
                     powers.append(float(np.mean(shadow[start:] ** 2)))

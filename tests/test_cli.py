@@ -14,7 +14,7 @@ import pytest
 from scipy.io import wavfile
 
 import dualstage as ds
-from dualstage import cli
+from dualstage import cli, metrics
 from dualstage.cli import main
 from dualstage.config import config_dumps, config_to_dict
 from dualstage.metrics import REPORT_COLUMNS, SnriReport, spectrogram_db
@@ -597,6 +597,60 @@ class TestEvaluate:
         assert run("evaluate", str(m), str(tmp_path / "r.csv")) == 0
         assert not held, f"(file read, noise file still held): {held}"
         assert sorted(reads) == sorted(doc["speech"] + doc["noise"])
+
+    def test_wrong_rate_speech_fails_before_any_condition(self, tmp_path, capsys, monkeypatch):
+        """Every speech file is read and checked before the first
+        condition runs. Once each file was read when a condition first
+        used it, so a wrong rate was found only after the conditions
+        sorted before it had run."""
+        m = self._matrix(tmp_path)
+        doc = json.loads(m.read_text())
+        slow = str(write_tone_wav(tmp_path / "sp_8k.wav", seconds=3.0, fs=8000))
+        doc["speech"].append(slow)
+        m.write_text(json.dumps(doc))
+        assert sorted(doc["speech"])[1] == slow
+        calls = []
+
+        def evaluate_condition(*args, **kwargs):
+            calls.append(args)
+            return SnriReport(*[0.0] * len(dataclasses.fields(SnriReport)))
+
+        monkeypatch.setattr(metrics, "evaluate_condition", evaluate_condition)
+        assert run("evaluate", str(m), str(tmp_path / "r.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and slow in err and "8000 Hz" in err, err
+        assert not calls
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_looped_noise_is_tiled_from_its_start(self, tmp_path, capsys):
+        """A noise file shorter than the speech is repeated from its
+        start with loop_noise, and refused without it."""
+        m = self._matrix(tmp_path, variants=["dual", "single"], loop_noise=True)
+        doc = json.loads(m.read_text())
+        noise_path = write_noise_wav(tmp_path / "short.wav", seconds=1.5, seed=3)
+        doc["noise"] = [str(noise_path)]
+        m.write_text(json.dumps(doc))
+        out = tmp_path / "r.csv"
+        assert run("evaluate", str(m), str(out)) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        speech = ds.read_wav(doc["speech"][0])[0]
+        noise = ds.read_wav(str(noise_path))[0]
+        looped = np.tile(noise, 2)[: speech.size]
+        assert looped.size == speech.size
+        cfg = ds.load_preset("communication")
+        for row in rows:
+            single = row["variant"] == "single"
+            report = ds.evaluate_condition(speech, looped, float(row["target_snr_db"]), cfg, single_stage=single)
+            for field in dataclasses.fields(SnriReport):
+                assert row[field.name] == f"{getattr(report, field.name):.4f}", (field.name, row)
+
+        doc["loop_noise"] = False
+        m.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("evaluate", str(m), str(tmp_path / "r2.csv")) == 1
+        assert "at least as long" in capsys.readouterr().err
 
     def test_overrides_change_results(self, tmp_path):
         m1 = self._matrix(tmp_path, snr_db=[0.0])

@@ -14,7 +14,6 @@ import dualstage as ds
 from dualstage import metrics, pipeline
 from dualstage.errors import InputError, UsageError
 from dualstage.metrics import (
-    MixSpec,
     REPORT_COLUMNS,
     SnriReport,
     active_frame_mask,
@@ -53,15 +52,13 @@ class TestActiveFrameMask:
 
 class TestMixAtSnr:
     def _spec(self, speech, noise, snr, **kw):
-        return MixSpec(
-            speech=speech, noise=noise, target_snr_db=snr, sample_rate_hz=FS, **kw
-        )
+        return dict(speech=speech, noise=noise, target_snr_db=snr, sample_rate_hz=FS, **kw)
 
     def test_equal_levels_at_zero_db(self):
         rng = np.random.default_rng(20)
         speech = rng.normal(0.0, 0.2, 2 * FS)
         noise = rng.normal(0.0, 0.2, 2 * FS)
-        mix, sp, nz = mix_at_snr(self._spec(speech, noise, 0.0))
+        mix, sp, nz = mix_at_snr(**self._spec(speech, noise, 0.0))
         np.testing.assert_array_equal(mix, sp + nz)
         # a fully active speech signal: scale matches the RMS ratio
         expect = np.sqrt(np.mean(speech**2) / np.mean(noise**2))
@@ -72,7 +69,7 @@ class TestMixAtSnr:
         speech = rng.normal(0.0, 0.2, 2 * FS)
         noise = rng.normal(0.0, 0.07, 2 * FS)
         for target in (-6.0, 0.0, 12.0):
-            _, sp, nz = mix_at_snr(self._spec(speech, noise, target))
+            _, sp, nz = mix_at_snr(**self._spec(speech, noise, target))
             got = 10.0 * np.log10(np.mean(sp**2) / np.mean(nz**2))
             assert got == pytest.approx(target, abs=1e-9)
 
@@ -84,7 +81,7 @@ class TestMixAtSnr:
         speech = np.zeros(2 * FS)
         speech[: FS + FS // 2] = rng.normal(0.0, 0.2, FS + FS // 2)
         noise = rng.normal(0.0, 0.1, 2 * FS)
-        _, sp, nz = mix_at_snr(self._spec(speech, noise, 0.0))
+        _, sp, nz = mix_at_snr(**self._spec(speech, noise, 0.0))
         voiced = sp[: FS + FS // 2]
         got = 10.0 * np.log10(np.mean(voiced**2) / np.mean(nz**2))
         assert got == pytest.approx(0.0, abs=0.05)
@@ -93,7 +90,7 @@ class TestMixAtSnr:
         rng = np.random.default_rng(23)
         speech = rng.normal(0.0, 0.2, FS + FS // 2)
         noise = rng.normal(0.0, 0.1, 4 * FS)
-        mix, sp, nz = mix_at_snr(self._spec(speech, noise, 0.0))
+        mix, sp, nz = mix_at_snr(**self._spec(speech, noise, 0.0))
         assert mix.size == sp.size == nz.size == speech.size
 
     def test_rejects_bad_inputs(self):
@@ -101,27 +98,34 @@ class TestMixAtSnr:
         speech = rng.normal(0.0, 0.2, 2 * FS)
         noise = rng.normal(0.0, 0.1, 2 * FS)
         with pytest.raises(InputError, match="finite"):
-            mix_at_snr(self._spec(speech, noise, float("nan")))
+            mix_at_snr(**self._spec(speech, noise, float("nan")))
         with pytest.raises(InputError, match="at least as long"):
-            mix_at_snr(self._spec(speech, noise[: FS // 2], 0.0))
+            mix_at_snr(**self._spec(speech, noise[: FS // 2], 0.0))
         with pytest.raises(InputError, match="1 s of active"):
             short = np.zeros(2 * FS)
             short[:1000] = 0.5
-            mix_at_snr(self._spec(short, noise, 0.0))
+            mix_at_snr(**self._spec(short, noise, 0.0))
         with pytest.raises(InputError, match="silent"):
-            mix_at_snr(self._spec(speech, np.zeros(2 * FS), 0.0))
+            mix_at_snr(**self._spec(speech, np.zeros(2 * FS), 0.0))
 
-    @pytest.mark.parametrize("entry", ["mix_at_snr", "evaluate_condition"])
     @pytest.mark.parametrize(
-        "what, bad", [("noise", np.nan), ("speech", np.nan), ("speech", -np.inf), ("noise", 1e200), ("speech", 1e200)]
+        "what, bad, entry",
+        [
+            (what, bad, entry)
+            for entry in ("mix_at_snr", "evaluate_condition", "snri_by_gain_shadowing")
+            for what, bad in [("noise", np.nan), ("speech", np.nan), ("speech", -np.inf), ("noise", 1e200), ("speech", 1e200)]
+            # a finite sample too large for the engine is the replay's to name
+            if entry != "snri_by_gain_shadowing" or not np.isfinite(bad)
+        ],
     )
     def test_bad_sample_is_named(self, comm_cfg, entry, what, bad):
         """A NaN or an infinity is named with its signal and index, and
-        a power that overflows with its signal, before any mixing. Once
-        a NaN in the noise gave an all-NaN mix, or a report naming
-        stream index 0; one in the speech reported no active speech;
-        and a 1e200 noise sample warned of an overflow (an error under
-        the test settings) and then reported silent noise."""
+        a power that overflows with its signal, before any mixing or
+        replay. Once a NaN in the noise gave an all-NaN mix, or a report
+        naming stream index 0; one in the speech reported no active
+        speech; a 1e200 noise sample warned of an overflow (an error
+        under the test settings) and then reported silent noise; and
+        snri_by_gain_shadowing named only the stream index."""
         rng = np.random.default_rng(42)
         signals = {"speech": surrogate_speech(4.0, rng), "noise": white_noise(4.0, rng)}
         signals[what][20000] = bad
@@ -130,9 +134,13 @@ class TestMixAtSnr:
             message = "power overflows the float range"
         with pytest.raises(InputError, match=f"^{what} {message}$"):
             if entry == "mix_at_snr":
-                mix_at_snr(self._spec(signals["speech"], signals["noise"], 0.0))
-            else:
+                mix_at_snr(**self._spec(signals["speech"], signals["noise"], 0.0))
+            elif entry == "evaluate_condition":
                 ds.evaluate_condition(signals["speech"], signals["noise"], 0.0, comm_cfg)
+            else:
+                frames = pipeline._Framer(comm_cfg.frame).frames_of(signals["speech"].size)
+                log = np.ones((frames, comm_cfg.frame.num_bins))
+                ds.snri_by_gain_shadowing(signals["speech"], signals["noise"], log, comm_cfg)
 
     @pytest.mark.parametrize("entry", ["mix_at_snr", "evaluate_condition"])
     @pytest.mark.parametrize("target, why", [(-7000.0, "overflows the float range"), (7000.0, "rounds to 0")])
@@ -145,7 +153,7 @@ class TestMixAtSnr:
         message = f"^target_snr_db {target:g} cannot scale the noise: its scale factor {why}$"
         with pytest.raises(InputError, match=message):
             if entry == "mix_at_snr":
-                mix_at_snr(self._spec(speech, noise, target))
+                mix_at_snr(**self._spec(speech, noise, target))
             else:
                 ds.evaluate_condition(speech, noise, target, comm_cfg)
 
@@ -157,7 +165,7 @@ class TestMixAtSnr:
         signals = {"speech": rng.normal(0.0, 0.2, 2 * FS), "noise": rng.normal(0.0, 0.1, 2 * FS)}
         signals[component] = signals[component].reshape(2, -1)
         with pytest.raises(UsageError, match=f"{component} must be a mono 1-D signal, got shape"):
-            mix_at_snr(self._spec(signals["speech"], signals["noise"], 0.0))
+            mix_at_snr(**self._spec(signals["speech"], signals["noise"], 0.0))
 
 
 def _tone_and_noise(n_periods, rng):
@@ -295,7 +303,7 @@ class TestStreamedShadowing:
         rng = np.random.default_rng(32)
         speech = _voiced_tone(n) if n < 2 * FS else surrogate_speech(n / FS, rng)
         noise = white_noise(n / FS, rng)
-        mix, sp, nz = mix_at_snr(MixSpec(speech, noise, 0.0, FS))
+        mix, sp, nz = mix_at_snr(speech, noise, 0.0, FS)
         log = ds.process_stream(mix, comm_cfg, single_stage=single)[1]
         before = set(threading.enumerate())
         # the engine and the worker trade the interpreter lock every
@@ -385,7 +393,7 @@ class TestStreamedShadowing:
 
         monkeypatch.setattr(pipeline.StreamProcessor, "blocks", recording)
         ds.evaluate_condition(speech, noise, 12.0, comm_cfg)
-        mix = mix_at_snr(MixSpec(speech, noise, 12.0, FS))[0]
+        mix = mix_at_snr(speech, noise, 12.0, FS)[0]
         # the last piece is the zero flush
         assert np.concatenate(fed[:-1]).tobytes() == mix.tobytes()
         assert not fed[-1].any()
@@ -397,7 +405,7 @@ def _shadowing_call(entry, speech, noise, cfg, **kwargs):
     log process_stream gives for the mix, which are made here."""
     if entry == "evaluate_condition":
         return functools.partial(ds.evaluate_condition, speech, noise, 0.0, cfg, **kwargs)
-    mix, sp, nz = mix_at_snr(MixSpec(speech, noise, 0.0, cfg.frame.sample_rate_hz))
+    mix, sp, nz = mix_at_snr(speech, noise, 0.0, cfg.frame.sample_rate_hz)
     log = ds.process_stream(mix, cfg)[1]
     return functools.partial(ds.snri_by_gain_shadowing, sp, nz, log, cfg, **kwargs)
 
@@ -424,7 +432,7 @@ class TestRegionPowers:
         rng = np.random.default_rng(43)
         speech = surrogate_speech(8.0, rng, lead_in_s=0.5)[:-37]  # not a whole number of hops
         noise = white_noise(8.0, rng) if noise_kind == "white" else am_noise(8.0, rng, 6.0, 0.7)
-        _, sp, nz = mix_at_snr(MixSpec(speech, noise, snr, FS))
+        _, sp, nz = mix_at_snr(speech, noise, snr, FS)
         log = ds.process_stream(sp + nz, cfg, single_stage=single)[1]
         pairs = [[ds.replay_gains(x, g, cfg) for g in (np.ones_like(log), log)] for x in (sp, nz)]
         return speech, noise, pairs
