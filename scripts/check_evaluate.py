@@ -6,14 +6,17 @@ louder white noise as WAVs into a temporary directory, mixes the first
 speech and noise with `dualstage mix`, and evaluates both speech files
 in both noises with `dualstage evaluate` at two SNRs, dual and single
 stage, with loop_noise on, so the 2 s noise is tiled to each speech
-file's length.
+file's length. With loop_noise off, the same matrix must stop before
+its first condition: exit 1, one stderr line naming the 2 s noise
+file and the longest speech file, and no report.
 Then it evaluates a 1 min and a 4 min speech/noise pair (one SNR, dual
 stage), each in a child process of its own, and reads each child's
 peak resident set (ru_maxrss, KiB on Linux) from wait4. Exits 1 unless
-every command succeeds, the mix comes out as long as the speech, the
-report has one row per condition, every figure in it is finite, and
-the 4 min peak exceeds the 1 min peak by at most four float64 copies
-of the extra 3 min of signal plus 8 MiB: the command holds the speech
+every other command succeeds, the mix comes out as long as the speech,
+the report has one row per condition, every figure in it is finite,
+the refused run fails as said, and the 4 min peak exceeds the 1 min
+peak by at most four float64 copies of the extra 3 min of signal plus
+8 MiB: the command holds the speech
 and the noise it read, and evaluate_condition one transient copy
 while it scales the noise. evaluate shadows the gains on a worker
 thread, so this runs that path through the command as installed. The
@@ -115,6 +118,15 @@ def main():
         run([*command, "evaluate", matrix, report])
         with open(report, newline="") as fh:
             rows = list(csv.DictReader(fh))
+        # the short noise file sorts after the other one, whose
+        # conditions would run first if the files were checked lazily
+        with open(matrix, "w") as fh:
+            json.dump({**doc, "loop_noise": False, "measure_start_s": 1.0}, fh)
+        report = os.path.join(tmp, "refused.csv")
+        proc = subprocess.run([*command, "evaluate", matrix, report], capture_output=True, text=True)
+        err = proc.stderr
+        refused = proc.returncode == 1 and err.count("\n") == 1 and short in err and speech in err
+        refused = refused and not os.path.exists(report)
     expected = len(doc["speech"]) * len(doc["noise"]) * len(SNRS_DB) * len(VARIANTS)
     bad = [
         (i, key, value)
@@ -123,6 +135,7 @@ def main():
         if key not in KEY_COLUMNS and not finite(value)
     ]
     print(f"evaluate: {len(rows)} rows (expected {expected}), {len(bad)} non-finite values")
+    print(f"evaluate, short noise without loop_noise: exit {proc.returncode}, {err.strip()!r}")
     with tempfile.TemporaryDirectory() as tmp:
         short, long = FLAT_MINUTES
         peaks = [evaluate_peak_mib(command, tmp, m, rng) for m in FLAT_MINUTES]
@@ -132,7 +145,7 @@ def main():
         f"peak RSS, evaluate: {short} min {peaks[0]:.1f} MiB, {long} min {peaks[1]:.1f} MiB, "
         f"difference {growth:+.1f} MiB (limit {limit:.1f})"
     )
-    return 0 if len(rows) == expected and not bad and growth <= limit else 1
+    return 0 if len(rows) == expected and not bad and refused and growth <= limit else 1
 
 
 if __name__ == "__main__":

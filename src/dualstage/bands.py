@@ -3,7 +3,8 @@
 Bins of the half spectrum are grouped into M critical bands on the
 Bark scale. Suppression is computed per band and converted back to
 per-bin gains by interpolation, which is applied to the complex
-spectrum with the original phase kept.
+spectrum with the original phase kept. The layers take plain arrays:
+bins (framing.analyze) and their per-bin powers (framing.bin_power).
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .framing import SpectralFrame
 
 
 def bark_of_hz(freq_hz):
@@ -105,14 +105,15 @@ def build_band_plan(fft_len: int, sample_rate_hz: int, num_bands: int) -> BandPl
     )
 
 
-def pool_to_bands(spec: SpectralFrame, plan: BandPlan) -> np.ndarray:
-    """Pool per-bin power into band magnitudes, per frame.
+def pool_to_bands(power: np.ndarray, plan: BandPlan) -> np.ndarray:
+    """Pool per-bin power (framing.bin_power) into band magnitudes, per
+    frame.
 
     Band magnitude is the RMS of the bin magnitudes, i.e. the square
     root of the mean per-bin power, which keeps the downstream SNR
     independent of band width.
     """
-    sums = np.add.reduceat(spec.power, plan.edges[:-1], axis=-1)
+    sums = np.add.reduceat(power, plan.edges[:-1], axis=-1)
     sums /= plan.widths
     return np.sqrt(sums, out=sums)
 
@@ -137,12 +138,11 @@ def expand_to_bins(band_gains: np.ndarray, plan: BandPlan) -> np.ndarray:
     return out
 
 
-def apply_gains(spec: SpectralFrame, bin_gains: np.ndarray) -> SpectralFrame:
+def apply_gains(bins: np.ndarray, power: np.ndarray, bin_gains: np.ndarray) -> None:
     """Scale each complex bin by its real gain in place, keeping the
-    phase; return spec."""
-    spec.bins *= bin_gains
+    phase, and its power by the gain's square."""
+    bins *= bin_gains
     # real gains leave phase alone, so the power scales by the square,
     # in the order of power * g * g
-    spec.power *= bin_gains
-    spec.power *= bin_gains
-    return spec
+    power *= bin_gains
+    power *= bin_gains

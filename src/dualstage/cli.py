@@ -100,12 +100,13 @@ def _config_from_args(args):
     return cfg
 
 
-def _require_rate(path, rate, cfg):
-    want = cfg.frame.sample_rate_hz
-    if rate != want:
-        raise InputError(
-            f"{path}: sample rate {rate} Hz does not match the configured {want} Hz"
-        )
+def _require_rate(path, rate, *configs):
+    for cfg in configs:
+        want = cfg.frame.sample_rate_hz
+        if rate != want:
+            raise InputError(
+                f"{path}: sample rate {rate} Hz does not match the configured {want} Hz"
+            )
 
 
 def _looped(noise, length):
@@ -121,8 +122,7 @@ def _read_at_rate(path, configs):
     """The samples of the WAV at path, whose rate every config in the
     dict configs must run at."""
     samples, rate, _ = read_wav(path)
-    for cfg in configs.values():
-        _require_rate(path, rate, cfg)
+    _require_rate(path, rate, *configs.values())
     return samples
 
 
@@ -283,16 +283,28 @@ def cmd_evaluate(args) -> int:
             cfg = apply_overrides(cfg, assignments)
         configs[preset] = cfg
 
-    # a file at the wrong rate stops the run before any condition does
+    # a file at the wrong rate, or a noise file too short to use, stops
+    # the run before any condition does (a noise file by its header)
     speech = {path: _read_at_rate(path, configs) for path in sorted(set(matrix.speech))}
-    longest = max((x.size for x in speech.values()), default=0)
+    longest = max(speech, key=lambda path: speech[path].size, default=None)
+    length = speech[longest].size if speech else 0
+    for noise_path in sorted(set(matrix.noise)):
+        with WavReader(noise_path) as src:
+            _require_rate(noise_path, src.rate, *configs.values())
+        if matrix.loop_noise and not src.size:
+            raise InputError(f"{noise_path}: noise signal is empty")
+        if not matrix.loop_noise and src.size < length:
+            raise InputError(
+                f"noise {noise_path} ({src.size} samples) must be at least as long as "
+                f"speech {longest} ({length} samples)"
+            )
     axes = (matrix.snr_db, matrix.presets, matrix.variants, matrix.speech)
     conditions = list(itertools.product(*map(sorted, axes)))
     rows = []
     for noise_path in sorted(matrix.noise):
-        noise = speech[noise_path] if noise_path in speech else _read_at_rate(noise_path, configs)
+        noise = speech[noise_path] if noise_path in speech else read_wav(noise_path)[0]
         if matrix.loop_noise:
-            noise = _looped(noise, longest)
+            noise = _looped(noise, length)
         for snr, preset, variant, speech_path in conditions:
             report = metrics.evaluate_condition(
                 speech[speech_path],

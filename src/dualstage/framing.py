@@ -8,10 +8,12 @@ on scipy.fft's pocketfft extension (scipy.fft._pocketfft.pypocketfft),
 each loaded without its package (see dualstage._scipy); both release
 the interpreter lock. The transforms give the bits of np.fft.rfft and
 np.fft.irfft; on a lone frame, where a call's fixed cost dominates,
-they take about a third of numpy's time. All state (filter memory,
-overlap accumulator) is owned by the caller and passed in explicitly,
-so the operations themselves are pure and a stream can be moved
-between threads.
+they take about a third of numpy's time. A spectrum is a plain
+complex array of bins 0..fft_len/2, one row per frame; bin_power
+gives its per-bin powers, which only a caller that pools or plots
+computes. All state (filter memory, overlap accumulator) is owned by
+the caller and passed in explicitly, so the operations themselves are
+pure and a stream can be moved between threads.
 """
 
 import functools
@@ -69,6 +71,13 @@ class FrameConfig:
         "hann" (Hann analysis, rectangular synthesis) or "rectangular".
     hpf_cutoff_hz : float or None
         Cutoff of the high-pass pre-filter, or None to disable it.
+
+    windows, built when the config is made, is the read-only
+    (analysis, synthesis) window pair. The synthesis window is scaled
+    by the reciprocal of the overlap-add constant, so that a
+    unity-gain analyze/synthesize round trip reconstructs the input; a
+    pair whose overlapped product is not constant to within COLA_TOL
+    raises ConfigError.
     """
 
     sample_rate_hz: int = 16000
@@ -107,9 +116,7 @@ class FrameConfig:
                 raise ConfigError(
                     f"hpf_cutoff_hz must lie in (0, fs/2), got {self.hpf_cutoff_hz}"
                 )
-        # build the window pair once per config; this verifies that the
-        # window/hop triple reconstructs and raises on failure
-        object.__setattr__(self, "_windows", _build_windows(self))
+        object.__setattr__(self, "windows", _build_windows(self))
 
     @property
     def num_bins(self) -> int:
@@ -132,34 +139,10 @@ class FrameConfig:
         return np.sqrt(np.finfo(float).max / (self.fft_len * self.frame_len)) / _HPF_GAIN_BOUND
 
 
-@dataclass
-class SpectralFrame:
-    """Half spectrum of one analysis frame, or of a block (one per row).
-
-    bins holds the complex values for indices 0..fft_len/2 inclusive,
-    power the per-bin squared magnitudes in linear power units.
-    """
-
-    bins: np.ndarray
-    power: np.ndarray
-
-
 def _periodic_hann(n: int) -> np.ndarray:
     # periodic (DFT-even) variant; the symmetric one breaks COLA at 50%
     idx = np.arange(n)
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * idx / n))
-
-
-def windows_for(cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Return the (analysis, synthesis) window pair for a config.
-
-    The synthesis window is scaled by the reciprocal of the overlap-add
-    constant so that a unity-gain analyze/synthesize round trip
-    reconstructs the input. The config builds the pair once, when it
-    is made, and raises ConfigError there when the overlapped window
-    product is not constant to within COLA_TOL.
-    """
-    return cfg._windows
 
 
 def _build_windows(cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +214,7 @@ def hpf_process(samples: np.ndarray, coeffs, state: HpfState) -> np.ndarray:
     return y
 
 
-def analyze(frame: np.ndarray, cfg: FrameConfig) -> SpectralFrame:
+def analyze(frame: np.ndarray, cfg: FrameConfig) -> np.ndarray:
     """Window frames, zero-pad to fft_len and transform.
 
     The windowed frames are written into a zero-padded array, which
@@ -245,22 +228,23 @@ def analyze(frame: np.ndarray, cfg: FrameConfig) -> SpectralFrame:
 
     Returns
     -------
-    SpectralFrame
-        Complex half spectrum plus per-bin power, one row per frame;
-        both arrays are fresh, so a caller may scale them in place.
+    ndarray
+        Complex half spectrum, bins 0..fft_len/2, one row per frame;
+        fresh, so a caller may scale it in place.
     """
     if frame.ndim not in (1, 2) or frame.shape[-1] != cfg.frame_len:
         raise UsageError(f"expected {cfg.frame_len} samples per frame, got shape {frame.shape}")
-    analysis, _ = windows_for(cfg)
     padded = np.zeros((*frame.shape[:-1], cfg.fft_len))
-    np.multiply(frame, analysis, out=padded[..., : cfg.frame_len])
-    bins = _pocketfft.r2c(padded, (-1,), True, 0)
-    # drop the padded block first, so that the power's temporaries
-    # reuse its memory instead of fresh pages
-    del padded
-    power = bins.real * bins.real
-    power += bins.imag * bins.imag
-    return SpectralFrame(bins=bins, power=power)
+    np.multiply(frame, cfg.windows[0], out=padded[..., : cfg.frame_len])
+    return _pocketfft.r2c(padded, (-1,), True, 0)
+
+
+def bin_power(bins: np.ndarray) -> np.ndarray:
+    """Per-bin squared magnitudes of a half spectrum (or of a block of
+    them), in linear power units; a fresh array."""
+    p = bins.real * bins.real
+    p += bins.imag * bins.imag
+    return p
 
 
 @dataclass
@@ -274,7 +258,7 @@ class OlaState:
         return cls(tail=np.zeros(cfg.frame_len - cfg.hop_len))
 
 
-def synthesize(spec: SpectralFrame, ola_state: OlaState, cfg: FrameConfig) -> np.ndarray:
+def synthesize(bins: np.ndarray, ola_state: OlaState, cfg: FrameConfig) -> np.ndarray:
     """Inverse-transform frames and emit hop_len samples per frame.
 
     pocketfft's c2r inverts each row with a 1/fft_len normalisation,
@@ -282,13 +266,12 @@ def synthesize(spec: SpectralFrame, ola_state: OlaState, cfg: FrameConfig) -> np
     is truncated to frame_len samples (dropping the zero-pad tail),
     synthesis-windowed in place and added into the overlap
     accumulator, oldest frame first; the hop_len samples per frame
-    that can receive no further contributions are returned. Synthesis
-    reads only spec.bins.
+    that can receive no further contributions are returned. bins is
+    only read.
     """
-    _, synthesis = windows_for(cfg)
     # c2r's output is fresh: window it, and add into it, in place
-    frames = _pocketfft.c2r(spec.bins, (-1,), cfg.fft_len, False, 2)[..., : cfg.frame_len]
-    frames *= synthesis
+    frames = _pocketfft.c2r(bins, (-1,), cfg.fft_len, False, 2)[..., : cfg.frame_len]
+    frames *= cfg.windows[1]
     hop = cfg.hop_len
     if frames.ndim == 1:
         frames[:-hop] += ola_state.tail

@@ -131,7 +131,7 @@ def _noise_scale(speech, noise, target_snr_db, sample_rate_hz, active_threshold_
             f"speech ({speech.size} samples)"
         )
     noise = noise[: speech.size]
-    _require_finite(speech, noise)
+    _screen_samples(speech, noise)
     block = max(1, round(ACTIVITY_BLOCK_S * sample_rate_hz))
     # a square or a sum of squares can overflow a finite signal's power:
     # numpy stays quiet and the signal is named instead
@@ -165,12 +165,15 @@ def _noise_scale(speech, noise, target_snr_db, sample_rate_hz, active_threshold_
     return speech, noise, scale
 
 
-def _require_finite(speech, noise) -> None:
-    """Raise InputError naming the signal and the index of the first
-    NaN or infinity in speech, then in noise."""
+def _screen_samples(speech, noise, limit: float = np.finfo(float).max) -> None:
+    """Raise InputError naming the signal and the index of its first NaN
+    or sample above limit in magnitude (an infinity), in speech, then in
+    noise."""
     for what, x in (("speech", speech), ("noise", noise)):
-        if not (finite := np.isfinite(x)).all():
-            raise InputError(f"{what} holds a non-finite sample at index {np.argmin(finite)}")
+        if not (ok := (x <= limit) & (x >= -limit)).all():
+            i = np.argmin(ok)
+            bad = f"sample magnitude above {limit:.3g}" if math.isfinite(x[i]) else "non-finite sample"
+            raise InputError(f"{what} holds a {bad} at index {i}")
 
 
 def _finite_power(what: str, power: float) -> float:
@@ -195,8 +198,9 @@ def snri_by_gain_shadowing(
     each beside its unity-gain reference; speech power is measured on
     speech-active frames, noise power on the speech-free frames, both
     from measure_start_s on (earlier frames cover the tracker warm-up
-    and are excluded from the measurement). A NaN or infinite sample
-    raises InputError naming its component and index before any replay.
+    and are excluded from the measurement). A NaN, an infinity or a
+    magnitude above cfg.frame.max_abs_sample raises InputError naming
+    its component and index before any replay.
     """
     speech = pipeline._mono(speech, "speech")
     noise = pipeline._mono(noise, "noise")
@@ -205,7 +209,7 @@ def snri_by_gain_shadowing(
             f"speech and noise components must have equal shape, got "
             f"{speech.shape} and {noise.shape}"
         )
-    _require_finite(speech, noise)
+    _screen_samples(speech, noise, cfg.frame.max_abs_sample)
     framer = pipeline._Framer(cfg.frame)
     log = pipeline._gain_log(gain_log, framer.frames_of(speech.size), cfg)
     pieces = ((sp, nz, log, 0) for sp, nz in zip(framer.stream(speech), framer.stream(noise)))
@@ -334,7 +338,7 @@ def spectrogram_stream(blocks, frame_cfg):
         for piece in framer.pieces(x):
             for frames, n in framer.push(piece):
                 if framer.frames >= first:
-                    power = framing.analyze(frames, fcfg).power
+                    power = framing.bin_power(framing.analyze(frames, fcfg))
                     at = framer.frames - first
                     rows[at : at + n] = 10.0 * np.log10(np.maximum(power, floor_pow))
         yield block, rows

@@ -18,19 +18,20 @@ runs one log through it; shadow_stream runs a mix's speech and noise
 through it on a worker thread and reduces each block's outputs to
 per-hop powers (_shadow_powers), so it keeps no signal-long array.
 
-Every layer runs once per block of frames. The transform pair runs
-once per block on scipy.fft's pocketfft extension (see framing), and
-each stage scales the block's fresh spectrum in place. A block holds
-only what a later step reads: the high-passed piece goes once the
-framer's buffer holds it, the frames once analysed, Stage 1's bin
-gains once applied (unless the caller logs gains) and the per-bin
-powers once Stage 2 has pooled them, so a block's working set is
-about its spectrum and one set of bin gains. The high-pass
-runs once per block on scipy.signal.lfilter's C loop, and so does each
-first-order smoother whose factor is one constant; a smoother whose
-factor varies by frame or band is one bidiagonal LAPACK solve per
-block (see noise_tracking). A row's result depends only on that row
-and the carried state, and every block form rounds as a
+Every layer runs once per block of frames, on plain arrays. The
+transform pair runs once per block on scipy.fft's pocketfft extension
+(see framing), and each stage scales the block's fresh bins in place.
+Only Stage 1 computes the bins' powers (framing.bin_power), past the
+warm-up; replay computes none. A block holds only what a later step
+reads: the high-passed piece goes once the framer's buffer holds it,
+the frames once analysed, Stage 1's bin gains once applied (unless
+the caller logs gains) and the powers once Stage 2 has pooled them,
+so a block's working set is about its bins and one set of bin gains.
+The high-pass runs once per block on scipy.signal.lfilter's C loop,
+and so does each first-order smoother whose factor is one constant; a
+smoother whose factor varies by frame or band is one bidiagonal LAPACK
+solve per block (see noise_tracking). A row's result depends only on
+that row and the carried state, and every block form rounds as a
 sample-by-sample or frame-by-frame step does, so any chunking of a
 stream gives bit-identical output.
 """
@@ -225,34 +226,35 @@ class StreamProcessor:
         fcfg = self.cfg.frame
         for frames, n in self.framer.push(samples):
             first = self.framer.frames
-            spec = framing.analyze(frames, fcfg)
+            bins = framing.analyze(frames, fcfg)
             del frames  # spent: the layers below read the spectrum
-            gains, noise = self._suppress(spec, first, n)
-            yield BlockRecord(first, framing.synthesize(spec, self.ola, fcfg), gains, noise)
+            gains, noise = self._suppress(bins, first, n)
+            yield BlockRecord(first, framing.synthesize(bins, self.ola, fcfg), gains, noise)
 
-    def _suppress(self, spec: framing.SpectralFrame, first: int, n: int):
-        """Run both stages over n frames, from frame first, on spec in
+    def _suppress(self, bins: np.ndarray, first: int, n: int):
+        """Run both stages over n frames, from frame first, on bins in
         place; return (bin gains or None, noise rows) for BlockRecord."""
         log = self.log_gains
         if first < self.framer.warm_frames:
-            return (np.ones((n, spec.bins.shape[-1])) if log else None), ()
-        mags1 = bands.pool_to_bands(spec, self.plan)
+            return (np.ones((n, bins.shape[-1])) if log else None), ()
+        power = framing.bin_power(bins)
+        mags1 = bands.pool_to_bands(power, self.plan)
         g1, snr1, raw_n1, n1 = self.stage1.step(mags1, None)
         noise = [(raw_n1.reshape(n, -1), n1.reshape(n, -1))]
         bin_gains = bands.expand_to_bins(g1, self.plan)
-        bands.apply_gains(spec, bin_gains)
+        bands.apply_gains(bins, power, bin_gains)
         if not log:
             del bin_gains
         if self.stage2 is not None:
-            mags2 = bands.pool_to_bands(spec, self.plan)
-            spec.power = None  # pooled: nothing reads it again
+            mags2 = bands.pool_to_bands(power, self.plan)
+            del power  # pooled: nothing reads it again
             # Stage 2 takes the Stage-1 frame SNR exactly when it maps it to alpha
             fed = self.stage2.cfg.tracker.alpha_snr_map is not None
             snr_db = self._frame_snr_db(mags1, snr1) if fed else None
             g2, _, raw_n2, n2 = self.stage2.step(mags2, snr_db)
             noise.append((raw_n2.reshape(n, -1), n2.reshape(n, -1)))
             bin_g2 = bands.expand_to_bins(g2, self.plan)
-            spec.bins *= bin_g2
+            bins *= bin_g2
             if log:  # only the caller's gains need the product
                 bin_gains *= bin_g2
         return (bin_gains.reshape(n, -1) if log else None), tuple(noise)
@@ -455,12 +457,10 @@ class _Shadow:
         """One block's outputs; its spectra are freed on return, so a
         caller holding a block holds only its outputs."""
         fcfg = self.fcfg
-        spec = framing.analyze(frames, fcfg)
+        bins = framing.analyze(frames, fcfg)
         ys = []
         for g, ola in zip(gains, self.olas):
-            bins = spec.bins if g is None else spec.bins * g.reshape(spec.bins.shape)
-            # synthesis reads only the bins
-            y = framing.synthesize(framing.SpectralFrame(bins=bins, power=None), ola, fcfg)
+            y = framing.synthesize(bins if g is None else bins * g.reshape(bins.shape), ola, fcfg)
             ys.append(y[: self.left])
         return ys
 

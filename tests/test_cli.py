@@ -622,6 +622,40 @@ class TestEvaluate:
         assert not calls
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("flaw", ["short", "8k"])
+    def test_unusable_noise_fails_before_any_condition(self, tmp_path, capsys, monkeypatch, flaw):
+        """Every noise file's rate and length are checked, from its
+        header, before the first condition runs. Once each noise file
+        was checked when its conditions came up, so a second noise file
+        (sorted) that was too short or at the wrong rate was found only
+        after the first one's conditions had run, and a short one's
+        message named neither file."""
+        m = self._matrix(tmp_path)
+        doc = json.loads(m.read_text())
+        if flaw == "short":
+            bad = str(write_noise_wav(tmp_path / "nz_short.wav", seconds=1.0, seed=1))
+        else:
+            bad = str(write_noise_wav(tmp_path / "nz_8k.wav", seconds=3.0, fs=8000, seed=1))
+        doc["noise"].append(bad)
+        m.write_text(json.dumps(doc))
+        assert sorted(doc["noise"])[1] == bad
+        calls = []
+
+        def evaluate_condition(*args, **kwargs):
+            calls.append(args)
+            return SnriReport(*[0.0] * len(dataclasses.fields(SnriReport)))
+
+        monkeypatch.setattr(metrics, "evaluate_condition", evaluate_condition)
+        assert run("evaluate", str(m), str(tmp_path / "r.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and bad in err, err
+        if flaw == "short":
+            assert doc["speech"][0] in err and "at least as long" in err, err
+        else:
+            assert "8000 Hz" in err, err
+        assert not calls
+        assert not (tmp_path / "r.csv").exists()
+
     def test_looped_noise_is_tiled_from_its_start(self, tmp_path, capsys):
         """A noise file shorter than the speech is repeated from its
         start with loop_noise, and refused without it."""

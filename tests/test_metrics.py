@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -114,14 +115,14 @@ class TestMixAtSnr:
             (what, bad, entry)
             for entry in ("mix_at_snr", "evaluate_condition", "snri_by_gain_shadowing")
             for what, bad in [("noise", np.nan), ("speech", np.nan), ("speech", -np.inf), ("noise", 1e200), ("speech", 1e200)]
-            # a finite sample too large for the engine is the replay's to name
-            if entry != "snri_by_gain_shadowing" or not np.isfinite(bad)
         ],
     )
     def test_bad_sample_is_named(self, comm_cfg, entry, what, bad):
         """A NaN or an infinity is named with its signal and index, and
         a power that overflows with its signal, before any mixing or
-        replay. Once a NaN in the noise gave an all-NaN mix, or a report
+        replay; snri_by_gain_shadowing, which mixes nothing, names a
+        finite sample too large for the engine with its signal and
+        index. Once a NaN in the noise gave an all-NaN mix, or a report
         naming stream index 0; one in the speech reported no active
         speech; a 1e200 noise sample warned of an overflow (an error
         under the test settings) and then reported silent noise; and
@@ -132,6 +133,9 @@ class TestMixAtSnr:
         message = "holds a non-finite sample at index 20000"
         if np.isfinite(bad):
             message = "power overflows the float range"
+            if entry == "snri_by_gain_shadowing":
+                limit = comm_cfg.frame.max_abs_sample
+                message = re.escape(f"holds a sample magnitude above {limit:.3g} at index 20000")
         with pytest.raises(InputError, match=f"^{what} {message}$"):
             if entry == "mix_at_snr":
                 mix_at_snr(**self._spec(signals["speech"], signals["noise"], 0.0))

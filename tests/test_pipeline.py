@@ -1,12 +1,13 @@
 """End-to-end pipeline behaviour: streaming, latency, gain replay."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import dualstage as ds
-from dualstage import gain, noise_tracking, pipeline
+from dualstage import framing, gain, metrics, noise_tracking, pipeline
 from dualstage.config import config_from_dict, config_to_dict
 from dualstage.errors import InputError, UsageError
 from dualstage.framing import algorithmic_latency_ms
@@ -342,6 +343,59 @@ class TestTransformBudget:
         assert frames > 0
         assert transform_rows["fwd"] == frames
         assert transform_rows["inv"] == frames
+
+
+class TestPowerBudget:
+    """Only the code that pools or plots a spectrum computes its per-bin
+    powers (framing.bin_power): the engine once per block past the
+    warm-up, for Stage 1's pooling, and the spectrogram once per block
+    of its framer. Replay only scales and synthesises bins. Once every
+    analysis computed a power, which replay never read."""
+
+    @pytest.fixture
+    def power_shapes(self, monkeypatch):
+        """Shapes of the spectra framing.bin_power is called on from here on."""
+        shapes = []
+        real = framing.bin_power
+
+        def counted(bins):
+            shapes.append(bins.shape)
+            return real(bins)
+
+        monkeypatch.setattr(framing, "bin_power", counted)
+        return shapes
+
+    def test_replay_computes_none(self, comm_cfg, power_shapes):
+        x = white_noise(1.0, np.random.default_rng(33))
+        _, log = ds.process_stream(x, comm_cfg)
+        power_shapes.clear()
+        ds.replay_gains(x, log, comm_cfg)
+        assert power_shapes == []
+
+    @pytest.mark.parametrize("single", [False, True])
+    def test_engine_computes_one_per_block_past_the_warm_up(self, comm_cfg, power_shapes, single):
+        hop, bins = comm_cfg.frame.hop_len, comm_cfg.frame.num_bins
+        x = white_noise(1.0, np.random.default_rng(34))
+        proc = ds.StreamProcessor(comm_cfg, single_stage=single)
+        # lone hops, then blocks of many frames
+        pieces = np.split(x, [hop, 2 * hop, 3 * hop, 4 * hop, 5 * hop, 3000])
+        records = [r for piece in pieces for r in proc.blocks(piece)]
+        past = [r.out.size // hop for r in records if r.frame >= proc.framer.warm_frames]
+        assert len(past) < len(records) and max(past) > 1
+        assert power_shapes == [(bins,) if n == 1 else (n, bins) for n in past]
+
+    def test_spectrogram_computes_one_per_framer_block(self, comm_cfg, power_shapes):
+        x = white_noise(3.0, np.random.default_rng(35))
+        framer = pipeline._Framer(dataclasses.replace(comm_cfg.frame, hpf_cutoff_hz=None))
+        past = [
+            n
+            for piece in framer.pieces(x)
+            for _, n in framer.push(piece)
+            if framer.frames >= framer.warm_frames
+        ]
+        rows = metrics.spectrogram_db(x, comm_cfg.frame)
+        assert len(past) > 1 and sum(past) == len(rows)
+        assert power_shapes == [(n, comm_cfg.frame.num_bins) for n in past]
 
 
 class TestLatency:

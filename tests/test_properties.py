@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import dualstage as ds
 from dualstage.config import config_from_dict, config_to_dict
-from dualstage.framing import WINDOW_KINDS, analyze
+from dualstage.framing import WINDOW_KINDS, analyze, bin_power
 from dualstage.metrics import spectrogram_db, spectrogram_stream
 from dualstage.gain import GainParams, GainState, MU_MAX, compute_raw_gain, smooth_gain
 from dualstage.noise_tracking import frozen_array, smooth_rows
@@ -366,5 +366,5 @@ def test_spectrogram_stream_equals_whole_signal(cfg, seed, data):
     assert rows.shape == (want, fcfg.num_bins)
     # row i is the frame of the raw samples from i * hop on, with no high-pass
     for i in range(0, want, 37):
-        power = analyze(x[i * hop : i * hop + fcfg.frame_len], fcfg).power
+        power = bin_power(analyze(x[i * hop : i * hop + fcfg.frame_len], fcfg))
         np.testing.assert_array_equal(rows[i], 10.0 * np.log10(np.maximum(power, 1e-12)))
