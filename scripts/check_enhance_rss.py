@@ -10,7 +10,11 @@ pair streams 1 min and 10 min of noise through a default
 `StreamProcessor.process` in 1024-sample calls, in child processes of
 this interpreter, so it tests the package this interpreter imports.
 Exits 1 if a run fails or the two peaks of a pair differ by more than
-8 MiB. The WAVs are written a second at a time, so this process stays
+8 MiB. A last pair, again in child processes of this interpreter, runs
+1 and then 32 default processors side by side, each fed one 64-sample
+hop per call for two windows of the tracker's sliding minimum, and
+exits 1 if the peak grows by more than 300 KiB per added stream. The
+WAVs are written a second at a time, so this process stays
 smaller than any child, whose peak would otherwise include it.
 
 usage: python scripts/check_enhance_rss.py [DUALSTAGE]
@@ -31,6 +35,9 @@ from dualstage import write_wav
 
 FS = 16000
 LIMIT_MIB = 8.0
+# peak RSS one more stream may add: a stream's state is about 215 KiB
+STREAM_LIMIT_KIB = 300.0
+STREAM_COUNTS = (1, 32)
 
 # a realtime caller: argv[1] minutes of noise, 1024 samples per call
 _STREAM = f"""
@@ -41,6 +48,20 @@ proc = ds.StreamProcessor(ds.load_preset("communication"))
 rng = np.random.default_rng(0)
 for _ in range(int(sys.argv[1]) * 60 * {FS} // 1024):
     proc.process(rng.normal(0.0, 0.1, 1024))
+"""
+
+# a conferencing host: argv[1] streams side by side, one hop per call,
+# for two windows of the sliding minimum
+_STREAMS = """
+import sys
+import numpy as np
+import dualstage as ds
+cfg = ds.load_preset("communication")
+procs = [ds.StreamProcessor(cfg) for _ in range(int(sys.argv[1]))]
+rng = np.random.default_rng(0)
+for _ in range(2 * max(cfg.stage1.tracker.window_len, cfg.stage2.tracker.window_len)):
+    for proc in procs:
+        proc.process(rng.normal(0.0, 0.1, cfg.frame.hop_len))
 """
 
 
@@ -80,6 +101,15 @@ def main():
                 f"{peaks[1]:.1f} MiB, difference {growth:+.1f} MiB (limit {LIMIT_MIB:g})"
             )
             failed |= abs(growth) > LIMIT_MIB
+    few, many = STREAM_COUNTS
+    peaks = [peak_rss_mib([sys.executable, "-c", _STREAMS, str(k)]) for k in STREAM_COUNTS]
+    per_stream = (peaks[1] - peaks[0]) * 1024.0 / (many - few)
+    print(
+        f"peak RSS, StreamProcessor streams side by side: {few} {peaks[0]:.1f} MiB, "
+        f"{many} {peaks[1]:.1f} MiB, {per_stream:+.0f} KiB per added stream "
+        f"(limit {STREAM_LIMIT_KIB:g})"
+    )
+    failed |= per_stream > STREAM_LIMIT_KIB
     return 1 if failed else 0
 
 

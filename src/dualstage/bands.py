@@ -138,11 +138,14 @@ def expand_to_bins(band_gains: np.ndarray, plan: BandPlan) -> np.ndarray:
     return out
 
 
-def apply_gains(bins: np.ndarray, power: np.ndarray, bin_gains: np.ndarray) -> None:
+def apply_gains(bins: np.ndarray | None, power: np.ndarray | None, bin_gains: np.ndarray) -> None:
     """Scale each complex bin by its real gain in place, keeping the
-    phase, and its power by the gain's square."""
-    bins *= bin_gains
-    # real gains leave phase alone, so the power scales by the square,
-    # in the order of power * g * g
-    power *= bin_gains
-    power *= bin_gains
+    phase, and its power by the gain's square; either array may be
+    None, which leaves it alone."""
+    if bins is not None:
+        bins *= bin_gains
+    if power is not None:
+        # real gains leave phase alone, so the power scales by the
+        # square, in the order of power * g * g
+        power *= bin_gains
+        power *= bin_gains

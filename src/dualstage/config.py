@@ -24,8 +24,8 @@ from .noise_tracking import PerBand, TrackerParams
 
 PRESET_DIR_ENV = "DUALSTAGE_PRESET_DIR"
 
-# most floats one stage's sliding minimum may hold, (window_len + 1) per
-# band (8 MiB); the presets hold 385 * 33
+# most floats one stage's sliding minimum may hold in its one buffer,
+# (window_len + 1) per band (8 MiB); the presets hold 385 * 33
 MAX_TRACKER_STATE = 2**20
 
 # keys of earlier schemas, each with what took its place

@@ -268,6 +268,13 @@ def synthesize(bins: np.ndarray, ola_state: OlaState, cfg: FrameConfig) -> np.nd
     accumulator, oldest frame first; the hop_len samples per frame
     that can receive no further contributions are returned. bins is
     only read.
+
+    With r = frame_len // hop_len, a block's hop m starts from the
+    tail's hop m, or from the last hop of frame m - r + 1, and adds the
+    hops of frames m - r + 2 .. m in turn. The first of those adds is
+    written straight into a fresh array of the output and the next
+    tail, and the rest add into it in place; the tail is copied out,
+    so it holds no more than its own samples.
     """
     # c2r's output is fresh: window it, and add into it, in place
     frames = _pocketfft.c2r(bins, (-1,), cfg.fft_len, False, 2)[..., : cfg.frame_len]
@@ -277,14 +284,23 @@ def synthesize(bins: np.ndarray, ola_state: OlaState, cfg: FrameConfig) -> np.nd
         frames[:-hop] += ola_state.tail
         ola_state.tail = frames[hop:]
         return frames[:hop]
-    n = len(frames)
-    # samples past the tail start from their oldest contribution
-    acc = np.concatenate((ola_state.tail, frames[:, -hop:].reshape(-1)))
-    rows = acc.reshape(-1, hop)
-    for j in range(cfg.frame_len // hop - 2, -1, -1):
-        rows[j : j + n] += frames[:, j * hop : (j + 1) * hop]
-    ola_state.tail = acc[n * hop :]
-    return acc[: n * hop]
+    n, r = len(frames), cfg.frame_len // hop
+    if r == 1:  # no overlap: the frames are the output, and no tail carries
+        return frames.reshape(-1)
+    # hops[i, j] is hop j of frame i
+    hops = frames.reshape(n, r, hop)
+    acc = np.empty((n + r - 1, hop))
+    tail = ola_state.tail.reshape(r - 1, hop)
+    # the adds of hop j = r - 2 into the tail's last hop and the frames'
+    # last hops, written into acc; the rows they miss start as they are
+    np.add(tail[-1], hops[0, r - 2], out=acc[r - 2])
+    np.add(hops[:-1, r - 1], hops[1:, r - 2], out=acc[r - 1 : n + r - 2])
+    acc[: r - 2] = tail[:-1]
+    acc[-1] = hops[-1, r - 1]
+    for j in range(r - 3, -1, -1):
+        acc[j : j + n] += hops[:, j]
+    ola_state.tail = acc[n:].reshape(-1).copy()
+    return acc[:n].reshape(-1)
 
 
 def algorithmic_latency_ms(cfg: FrameConfig) -> float:

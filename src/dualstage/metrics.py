@@ -10,7 +10,8 @@ their gain rows to pipeline.shadow_stream, which replays them on a
 second thread and reduces each block's outputs to per-hop powers, so
 neither keeps an array as long as the signal: evaluate_condition
 hands over the gains of each block record (StreamProcessor.blocks) as
-the engine runs the mix it forms piece by piece, and
+the engine runs a gain-rows pass (no output) over the mix it forms
+piece by piece, and
 snri_by_gain_shadowing a given log. Speech level is taken over
 speech-active hops, noise level over the speech-free hops, each the
 mean of those hops' mean squares, as a desk-scale stand-in for a
@@ -302,7 +303,7 @@ def evaluate_condition(
     speech, noise, scale = _noise_scale(
         speech, noise, target_snr_db, cfg.frame.sample_rate_hz, active_threshold_db
     )
-    proc = pipeline.StreamProcessor(cfg, single_stage=single_stage, log_gains=True)
+    proc = pipeline.StreamProcessor(cfg, single_stage=single_stage, gains_only=True)
 
     def pieces():
         for sp, nz in zip(proc.framer.stream(speech), proc.framer.stream(noise)):

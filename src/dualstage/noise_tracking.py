@@ -108,42 +108,50 @@ class _SlidingMin:
     Block-aligned running minimum (van Herk 1992; Gil & Werman 1993):
     with time cut into blocks of window_len frames, the window ending at
     offset i of a block is the previous block's suffix from i+1 plus the
-    current block's prefix up to i. Suffixes start at +inf, so a short
-    stream takes the minimum over everything seen.
+    current block's prefix up to i. One buffer of window_len + 1 rows
+    holds both: row i holds the previous block's suffix from i until
+    offset i - 1 has read it, then the current block's frame i, and a
+    full block turns its rows into its own suffix minima in place. The
+    last row and the first suffixes are +inf, so a short stream takes
+    the minimum over everything seen.
     """
 
     def __init__(self, window_len: int, num_bands: int):
         self.window_len = window_len
-        self.block = np.empty((window_len, num_bands))
+        self.buf = np.full((window_len + 1, num_bands), np.inf)
         self.pos = 0  # frames held in the current block
         self.prefix_min = np.full(num_bands, np.inf)
-        self.prev_suffix = np.full((window_len + 1, num_bands), np.inf)
 
     def push(self, rows: np.ndarray) -> np.ndarray:
         """Append one frame (1-D) or a block of frames (one per row);
         return the window minimum of each, in the same shape."""
+        buf = self.buf
         if rows.ndim == 1:
-            self.block[self.pos] = rows
             self.prefix_min = np.minimum(rows, self.prefix_min)
-            out = np.minimum(self.prefix_min, self.prev_suffix[self.pos + 1])
+            out = np.minimum(self.prefix_min, buf[self.pos + 1])
+            buf[self.pos] = rows
             self._advance(self.pos + 1)
             return out
         outs = []
         while len(rows):
             pos = self.pos
             seg, rows = rows[: self.window_len - pos], rows[self.window_len - pos :]
-            self.block[pos : pos + len(seg)] = seg
-            prefix = np.minimum(np.minimum.accumulate(seg, axis=0), self.prefix_min)
-            outs.append(np.minimum(prefix, self.prev_suffix[pos + 1 : pos + len(seg) + 1]))
-            self.prefix_min = prefix[-1]
-            self._advance(pos + len(seg))
+            end = pos + len(seg)
+            out = np.minimum.accumulate(seg, axis=0)
+            np.minimum(out, self.prefix_min, out=out)
+            self.prefix_min = out[-1].copy()
+            # the suffix rows this segment reads, before its frames take them
+            np.minimum(out, buf[pos + 1 : end + 1], out=out)
+            buf[pos:end] = seg
+            outs.append(out)
+            self._advance(end)
         return outs[0] if len(outs) == 1 else np.concatenate(outs)
 
     def _advance(self, end: int) -> None:
         """Move to block offset end, closing the block when it is full."""
         if end == self.window_len:
-            reversed_min = np.minimum.accumulate(self.block[::-1], axis=0)
-            self.prev_suffix[:end] = reversed_min[::-1]
+            suffix = self.buf[end - 1 :: -1]
+            np.minimum.accumulate(suffix, axis=0, out=suffix)
             self.prefix_min = np.full_like(self.prefix_min, np.inf)
             end = 0
         self.pos = end

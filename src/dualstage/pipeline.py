@@ -1,13 +1,14 @@
 """Dual-stage suppression pipeline.
 
-One analysis and one synthesis per frame. Stage-1 tracks noise on the
-analyzed spectrum's band magnitudes and applies its coarse gains to
-the spectrum; Stage-2 pools the modified spectrum, speeds its noise
-tracking up or down from Stage-1's frame SNR, and applies the fine
-gains. The engine hands each block's record (BlockRecord) to its
-caller, who keeps what it needs: its output, its final bin gains (the
-product of both stages), which the measurement harness replays over
-the clean components of a mix, and its noise estimates. One framer
+One analysis and one synthesis per frame (no synthesis in the
+gain-rows pass). Stage-1 tracks noise on the analyzed spectrum's band
+magnitudes and applies its coarse gains to the spectrum; Stage-2 pools
+the modified spectrum, speeds its noise tracking up or down from
+Stage-1's frame SNR, and applies the fine gains. The engine hands each
+block's record (BlockRecord) to its caller, who keeps what it needs:
+its output, its final bin gains (the product of both stages), which
+the measurement harness replays over the clean components of a mix,
+and its noise estimates. One framer
 (_Framer) owns a stream's shape: the seeded zeros, the input screen,
 the high-pass, the carry, the blocks, the pieces and the zero flush.
 Replay (_Shadow) is fed the engine's pieces through a framer of its
@@ -25,8 +26,14 @@ Only Stage 1 computes the bins' powers (framing.bin_power), past the
 warm-up; replay computes none. A block holds only what a later step
 reads: the high-passed piece goes once the framer's buffer holds it,
 the frames once analysed, Stage 1's bin gains once applied (unless
-the caller logs gains) and the powers once Stage 2 has pooled them,
-so a block's working set is about its bins and one set of bin gains.
+the caller logs gains), the powers once the last stage has pooled
+them and the bins once synthesised, so a block's working set is about
+its bins and one set of bin gains. The gain-rows pass evaluation runs
+(gains_only) needs no output: it drops the bins once their powers are
+taken, scales only the powers Stage 2 pools and synthesises nothing,
+so its block holds the powers and the bin gains. Replay's last output
+scales the analysed bins in place, and each stage's sliding minimum
+is one buffer of window_len + 1 band rows (see noise_tracking).
 The high-pass runs once per block on scipy.signal.lfilter's C loop,
 and so does each first-order smoother whose factor is one constant; a
 smoother whose factor varies by frame or band is one bidiagonal LAPACK
@@ -164,16 +171,16 @@ class _StageState:
 class BlockRecord(NamedTuple):
     """One engine block of n frames, as StreamProcessor.blocks yields it.
 
-    frame is the index of its first frame and out its n hops of output.
-    gains holds its (n, bins) final bin gains (unity in the warm-up)
-    with log_gains, else None. noise holds, per stage run (none in the
-    warm-up), that stage's (raw, smoothed) noise estimates, (n, bands)
-    each. All are arrays the engine made for this block and does not
-    write again.
+    frame is the index of its first frame and out its n hops of output,
+    or None with gains_only. gains holds its (n, bins) final bin gains
+    (unity in the warm-up) with log_gains or gains_only, else None.
+    noise holds, per stage run (none in the warm-up), that stage's
+    (raw, smoothed) noise estimates, (n, bands) each. All are arrays
+    the engine made for this block and does not write again.
     """
 
     frame: int
-    out: np.ndarray
+    out: np.ndarray | None
     gains: np.ndarray | None
     noise: tuple
 
@@ -188,17 +195,27 @@ class StreamProcessor:
     zeros, so the output is the input delayed by exactly the
     algorithmic latency. blocks() runs the same engine and yields each
     block's BlockRecord, with its bin gains when log_gains is set.
-    Neither keeps anything per frame.
+    Neither keeps anything per frame. gains_only makes a gain-rows
+    pass, which evaluate_condition runs: blocks() yields the bin gains
+    and no output, and process() raises UsageError.
     """
 
-    def __init__(self, cfg: PipelineConfig, *, single_stage: bool = False, log_gains: bool = False):
+    def __init__(
+        self,
+        cfg: PipelineConfig,
+        *,
+        single_stage: bool = False,
+        log_gains: bool = False,
+        gains_only: bool = False,
+    ):
         self.cfg = cfg
         fcfg = cfg.frame
         self.plan = bands.build_band_plan(fcfg.fft_len, fcfg.sample_rate_hz, cfg.num_bands)
         self.framer = _Framer(fcfg)
         self.ola = framing.OlaState.for_config(fcfg)
         self.latency_samples = self.framer.latency
-        self.log_gains = log_gains
+        self.gains_only = gains_only
+        self.log_gains = log_gains or gains_only
         self.stage1 = _StageState(cfg.stage1, cfg.num_bands)
         # below this sum of a frame's weights (see _frame_snr_db) no
         # weight * SNR can overflow: a band's Stage-1 SNR is at most its
@@ -216,48 +233,60 @@ class StreamProcessor:
         (which could overflow a band power) raises InputError naming
         its stream index; no state changes.
         """
+        if self.gains_only:
+            raise UsageError("a gains_only processor makes no output; read its blocks()")
         outs = [record.out for record in self.blocks(samples)]
         return outs[0] if len(outs) == 1 else np.concatenate(outs or [np.zeros(0)])
 
     def blocks(self, samples: np.ndarray):
         """Feed a block of samples, as process does; yield the
         BlockRecord of each engine block it completes. Run the
-        generator to its end before feeding more."""
-        fcfg = self.cfg.frame
+        generator to its end before feeding more.
+
+        Both stages run over each block's bins in place. Each array
+        goes as soon as nothing reads it again, which is why the stages
+        run here and not in a method of their own: a caller's name
+        would keep an array alive through the call."""
+        fcfg, plan, log = self.cfg.frame, self.plan, self.log_gains
+        stage2 = self.stage2
         for frames, n in self.framer.push(samples):
             first = self.framer.frames
             bins = framing.analyze(frames, fcfg)
             del frames  # spent: the layers below read the spectrum
-            gains, noise = self._suppress(bins, first, n)
-            yield BlockRecord(first, framing.synthesize(bins, self.ola, fcfg), gains, noise)
-
-    def _suppress(self, bins: np.ndarray, first: int, n: int):
-        """Run both stages over n frames, from frame first, on bins in
-        place; return (bin gains or None, noise rows) for BlockRecord."""
-        log = self.log_gains
-        if first < self.framer.warm_frames:
-            return (np.ones((n, bins.shape[-1])) if log else None), ()
-        power = framing.bin_power(bins)
-        mags1 = bands.pool_to_bands(power, self.plan)
-        g1, snr1, raw_n1, n1 = self.stage1.step(mags1, None)
-        noise = [(raw_n1.reshape(n, -1), n1.reshape(n, -1))]
-        bin_gains = bands.expand_to_bins(g1, self.plan)
-        bands.apply_gains(bins, power, bin_gains)
-        if not log:
-            del bin_gains
-        if self.stage2 is not None:
-            mags2 = bands.pool_to_bands(power, self.plan)
-            del power  # pooled: nothing reads it again
-            # Stage 2 takes the Stage-1 frame SNR exactly when it maps it to alpha
-            fed = self.stage2.cfg.tracker.alpha_snr_map is not None
-            snr_db = self._frame_snr_db(mags1, snr1) if fed else None
-            g2, _, raw_n2, n2 = self.stage2.step(mags2, snr_db)
-            noise.append((raw_n2.reshape(n, -1), n2.reshape(n, -1)))
-            bin_g2 = bands.expand_to_bins(g2, self.plan)
-            bins *= bin_g2
-            if log:  # only the caller's gains need the product
-                bin_gains *= bin_g2
-        return (bin_gains.reshape(n, -1) if log else None), tuple(noise)
+            # the stages run past the warm-up, on the bins' powers
+            power = None if first < self.framer.warm_frames else framing.bin_power(bins)
+            if self.gains_only:
+                bins = None  # no output: the powers are all the stages read
+            gains, noise = (np.ones((n, fcfg.num_bins)) if log else None), ()
+            if power is not None:
+                mags1 = bands.pool_to_bands(power, plan)
+                if stage2 is None:
+                    power = None  # pooled: nothing reads it again
+                g1, snr1, raw_n1, n1 = self.stage1.step(mags1, None)
+                noise = [(raw_n1.reshape(n, -1), n1.reshape(n, -1))]
+                bin_gains = bands.expand_to_bins(g1, plan)
+                bands.apply_gains(bins, power, bin_gains)
+                if not log:
+                    del bin_gains
+                if stage2 is not None:
+                    mags2 = bands.pool_to_bands(power, plan)
+                    del power  # pooled: nothing reads it again
+                    # Stage 2 takes the Stage-1 frame SNR exactly when it maps it to alpha
+                    fed = stage2.cfg.tracker.alpha_snr_map is not None
+                    snr_db = self._frame_snr_db(mags1, snr1) if fed else None
+                    g2, _, raw_n2, n2 = stage2.step(mags2, snr_db)
+                    noise.append((raw_n2.reshape(n, -1), n2.reshape(n, -1)))
+                    bin_g2 = bands.expand_to_bins(g2, plan)
+                    if bins is not None:
+                        bins *= bin_g2
+                    if log:  # only the caller's gains need the product
+                        bin_gains *= bin_g2
+                    del bin_g2
+                if log:
+                    gains = bin_gains.reshape(n, -1)
+            out = None if bins is None else framing.synthesize(bins, self.ola, fcfg)
+            del bins  # spent: the caller reads the record alone
+            yield BlockRecord(first, out, gains, tuple(noise))
 
     def _frame_snr_db(self, band_mags: np.ndarray, snr: np.ndarray):
         """Energy-weighted mean of Stage-1 per-band SNR per frame, dB."""
@@ -455,13 +484,17 @@ class _Shadow:
 
     def _outputs(self, frames, gains) -> list[np.ndarray]:
         """One block's outputs; its spectra are freed on return, so a
-        caller holding a block holds only its outputs."""
+        caller holding a block holds only its outputs. The last output
+        scales the bins in place, since no output reads them after it."""
         fcfg = self.fcfg
         bins = framing.analyze(frames, fcfg)
         ys = []
-        for g, ola in zip(gains, self.olas):
-            y = framing.synthesize(bins if g is None else bins * g.reshape(bins.shape), ola, fcfg)
-            ys.append(y[: self.left])
+        last = len(gains) - 1
+        for k, (g, ola) in enumerate(zip(gains, self.olas)):
+            spectrum = bins
+            if g is not None:
+                spectrum = np.multiply(bins, g.reshape(bins.shape), out=bins if k == last else None)
+            ys.append(framing.synthesize(spectrum, ola, fcfg)[: self.left])
         return ys
 
 

@@ -125,6 +125,20 @@ class TestApplyGains:
         np.testing.assert_allclose(bins, before_bins * gains, rtol=1e-12)
         np.testing.assert_allclose(power, before_power * gains**2, rtol=1e-12)
 
+    def test_none_is_left_alone(self):
+        """Either array may be None; the other scales exactly as when
+        both are given."""
+        rng = np.random.default_rng(25)
+        bins = rng.standard_normal(129) + 1j * rng.standard_normal(129)
+        power, gains = np.abs(bins) ** 2, rng.uniform(0.1, 1.0, 129)
+        both_bins, both_power = bins.copy(), power.copy()
+        apply_gains(both_bins, both_power, gains)
+        apply_gains(bins, None, gains)
+        apply_gains(None, power, gains)
+        apply_gains(None, None, gains)
+        assert bins.tobytes() == both_bins.tobytes()
+        assert power.tobytes() == both_power.tobytes()
+
     def test_phase_is_preserved(self):
         rng = np.random.default_rng(24)
         bins = rng.standard_normal(129) + 1j * rng.standard_normal(129)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from dualstage import framing
 from dualstage.errors import ConfigError, UsageError
 from dualstage.framing import (
+    WINDOW_KINDS,
     FrameConfig,
     HpfState,
     MAX_FFT_LEN,
@@ -16,6 +18,7 @@ from dualstage.framing import (
     hpf_process,
     synthesize,
 )
+from dualstage.pipeline import BLOCK_FRAMES
 
 
 class TestWindows:
@@ -152,6 +155,56 @@ class TestAnalyzeSynthesize:
         ola = OlaState(tail=tail.copy())
         np.testing.assert_array_equal(synthesize(bins, ola, cfg), np.concatenate(expected))
         np.testing.assert_array_equal(ola.tail, ref_ola.tail)
+
+
+def _joined_synthesize(bins, ola_state, cfg):
+    """synthesize's block form as it was before it wrote the first add
+    into its output: join the carried tail and the frames' last hops,
+    then add every other hop into the join."""
+    frames = framing._pocketfft.c2r(bins, (-1,), cfg.fft_len, False, 2)[..., : cfg.frame_len]
+    frames *= cfg.windows[1]
+    hop = cfg.hop_len
+    n = len(frames)
+    acc = np.concatenate((ola_state.tail, frames[:, -hop:].reshape(-1)))
+    rows = acc.reshape(-1, hop)
+    for j in range(cfg.frame_len // hop - 2, -1, -1):
+        rows[j : j + n] += frames[:, j * hop : (j + 1) * hop]
+    ola_state.tail = acc[n * hop :]
+    return acc[: n * hop]
+
+
+def _cola_configs():
+    """A FrameConfig for every frame_len // hop_len of 1 to 4 and every
+    window kind that is constant-overlap-add at it."""
+    for ratio in (1, 2, 3, 4):
+        for kind in WINDOW_KINDS:
+            try:
+                yield FrameConfig(frame_len=32 * ratio, hop_len=32, fft_len=128, window_kind=kind)
+            except ConfigError:
+                pass
+
+
+class TestOverlapAdd:
+    @pytest.mark.parametrize(
+        "cfg", list(_cola_configs()), ids=lambda c: f"{c.frame_len // c.hop_len}x-{c.window_kind}"
+    )
+    def test_equals_the_joined_copy(self, cfg):
+        """Outputs and carried tails are byte for byte those of the
+        joined-copy form, over blocks of 1, 2, 7 and BLOCK_FRAMES frames
+        in turn, a lone frame between them."""
+        rng = np.random.default_rng(cfg.frame_len + len(cfg.window_kind))
+        ola = OlaState(tail=rng.standard_normal(cfg.frame_len - cfg.hop_len))
+        ref = OlaState(tail=ola.tail.copy())
+        for n in (1, 2, 7, BLOCK_FRAMES, 2, 1):
+            for shape in ((n, cfg.frame_len), cfg.frame_len):
+                block = rng.standard_normal(shape)
+                bins = analyze(block, cfg) * rng.uniform(0.0, 1.0, cfg.num_bins)
+                # the lone-frame form is the same in both
+                reference = _joined_synthesize if block.ndim == 2 else synthesize
+                expected = reference(bins, ref, cfg)
+                got = synthesize(bins, ola, cfg)
+                assert got.tobytes() == expected.tobytes()
+                assert ola.tail.tobytes() == ref.tail.tobytes()
 
 
 class TestHighPass:

@@ -491,15 +491,16 @@ class TestTransformBudget:
     @pytest.mark.parametrize("single", [False, True])
     def test_one_analysis_per_signal(self, comm_cfg, transform_rows, single):
         """evaluate_condition analyses the mix, the speech and the noise
-        once each (3 forward transforms per frame) and synthesises the
-        enhanced mix plus each component's unity-gain reference and
-        shadowed output (5 inverse transforms per frame)."""
+        once each (3 forward transforms per frame) and synthesises each
+        component's unity-gain reference and shadowed output (4 inverse
+        transforms per frame); the engine pass yields gain rows only, so
+        nothing synthesises the enhanced mix."""
         rng = np.random.default_rng(31)
         speech, noise = surrogate_speech(3.0, rng), white_noise(3.0, rng)
         frames = len(ds.process_stream(np.zeros(speech.size), comm_cfg)[1])
         transform_rows.update(fwd=0, inv=0)
         ds.evaluate_condition(speech, noise, 0.0, comm_cfg, single_stage=single)
-        assert transform_rows == {"fwd": 3 * frames, "inv": 5 * frames}
+        assert transform_rows == {"fwd": 3 * frames, "inv": 4 * frames}
 
 
 class TestNoiseSegmentReduction:

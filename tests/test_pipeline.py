@@ -15,6 +15,8 @@ from synth import FS, pink_noise, surrogate_speech, white_noise
 
 from conftest import no_hpf, run_blocks, with_mu
 
+BLOCK = pipeline.BLOCK_FRAMES
+
 
 class TestBypass:
     def test_mu_zero_is_transparent(self, comm_cfg):
@@ -124,6 +126,28 @@ class TestStreaming:
             finally:
                 tracemalloc.stop()
             assert held < 2**20, (minutes, held)
+
+    def test_stream_holds_one_window_per_stage(self, comm_cfg):
+        """A processor stepped hop by hop past two tracker windows holds
+        (window_len + 1) band rows per stage for its sliding minima and
+        at most 64 KiB beside them: 262 KiB for the communication
+        preset. A block buffer beside a suffix buffer per stage held
+        413 KiB."""
+        trackers = (comm_cfg.stage1.tracker, comm_cfg.stage2.tracker)
+        bound = sum((t.window_len + 1) * comm_cfg.num_bands * 8 for t in trackers) + 64 * 1024
+        hops = np.random.default_rng(37).normal(
+            0.0, 0.1, (2 * max(t.window_len for t in trackers) + 32, comm_cfg.frame.hop_len)
+        )
+        ds.StreamProcessor(comm_cfg).process(hops[0])  # whatever a first call loads
+        tracemalloc.start()
+        try:
+            proc = ds.StreamProcessor(comm_cfg)
+            for hop in hops:
+                proc.process(hop)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= bound, (held, bound)
 
     def test_output_matches_input_length(self, comm_cfg):
         for n in (1, 63, 64, 8191, FS):
@@ -343,6 +367,37 @@ class TestTransformBudget:
         assert frames > 0
         assert transform_rows["fwd"] == frames
         assert transform_rows["inv"] == frames
+
+
+class TestGainRowsPass:
+    """StreamProcessor(gains_only=True), the engine pass evaluate_condition
+    runs: its blocks carry gain rows and no output, and the rows are
+    process_stream's gain log, byte for byte."""
+
+    @pytest.mark.parametrize("single", [False, True])
+    @pytest.mark.parametrize("hops", [10, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+    def test_rows_are_the_log(self, comm_cfg, single, hops):
+        rng = np.random.default_rng(hops)
+        # an odd sample count, so the stream ends inside a hop
+        size = hops * comm_cfg.frame.hop_len + 17
+        seconds = max(1.0, size / FS)
+        x = (surrogate_speech(seconds, rng) + white_noise(seconds, rng))[:size]
+        _, log = ds.process_stream(x, comm_cfg, single_stage=single)
+        proc = ds.StreamProcessor(comm_cfg, single_stage=single, gains_only=True)
+        # the pieces evaluate_condition feeds
+        records = [r for piece in proc.framer.stream(x) for r in proc.blocks(piece)]
+        assert all(r.out is None for r in records)
+        rows = np.concatenate([r.gains for r in records])
+        starts = np.cumsum([0] + [len(r.gains) for r in records[:-1]])
+        assert [r.frame for r in records] == list(starts)
+        assert rows.dtype == log.dtype and rows.shape == log.shape
+        assert rows.tobytes() == log.tobytes()
+
+    def test_process_refuses(self, comm_cfg):
+        proc = ds.StreamProcessor(comm_cfg, gains_only=True)
+        with pytest.raises(UsageError, match="no output"):
+            proc.process(np.zeros(4 * comm_cfg.frame.hop_len))
+        assert proc.frame_index == 0
 
 
 class TestPowerBudget:
