@@ -132,6 +132,9 @@ def _sidecar(out_path, tag):
 
 
 def cmd_enhance(args) -> int:
+    dump_stage = args.tracker_dump_stage or (1 if args.single_stage else 2)
+    if args.single_stage and dump_stage == 2:
+        raise UsageError("--tracker-dump-stage 2 names the stage that --single-stage turns off")
     cfg = _config_from_args(args)
     if args.print_config:
         print(config_dumps(cfg), end="")
@@ -156,7 +159,7 @@ def cmd_enhance(args) -> int:
         )
         if args.tracker_dump:
             write = dump(args.tracker_dump, "tracker dump", lambda fh, text: fh.write(text))
-            records = _tracker_dump(records, write, args.tracker_dump_stage)
+            records = _tracker_dump(records, write, dump_stage)
         out = (record.out for record in records if record.out.size)
         if args.dump_spectrogram_out:
             write = dump(args.dump_spectrogram_out, "spectrogram dump", _SPECTROGRAM_ROWS)
@@ -244,6 +247,8 @@ class _Matrix:
         bad = sorted(set(self.variants) - set(_VARIANTS))
         if bad:
             raise ConfigError(f"unknown variant(s) {', '.join(bad)}; allowed: dual, single")
+        if not all(map(math.isfinite, self.snr_db)):
+            raise ConfigError(f"config key 'snr_db' must be finite, got {list(self.snr_db)}")
         for key in ("active_threshold_db", "measure_start_s"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"config key {key!r} must be finite, got {getattr(self, key)}")
@@ -383,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tracker-dump-stage",
         type=int,
         choices=(1, 2),
-        default=2,
-        help="which stage's tracker to dump (default 2)",
+        help="which stage's tracker to dump (default: the last stage that runs, "
+        "1 with --single-stage, else 2)",
     )
     p.add_argument("--dump-spectrogram-in", metavar="CSV", help="input spectrogram, dB")
     p.add_argument("--dump-spectrogram-out", metavar="CSV", help="output spectrogram, dB")

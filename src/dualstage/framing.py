@@ -11,14 +11,15 @@ np.fft.irfft; on a lone frame, where a call's fixed cost dominates,
 they take about a third of numpy's time. A spectrum is a plain
 complex array of bins 0..fft_len/2, one row per frame; bin_power
 gives its per-bin powers, which only a caller that pools or plots
-computes. All state (filter memory, overlap accumulator) is owned by
-the caller and passed in explicitly, so the operations themselves are
-pure and a stream can be moved between threads.
+computes. All state (filter memory, overlap accumulator) is a plain
+array owned by the caller, passed in and handed back (None at stream
+start), so the operations themselves are pure and a stream can be
+moved between threads.
 """
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,29 +190,22 @@ def design_hpf(cutoff_hz: float, sample_rate_hz: int) -> tuple[np.ndarray, np.nd
     return b, a
 
 
-@dataclass
-class HpfState:
-    """Streaming filter memory: the two delays of the transposed direct
-    form (lfilter's zi); zeros at stream start."""
-
-    zi: np.ndarray = field(default_factory=lambda: np.zeros(2))
-
-
-def hpf_process(samples: np.ndarray, coeffs, state: HpfState) -> np.ndarray:
-    """Apply the high-pass filter to a 1-D block, carrying state.
+def hpf_process(samples: np.ndarray, coeffs, zi):
+    """Apply the high-pass filter to a 1-D block; return (output, zi).
 
     Direct form II transposed, in scipy.signal.lfilter's C loop:
     y(i) = z1 + b0 x(i), z1 = (z2 + b1 x(i)) - a1 y(i),
-    z2 = b2 x(i) - a2 y(i). The delays are the whole state and are
-    carried exactly, so filtering the pieces of a signal with the same
-    state is bit-identical to filtering it in one call.
+    z2 = b2 x(i) - a2 y(i). The two delays zi (lfilter's zi; None at
+    stream start, which is zeros) are the whole state and are carried
+    exactly, so filtering the pieces of a signal, each with the zi the
+    last handed back, is bit-identical to filtering it in one call.
     """
     x = np.asarray(samples, dtype=float)
+    zi = np.zeros(2) if zi is None else zi
     if not x.size:  # the kernel leaves zf unset for an empty block
-        return x.copy()
+        return x.copy(), zi
     b, a = coeffs
-    y, state.zi = _linear_filter(b, a, x, -1, state.zi)
-    return y
+    return _linear_filter(b, a, x, -1, zi)
 
 
 def analyze(frame: np.ndarray, cfg: FrameConfig) -> np.ndarray:
@@ -247,27 +241,17 @@ def bin_power(bins: np.ndarray) -> np.ndarray:
     return p
 
 
-@dataclass
-class OlaState:
-    """Overlap-add accumulator holding the unfinished synthesis tail."""
-
-    tail: np.ndarray
-
-    @classmethod
-    def for_config(cls, cfg: FrameConfig) -> "OlaState":
-        return cls(tail=np.zeros(cfg.frame_len - cfg.hop_len))
-
-
-def synthesize(bins: np.ndarray, ola_state: OlaState, cfg: FrameConfig) -> np.ndarray:
-    """Inverse-transform frames and emit hop_len samples per frame.
+def synthesize(bins: np.ndarray, tail, cfg: FrameConfig):
+    """Inverse-transform frames; return (hop_len samples per frame, tail).
 
     pocketfft's c2r inverts each row with a 1/fft_len normalisation,
     the bits of np.fft.irfft(bins, n=fft_len). Each inverse transform
     is truncated to frame_len samples (dropping the zero-pad tail),
     synthesis-windowed in place and added into the overlap
     accumulator, oldest frame first; the hop_len samples per frame
-    that can receive no further contributions are returned. bins is
-    only read.
+    that can receive no further contributions are returned, with the
+    unfinished tail of frame_len - hop_len samples (None at stream
+    start, which is zeros) to pass to the next call. bins is only read.
 
     With r = frame_len // hop_len, a block's hop m starts from the
     tail's hop m, or from the last hop of frame m - r + 1, and adds the
@@ -280,17 +264,17 @@ def synthesize(bins: np.ndarray, ola_state: OlaState, cfg: FrameConfig) -> np.nd
     frames = _pocketfft.c2r(bins, (-1,), cfg.fft_len, False, 2)[..., : cfg.frame_len]
     frames *= cfg.windows[1]
     hop = cfg.hop_len
+    tail = np.zeros(cfg.frame_len - hop) if tail is None else tail
     if frames.ndim == 1:
-        frames[:-hop] += ola_state.tail
-        ola_state.tail = frames[hop:]
-        return frames[:hop]
+        frames[:-hop] += tail
+        return frames[:hop], frames[hop:]
     n, r = len(frames), cfg.frame_len // hop
     if r == 1:  # no overlap: the frames are the output, and no tail carries
-        return frames.reshape(-1)
+        return frames.reshape(-1), tail
     # hops[i, j] is hop j of frame i
     hops = frames.reshape(n, r, hop)
     acc = np.empty((n + r - 1, hop))
-    tail = ola_state.tail.reshape(r - 1, hop)
+    tail = tail.reshape(r - 1, hop)
     # the adds of hop j = r - 2 into the tail's last hop and the frames'
     # last hops, written into acc; the rows they miss start as they are
     np.add(tail[-1], hops[0, r - 2], out=acc[r - 2])
@@ -299,8 +283,7 @@ def synthesize(bins: np.ndarray, ola_state: OlaState, cfg: FrameConfig) -> np.nd
     acc[-1] = hops[-1, r - 1]
     for j in range(r - 3, -1, -1):
         acc[j : j + n] += hops[:, j]
-    ola_state.tail = acc[n:].reshape(-1).copy()
-    return acc[:n].reshape(-1)
+    return acc[:n].reshape(-1), acc[n:].reshape(-1).copy()
 
 
 def algorithmic_latency_ms(cfg: FrameConfig) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, refuse_huge_integers
-from .noise_tracking import _ONE, PerBand, _set_frozen, frozen_array, smooth_rows
+from .noise_tracking import _ONE, PerBand, _set_frozen, frozen_array, smooth_carried
 
 # validation bound for mu; presets stay well inside it
 MU_MAX = 1.5
@@ -68,13 +68,6 @@ class GainParams:
         object.__setattr__(self, "_snap_silent", bool(np.any(self._mu < _TINY)))
 
 
-class GainState:
-    """Previous smoothed gains of one stream; starts at 1 per band."""
-
-    def __init__(self, num_bands):
-        self.prev_gain = np.ones(num_bands)
-
-
 def compute_snr(band_mags, noise_est, params: GainParams) -> np.ndarray:
     """Per-band linear SNR: |X|^2 / max(|N|, eps)^2, at most 2**1022,
     with eps = params.noise_floor_eps."""
@@ -117,16 +110,15 @@ def smoothing_factor_of(raw_gain: np.ndarray, params: GainParams) -> np.ndarray:
     return gamma
 
 
-def smooth_gain(raw: np.ndarray, state: GainState, params: GainParams) -> np.ndarray:
-    """First-order gain smoothing with the gain-dependent factor.
+def smooth_gain(raw: np.ndarray, prev, params: GainParams):
+    """First-order gain smoothing with the gain-dependent factor; return
+    (gains, prev) with the carry for the next call.
 
     G(m) = (1 - gamma(G')) * G(m-1) + gamma(G') * G', clamped to
-    [gain_floor, 1]; the state is updated with the result. raw holds
-    one frame's band gains, or a block with one frame per row. gamma
-    changes with every frame and band, so a block is one bidiagonal
-    solve (smooth_rows).
+    [gain_floor, 1], from G(-1) = prev, the last smoothed gains (None at
+    stream start, which is 1 per band). raw holds one frame's band
+    gains, or a block with one frame per row. gamma changes with every
+    frame and band, so a block is one bidiagonal solve (smooth_rows).
     """
-    gamma = smoothing_factor_of(raw, params)
-    out = smooth_rows(state.prev_gain, gamma, raw, params._floor)
-    state.prev_gain = out if out.ndim == 1 else out[-1]
-    return out
+    prev = np.ones(raw.shape[-1]) if prev is None else prev
+    return smooth_carried(prev, smoothing_factor_of(raw, params), raw, params._floor)

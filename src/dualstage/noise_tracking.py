@@ -20,7 +20,8 @@ one unit lower-bidiagonal LAPACK solve over all bands (dgttrs, from
 scipy.linalg._flapack, loaded on the first solve: a lone frame never
 solves, so a stream fed one hop at a time never loads it). Both round
 each step exactly as a lone frame does (see smooth_rows), so chunking
-a stream never changes a bit.
+a stream never changes a bit. Each takes its carry, its last row
+(None at stream start), and hands back a copy of its new one.
 """
 
 import functools
@@ -159,20 +160,17 @@ class _SlidingMin:
 
 @dataclass
 class NoiseState:
-    """Per-stream tracker state; single writer, movable between threads."""
+    """Per-stream tracker state: the sliding minimum's buffer and the
+    carries of the two smoothers (see smooth_carried), None until the
+    first frame seeds them; single writer, movable between threads."""
 
     window_min: _SlidingMin
-    smoothed: np.ndarray
-    presmoothed_mag: np.ndarray
-    frame_count: int = 0
+    presmoothed_mag: np.ndarray | None = None
+    smoothed: np.ndarray | None = None
 
     @classmethod
     def for_params(cls, params: TrackerParams, num_bands: int) -> "NoiseState":
-        return cls(
-            window_min=_SlidingMin(params.window_len, num_bands),
-            smoothed=np.zeros(num_bands),
-            presmoothed_mag=np.zeros(num_bands),
-        )
+        return cls(_SlidingMin(params.window_len, num_bands))
 
 
 def frozen_array(value) -> np.ndarray:
@@ -257,6 +255,13 @@ def smooth_rows(prev, alpha, x: np.ndarray, floor=None, c=None) -> np.ndarray:
             c_rest = 1 - alpha_rest if c is None else c
             _step_rows(rows[m], c_rest, alpha_rest * x[m + 1 :], rows[m + 1 :], floor)
     return rows
+
+
+def smooth_carried(prev, alpha, x: np.ndarray, floor=None, c=None):
+    """smooth_rows, with the carry for the next call: (rows, a copy of
+    the last row), so a caller may keep or write into the rows."""
+    rows = smooth_rows(prev, alpha, x, floor, c)
+    return rows, (rows if rows.ndim == 1 else rows[-1]).copy()
 
 
 def _filter_rows(prev, alpha, c, x: np.ndarray) -> np.ndarray | None:
@@ -346,19 +351,17 @@ def track_raw(band_mags: np.ndarray, params: TrackerParams, state: NoiseState) -
     return raw
 
 
-def smooth_noise(raw: np.ndarray, state: NoiseState, alpha, c=None) -> np.ndarray:
-    """First-order smoothing of the raw track into the noise estimate.
+def smooth_noise(raw: np.ndarray, prev, alpha, c=None):
+    """First-order smoothing of the raw track into the noise estimate;
+    return (estimate, prev) with the carry for the next call.
 
-    N(m) = N(m-1) + alpha * (N'(m) - N(m-1)); the first frame seeds
-    N directly with the raw estimate so the floor never starts at zero.
-    alpha lies in [0, 1], as TrackerParams and effective_alpha give it;
-    c, when given, is 1 - alpha built ahead (see smooth_rows).
+    N(m) = N(m-1) + alpha * (N'(m) - N(m-1)) from N(-1) = prev; at
+    stream start (prev None) the first frame seeds N directly with the
+    raw estimate so the floor never starts at zero. alpha lies in
+    [0, 1], as TrackerParams and effective_alpha give it; c, when
+    given, is 1 - alpha built ahead (see smooth_rows).
     """
-    seed = None if state.frame_count == 0 else state.smoothed
-    out = smooth_rows(seed, alpha, raw, c=c)
-    state.smoothed = out if out.ndim == 1 else out[-1]
-    state.frame_count += 1 if out.ndim == 1 else len(out)
-    return out
+    return smooth_carried(prev, alpha, raw, c=c)
 
 
 def effective_alpha(params: TrackerParams, stage1_snr_db):
@@ -397,8 +400,9 @@ def update(
         alpha, c = effective_alpha(params, stage1_snr_db), None
     else:
         alpha, c = params._alpha, params._c
-    seed = None if state.frame_count == 0 else state.presmoothed_mag
-    pre = smooth_rows(seed, params._pre_alpha, band_mags, c=params._pre_c)
-    state.presmoothed_mag = pre if pre.ndim == 1 else pre[-1]
+    pre, state.presmoothed_mag = smooth_carried(
+        state.presmoothed_mag, params._pre_alpha, band_mags, c=params._pre_c
+    )
     raw = track_raw(pre, params, state)
-    return raw, smooth_noise(raw, state, alpha, c)
+    smoothed, state.smoothed = smooth_noise(raw, state.smoothed, alpha, c)
+    return raw, smoothed

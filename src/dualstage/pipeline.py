@@ -40,7 +40,9 @@ smoother whose factor varies by frame or band is one bidiagonal LAPACK
 solve per block (see noise_tracking). A row's result depends only on
 that row and the carried state, and every block form rounds as a
 sample-by-sample or frame-by-frame step does, so any chunking of a
-stream gives bit-identical output.
+stream gives bit-identical output. The carried state is plain arrays
+that each layer takes and hands back, and none shares memory with an
+array a record holds.
 """
 
 import itertools
@@ -73,7 +75,7 @@ class _Framer:
         self.fcfg = fcfg
         cutoff = fcfg.hpf_cutoff_hz
         self.hpf = None if cutoff is None else framing.design_hpf(cutoff, fcfg.sample_rate_hz)
-        self.hpf_state = framing.HpfState()
+        self.zi = None  # the high-pass's carry (see framing.hpf_process)
         self.latency = fcfg.frame_len + fcfg.hop_len
         self.warm_frames = fcfg.frame_len // fcfg.hop_len + 1
         self.flush_len = self.latency + fcfg.frame_len
@@ -99,8 +101,8 @@ class _Framer:
             what = f"sample magnitude above {limit:.3g}" if math.isfinite(x[i]) else "non-finite sample"
             raise InputError(f"{what} at stream index {self.samples_in + i}")
         self.samples_in += x.size
-        if x.size and self.hpf is not None:
-            x = framing.hpf_process(x, self.hpf, self.hpf_state)
+        if self.hpf is not None:
+            x, self.zi = framing.hpf_process(x, self.hpf, self.zi)
         hop, flen = fcfg.hop_len, fcfg.frame_len
         fill, carry = self.fill, self.carry
         end = fill + x.size
@@ -151,21 +153,22 @@ class _Framer:
 
 
 class _StageState:
-    """Tracker plus gain state for one stage of one stream. step calls
-    each layer by its module attribute, so a wrapper set there (a
+    """Tracker state plus gain carry for one stage of one stream. step
+    calls each layer by its module attribute, so a wrapper set there (a
     tracer's, a test's) sees every call."""
 
     def __init__(self, stage_cfg: StageConfig, num_bands: int):
         self.cfg = stage_cfg
         self.noise = noise_tracking.NoiseState.for_params(stage_cfg.tracker, num_bands)
-        self.gains = gain.GainState(num_bands)
+        self.prev_gain = None
 
     def step(self, band_mags: np.ndarray, snr_db):
         cfg = self.cfg
         raw_n, noise_est = noise_tracking.update(band_mags, cfg.tracker, self.noise, snr_db)
         snr = gain.compute_snr(band_mags, noise_est, cfg.gains)
         raw_g = gain.compute_raw_gain(snr, cfg.gains)
-        return gain.smooth_gain(raw_g, self.gains, cfg.gains), snr, raw_n, noise_est
+        g, self.prev_gain = gain.smooth_gain(raw_g, self.prev_gain, cfg.gains)
+        return g, snr, raw_n, noise_est
 
 
 class BlockRecord(NamedTuple):
@@ -176,7 +179,8 @@ class BlockRecord(NamedTuple):
     (unity in the warm-up) with log_gains or gains_only, else None.
     noise holds, per stage run (none in the warm-up), that stage's
     (raw, smoothed) noise estimates, (n, bands) each. All are arrays
-    the engine made for this block and does not write again.
+    the engine made for this block and neither writes nor reads again,
+    so a caller may keep them or write into them.
     """
 
     frame: int
@@ -212,7 +216,7 @@ class StreamProcessor:
         fcfg = cfg.frame
         self.plan = bands.build_band_plan(fcfg.fft_len, fcfg.sample_rate_hz, cfg.num_bands)
         self.framer = _Framer(fcfg)
-        self.ola = framing.OlaState.for_config(fcfg)
+        self.tail = None  # the overlap-add's carry (see framing.synthesize)
         self.latency_samples = self.framer.latency
         self.gains_only = gains_only
         self.log_gains = log_gains or gains_only
@@ -284,7 +288,9 @@ class StreamProcessor:
                     del bin_g2
                 if log:
                     gains = bin_gains.reshape(n, -1)
-            out = None if bins is None else framing.synthesize(bins, self.ola, fcfg)
+            out = None
+            if bins is not None:
+                out, self.tail = framing.synthesize(bins, self.tail, fcfg)
             del bins  # spent: the caller reads the record alone
             yield BlockRecord(first, out, gains, tuple(noise))
 
@@ -459,7 +465,7 @@ class _Shadow:
     """Replays gain rows over a size-sample signal fed to push in the
     engine's pieces, which a framer of its own frames as the engine's
     does. Each block is analysed once and every output synthesised
-    from those bins into an overlap-add state of its own; push hands
+    from those bins with an overlap-add tail of its own; push hands
     each block's outputs to its caller, cut so that they hold size
     samples each in all, and keeps none of them."""
 
@@ -467,7 +473,7 @@ class _Shadow:
         fcfg = self.fcfg = cfg.frame
         self.framer = _Framer(fcfg)
         self.left = size  # output samples still to hand over
-        self.olas = [framing.OlaState.for_config(fcfg) for _ in range(outputs)]
+        self.tails = [None] * outputs  # each output's overlap-add carry
 
     def push(self, piece: np.ndarray, gains):
         """Shadow the frames piece completes; yield each block's outputs,
@@ -490,11 +496,12 @@ class _Shadow:
         bins = framing.analyze(frames, fcfg)
         ys = []
         last = len(gains) - 1
-        for k, (g, ola) in enumerate(zip(gains, self.olas)):
+        for k, g in enumerate(gains):
             spectrum = bins
             if g is not None:
                 spectrum = np.multiply(bins, g.reshape(bins.shape), out=bins if k == last else None)
-            ys.append(framing.synthesize(spectrum, ola, fcfg)[: self.left])
+            y, self.tails[k] = framing.synthesize(spectrum, self.tails[k], fcfg)
+            ys.append(y[: self.left])
         return ys
 
 

@@ -112,7 +112,7 @@ class TestCriterion04GainBounds:
                 gamma_max=rng.uniform(gmin, 1.0),
             )
             floor = np.asarray(params.gain_floor)
-            state = gain.GainState(n)
+            prev = None
             for _ in range(frames_per_group):
                 mags = np.abs(rng.normal(0.0, 1.0, n))
                 mags[rng.random(n) < 0.05] = 0.0
@@ -120,7 +120,7 @@ class TestCriterion04GainBounds:
                 noise[rng.random(n) < 0.02] = 0.0
                 snr = gain.compute_snr(mags, noise, params)
                 raw = gain.compute_raw_gain(snr, params)
-                g = gain.smooth_gain(raw, state, params)
+                g, prev = gain.smooth_gain(raw, prev, params)
                 violations += int(np.count_nonzero(g < floor) + np.count_nonzero(g > 1.0))
                 total_frames += rows
         _verdict(4, violations == 0 and total_frames >= 10**6,

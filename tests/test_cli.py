@@ -213,6 +213,34 @@ class TestEnhance:
             assert float(raw) >= 0.0 and float(smooth) >= 0.0
         assert bands == set(range(33))
 
+    @pytest.mark.parametrize("single", [False, True])
+    def test_tracker_dump_defaults_to_the_last_stage(self, tmp_path, single):
+        """Without --tracker-dump-stage the dump holds the rows of the
+        last stage that runs: Stage 1 with --single-stage, where a
+        default of 2 once wrote a header and no rows."""
+        wav = write_noise_wav(tmp_path / "in.wav", seconds=0.5)
+        flags = ["--single-stage"] if single else []
+        dumps = []
+        for stage in ([], ["--tracker-dump-stage", "1" if single else "2"]):
+            dump = tmp_path / f"trk{len(dumps)}.csv"
+            argv = ["enhance", str(wav), str(tmp_path / "o.wav"), "--tracker-dump", str(dump)]
+            assert run(*argv, *flags, *stage) == 0
+            dumps.append(dump.read_bytes())
+        assert dumps[0] == dumps[1]
+        assert len(dumps[0].splitlines()) > 1
+
+    def test_dump_stage_2_with_single_stage_is_a_usage_error(self, tmp_path, capsys):
+        """An explicit --tracker-dump-stage 2 names the stage that
+        --single-stage turns off: exit 1 with one line, before any file
+        is opened (the input, the config and the outputs are not there)."""
+        out, dump = tmp_path / "o.wav", tmp_path / "trk.csv"
+        argv = ["enhance", str(tmp_path / "absent.wav"), str(out), "--tracker-dump", str(dump)]
+        argv += ["--config", str(tmp_path / "absent.json"), "--single-stage"]
+        assert run(*argv, "--tracker-dump-stage", "2") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--tracker-dump-stage 2" in err, err
+        assert not out.exists() and not dump.exists()
+
     def test_spectrogram_dumps(self, tmp_path, comm_cfg):
         """Each dump holds (N - 128) // 64 + 1 rows: spectrogram_db of
         the input and of the output (before its conversion to the WAV's
@@ -567,6 +595,25 @@ class TestEvaluate:
         assert run("evaluate", str(m), str(tmp_path / "r.csv")) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and key in err, err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_non_finite_snr_fails_before_any_condition(self, tmp_path, capsys, monkeypatch):
+        """A non-finite target SNR is refused when the matrix is read,
+        naming the matrix and its key. Once it was found only when its
+        condition came up, after the conditions sorted before it had
+        run, by a message that named neither."""
+        m = self._matrix(tmp_path, snr_db=[0.0, 5.0, float("inf")], variants=["dual", "single"])
+        calls = []
+
+        def evaluate_condition(*args, **kwargs):
+            calls.append(args)
+            return SnriReport(*[0.0] * len(dataclasses.fields(SnriReport)))
+
+        monkeypatch.setattr(metrics, "evaluate_condition", evaluate_condition)
+        assert run("evaluate", str(m), str(tmp_path / "r.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(m) in err and "'snr_db'" in err, err
+        assert not calls
         assert not (tmp_path / "r.csv").exists()
 
     def test_mistyped_list_names_json_values(self, tmp_path, capsys):

@@ -8,9 +8,7 @@ from dualstage.errors import ConfigError, UsageError
 from dualstage.framing import (
     WINDOW_KINDS,
     FrameConfig,
-    HpfState,
     MAX_FFT_LEN,
-    OlaState,
     algorithmic_latency_ms,
     analyze,
     bin_power,
@@ -114,11 +112,12 @@ class TestAnalyzeSynthesize:
         rng = np.random.default_rng(12)
         hop, flen = frame_cfg.hop_len, frame_cfg.frame_len
         x = rng.standard_normal(hop * 40)
-        ola = OlaState.for_config(frame_cfg)
+        tail = None
         out = []
         for f in range((x.size - flen) // hop + 1):
             bins = analyze(x[f * hop : f * hop + flen], frame_cfg)
-            out.append(synthesize(bins, ola, frame_cfg))
+            y, tail = synthesize(bins, tail, frame_cfg)
+            out.append(y)
         y = np.concatenate(out)
         # output block f sums the two windowed copies of input block f,
         # complete from block 1 on
@@ -142,35 +141,33 @@ class TestAnalyzeSynthesize:
             np.testing.assert_array_equal(bins, np.fft.rfft(x * analysis, n=fft_len))
         bins = bins * rng.uniform(0.0, 1.0, bins.shape)
         # the reference runs frame by frame, which the block form rounds as
-        ref_ola = OlaState(tail=rng.standard_normal(flen - cfg.hop_len) * scale[0])
-        tail = ref_ola.tail.copy()
+        tail = rng.standard_normal(flen - cfg.hop_len) * scale[0]
+        ref_tail = tail
         expected = []
         for row in bins:
             frame = np.fft.irfft(row, n=fft_len)[:flen] * synthesis
-            frame[: -cfg.hop_len] += ref_ola.tail
-            ref_ola.tail = frame[cfg.hop_len :]
+            frame[: -cfg.hop_len] += ref_tail
+            ref_tail = frame[cfg.hop_len :]
             expected.append(frame[: cfg.hop_len])
-        ola = OlaState(tail=tail.copy())
-        np.testing.assert_array_equal(synthesize(bins[0], ola, cfg), expected[0])
-        ola = OlaState(tail=tail.copy())
-        np.testing.assert_array_equal(synthesize(bins, ola, cfg), np.concatenate(expected))
-        np.testing.assert_array_equal(ola.tail, ref_ola.tail)
+        np.testing.assert_array_equal(synthesize(bins[0], tail, cfg)[0], expected[0])
+        y, got_tail = synthesize(bins, tail, cfg)
+        np.testing.assert_array_equal(y, np.concatenate(expected))
+        np.testing.assert_array_equal(got_tail, ref_tail)
 
 
-def _joined_synthesize(bins, ola_state, cfg):
+def _joined_synthesize(bins, tail, cfg):
     """synthesize's block form as it was before it wrote the first add
     into its output: join the carried tail and the frames' last hops,
-    then add every other hop into the join."""
+    then add every other hop into the join; returns (output, tail)."""
     frames = framing._pocketfft.c2r(bins, (-1,), cfg.fft_len, False, 2)[..., : cfg.frame_len]
     frames *= cfg.windows[1]
     hop = cfg.hop_len
     n = len(frames)
-    acc = np.concatenate((ola_state.tail, frames[:, -hop:].reshape(-1)))
+    acc = np.concatenate((tail, frames[:, -hop:].reshape(-1)))
     rows = acc.reshape(-1, hop)
     for j in range(cfg.frame_len // hop - 2, -1, -1):
         rows[j : j + n] += frames[:, j * hop : (j + 1) * hop]
-    ola_state.tail = acc[n * hop :]
-    return acc[: n * hop]
+    return acc[: n * hop], acc[n * hop :]
 
 
 def _cola_configs():
@@ -193,18 +190,17 @@ class TestOverlapAdd:
         joined-copy form, over blocks of 1, 2, 7 and BLOCK_FRAMES frames
         in turn, a lone frame between them."""
         rng = np.random.default_rng(cfg.frame_len + len(cfg.window_kind))
-        ola = OlaState(tail=rng.standard_normal(cfg.frame_len - cfg.hop_len))
-        ref = OlaState(tail=ola.tail.copy())
+        tail = ref = rng.standard_normal(cfg.frame_len - cfg.hop_len)
         for n in (1, 2, 7, BLOCK_FRAMES, 2, 1):
             for shape in ((n, cfg.frame_len), cfg.frame_len):
                 block = rng.standard_normal(shape)
                 bins = analyze(block, cfg) * rng.uniform(0.0, 1.0, cfg.num_bins)
                 # the lone-frame form is the same in both
                 reference = _joined_synthesize if block.ndim == 2 else synthesize
-                expected = reference(bins, ref, cfg)
-                got = synthesize(bins, ola, cfg)
+                expected, ref = reference(bins, ref, cfg)
+                got, tail = synthesize(bins, tail, cfg)
                 assert got.tobytes() == expected.tobytes()
-                assert ola.tail.tobytes() == ref.tail.tobytes()
+                assert tail.tobytes() == ref.tobytes()
 
 
 class TestHighPass:
@@ -228,8 +224,7 @@ class TestHighPass:
 
     def test_constant_input_decays_to_zero(self):
         hpf = design_hpf(100.0, 16000)
-        state = HpfState()
-        y = hpf_process(np.ones(16000), hpf, state)
+        y, _ = hpf_process(np.ones(16000), hpf, None)
         assert float(np.max(np.abs(y[-100:]))) < 1.2e-15
 
     def test_chunked_equals_whole(self):
@@ -238,12 +233,13 @@ class TestHighPass:
         rng = np.random.default_rng(13)
         x = rng.standard_normal(40000)
         hpf = design_hpf(100.0, 16000)
-        whole = hpf_process(x, hpf, HpfState())
-        state = HpfState()
+        whole, _ = hpf_process(x, hpf, None)
+        zi = None
         parts = []
         pos = 0
-        for size in (1, 2, 1, 0, 7, 300, 64, 2, 1000, 2000, 623, 1000, 35000):
-            parts.append(hpf_process(x[pos : pos + size], hpf, state))
+        for size in (0, 1, 2, 1, 0, 7, 300, 64, 2, 1000, 2000, 623, 1000, 35000):
+            y, zi = hpf_process(x[pos : pos + size], hpf, zi)
+            parts.append(y)
             pos += size
         assert pos == x.size
         np.testing.assert_array_equal(np.concatenate(parts), whole)
@@ -278,7 +274,7 @@ class TestHighPass:
             z1 = (z2 + b[1] * xi) - a[1] * y
             z2 = b[2] * xi - a[2] * y
             expected[i] = y
-        np.testing.assert_array_equal(hpf_process(x, (b, a), HpfState()), expected)
+        np.testing.assert_array_equal(hpf_process(x, (b, a), None)[0], expected)
 
     def test_matches_lfilter_on_a_minute_of_noise(self):
         from scipy.signal import lfilter
@@ -286,7 +282,9 @@ class TestHighPass:
         rng = np.random.default_rng(15)
         x = rng.standard_normal(60 * 16000)
         b, a = design_hpf(100.0, 16000)
-        np.testing.assert_array_equal(hpf_process(x, (b, a), HpfState()), lfilter(b, a, x))
+        y, zi = hpf_process(x, (b, a), None)
+        np.testing.assert_array_equal(y, lfilter(b, a, x))
+        np.testing.assert_array_equal(zi, lfilter(b, a, x, zi=np.zeros(2))[1])
 
     def test_bad_cutoff_rejected(self):
         with pytest.raises(ConfigError):

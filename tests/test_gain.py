@@ -6,7 +6,6 @@ import pytest
 from dualstage.errors import ConfigError
 from dualstage.gain import (
     GainParams,
-    GainState,
     compute_raw_gain,
     compute_snr,
     smooth_gain,
@@ -161,32 +160,39 @@ class TestSmoothGain:
         """From unity toward a floored raw gain of 0.178 with
         gamma 0.2..0.8: one step lands at 1 + 0.3068*(0.178-1)."""
         params = GainParams(gamma_min=0.2, gamma_max=0.8)
-        state = GainState(1)
-        out = smooth_gain(np.array([0.178]), state, params)
+        out, _ = smooth_gain(np.array([0.178]), None, params)
         assert float(out[0]) == pytest.approx(0.7478104, abs=1e-7)
 
     def test_gamma_one_tracks_exactly(self):
         params = GainParams(gamma_min=1.0, gamma_max=1.0)
-        state = GainState(3)
         raw = np.array([0.3, 0.9, 0.5])
         # prev + 1.0*(raw - prev) costs one rounding step, not bit equality
-        np.testing.assert_allclose(smooth_gain(raw, state, params), raw, rtol=1e-15)
+        np.testing.assert_allclose(smooth_gain(raw, None, params)[0], raw, rtol=1e-15)
 
     def test_fixed_point(self):
         params = GainParams()
-        state = GainState(1)
-        state.prev_gain = np.array([0.6])
-        out = smooth_gain(np.array([0.6]), state, params)
+        out, prev = smooth_gain(np.array([0.6]), np.array([0.6]), params)
         np.testing.assert_allclose(out, 0.6, rtol=1e-15)
+        np.testing.assert_array_equal(prev, out)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3)])
+    def test_carry_shares_no_memory_with_the_gains(self, shape):
+        """The carry is a copy of the last row: writing into the gains
+        handed back leaves it as it was."""
+        raw = np.random.default_rng(45).uniform(0.2, 1.0, shape)
+        out, prev = smooth_gain(raw, None, GainParams())
+        last = out.reshape(-1, 3)[-1].copy()
+        out[...] = 7.0
+        np.testing.assert_array_equal(prev, last)
 
     def test_geometric_convergence(self):
         """Constant raw input: the error shrinks by (1-gamma) each frame."""
         params = GainParams(gamma_min=0.4, gamma_max=0.4)
-        state = GainState(1)
+        prev = None
         target = 0.5
         errs = []
         for _ in range(10):
-            out = smooth_gain(np.array([target]), state, params)
+            out, prev = smooth_gain(np.array([target]), prev, params)
             errs.append(abs(float(out[0]) - target))
         ratios = [b / a for a, b in zip(errs, errs[1:]) if a > 1e-14]
         np.testing.assert_allclose(ratios, 0.6, rtol=1e-9)
@@ -197,10 +203,9 @@ class TestSmoothGain:
         params = GainParams(gamma_min=0.2, gamma_max=0.95)
 
         def frames_to_90pct(start, target):
-            state = GainState(1)
-            state.prev_gain = np.array([start])
+            prev = np.array([start])
             for n in range(1, 200):
-                out = smooth_gain(np.array([target]), state, params)
+                out, prev = smooth_gain(np.array([target]), prev, params)
                 if abs(float(out[0]) - target) <= 0.1 * abs(target - start):
                     return n
             return 200
@@ -212,9 +217,9 @@ class TestSmoothGain:
     def test_output_stays_in_bounds(self):
         rng = np.random.default_rng(44)
         params = GainParams()
-        state = GainState(33)
+        prev = None
         for _ in range(500):
             raw = compute_raw_gain(rng.uniform(0.0, 30.0, 33), params)
-            out = smooth_gain(raw, state, params)
+            out, prev = smooth_gain(raw, prev, params)
             assert np.all(out >= params.gain_floor)
             assert np.all(out <= 1.0)

@@ -133,29 +133,27 @@ class TestTrackRaw:
 
 class TestSmoothNoise:
     def test_full_and_frozen_update(self):
-        p = TrackerParams()
-        state = NoiseState.for_params(p, 1)
-        state.frame_count = 1  # skip seeding
-        state.smoothed = np.array([2.0])
-        out = smooth_noise(np.array([4.0]), state, 1.0)
+        out, prev = smooth_noise(np.array([4.0]), np.array([2.0]), 1.0)
         np.testing.assert_array_equal(out, [4.0])
-        state.smoothed = np.array([2.0])
-        out = smooth_noise(np.array([4.0]), state, 0.0)
+        np.testing.assert_array_equal(prev, [4.0])
+        out, prev = smooth_noise(np.array([4.0]), np.array([2.0]), 0.0)
         np.testing.assert_array_equal(out, [2.0])
+        np.testing.assert_array_equal(prev, [2.0])
 
     def test_halfway_hand_case(self):
-        p = TrackerParams()
-        state = NoiseState.for_params(p, 1)
-        state.frame_count = 1
-        state.smoothed = np.array([2.0])
-        out = smooth_noise(np.array([4.0]), state, 0.5)
+        out, _ = smooth_noise(np.array([4.0]), np.array([2.0]), 0.5)
         np.testing.assert_array_equal(out, [3.0])
 
     def test_first_frame_seeds_with_raw(self):
-        p = TrackerParams()
-        state = NoiseState.for_params(p, 2)
-        out = smooth_noise(np.array([0.7, 0.9]), state, 0.3)
+        out, prev = smooth_noise(np.array([0.7, 0.9]), None, 0.3)
         np.testing.assert_array_equal(out, [0.7, 0.9])
+        np.testing.assert_array_equal(prev, [0.7, 0.9])
+
+    def test_block_carries_its_last_row(self):
+        raw = np.array([[4.0], [8.0], [6.0]])
+        out, prev = smooth_noise(raw, np.array([2.0]), 0.5)
+        np.testing.assert_array_equal(out, [[3.0], [5.5], [5.75]])
+        np.testing.assert_array_equal(prev, [5.75])
 
 
 class TestEffectiveAlpha:
@@ -199,6 +197,20 @@ class TestUpdate:
         np.testing.assert_array_equal(state.presmoothed_mag, mags)
         np.testing.assert_allclose(raw, p.bias_factor * mags, rtol=1e-12)
         np.testing.assert_allclose(smoothed, raw, rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 3)])
+    def test_carries_share_no_memory_with_the_rows(self, shape):
+        """Writing into the rows update returns changes nothing the
+        tracker reads next: its carries are copies."""
+        p = TrackerParams(window_len=4, alpha=0.4)
+        rng = np.random.default_rng(36)
+        touched, untouched = NoiseState.for_params(p, 3), NoiseState.for_params(p, 3)
+        for mags in rng.uniform(0.1, 1.0, (4, *shape)):
+            for rows in update(mags, p, touched):
+                rows[...] = 7.0
+            update(mags, p, untouched)
+        np.testing.assert_array_equal(touched.smoothed, untouched.smoothed)
+        np.testing.assert_array_equal(touched.presmoothed_mag, untouched.presmoothed_mag)
 
     def test_no_map_passes_base_through(self):
         """Without an alpha map a frame SNR changes nothing: the base

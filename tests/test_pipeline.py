@@ -400,6 +400,32 @@ class TestGainRowsPass:
         assert proc.frame_index == 0
 
 
+class TestBlockRecords:
+    @pytest.mark.parametrize("feed", [64, 4096])
+    @pytest.mark.parametrize("single", [False, True])
+    def test_writing_into_records_changes_nothing(self, comm_cfg, single, feed):
+        """A caller may write into every array of every record (out,
+        gains and each stage's raw and smoothed noise rows): the stream
+        then gives the bits of an untouched one. Each stage's smoothed
+        noise carry was once a view of the record's last smoothed row,
+        so writing into it changed the output that followed."""
+        x = pink_noise(3.0, np.random.default_rng(38))
+
+        def run(touch):
+            proc = ds.StreamProcessor(comm_cfg, single_stage=single, log_gains=True)
+            kept = []
+            for pos in range(0, x.size, feed):
+                for record in proc.blocks(x[pos : pos + feed]):
+                    arrays = [record.out, record.gains, *(a for pair in record.noise for a in pair)]
+                    kept += [a.tobytes() for a in arrays]
+                    if touch:
+                        for a in arrays:
+                            a[...] = 7.0
+            return kept
+
+        assert run(touch=True) == run(touch=False)
+
+
 class TestPowerBudget:
     """Only the code that pools or plots a spectrum computes its per-bin
     powers (framing.bin_power): the engine once per block past the
@@ -597,6 +623,8 @@ class TestStageInteraction:
 class TestLayerCalls:
     # every tracker and gain layer the engine runs per block
     LAYERS = (
+        (framing, "hpf_process"),
+        (framing, "synthesize"),
         (noise_tracking, "update"),
         (noise_tracking, "track_raw"),
         (noise_tracking, "smooth_noise"),

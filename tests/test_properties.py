@@ -12,7 +12,7 @@ import dualstage as ds
 from dualstage.config import config_from_dict, config_to_dict
 from dualstage.framing import WINDOW_KINDS, analyze, bin_power
 from dualstage.metrics import spectrogram_db, spectrogram_stream
-from dualstage.gain import GainParams, GainState, MU_MAX, compute_raw_gain, smooth_gain
+from dualstage.gain import GainParams, MU_MAX, compute_raw_gain, smooth_gain
 from dualstage.noise_tracking import frozen_array, smooth_rows
 from dualstage.pipeline import BLOCK_FRAMES, _Framer, _Shadow
 
@@ -197,11 +197,11 @@ def test_smoothed_gain_blocks_stay_within_bounds(
         gamma_min=gammas[0],
         gamma_max=gammas[1],
     )
-    state = GainState(num_bands)
+    prev = None
     for n in block_sizes:
         snr = rng.exponential(1.0, (n, num_bands)) * 10.0 ** rng.uniform(-2, 3, (n, 1))
         raw = compute_raw_gain(snr, params)
-        out = smooth_gain(raw if n > 1 else raw[0], state, params)
+        out, prev = smooth_gain(raw if n > 1 else raw[0], prev, params)
         assert np.all(out >= floor) and np.all(out <= 1.0)
 
 
