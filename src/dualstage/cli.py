@@ -109,12 +109,13 @@ def _require_rate(path, rate, *configs):
             )
 
 
-def _looped(noise, length):
-    """noise, repeated from its start to length samples if it is shorter."""
+def _looped(noise, length, path):
+    """noise, read from path, repeated from its start to length samples
+    if it is shorter."""
     if noise.size >= length:
         return noise
     if noise.size == 0:
-        raise InputError("noise signal is empty")
+        raise InputError(f"{path}: noise signal is empty")
     return np.resize(noise, length)
 
 
@@ -213,7 +214,7 @@ def cmd_mix(args) -> int:
         )
     mix, sp, nz = metrics.mix_at_snr(
         speech,
-        _looped(noise, speech.size),
+        _looped(noise, speech.size, args.noise),
         args.snr_db,
         sp_rate,
         active_threshold_db=args.active_threshold_db,
@@ -309,17 +310,21 @@ def cmd_evaluate(args) -> int:
     for noise_path in sorted(matrix.noise):
         noise = speech[noise_path] if noise_path in speech else read_wav(noise_path)[0]
         if matrix.loop_noise:
-            noise = _looped(noise, length)
+            noise = _looped(noise, length, noise_path)
         for snr, preset, variant, speech_path in conditions:
-            report = metrics.evaluate_condition(
-                speech[speech_path],
-                noise,
-                float(snr),
-                configs[preset],
-                single_stage=(variant == "single"),
-                active_threshold_db=matrix.active_threshold_db,
-                measure_start_s=matrix.measure_start_s,
-            )
+            try:
+                report = metrics.evaluate_condition(
+                    speech[speech_path],
+                    noise,
+                    float(snr),
+                    configs[preset],
+                    single_stage=(variant == "single"),
+                    active_threshold_db=matrix.active_threshold_db,
+                    measure_start_s=matrix.measure_start_s,
+                )
+            except InputError as exc:
+                where = f"speech {speech_path}, noise {noise_path}, {float(snr):g} dB"
+                raise InputError(f"{where}, {preset}, {variant}: {exc}") from None
             rows.append(
                 {
                     "noise_type": Path(noise_path).stem,

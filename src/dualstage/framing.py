@@ -257,8 +257,8 @@ def synthesize(bins: np.ndarray, tail, cfg: FrameConfig):
     tail's hop m, or from the last hop of frame m - r + 1, and adds the
     hops of frames m - r + 2 .. m in turn. The first of those adds is
     written straight into a fresh array of the output and the next
-    tail, and the rest add into it in place; the tail is copied out,
-    so it holds no more than its own samples.
+    tail, and the rest add into it in place; the tail, and a lone
+    frame's output, are copied out, so each holds only its own samples.
     """
     # c2r's output is fresh: window it, and add into it, in place
     frames = _pocketfft.c2r(bins, (-1,), cfg.fft_len, False, 2)[..., : cfg.frame_len]
@@ -267,7 +267,7 @@ def synthesize(bins: np.ndarray, tail, cfg: FrameConfig):
     tail = np.zeros(cfg.frame_len - hop) if tail is None else tail
     if frames.ndim == 1:
         frames[:-hop] += tail
-        return frames[:hop], frames[hop:]
+        return frames[:hop].copy(), frames[hop:]
     n, r = len(frames), cfg.frame_len // hop
     if r == 1:  # no overlap: the frames are the output, and no tail carries
         return frames.reshape(-1), tail

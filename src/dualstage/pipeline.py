@@ -1,23 +1,23 @@
 """Dual-stage suppression pipeline.
 
 One analysis and one synthesis per frame (no synthesis in the
-gain-rows pass). Stage-1 tracks noise on the analyzed spectrum's band
-magnitudes and applies its coarse gains to the spectrum; Stage-2 pools
-the modified spectrum, speeds its noise tracking up or down from
-Stage-1's frame SNR, and applies the fine gains. The engine hands each
-block's record (BlockRecord) to its caller, who keeps what it needs:
-its output, its final bin gains (the product of both stages), which
-the measurement harness replays over the clean components of a mix,
-and its noise estimates. One framer
-(_Framer) owns a stream's shape: the seeded zeros, the input screen,
-the high-pass, the carry, the blocks, the pieces and the zero flush.
-Replay (_Shadow) is fed the engine's pieces through a framer of its
-own, as is metrics.spectrogram_stream (with no high-pass). Replay
+gain-rows pass). Between them the stages (StreamProcessor.stages) run
+in order: Stage 1, then Stage 2 unless single_stage. Each pools the
+spectrum the one before left, tracks its noise and applies its gains,
+coarse in Stage 1 and fine in Stage 2, which is fed Stage 1's frame
+SNR to speed its tracking up or down. The engine hands each block's
+record (BlockRecord) to its caller, who keeps what it needs: its
+output, its final bin gains (the stages' product), which the harness
+replays over the clean components of a mix, and its noise estimates.
+One framer (_Framer) owns a stream's shape: the seeded zeros, the input
+screen, the high-pass, the carry, the blocks, the pieces and the zero
+flush. Replay (_Shadow) is fed the engine's pieces through a framer of
+its own, as is metrics.spectrogram_stream (with no high-pass). Replay
 shadows each block's gain rows, one analysis, then one synthesis per
-output, and hands the block's outputs to its caller. replay_gains
-runs one log through it; shadow_stream runs a mix's speech and noise
-through it on a worker thread and reduces each block's outputs to
-per-hop powers (_shadow_powers), so it keeps no signal-long array.
+output, and hands the block's outputs to its caller. replay_gains runs
+one log through it; shadow_stream runs a mix's speech and noise through
+it on a worker thread and reduces each block's outputs to per-hop
+powers (_shadow_powers), so it keeps no signal-long array.
 
 Every layer runs once per block of frames, on plain arrays. The
 transform pair runs once per block on scipy.fft's pocketfft extension
@@ -25,15 +25,15 @@ transform pair runs once per block on scipy.fft's pocketfft extension
 Only Stage 1 computes the bins' powers (framing.bin_power), past the
 warm-up; replay computes none. A block holds only what a later step
 reads: the high-passed piece goes once the framer's buffer holds it,
-the frames once analysed, Stage 1's bin gains once applied (unless
+the frames once analysed, each stage's bin gains once applied (unless
 the caller logs gains), the powers once the last stage has pooled
 them and the bins once synthesised, so a block's working set is about
 its bins and one set of bin gains. The gain-rows pass evaluation runs
 (gains_only) needs no output: it drops the bins once their powers are
-taken, scales only the powers Stage 2 pools and synthesises nothing,
-so its block holds the powers and the bin gains. Replay's last output
-scales the analysed bins in place, and each stage's sliding minimum
-is one buffer of window_len + 1 band rows (see noise_tracking).
+taken, scales only the powers a later stage pools and synthesises
+nothing, so its block holds the powers and the bin gains. Replay's
+last output scales the analysed bins in place, and each stage's
+sliding minimum is one buffer of window_len + 1 band rows.
 The high-pass runs once per block on scipy.signal.lfilter's C loop,
 and so does each first-order smoother whose factor is one constant; a
 smoother whose factor varies by frame or band is one bidiagonal LAPACK
@@ -153,14 +153,20 @@ class _Framer:
 
 
 class _StageState:
-    """Tracker state plus gain carry for one stage of one stream. step
-    calls each layer by its module attribute, so a wrapper set there (a
-    tracer's, a test's) sees every call."""
+    """One stage of one stream: tracker state, gain carry, and whether
+    it is fed the frame SNR of the stage before (its tracker maps that
+    to alpha). step calls each layer by its module attribute, so a
+    wrapper set there (a tracer's, a test's) sees every call."""
 
     def __init__(self, stage_cfg: StageConfig, num_bands: int):
         self.cfg = stage_cfg
         self.noise = noise_tracking.NoiseState.for_params(stage_cfg.tracker, num_bands)
         self.prev_gain = None
+        self.fed = stage_cfg.tracker.alpha_snr_map is not None
+        # below this sum of a frame's weights (see frame_snr_db) no
+        # weight * SNR can overflow: a band's SNR is at most its weight
+        # over eps**2, so their weighted sum is at most total**2 / eps**2
+        self.loud_weight = stage_cfg.gains.noise_floor_eps * math.sqrt(sys.float_info.max) / 2
 
     def step(self, band_mags: np.ndarray, snr_db):
         cfg = self.cfg
@@ -170,6 +176,23 @@ class _StageState:
         g, self.prev_gain = gain.smooth_gain(raw_g, self.prev_gain, cfg.gains)
         return g, snr, raw_n, noise_est
 
+    def frame_snr_db(self, band_mags: np.ndarray, snr: np.ndarray, widths: np.ndarray):
+        """Energy-weighted mean of this stage's per-band SNR per frame, dB."""
+        # weights are band energies; a silent frame has no SNR evidence
+        weights = band_mags * band_mags
+        weights *= widths
+        total = np.add.reduce(weights, axis=-1)
+        # a lone frame's total is a scalar, which compares fastest
+        if (total if total.ndim == 0 else total.max()) >= self.loud_weight:
+            # weights * snr could overflow: scale each frame's weights by
+            # the power of two that brings their sum into [0.5, 1), which
+            # is exact and leaves the weighted mean as it was
+            total, exp = np.frexp(total)
+            weights = np.ldexp(weights, -exp[..., np.newaxis])
+        weights *= snr
+        snr_lin = np.add.reduce(weights, axis=-1) / (total + (total == 0.0))
+        return 10.0 * np.log10(snr_lin + (snr_lin == 0.0) * _IDLE_FRAME_SNR)
+
 
 class BlockRecord(NamedTuple):
     """One engine block of n frames, as StreamProcessor.blocks yields it.
@@ -177,10 +200,10 @@ class BlockRecord(NamedTuple):
     frame is the index of its first frame and out its n hops of output,
     or None with gains_only. gains holds its (n, bins) final bin gains
     (unity in the warm-up) with log_gains or gains_only, else None.
-    noise holds, per stage run (none in the warm-up), that stage's
-    (raw, smoothed) noise estimates, (n, bands) each. All are arrays
-    the engine made for this block and neither writes nor reads again,
-    so a caller may keep them or write into them.
+    noise holds, per stage of StreamProcessor.stages in order (none in
+    the warm-up), its (raw, smoothed) noise estimates, (n, bands) each.
+    All are arrays the engine made for this block and neither writes
+    nor reads again, so a caller may keep them or write into them.
     """
 
     frame: int
@@ -199,9 +222,10 @@ class StreamProcessor:
     zeros, so the output is the input delayed by exactly the
     algorithmic latency. blocks() runs the same engine and yields each
     block's BlockRecord, with its bin gains when log_gains is set.
-    Neither keeps anything per frame. gains_only makes a gain-rows
-    pass, which evaluate_condition runs: blocks() yields the bin gains
-    and no output, and process() raises UsageError.
+    Neither keeps anything per frame. stages lists the stages that run:
+    Stage 1, then Stage 2 unless single_stage. gains_only makes a
+    gain-rows pass, which evaluate_condition runs: blocks() yields the
+    bin gains and no output, and process() raises UsageError.
     """
 
     def __init__(
@@ -220,13 +244,8 @@ class StreamProcessor:
         self.latency_samples = self.framer.latency
         self.gains_only = gains_only
         self.log_gains = log_gains or gains_only
-        self.stage1 = _StageState(cfg.stage1, cfg.num_bands)
-        # below this sum of a frame's weights (see _frame_snr_db) no
-        # weight * SNR can overflow: a band's Stage-1 SNR is at most its
-        # weight over eps**2, so their weighted sum is at most
-        # total**2 / eps**2
-        self.loud_weight = cfg.stage1.gains.noise_floor_eps * math.sqrt(sys.float_info.max) / 2
-        self.stage2 = None if single_stage else _StageState(cfg.stage2, cfg.num_bands)
+        stages = (cfg.stage1,) if single_stage else (cfg.stage1, cfg.stage2)
+        self.stages = [_StageState(stage, cfg.num_bands) for stage in stages]
 
     frame_index = property(lambda self: self.framer.frames, doc="Frames run so far.")
 
@@ -247,12 +266,12 @@ class StreamProcessor:
         BlockRecord of each engine block it completes. Run the
         generator to its end before feeding more.
 
-        Both stages run over each block's bins in place. Each array
-        goes as soon as nothing reads it again, which is why the stages
-        run here and not in a method of their own: a caller's name
-        would keep an array alive through the call."""
+        The stages run in list order over each block's bins in place,
+        each handing the next its frame SNR if that one is fed. Each
+        array goes as soon as nothing reads it again, which is why the
+        stages run here and not in a method of their own: a caller's
+        name would keep an array alive through the call."""
         fcfg, plan, log = self.cfg.frame, self.plan, self.log_gains
-        stage2 = self.stage2
         for frames, n in self.framer.push(samples):
             first = self.framer.frames
             bins = framing.analyze(frames, fcfg)
@@ -261,55 +280,29 @@ class StreamProcessor:
             power = None if first < self.framer.warm_frames else framing.bin_power(bins)
             if self.gains_only:
                 bins = None  # no output: the powers are all the stages read
-            gains, noise = (np.ones((n, fcfg.num_bins)) if log else None), ()
+            gains, noise, snr_db = None, [], None
             if power is not None:
-                mags1 = bands.pool_to_bands(power, plan)
-                if stage2 is None:
-                    power = None  # pooled: nothing reads it again
-                g1, snr1, raw_n1, n1 = self.stage1.step(mags1, None)
-                noise = [(raw_n1.reshape(n, -1), n1.reshape(n, -1))]
-                bin_gains = bands.expand_to_bins(g1, plan)
-                bands.apply_gains(bins, power, bin_gains)
-                if not log:
-                    del bin_gains
-                if stage2 is not None:
-                    mags2 = bands.pool_to_bands(power, plan)
-                    del power  # pooled: nothing reads it again
-                    # Stage 2 takes the Stage-1 frame SNR exactly when it maps it to alpha
-                    fed = stage2.cfg.tracker.alpha_snr_map is not None
-                    snr_db = self._frame_snr_db(mags1, snr1) if fed else None
-                    g2, _, raw_n2, n2 = stage2.step(mags2, snr_db)
-                    noise.append((raw_n2.reshape(n, -1), n2.reshape(n, -1)))
-                    bin_g2 = bands.expand_to_bins(g2, plan)
-                    if bins is not None:
-                        bins *= bin_g2
+                for stage, later in zip(self.stages, (*self.stages[1:], None)):
+                    mags = bands.pool_to_bands(power, plan)
+                    if later is None:
+                        power = None  # pooled: nothing reads it again
+                    g, snr, raw_n, noise_est = stage.step(mags, snr_db)
+                    noise.append((raw_n.reshape(n, -1), noise_est.reshape(n, -1)))
+                    # the next stage takes this one's frame SNR exactly when it maps it to alpha
+                    fed = later is not None and later.fed
+                    snr_db = stage.frame_snr_db(mags, snr, plan.widths) if fed else None
+                    bin_g = bands.expand_to_bins(g, plan)
+                    bands.apply_gains(bins, power, bin_g)
                     if log:  # only the caller's gains need the product
-                        bin_gains *= bin_g2
-                    del bin_g2
-                if log:
-                    gains = bin_gains.reshape(n, -1)
+                        gains = bin_g if gains is None else np.multiply(gains, bin_g, out=gains)
+                    del bin_g
+            if log:  # unity in the warm-up
+                gains = np.ones((n, fcfg.num_bins)) if gains is None else gains.reshape(n, -1)
             out = None
             if bins is not None:
                 out, self.tail = framing.synthesize(bins, self.tail, fcfg)
             del bins  # spent: the caller reads the record alone
             yield BlockRecord(first, out, gains, tuple(noise))
-
-    def _frame_snr_db(self, band_mags: np.ndarray, snr: np.ndarray):
-        """Energy-weighted mean of Stage-1 per-band SNR per frame, dB."""
-        # weights are band energies; a silent frame has no SNR evidence
-        weights = band_mags * band_mags
-        weights *= self.plan.widths
-        total = np.add.reduce(weights, axis=-1)
-        # a lone frame's total is a scalar, which compares fastest
-        if (total if total.ndim == 0 else total.max()) >= self.loud_weight:
-            # weights * snr could overflow: scale each frame's weights by
-            # the power of two that brings their sum into [0.5, 1), which
-            # is exact and leaves the weighted mean as it was
-            total, exp = np.frexp(total)
-            weights = np.ldexp(weights, -exp[..., np.newaxis])
-        weights *= snr
-        snr_lin = np.add.reduce(weights, axis=-1) / (total + (total == 0.0))
-        return 10.0 * np.log10(snr_lin + (snr_lin == 0.0) * _IDLE_FRAME_SNR)
 
 
 def run_stream(proc: StreamProcessor, blocks, size: int, *, latency_aligned: bool = False):

@@ -19,6 +19,7 @@ from dualstage.cli import main
 from dualstage.config import config_dumps, config_to_dict
 from dualstage.metrics import REPORT_COLUMNS, SnriReport, spectrogram_db
 from conftest import pcm24_wav_bytes, run_blocks
+from synth import surrogate_speech
 
 
 def _numeric_leaves(doc, prefix=""):
@@ -81,6 +82,35 @@ class TestExitCodes:
             "--preset", "communication", "--config", str(cfg),
         )
         assert code == 1
+
+    @pytest.mark.parametrize("verb", ["enhance", "bandplan"])
+    @pytest.mark.parametrize("flaw, message", [("missing", "cannot read config file"), ("json", "not valid JSON")])
+    def test_unreadable_config_file(self, tmp_path, capsys, verb, flaw, message):
+        """--config with a missing file or one that is not JSON exits 1
+        with one line naming the file, before any input is read."""
+        cfg = tmp_path / "c.json"
+        if flaw == "json":
+            cfg.write_text("{ not json")
+        wav = write_tone_wav(tmp_path / "in.wav")
+        outputs = [str(wav), str(tmp_path / "o.wav")] if verb == "enhance" else [str(tmp_path / "o.csv")]
+        assert run(verb, *outputs, "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err and str(cfg) in err, err
+        assert not any((tmp_path / name).exists() for name in ("o.wav", "o.csv"))
+
+    def test_config_file_runs_as_its_preset(self, tmp_path, capsys):
+        """bandplan and enhance --config FILE, given a dumped preset, write
+        what --preset writes."""
+        preset = ds.load_preset("multimedia")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config_dumps(preset))
+        wav = write_tone_wav(tmp_path / "in.wav")
+        for source in (["--config", str(cfg)], ["--preset", "multimedia"]):
+            tag = source[0].strip("-")
+            assert run("bandplan", str(tmp_path / f"{tag}.csv"), *source) == 0
+            assert run("enhance", str(wav), str(tmp_path / f"{tag}.wav"), *source) == 0
+        for ext in ("csv", "wav"):
+            assert (tmp_path / f"config.{ext}").read_bytes() == (tmp_path / f"preset.{ext}").read_bytes()
 
     def test_bad_override_value(self, tmp_path, capsys):
         wav = write_tone_wav(tmp_path / "in.wav")
@@ -459,6 +489,17 @@ class TestMix:
             "mix", str(speech), str(noise), str(out), "--snr-db", "0", "--loop-noise"
         ) == 0
 
+    def test_empty_noise_is_named(self, tmp_path, capsys):
+        """An empty noise file, looped, exits 1 with one line naming it;
+        once the message named no file."""
+        speech = write_tone_wav(tmp_path / "sp.wav", seconds=2.0)
+        noise = write_noise_wav(tmp_path / "nz.wav", seconds=0.0)
+        out = tmp_path / "mix.wav"
+        assert run("mix", str(speech), str(noise), str(out), "--snr-db", "0", "--loop-noise") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {noise}: noise signal is empty\n", err
+        assert not out.exists()
+
     @pytest.mark.parametrize("what, bad", [("noise", np.nan), ("speech", np.nan), ("speech", np.inf)])
     def test_non_finite_sample_is_named(self, tmp_path, capsys, what, bad):
         """A NaN in the noise once gave exit 0 and an all-NaN mix, and
@@ -597,6 +638,51 @@ class TestEvaluate:
         assert err.count("\n") == 1 and key in err, err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flaw, code, message",
+        [
+            ("variant", 1, "unknown variant(s) triple; allowed: dual, single"),
+            ("json", 1, "invalid JSON"),
+            ("missing", 2, "cannot read matrix config"),
+        ],
+    )
+    def test_unusable_matrix_is_refused(self, tmp_path, capsys, flaw, code, message):
+        """An unknown variant or a matrix file that is not JSON exits 1,
+        and a missing matrix file exits 2, each with one line that names
+        the matrix file and writes no report."""
+        m = self._matrix(tmp_path, variants=["dual", "triple"])
+        if flaw == "json":
+            m.write_text('{"speech": [')
+        elif flaw == "missing":
+            m.unlink()
+        assert run("evaluate", str(m), str(tmp_path / "r.csv")) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err and str(m) in err, err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_failing_condition_is_named(self, tmp_path, capsys):
+        """A condition that cannot be measured exits 1 with one line
+        naming its speech file, noise file, SNR, preset and variant.
+        Here the second speech file holds no speech after
+        measure_start_s, while the first one's conditions run; once
+        the message named none of them."""
+        rng = np.random.default_rng(45)
+        fine, bad = tmp_path / "a.wav", tmp_path / "b.wav"
+        ds.write_wav(fine, surrogate_speech(6.6, rng), 16000, "float32")
+        # bursts end at 5.88 s: the measurement region is silent
+        ds.write_wav(bad, surrogate_speech(6.0, rng), 16000, "float32")
+        noise = write_noise_wav(tmp_path / "long.wav", seconds=6.6)
+        m = self._matrix(
+            tmp_path, speech=[str(bad), str(fine)], noise=[str(noise)], snr_db=[5.0], measure_start_s=5.9
+        )
+        assert run("evaluate", str(m), str(tmp_path / "r.csv")) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: speech {bad}, noise {noise}, 5 dB, communication, dual: "
+            "no speech-active frames in the measurement region\n"
+        ), err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_non_finite_snr_fails_before_any_condition(self, tmp_path, capsys, monkeypatch):
         """A non-finite target SNR is refused when the matrix is read,
         naming the matrix and its key. Once it was found only when its
@@ -669,18 +755,21 @@ class TestEvaluate:
         assert not calls
         assert not (tmp_path / "r.csv").exists()
 
-    @pytest.mark.parametrize("flaw", ["short", "8k"])
+    @pytest.mark.parametrize("flaw", ["short", "8k", "empty"])
     def test_unusable_noise_fails_before_any_condition(self, tmp_path, capsys, monkeypatch, flaw):
         """Every noise file's rate and length are checked, from its
-        header, before the first condition runs. Once each noise file
-        was checked when its conditions came up, so a second noise file
-        (sorted) that was too short or at the wrong rate was found only
-        after the first one's conditions had run, and a short one's
+        header, before the first condition runs: too short without
+        loop_noise, at the wrong rate, or empty with it. Once each noise
+        file was checked when its conditions came up, so a second noise
+        file (sorted) that was too short or at the wrong rate was found
+        only after the first one's conditions had run, and a short one's
         message named neither file."""
-        m = self._matrix(tmp_path)
+        m = self._matrix(tmp_path, loop_noise=flaw == "empty")
         doc = json.loads(m.read_text())
         if flaw == "short":
             bad = str(write_noise_wav(tmp_path / "nz_short.wav", seconds=1.0, seed=1))
+        elif flaw == "empty":
+            bad = str(write_noise_wav(tmp_path / "nz_void.wav", seconds=0.0, seed=1))
         else:
             bad = str(write_noise_wav(tmp_path / "nz_8k.wav", seconds=3.0, fs=8000, seed=1))
         doc["noise"].append(bad)
@@ -698,6 +787,8 @@ class TestEvaluate:
         assert err.count("\n") == 1 and bad in err, err
         if flaw == "short":
             assert doc["speech"][0] in err and "at least as long" in err, err
+        elif flaw == "empty":
+            assert "noise signal is empty" in err, err
         else:
             assert "8000 Hz" in err, err
         assert not calls

@@ -188,19 +188,21 @@ class TestOverlapAdd:
     def test_equals_the_joined_copy(self, cfg):
         """Outputs and carried tails are byte for byte those of the
         joined-copy form, over blocks of 1, 2, 7 and BLOCK_FRAMES frames
-        in turn, a lone frame between them."""
+        in turn, a lone frame between them. A lone frame's output owns
+        its hop_len samples; it was once a view of the inverse
+        transform's fft_len-sample buffer."""
         rng = np.random.default_rng(cfg.frame_len + len(cfg.window_kind))
         tail = ref = rng.standard_normal(cfg.frame_len - cfg.hop_len)
         for n in (1, 2, 7, BLOCK_FRAMES, 2, 1):
             for shape in ((n, cfg.frame_len), cfg.frame_len):
                 block = rng.standard_normal(shape)
                 bins = analyze(block, cfg) * rng.uniform(0.0, 1.0, cfg.num_bins)
-                # the lone-frame form is the same in both
-                reference = _joined_synthesize if block.ndim == 2 else synthesize
-                expected, ref = reference(bins, ref, cfg)
+                expected, ref = _joined_synthesize(bins.reshape(-1, cfg.num_bins), ref, cfg)
                 got, tail = synthesize(bins, tail, cfg)
                 assert got.tobytes() == expected.tobytes()
                 assert tail.tobytes() == ref.tobytes()
+                if block.ndim == 1:
+                    assert got.base is None and got.nbytes == cfg.hop_len * 8
 
 
 class TestHighPass:

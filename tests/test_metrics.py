@@ -260,6 +260,31 @@ class TestGainShadowing:
         with pytest.raises(UsageError, match="got dtype complex128"):
             ds.snri_by_gain_shadowing(speech, noise, log.astype(complex), cfg)
 
+    @pytest.mark.parametrize(
+        "flaw, message",
+        [
+            ("silent speech", "no speech-active frames in the measurement region"),
+            ("unbroken speech", "no speech-free frames to measure the noise on"),
+            ("silent noise", "noise component is silent over the measurement frames"),
+        ],
+    )
+    def test_unmeasurable_components_are_refused(self, comm_cfg, flaw, message):
+        """Speech with no active hop, speech with no pause, or noise with
+        no power where it is measured raises InputError saying which.
+        The measurement starts past the output's leading delay, whose
+        hops are silent in every component."""
+        cfg = no_hpf(comm_cfg)
+        speech, noise = _tone_and_noise(1, np.random.default_rng(46))
+        if flaw == "silent speech":
+            speech[:] = 0.0
+        elif flaw == "unbroken speech":
+            speech = 0.3 * np.sin(2 * np.pi * 1000.0 * np.arange(speech.size) / FS)
+        else:
+            noise[:] = 0.0
+        log = np.ones(self._log_shape(speech.size, cfg))
+        with pytest.raises(InputError, match=f"^{message}$"):
+            ds.snri_by_gain_shadowing(speech, noise, log, cfg, measure_start_s=0.1)
+
     def test_measure_start_past_the_end(self, comm_cfg):
         """A start past the end leaves no frame to measure, and a
         negative or non-finite one is refused, by either entry point:

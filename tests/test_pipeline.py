@@ -149,6 +149,31 @@ class TestStreaming:
             tracemalloc.stop()
         assert held <= bound, (held, bound)
 
+    def test_kept_one_hop_outputs_hold_only_their_samples(self, comm_cfg):
+        """A caller that keeps 1000 one-hop outputs of a warmed stream
+        holds at most 1.1 times what 1000 fresh hop-sized arrays hold. A
+        lone frame's output was a view of the inverse transform's
+        buffer, 4 hops long, so they held 2,228 KiB for 500 KiB of
+        samples."""
+        hop = comm_cfg.frame.hop_len
+        hops = np.random.default_rng(39).normal(0.0, 0.1, (1400, hop))
+        proc = ds.StreamProcessor(comm_cfg)
+        for h in hops[:400]:  # past the warm-up and a tracker window
+            proc.process(h)
+
+        def held(make):
+            tracemalloc.start()
+            try:
+                kept = [make(h) for h in hops[400:]]
+                return tracemalloc.get_traced_memory()[0], kept
+            finally:
+                tracemalloc.stop()
+
+        fresh, _ = held(np.copy)
+        outputs, kept = held(proc.process)
+        assert {y.size for y in kept} == {hop}
+        assert outputs <= 1.1 * fresh, (outputs, fresh)
+
     def test_output_matches_input_length(self, comm_cfg):
         for n in (1, 63, 64, 8191, FS):
             y, _ = ds.process_stream(np.zeros(n), comm_cfg)
@@ -273,10 +298,12 @@ class TestNonFiniteInput:
         assert np.all(np.isfinite(y)) and np.all(np.isfinite(log))
 
     @pytest.mark.parametrize("hop_calls", [False, True])
-    def test_loud_frame_rescale_is_exact(self, comm_cfg, hop_calls):
+    def test_loud_frame_rescale_is_exact(self, comm_cfg, monkeypatch, hop_calls):
         """The power-of-two rescale that keeps a loud frame's SNR weights
         from overflowing, forced onto every frame, changes no output bit
-        of ordinary audio, one hop per call or a whole signal at once."""
+        of ordinary audio, one hop per call or a whole signal at once.
+        The threshold is set where Stage 1's frame SNR reads it, through
+        monkeypatch, which raises if that attribute is gone."""
         rng = np.random.default_rng(26)
         x = surrogate_speech(2.0, rng) + pink_noise(2.0, rng)
         hop = comm_cfg.frame.hop_len
@@ -285,7 +312,7 @@ class TestNonFiniteInput:
         for limit in (None, 0.0):
             proc = ds.StreamProcessor(comm_cfg)
             if limit is not None:
-                proc.loud_weight = limit
+                monkeypatch.setattr(proc.stages[0], "loud_weight", limit)
             outs.append(np.concatenate([proc.process(c) for c in chunks]))
         np.testing.assert_array_equal(outs[0], outs[1])
 
