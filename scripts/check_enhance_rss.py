@@ -10,12 +10,18 @@ pair streams 1 min and 10 min of noise through a default
 `StreamProcessor.process` in 1024-sample calls, in child processes of
 this interpreter, so it tests the package this interpreter imports.
 Exits 1 if a run fails or the two peaks of a pair differ by more than
-8 MiB. A last pair, again in child processes of this interpreter, runs
-1 and then 32 default processors side by side, each fed one 64-sample
-hop per call for two windows of the tracker's sliding minimum, and
-exits 1 if the peak grows by more than 300 KiB per added stream. The
-WAVs are written a second at a time, so this process stays
-smaller than any child, whose peak would otherwise include it.
+8 MiB. Another pair, again in child processes of this interpreter,
+runs 1 and then 32 default processors side by side, each fed one
+64-sample hop per call for two windows of the tracker's sliding
+minimum, and exits 1 if the peak grows by more than 300 KiB per added
+stream. A last pair makes one default `StreamProcessor.process` call
+on 1 min and on 4 min of generated float64 noise, each in a child
+process of this interpreter, and exits 1 if the longer one's peak
+exceeds the shorter one's by more than 2.25 times the extra input's
+bytes: the extra input, the extra output and a quarter, so a call
+holds no more than one block beyond its input and output. The WAVs
+are written a second at a time, so this process stays smaller than
+any child, whose peak would otherwise include it.
 
 usage: python scripts/check_enhance_rss.py [DUALSTAGE]
 
@@ -38,6 +44,10 @@ LIMIT_MIB = 8.0
 # peak RSS one more stream may add: a stream's state is about 215 KiB
 STREAM_LIMIT_KIB = 300.0
 STREAM_COUNTS = (1, 32)
+# peak RSS one process() call may add per extra input byte: the input,
+# its output and a quarter
+WHOLE_CALL_GROWTH = 2.25
+WHOLE_CALL_MINUTES = (1, 4)
 
 # a realtime caller: argv[1] minutes of noise, 1024 samples per call
 _STREAM = f"""
@@ -62,6 +72,15 @@ rng = np.random.default_rng(0)
 for _ in range(2 * max(cfg.stage1.tracker.window_len, cfg.stage2.tracker.window_len)):
     for proc in procs:
         proc.process(rng.normal(0.0, 0.1, cfg.frame.hop_len))
+"""
+
+# a batch caller: one process() call on argv[1] minutes of noise
+_WHOLE_CALL = f"""
+import sys
+import numpy as np
+import dualstage as ds
+x = np.random.default_rng(0).normal(0.0, 0.1, int(sys.argv[1]) * 60 * {FS})
+ds.StreamProcessor(ds.load_preset("communication")).process(x)
 """
 
 
@@ -110,6 +129,14 @@ def main():
         f"(limit {STREAM_LIMIT_KIB:g})"
     )
     failed |= per_stream > STREAM_LIMIT_KIB
+    short, long = WHOLE_CALL_MINUTES
+    peaks = [peak_rss_mib([sys.executable, "-c", _WHOLE_CALL, str(m)]) for m in WHOLE_CALL_MINUTES]
+    limit = WHOLE_CALL_GROWTH * (long - short) * 60 * FS * 8 / 2**20
+    print(
+        f"peak RSS, one StreamProcessor.process call: {short} min {peaks[0]:.1f} MiB, {long} min "
+        f"{peaks[1]:.1f} MiB, difference {peaks[1] - peaks[0]:+.1f} MiB (limit {limit:.1f})"
+    )
+    failed |= peaks[1] - peaks[0] > limit
     return 1 if failed else 0
 
 

@@ -255,10 +255,9 @@ def synthesize(bins: np.ndarray, tail, cfg: FrameConfig):
 
     With r = frame_len // hop_len, a block's hop m starts from the
     tail's hop m, or from the last hop of frame m - r + 1, and adds the
-    hops of frames m - r + 2 .. m in turn. The first of those adds is
-    written straight into a fresh array of the output and the next
-    tail, and the rest add into it in place; the tail, and a lone
-    frame's output, are copied out, so each holds only its own samples.
+    hops of frames m - r + 2 .. m in turn. The output's hops and the
+    next tail's are summed in fresh arrays, and a lone frame's output
+    is copied out, so every output holds only its own samples.
     """
     # c2r's output is fresh: window it, and add into it, in place
     frames = _pocketfft.c2r(bins, (-1,), cfg.fft_len, False, 2)[..., : cfg.frame_len]
@@ -269,21 +268,17 @@ def synthesize(bins: np.ndarray, tail, cfg: FrameConfig):
         frames[:-hop] += tail
         return frames[:hop].copy(), frames[hop:]
     n, r = len(frames), cfg.frame_len // hop
-    if r == 1:  # no overlap: the frames are the output, and no tail carries
-        return frames.reshape(-1), tail
     # hops[i, j] is hop j of frame i
-    hops = frames.reshape(n, r, hop)
-    acc = np.empty((n + r - 1, hop))
-    tail = tail.reshape(r - 1, hop)
-    # the adds of hop j = r - 2 into the tail's last hop and the frames'
-    # last hops, written into acc; the rows they miss start as they are
-    np.add(tail[-1], hops[0, r - 2], out=acc[r - 2])
-    np.add(hops[:-1, r - 1], hops[1:, r - 2], out=acc[r - 1 : n + r - 2])
-    acc[: r - 2] = tail[:-1]
-    acc[-1] = hops[-1, r - 1]
-    for j in range(r - 3, -1, -1):
-        acc[j : j + n] += hops[:, j]
-    return acc[:n].reshape(-1), acc[n:].reshape(-1).copy()
+    hops, tail = frames.reshape(n, r, hop), tail.reshape(r - 1, hop)
+    sums = []
+    for lo, hi in ((0, n), (n, n + r - 1)):
+        split = min(max(r - 1 - lo, 0), hi - lo)  # the rows that start from the tail
+        acc = np.concatenate([tail[lo : lo + split], hops[lo + split - r + 1 : hi - r + 1, r - 1]])
+        for j in range(r - 2, -1, -1):
+            a, b = max(lo, j), min(hi, j + n)  # the rows frame m - j exists for
+            acc[a - lo : b - lo] += hops[a - j : b - j, j]
+        sums.append(acc.reshape(-1))
+    return tuple(sums)
 
 
 def algorithmic_latency_ms(cfg: FrameConfig) -> float:

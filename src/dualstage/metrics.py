@@ -335,13 +335,11 @@ def spectrogram_stream(blocks, frame_cfg):
         x = pipeline._mono(block)
         first = max(framer.frames, framer.warm_frames)
         rows = np.empty((max(0, framer.frames + framer.completes(x.size) - first), fcfg.num_bins))
-        # pieces keep the framer's copy of what it is pushed small
-        for piece in framer.pieces(x):
-            for frames, n in framer.push(piece):
-                if framer.frames >= first:
-                    power = framing.bin_power(framing.analyze(frames, fcfg))
-                    at = framer.frames - first
-                    rows[at : at + n] = 10.0 * np.log10(np.maximum(power, floor_pow))
+        for frames, n in framer.push(x):
+            if framer.frames >= first:
+                power = framing.bin_power(framing.analyze(frames, fcfg))
+                at = framer.frames - first
+                rows[at : at + n] = 10.0 * np.log10(np.maximum(power, floor_pow))
         yield block, rows
 
 

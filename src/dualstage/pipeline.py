@@ -10,35 +10,35 @@ record (BlockRecord) to its caller, who keeps what it needs: its
 output, its final bin gains (the stages' product), which the harness
 replays over the clean components of a mix, and its noise estimates.
 One framer (_Framer) owns a stream's shape: the seeded zeros, the input
-screen, the high-pass, the carry, the blocks, the pieces and the zero
-flush. Replay (_Shadow) is fed the engine's pieces through a framer of
-its own, as is metrics.spectrogram_stream (with no high-pass). Replay
-shadows each block's gain rows, one analysis, then one synthesis per
-output, and hands the block's outputs to its caller. replay_gains runs
-one log through it; shadow_stream runs a mix's speech and noise through
-it on a worker thread and reduces each block's outputs to per-hop
-powers (_shadow_powers), so it keeps no signal-long array.
+screen, the high-pass, the blocks, the pieces and the zero flush. Every
+push, a hop or a whole file, runs through its one buffer of at most
+latency + BLOCK_FRAMES hops; a lone frame it yields is a view of that
+buffer, valid until the generator resumes. metrics.spectrogram_stream
+has a framer of its own, with no high-pass, and so has replay
+(_Shadow), fed the engine's pieces: it shadows each block's gain rows,
+one analysis, then one synthesis per output, for replay_gains (one
+log) or shadow_stream (a mix's speech and noise, on a worker thread,
+each block reduced to per-hop powers, _shadow_powers).
 
 Every layer runs once per block of frames, on plain arrays. The
-transform pair runs once per block on scipy.fft's pocketfft extension
-(see framing), and each stage scales the block's fresh bins in place.
-Only Stage 1 computes the bins' powers (framing.bin_power), past the
-warm-up; replay computes none. A block holds only what a later step
-reads: the high-passed piece goes once the framer's buffer holds it,
-the frames once analysed, each stage's bin gains once applied (unless
-the caller logs gains), the powers once the last stage has pooled
-them and the bins once synthesised, so a block's working set is about
-its bins and one set of bin gains. The gain-rows pass evaluation runs
-(gains_only) needs no output: it drops the bins once their powers are
-taken, scales only the powers a later stage pools and synthesises
-nothing, so its block holds the powers and the bin gains. Replay's
-last output scales the analysed bins in place, and each stage's
-sliding minimum is one buffer of window_len + 1 band rows.
-The high-pass runs once per block on scipy.signal.lfilter's C loop,
-and so does each first-order smoother whose factor is one constant; a
-smoother whose factor varies by frame or band is one bidiagonal LAPACK
-solve per block (see noise_tracking). A row's result depends only on
-that row and the carried state, and every block form rounds as a
+transform pair runs on scipy.fft's pocketfft extension (see framing),
+and each stage scales the block's fresh bins in place. Only Stage 1
+computes the bins' powers (framing.bin_power), past the warm-up;
+replay computes none. A block holds only what a later step reads: the
+high-passed chunk goes once the framer's buffer holds it, the frames
+once analysed, each stage's bin gains once applied (unless logged),
+the powers once the last stage has pooled them and the bins once
+synthesised, so a call of any length holds about one block's bins and
+one set of bin gains beyond its input and output. The gain-rows pass
+(gains_only) drops the bins once their powers are taken, scales only
+the powers a later stage pools and synthesises nothing. Replay's last
+output scales the analysed bins in place, and each stage's sliding
+minimum is one buffer of window_len + 1 band rows. The high-pass runs
+once per chunk on scipy.signal.lfilter's C loop, and so does each
+first-order smoother whose factor is one constant; a smoother whose
+factor varies by frame or band is one bidiagonal LAPACK solve per
+block (see noise_tracking). A row's result depends only on that row
+and the carried state, and every block form rounds as a
 sample-by-sample or frame-by-frame step does, so any chunking of a
 stream gives bit-identical output. The carried state is plain arrays
 that each layer takes and hands back, and none shares memory with an
@@ -59,17 +59,22 @@ from .errors import InputError, UsageError
 # frame SNR (linear, 100 dB) reported for frames that carry no usable
 # energy; high enough that the alpha map treats the frame as clean speech
 _IDLE_FRAME_SNR = 1e10
-# most frames run through the layers at once; bounds a call's memory
+# most frames run through the layers at once: bounds every push's
+# memory, whatever its length
 BLOCK_FRAMES = 256
+_F64 = np.dtype(float)  # _mono hands a 1-D array of it on as it is: every hop calls it twice
 
 
 class _Framer:
     """The shape of one stream: latency seeded zeros, the signal fed to
     push piece by piece, then flush_len zeros, which bring out at least
-    size + 2 * latency samples in all. push yields blocks (frames, n)
-    of at most BLOCK_FRAMES (see _frames), the first warm_frames frames,
-    which hold seeded zeros, in blocks of their own; frames counts the
-    frames run, so it is the running block's first frame."""
+    size + 2 * latency samples in all. push runs a piece of any length
+    through one buffer, BLOCK_FRAMES hops at a time, so the buffer holds
+    at most latency + BLOCK_FRAMES * hop_len samples (about two frames
+    hop by hop). It yields blocks (frames, n), copies (see _frames) of at
+    most BLOCK_FRAMES, the warm_frames frames of seeded zeros in blocks of
+    their own; a lone frame is a view of the buffer, valid until the
+    generator resumes. frames counts frames run: the running block's first."""
 
     def __init__(self, fcfg: framing.FrameConfig):
         self.fcfg = fcfg
@@ -79,57 +84,51 @@ class _Framer:
         self.latency = fcfg.frame_len + fcfg.hop_len
         self.warm_frames = fcfg.frame_len // fcfg.hop_len + 1
         self.flush_len = self.latency + fcfg.frame_len
-        # input no frame has consumed yet is carry[:fill]; sized for the
-        # seeded zeros, it holds less than a frame after the first piece
-        self.carry = np.zeros(self.latency)
-        self.fill = self.latency
+        self.feed = BLOCK_FRAMES * fcfg.hop_len
+        self.buf, self.fill = np.zeros(self.latency), self.latency  # buf[:fill]: input to frame
         self.samples_in = 0
         self.frames = 0
 
     def push(self, samples):
-        """Screen and high-pass a piece; yield the blocks it completes.
-        A NaN, an infinity or a magnitude above max_abs_sample raises
-        InputError naming its stream index, before any state changes."""
-        fcfg = self.fcfg
+        """Screen a piece, then high-pass, buffer and frame it a chunk at
+        a time; yield its blocks. A NaN, an infinity or a magnitude above
+        max_abs_sample raises InputError naming its stream index, before
+        any state changes."""
+        feed, hop, flen = self.feed, self.fcfg.hop_len, self.fcfg.frame_len
         x = _mono(samples)
-        # the peak magnitude is exact and cannot overflow, and a NaN fails
-        # the test too; a sum of squares would need a prescale that leaves
-        # ordinary samples' squares subnormal, which is slow
-        limit = fcfg.max_abs_sample
-        if not np.maximum.reduce(np.abs(x), initial=0.0) <= limit:
-            i = np.flatnonzero(~(np.abs(x) <= limit))[0]
-            what = f"sample magnitude above {limit:.3g}" if math.isfinite(x[i]) else "non-finite sample"
-            raise InputError(f"{what} at stream index {self.samples_in + i}")
+        # chunks of at most BLOCK_FRAMES hops, at least one (a first completes
+        # the seeded zeros' frames); their peak magnitude is exact, cannot
+        # overflow and fails a NaN, where a sum of squares needs a prescale
+        limit = self.fcfg.max_abs_sample
+        chunks = [x] if x.size <= feed else [x[at : at + feed] for at in range(0, x.size, feed)]
+        for chunk in chunks:
+            if not np.maximum.reduce(np.abs(chunk), initial=0.0) <= limit:
+                i = np.flatnonzero(~(np.abs(x) <= limit))[0]
+                what = f"sample magnitude above {limit:.3g}" if math.isfinite(x[i]) else "non-finite sample"
+                raise InputError(f"{what} at stream index {self.samples_in + i}")
         self.samples_in += x.size
-        if self.hpf is not None:
-            x, self.zi = framing.hpf_process(x, self.hpf, self.zi)
-        hop, flen = fcfg.hop_len, fcfg.frame_len
-        fill, carry = self.fill, self.carry
-        end = fill + x.size
-        if flen <= end < flen + hop:
-            # exactly one frame (the carry is then short of one): complete
-            # it in place, run it, and shift the remainder down
-            take = flen - fill
-            carry[fill:flen] = x[:take]
-            yield carry[:flen], 1
-            self.frames += 1
-            carry[: flen - hop] = carry[hop:flen]
-            if end > flen:
-                carry[flen - hop : end - hop] = x[take:]
-            self.fill = end - hop
-            return
-        n_frames = self.completes(x.size)
-        buf = np.concatenate([carry[:fill], x])
-        del x  # spent: buf holds it
-        first = 0
-        while first < n_frames:
-            warm = self.warm_frames - self.frames
-            n = min(BLOCK_FRAMES, n_frames - first, warm if warm > 0 else n_frames)
-            yield _frames(buf, first, n, fcfg), n
-            self.frames += n
-            first += n
-        self.fill = end - n_frames * hop
-        carry[: self.fill] = buf[n_frames * hop :]
+        for chunk in chunks:
+            if self.hpf is not None:
+                chunk, self.zi = framing.hpf_process(chunk, self.hpf, self.zi)
+            buf, fill = self.buf, self.fill
+            end = fill + chunk.size
+            if end > buf.size:  # at most latency + feed, as fill <= latency
+                grown = np.empty(end)
+                grown[:fill] = buf[:fill]
+                buf = self.buf = grown
+            buf[fill:end] = chunk
+            del chunk  # spent: buf holds it
+            n_frames = (end - flen) // hop + 1 if end >= flen else 0
+            first = 0
+            while first < n_frames:
+                warm = self.warm_frames - self.frames
+                n = n_frames - first if warm <= 0 else min(n_frames - first, warm, BLOCK_FRAMES)
+                start = first * hop
+                yield (buf[start : start + flen] if n == 1 else _frames(buf, start, n, hop, flen)), n
+                self.frames += n
+                first += n
+            self.fill = end - n_frames * hop
+            buf[: self.fill] = buf[n_frames * hop : end]
 
     def completes(self, size: int) -> int:
         """Frames a push of size samples completes."""
@@ -137,8 +136,7 @@ class _Framer:
 
     def pieces(self, x: np.ndarray):
         """x in the pieces a stream is fed in, BLOCK_FRAMES hops each."""
-        feed = BLOCK_FRAMES * self.fcfg.hop_len
-        return (x[i : i + feed] for i in range(0, x.size, feed))
+        return (x[i : i + self.feed] for i in range(0, x.size, self.feed))
 
     def stream(self, x: np.ndarray):
         """The pieces of x, then the zero flush; none for an empty x."""
@@ -246,6 +244,7 @@ class StreamProcessor:
         self.log_gains = log_gains or gains_only
         stages = (cfg.stage1,) if single_stage else (cfg.stage1, cfg.stage2)
         self.stages = [_StageState(stage, cfg.num_bands) for stage in stages]
+        self.pairs = list(zip(self.stages, (*self.stages[1:], None)))  # (stage, next or None)
 
     frame_index = property(lambda self: self.framer.frames, doc="Frames run so far.")
 
@@ -258,8 +257,17 @@ class StreamProcessor:
         """
         if self.gains_only:
             raise UsageError("a gains_only processor makes no output; read its blocks()")
-        outs = [record.out for record in self.blocks(samples)]
-        return outs[0] if len(outs) == 1 else np.concatenate(outs or [np.zeros(0)])
+        x = _mono(samples)
+        size = self.framer.completes(x.size) * self.cfg.frame.hop_len
+        y, pos = None, 0
+        for record in self.blocks(x):
+            if record.out.size == size:  # one block makes it all, in an array of its own
+                y = record.out
+            else:
+                y = np.empty(size) if y is None else y
+                y[pos : pos + record.out.size] = record.out
+                pos += record.out.size
+        return np.zeros(0) if y is None else y
 
     def blocks(self, samples: np.ndarray):
         """Feed a block of samples, as process does; yield the
@@ -271,18 +279,18 @@ class StreamProcessor:
         array goes as soon as nothing reads it again, which is why the
         stages run here and not in a method of their own: a caller's
         name would keep an array alive through the call."""
-        fcfg, plan, log = self.cfg.frame, self.plan, self.log_gains
-        for frames, n in self.framer.push(samples):
-            first = self.framer.frames
+        fcfg, plan, log, framer = self.cfg.frame, self.plan, self.log_gains, self.framer
+        for frames, n in framer.push(samples):
+            first = framer.frames
             bins = framing.analyze(frames, fcfg)
             del frames  # spent: the layers below read the spectrum
             # the stages run past the warm-up, on the bins' powers
-            power = None if first < self.framer.warm_frames else framing.bin_power(bins)
+            power = None if first < framer.warm_frames else framing.bin_power(bins)
             if self.gains_only:
                 bins = None  # no output: the powers are all the stages read
             gains, noise, snr_db = None, [], None
             if power is not None:
-                for stage, later in zip(self.stages, (*self.stages[1:], None)):
+                for stage, later in self.pairs:
                     mags = bands.pool_to_bands(power, plan)
                     if later is None:
                         power = None  # pooled: nothing reads it again
@@ -333,16 +341,16 @@ def process_stream(
     the input's length; the algorithmic latency appears as a leading
     delay and the tail is flushed with zeros. With latency_aligned the
     leading delay is trimmed instead, so output sample i corresponds
-    to input sample i. The signal is fed in _Framer.pieces, and the
-    output and the log are written into arrays of their final size, so
-    a call holds little more than what it returns.
+    to input sample i. The signal is pushed whole, and the output and
+    the log are written into arrays of their final size, so a call
+    holds little more than what it returns.
     """
     x = _mono(samples)
     proc = StreamProcessor(cfg, single_stage=single_stage, log_gains=True)
     y = np.empty(x.size)
     log = np.empty((proc.framer.frames_of(x.size), cfg.frame.num_bins))
     pos = 0
-    for record in run_stream(proc, proc.framer.pieces(x), x.size, latency_aligned=latency_aligned):
+    for record in run_stream(proc, [x], x.size, latency_aligned=latency_aligned):
         y[pos : pos + record.out.size] = record.out
         pos += record.out.size
         log[record.frame : record.frame + len(record.gains)] = record.gains
@@ -499,6 +507,8 @@ class _Shadow:
 
 
 def _mono(samples, what: str = "samples") -> np.ndarray:
+    if type(samples) is np.ndarray and samples.dtype is _F64 and samples.ndim == 1:
+        return samples
     x = _real(samples, what)
     if x.ndim != 1:
         raise UsageError(f"{what} must be a mono 1-D signal, got shape {x.shape}")
@@ -516,12 +526,8 @@ def _real(values, what: str) -> np.ndarray:
     return x.astype(float, copy=False)
 
 
-def _frames(buf: np.ndarray, first: int, n: int, fcfg) -> np.ndarray:
-    """Frames first..first+n-1 of buf, one per row; a lone frame stays
-    1-D, which every layer accepts, to spare numpy's broadcasting cost."""
-    start, hop, flen = first * fcfg.hop_len, fcfg.hop_len, fcfg.frame_len
-    if n == 1:
-        return buf[start : start + flen]
+def _frames(buf: np.ndarray, start: int, n: int, hop: int, flen: int) -> np.ndarray:
+    """n frames of buf from sample start on, one per row."""
     # a copy, not a strided view: over a long signal, analyze's window
     # multiply on a view's overlapping rows costs more than this copy
     hops = buf[start : start + (n - 1) * hop + flen].reshape(-1, hop)

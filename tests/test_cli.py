@@ -854,6 +854,24 @@ class TestBandplanAndPresets:
         assert run("bandplan") == 0
         assert "band_index" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ("num_bands=130", "num_bands must lie in [1, 129] (the bin count), got 130"),
+            ("num_bands=0", "num_bands must lie in [1, 129] (the bin count), got 0"),
+            ("frame.frame_len=0", "frame_len and hop_len must be positive"),
+            ("frame.hop_len=-64", "frame_len and hop_len must be positive"),
+        ],
+    )
+    def test_bandplan_refuses_out_of_range_override(self, tmp_path, capsys, assignment, message):
+        """A band count outside [1, bins] or a frame or hop length that is
+        not positive exits 1 with one line saying so, and writes nothing."""
+        out = tmp_path / "bands.csv"
+        assert run("bandplan", str(out), "--set", assignment) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and message in captured.err, captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_presets_list(self, capsys):
         assert run("presets") == 0
         out = capsys.readouterr().out

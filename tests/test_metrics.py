@@ -50,6 +50,11 @@ class TestActiveFrameMask:
     def test_silent_signal_has_no_active_blocks(self):
         assert not active_frame_mask(np.zeros(640), 64, 35.0).any()
 
+    @pytest.mark.parametrize("size", [0, 1, 63])
+    def test_signal_shorter_than_a_block_has_an_empty_mask(self, size):
+        mask = active_frame_mask(np.ones(size), 64, 35.0)
+        assert mask.dtype == bool and mask.shape == (0,)
+
 
 class TestMixAtSnr:
     def _spec(self, speech, noise, snr, **kw):

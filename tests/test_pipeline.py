@@ -110,6 +110,57 @@ class TestStreaming:
         returned = y.nbytes + log.nbytes
         assert peak < 1.25 * returned, peak / returned
 
+    def test_one_push_equals_block_pieces(self, comm_cfg):
+        """One push of 60 s gives the output, gain rows and noise rows of
+        the same samples pushed in BLOCK_FRAMES-hop pieces: the framer
+        runs a long push through its buffer a chunk of that size at a
+        time, and the engine is chunk-invariant."""
+        x = pink_noise(60.0, np.random.default_rng(41))
+        feed = BLOCK * comm_cfg.frame.hop_len
+
+        def run(chunks):
+            return run_blocks(ds.StreamProcessor(comm_cfg, log_gains=True), chunks)
+
+        y, log, rows = run([x])
+        y_pieces, log_pieces, rows_pieces = run([x[i : i + feed] for i in range(0, x.size, feed)])
+        assert y.tobytes() == y_pieces.tobytes() and log.tobytes() == log_pieces.tobytes()
+        assert [r[:2] for r in rows] == [r[:2] for r in rows_pieces]
+        np.testing.assert_array_equal([r[2:] for r in rows], [r[2:] for r in rows_pieces])
+
+    def test_one_push_holds_one_block_beyond_its_output(self, comm_cfg):
+        """Over 60 s of float64 noise, one blocks() pass of one push peaks
+        within 0.5 MiB of the same samples pushed in BLOCK_FRAMES-hop
+        pieces, and one process() call within 0.5 MiB of its output plus
+        that streamed peak. Joining the carry and the whole high-passed
+        push took 14.7 MiB against 2.2 MiB, and process() 16.6 MiB for a
+        7.3 MiB output."""
+        x = np.random.default_rng(40).normal(0.0, 0.1, 60 * FS)
+        feed = BLOCK * comm_cfg.frame.hop_len
+        ds.StreamProcessor(comm_cfg).process(x[: 4 * feed])  # whatever a first call loads
+
+        def peak(run):
+            proc = ds.StreamProcessor(comm_cfg)
+            tracemalloc.start()
+            try:
+                result = run(proc)
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        def drain(records):
+            for _ in records:
+                pass
+
+        def in_pieces(proc):
+            for i in range(0, x.size, feed):
+                drain(proc.blocks(x[i : i + feed]))
+
+        whole, _ = peak(lambda proc: drain(proc.blocks(x)))
+        pieces, _ = peak(in_pieces)
+        called, y = peak(lambda proc: proc.process(x))
+        assert whole <= pieces + 2**19, (whole, pieces)
+        assert called <= y.nbytes + pieces + 2**19, (called, y.nbytes, pieces)
+
     def test_streaming_memory_stays_flat(self, comm_cfg):
         """A default processor fed 1 min, then 2 min, of noise in
         1024-sample process calls holds under 1 MiB after each run:
@@ -173,6 +224,34 @@ class TestStreaming:
         outputs, kept = held(proc.process)
         assert {y.size for y in kept} == {hop}
         assert outputs <= 1.1 * fresh, (outputs, fresh)
+
+    @pytest.mark.parametrize("feed", [97, 777])
+    def test_kept_block_outputs_hold_only_their_samples(self, comm_cfg, feed):
+        """A caller that keeps 1000 calls' outputs of a warmed stream fed
+        97 or 777 samples a call, from process() or from every block
+        record, holds at most 1.1 times fresh copies of them. A block's
+        output was a view of the overlap-add sum, which holds the next
+        tail's hops too, so a two-frame output kept 1.5 times its
+        bytes."""
+        pieces = np.random.default_rng(42).normal(0.0, 0.1, (1400, feed))
+        proc = ds.StreamProcessor(comm_cfg)
+        for piece in pieces[:400]:  # past the warm-up and a tracker window
+            proc.process(piece)
+
+        def held(make, items):
+            tracemalloc.start()
+            try:
+                kept = [make(item) for item in items]
+                return tracemalloc.get_traced_memory()[0], kept
+            finally:
+                tracemalloc.stop()
+
+        outputs, kept = held(proc.process, pieces[400:900])
+        records, kept_records = held(lambda p: [r.out for r in proc.blocks(p)], pieces[900:])
+        fresh, _ = held(np.copy, kept)
+        fresh_records, _ = held(lambda outs: [np.copy(y) for y in outs], kept_records)
+        assert outputs <= 1.1 * fresh, (outputs, fresh)
+        assert records <= 1.1 * fresh_records, (records, fresh_records)
 
     def test_output_matches_input_length(self, comm_cfg):
         for n in (1, 63, 64, 8191, FS):

@@ -12,7 +12,7 @@ from scipy.io import wavfile
 
 import dualstage as ds
 from conftest import pcm24_wav_bytes
-from dualstage.errors import AudioIOError, InputError, InternalError
+from dualstage.errors import AudioIOError, InputError, InternalError, UsageError
 from dualstage.wavio import WavReader, wav_header
 
 
@@ -111,6 +111,32 @@ class TestRejection:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ds.read_wav(tmp_path / "nope.wav")
+
+    @pytest.mark.parametrize(
+        "samples, subtype, message",
+        [
+            (np.zeros((100, 2)), "pcm16", r"expected mono audio, got shape \(100, 2\)"),
+            (np.zeros(100), "pcm24", "unsupported output subtype 'pcm24'"),
+        ],
+    )
+    def test_write_refuses(self, tmp_path, samples, subtype, message):
+        """write_wav takes mono samples and a subtype it can encode; it
+        refuses anything else with UsageError and writes no file."""
+        p = tmp_path / "out.wav"
+        with pytest.raises(UsageError, match=message):
+            ds.write_wav(p, samples, 16000, subtype)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("subtype", ["pcm16", "float32"])
+    def test_file_cut_after_opening(self, tmp_path, subtype):
+        """A file that loses its end after WavReader opened it raises
+        AudioIOError at the read that runs short, naming its length."""
+        p = tmp_path / "a.wav"
+        ds.write_wav(p, np.zeros(16000), 16000, subtype)
+        with WavReader(p) as src:
+            os.truncate(p, p.stat().st_size // 2)
+            with pytest.raises(AudioIOError, match="file ended before its 16000 samples"):
+                src.read(16000)
 
     def test_garbage_file(self, tmp_path):
         p = tmp_path / "junk.wav"
