@@ -256,8 +256,8 @@ def synthesize(bins: np.ndarray, tail, cfg: FrameConfig):
     With r = frame_len // hop_len, a block's hop m starts from the
     tail's hop m, or from the last hop of frame m - r + 1, and adds the
     hops of frames m - r + 2 .. m in turn. The output's hops and the
-    next tail's are summed in fresh arrays, and a lone frame's output
-    is copied out, so every output holds only its own samples.
+    next tail's are summed in fresh arrays, and a lone frame's are
+    copied out of its transform, so each holds only its own samples.
     """
     # c2r's output is fresh: window it, and add into it, in place
     frames = _pocketfft.c2r(bins, (-1,), cfg.fft_len, False, 2)[..., : cfg.frame_len]
@@ -266,7 +266,7 @@ def synthesize(bins: np.ndarray, tail, cfg: FrameConfig):
     tail = np.zeros(cfg.frame_len - hop) if tail is None else tail
     if frames.ndim == 1:
         frames[:-hop] += tail
-        return frames[:hop].copy(), frames[hop:]
+        return frames[:hop].copy(), frames[hop:].copy()
     n, r = len(frames), cfg.frame_len // hop
     # hops[i, j] is hop j of frame i
     hops, tail = frames.reshape(n, r, hop), tail.reshape(r - 1, hop)

@@ -188,9 +188,10 @@ class TestOverlapAdd:
     def test_equals_the_joined_copy(self, cfg):
         """Outputs and carried tails are byte for byte those of the
         joined-copy form, over blocks of 1, 2, 7 and BLOCK_FRAMES frames
-        in turn, a lone frame between them. A lone frame's output owns
-        its hop_len samples; it was once a view of the inverse
-        transform's fft_len-sample buffer."""
+        in turn, a lone frame between them. Each output and tail owns
+        exactly its samples: a lone frame's were views of the inverse
+        transform's fft_len-sample buffer, and a block's of one
+        accumulator that held both."""
         rng = np.random.default_rng(cfg.frame_len + len(cfg.window_kind))
         tail = ref = rng.standard_normal(cfg.frame_len - cfg.hop_len)
         for n in (1, 2, 7, BLOCK_FRAMES, 2, 1):
@@ -201,8 +202,8 @@ class TestOverlapAdd:
                 got, tail = synthesize(bins, tail, cfg)
                 assert got.tobytes() == expected.tobytes()
                 assert tail.tobytes() == ref.tobytes()
-                if block.ndim == 1:
-                    assert got.base is None and got.nbytes == cfg.hop_len * 8
+                for y in (got, tail):
+                    assert (y if y.base is None else y.base).nbytes == y.nbytes
 
 
 class TestHighPass:
