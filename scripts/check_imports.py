@@ -1,13 +1,16 @@
 """Check that running dualstage imports none of scipy's heavy packages.
 
 In one fresh interpreter, in three phases:
-- a stream: imports dualstage and feeds 1 s of noise through a
-  StreamProcessor in 64-sample process calls. Exits 1, naming each one
-  loaded, if scipy.linalg._flapack, scipy.io.wavfile, top-level scipy
-  (outside Windows) or concurrent.futures is then in sys.modules: a
-  lone frame never solves a block and a stream reads no WAV, so a
-  caller fed one hop at a time needs no LAPACK wrapper (nor its
-  OpenBLAS thread) and no WAV codec.
+- two streams: imports dualstage and feeds 1 s of noise through a
+  StreamProcessor in 64-sample process calls (one hop), then through
+  another in 160-sample calls (10 ms at 16 kHz, two or three frames a
+  call). Exits 1, naming each one loaded, if scipy.linalg._flapack,
+  scipy.io.wavfile, top-level scipy (outside Windows) or
+  concurrent.futures is then in sys.modules: the engine steps a push
+  of a few frames one frame at a time, a lone frame never solves a
+  block and a stream reads no WAV, so a caller fed a hop or a 10 ms
+  buffer at a time needs no LAPACK wrapper (nor its OpenBLAS thread)
+  and no WAV codec.
 - an enhance run: runs `dualstage enhance` through cli.main on a 1 s
   WAV of noise. Exits 1, naming it, if top-level scipy (outside
   Windows) or concurrent.futures is then in sys.modules: their
@@ -51,7 +54,7 @@ from dualstage import StreamProcessor, cli, evaluate_condition, load_preset, wri
 
 # what an enhance run leaves unloaded
 LEAN = ("concurrent.futures",) if os.name == "nt" else ("scipy", "concurrent.futures")
-# and what a stream fed one hop at a time leaves unloaded besides
+# and what a stream fed a hop or 10 ms at a time leaves unloaded besides
 LEAN_STREAM = ("scipy.linalg._flapack", "scipy.io.wavfile", *LEAN)
 FORBIDDEN = ("scipy.signal", "scipy.stats", "scipy.linalg", "scipy.io", "scipy.fft", "numpy.fft")
 # the leaf modules dualstage loads, and the directory each must come from
@@ -62,7 +65,8 @@ LEAVES = {
     "scipy.fft._pocketfft.pypocketfft": "fft/_pocketfft",
 }
 FS = 16000
-HOP = 64
+# the streams' call sizes: one hop, and 10 ms
+FEEDS = (64, 160)
 
 
 def main():
@@ -70,12 +74,13 @@ def main():
     # 1.5 s: evaluate_condition asks for at least 1 s of active speech
     noise = 0.1 * rng.standard_normal(3 * FS // 2)
     speech = 0.3 * np.sin(2 * np.pi * 300 / FS * np.arange(noise.size))
-    proc = StreamProcessor(load_preset("communication"))
-    for pos in range(0, FS, HOP):
-        proc.process(noise[pos : pos + HOP])
-    loaded = [name for name in LEAN_STREAM if name in sys.modules]
-    if loaded:
-        sys.exit(f"a hop-by-hop dualstage stream imported {', '.join(loaded)}")
+    for feed in FEEDS:
+        proc = StreamProcessor(load_preset("communication"))
+        for pos in range(0, FS, feed):
+            proc.process(noise[pos : pos + feed])
+        loaded = [name for name in LEAN_STREAM if name in sys.modules]
+        if loaded:
+            sys.exit(f"a dualstage stream fed {feed} samples a call imported {', '.join(loaded)}")
     with tempfile.TemporaryDirectory() as tmp:
         src, dst = os.path.join(tmp, "in.wav"), os.path.join(tmp, "out.wav")
         write_wav(src, noise[:FS], FS, "float32")
@@ -99,7 +104,7 @@ def main():
     print(
         f"ok: {len(sys.modules)} modules loaded, none of {', '.join(FORBIDDEN)}; "
         f"enhance loaded none of {', '.join(LEAN)}; "
-        f"a hop-by-hop stream none of {', '.join(LEAN_STREAM)}"
+        f"streams fed {' and '.join(map(str, FEEDS))} samples a call none of {', '.join(LEAN_STREAM)}"
     )
 
 

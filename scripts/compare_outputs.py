@@ -13,8 +13,10 @@ it exits 1 on any difference, or on a case only one side has.
 The suite runs the three bundled presets, dual and single stage, over
 seeded signals from tests/synth.py:
 - process_stream's (output, gain log), whole and latency-aligned;
-- StreamProcessor.process fed 1-, 64-, 97- and 777-sample pieces, and
-  the noise rows of every block that the 777-sample feed yields;
+- StreamProcessor.process fed 1-, 64-, 97-, 160- and 777-sample
+  pieces (a 160-sample piece, 10 ms at 16 kHz, completes two or three
+  frames), and the noise rows of every block that the 777-sample feed
+  yields;
 - replay_gains of the whole run's gain log over the noise alone;
 - evaluate_condition at -5, 0 and 10 dB SNR, and
   snri_by_gain_shadowing of the mix's gain log;
@@ -52,7 +54,7 @@ from synth import FS, am_noise, pink_noise, surrogate_speech  # noqa: E402
 
 PRESETS = ("communication", "multimedia", "voice-trigger")
 VARIANTS = ("dual", "single")
-CHUNKS = (1, 64, 97, 777)
+CHUNKS = (1, 64, 97, 160, 777)
 SNRS_DB = (-5.0, 0.0, 10.0)
 # the engine cases' signal length; evaluation needs a few seconds of
 # speech past the trackers' warm-up

@@ -13,6 +13,12 @@ batch:
 - one-hop: one-hop (64-sample) StreamProcessor.process calls of a
   default processor, HOP_CALLS per batch, 8 * N batches after
   WARM_CALLS warm-up calls on each side; times are per call;
+- stream-hop: benchmarks/run.py's stream-hop loop: per batch, a fresh
+  default processor fed S seconds of noise one hop per call, every
+  output kept, each call timed; a batch's time is its median call's;
+- feed-128, feed-160: a fresh default processor fed S seconds of noise
+  in 128- and 160-sample (8 and 10 ms) calls, outputs kept, one run
+  per batch; times are per audio second;
 - stream-128, stream-256: run_stream over S seconds of noise fed 128
   and 256 hops at a time, one run per batch;
 - evaluate: evaluate_condition dual stage and then single stage at
@@ -27,7 +33,7 @@ batches the checkout ran faster. --json writes the same figures.
 Timing on a shared or loaded machine is noisy: read the ratio
 quartiles and the share of wins, not one median. Run it from a git
 checkout with numpy and scipy installed; it needs no network. The
-defaults take about two minutes on a 2-core box.
+defaults take about five minutes on a 2-core box.
 """
 
 import argparse
@@ -51,7 +57,10 @@ from synth import FS, am_noise, surrogate_speech  # noqa: E402
 
 HOP_CALLS = 200
 WARM_CALLS = 2000
-CASES = ("one-hop", "stream-128", "stream-256", "evaluate")
+CASES = ("one-hop", "stream-hop", "feed-128", "feed-160", "stream-128", "stream-256", "evaluate")
+# what each case's times are per
+UNITS = {"one-hop": "per call", "stream-hop": "per call (a batch's median)"}
+UNITS.update({case: "per audio second" for case in ("feed-128", "feed-160")})
 
 
 def import_tree(name: str, package: Path):
@@ -65,8 +74,19 @@ def import_tree(name: str, package: Path):
     return module
 
 
+def timed(batch, per):
+    """A measure: (wall, thread CPU) seconds of one batch, over per."""
+
+    def measure():
+        wall, cpu = time.perf_counter(), time.thread_time()
+        batch()
+        return (time.perf_counter() - wall) / per, (time.thread_time() - cpu) / per
+
+    return measure
+
+
 def one_hop(ds, cfg, seconds):
-    """A batch runner: HOP_CALLS one-hop calls of one stream, warmed up."""
+    """A measure of HOP_CALLS one-hop calls of one stream, warmed up."""
     proc = ds.StreamProcessor(cfg)
     hops = np.random.default_rng(0).normal(0.0, 0.1, (HOP_CALLS, cfg.frame.hop_len))
     for i in range(WARM_CALLS):
@@ -76,30 +96,67 @@ def one_hop(ds, cfg, seconds):
         for hop in hops:
             proc.process(hop)
 
-    return batch, HOP_CALLS
+    return timed(batch, HOP_CALLS)
+
+
+def stream_hop(ds, cfg, seconds):
+    """A measure of a fresh stream fed one hop per call, every output
+    kept: the median call's (wall, thread CPU) seconds."""
+    x = np.random.default_rng(3).normal(0.0, 0.1, round(seconds * FS))
+    hop = cfg.frame.hop_len
+
+    def measure():
+        proc = ds.StreamProcessor(cfg)
+        outs, walls, cpus = [], [], []
+        for pos in range(0, x.size, hop):
+            block = x[pos : pos + hop]
+            wall, cpu = time.perf_counter(), time.thread_time()
+            out = proc.process(block)
+            walls.append(time.perf_counter() - wall)
+            cpus.append(time.thread_time() - cpu)
+            outs.append(out)
+        return statistics.median(walls), statistics.median(cpus)
+
+    return measure
+
+
+def feed(size):
+    """A measure maker: a fresh stream fed seconds of noise in size-sample
+    calls, every output kept, per audio second."""
+
+    def make(ds, cfg, seconds):
+        x = np.random.default_rng(4).normal(0.0, 0.1, round(seconds * FS))
+
+        def batch():
+            proc = ds.StreamProcessor(cfg)
+            return [proc.process(x[pos : pos + size]) for pos in range(0, x.size, size)]
+
+        return timed(batch, x.size / FS)
+
+    return make
 
 
 def stream(feed_hops):
-    """A batch runner maker: one run_stream over seconds of noise fed
+    """A measure maker: one run_stream over seconds of noise fed
     feed_hops hops at a time, on a fresh processor."""
 
     def make(ds, cfg, seconds):
         x = np.random.default_rng(1).normal(0.0, 0.1, round(seconds * FS))
-        feed = feed_hops * cfg.frame.hop_len
+        size = feed_hops * cfg.frame.hop_len
 
         def batch():
             proc = ds.StreamProcessor(cfg)
-            pieces = (x[i : i + feed] for i in range(0, x.size, feed))
+            pieces = (x[i : i + size] for i in range(0, x.size, size))
             for _ in ds.pipeline.run_stream(proc, pieces, x.size):
                 pass
 
-        return batch, 1
+        return timed(batch, 1)
 
     return make
 
 
 def evaluate(ds, cfg, seconds):
-    """A batch runner: evaluate_condition dual and then single stage."""
+    """A measure of evaluate_condition dual and then single stage."""
     rng = np.random.default_rng(2)
     speech = surrogate_speech(seconds, rng)
     noise = am_noise(seconds, rng, 0.5, 0.9)
@@ -108,32 +165,28 @@ def evaluate(ds, cfg, seconds):
         for single in (False, True):
             ds.evaluate_condition(speech, noise, 0.0, cfg, single_stage=single)
 
-    return batch, 1
+    return timed(batch, 1)
 
 
 RUNNERS = {
     "one-hop": one_hop,
+    "stream-hop": stream_hop,
+    "feed-128": feed(128),
+    "feed-160": feed(160),
     "stream-128": stream(128),
     "stream-256": stream(256),
     "evaluate": evaluate,
 }
 
 
-def timed(batch, calls):
-    """(wall, thread CPU) seconds per call of one batch."""
-    wall, cpu = time.perf_counter(), time.thread_time()
-    batch()
-    return (time.perf_counter() - wall) / calls, (time.thread_time() - cpu) / calls
-
-
 def compare(sides, case, batches, seconds):
     """Alternate batches of case between the sides (REV's, then the
     checkout's); return {clock: figures}."""
-    runs = [RUNNERS[case](ds, cfg, seconds) for ds, cfg in sides]
+    measures = [RUNNERS[case](ds, cfg, seconds) for ds, cfg in sides]
     times = [[], []]
     for i in range(batches):
         for side in (0, 1) if i % 2 == 0 else (1, 0):
-            times[side].append(timed(*runs[side]))
+            times[side].append(measures[side]())
     figures = {}
     for k, clock in enumerate(("wall", "cpu")):
         rev, ours = ([t[k] for t in side] for side in times)
@@ -182,7 +235,7 @@ def main(argv=None) -> int:
         for case in args.case or CASES:
             batches = 8 * args.batches if case == "one-hop" else args.batches
             report[case] = figures = compare(sides, case, batches, args.seconds)
-            unit = "per call" if case == "one-hop" else "per batch"
+            unit = UNITS.get(case, "per batch")
             print(f"{case}: {batches} batches, times {unit}, checkout against {args.rev}")
             for clock, f in figures.items():
                 q = " / ".join(f"{x:.4f}" for x in f["ratio_quartiles"])

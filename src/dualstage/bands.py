@@ -118,13 +118,12 @@ def pool_to_bands(power: np.ndarray, plan: BandPlan) -> np.ndarray:
     return np.sqrt(sums, out=sums)
 
 
-def expand_to_bins(band_gains: np.ndarray, plan: BandPlan) -> np.ndarray:
-    """Convert M band gains to fft_len/2 + 1 bin gains, per frame.
+def expand_to_bins(g: np.ndarray, plan: BandPlan) -> np.ndarray:
+    """Convert M float band gains g to fft_len/2 + 1 bin gains, per frame.
 
     Linear interpolation across the band center bins; bins outside the
     first and last centers take the edge band's gain unchanged.
     """
-    g = np.asarray(band_gains, dtype=float)
     # numpy's fastest gathers: for a block an index on the last axis
     # (take runs about twice as long), for a lone frame a plain index
     # (an ellipsis costs more than the gather)

@@ -191,7 +191,7 @@ def design_hpf(cutoff_hz: float, sample_rate_hz: int) -> tuple[np.ndarray, np.nd
 
 
 def hpf_process(samples: np.ndarray, coeffs, zi):
-    """Apply the high-pass filter to a 1-D block; return (output, zi).
+    """Apply the high-pass filter to a 1-D float block; return (output, zi).
 
     Direct form II transposed, in scipy.signal.lfilter's C loop:
     y(i) = z1 + b0 x(i), z1 = (z2 + b1 x(i)) - a1 y(i),
@@ -200,12 +200,11 @@ def hpf_process(samples: np.ndarray, coeffs, zi):
     exactly, so filtering the pieces of a signal, each with the zi the
     last handed back, is bit-identical to filtering it in one call.
     """
-    x = np.asarray(samples, dtype=float)
     zi = np.zeros(2) if zi is None else zi
-    if not x.size:  # the kernel leaves zf unset for an empty block
-        return x.copy(), zi
+    if not samples.size:  # the kernel leaves zf unset for an empty block
+        return samples.copy(), zi
     b, a = coeffs
-    return _linear_filter(b, a, x, -1, zi)
+    return _linear_filter(b, a, samples, -1, zi)
 
 
 def analyze(frame: np.ndarray, cfg: FrameConfig) -> np.ndarray:
@@ -226,10 +225,16 @@ def analyze(frame: np.ndarray, cfg: FrameConfig) -> np.ndarray:
         Complex half spectrum, bins 0..fft_len/2, one row per frame;
         fresh, so a caller may scale it in place.
     """
-    if frame.ndim not in (1, 2) or frame.shape[-1] != cfg.frame_len:
-        raise UsageError(f"expected {cfg.frame_len} samples per frame, got shape {frame.shape}")
-    padded = np.zeros((*frame.shape[:-1], cfg.fft_len))
-    np.multiply(frame, cfg.windows[0], out=padded[..., : cfg.frame_len])
+    flen = cfg.frame_len
+    if frame.ndim not in (1, 2) or frame.shape[-1] != flen:
+        raise UsageError(f"expected {flen} samples per frame, got shape {frame.shape}")
+    # a plain slice for a lone frame: an ellipsis costs more than its multiply
+    if frame.ndim == 1:
+        padded = np.zeros(cfg.fft_len)
+        np.multiply(frame, cfg.windows[0], out=padded[:flen])
+    else:
+        padded = np.zeros((len(frame), cfg.fft_len))
+        np.multiply(frame, cfg.windows[0], out=padded[:, :flen])
     return _pocketfft.r2c(padded, (-1,), True, 0)
 
 
@@ -260,14 +265,17 @@ def synthesize(bins: np.ndarray, tail, cfg: FrameConfig):
     copied out of its transform, so each holds only its own samples.
     """
     # c2r's output is fresh: window it, and add into it, in place
-    frames = _pocketfft.c2r(bins, (-1,), cfg.fft_len, False, 2)[..., : cfg.frame_len]
-    frames *= cfg.windows[1]
-    hop = cfg.hop_len
-    tail = np.zeros(cfg.frame_len - hop) if tail is None else tail
-    if frames.ndim == 1:
+    frames = _pocketfft.c2r(bins, (-1,), cfg.fft_len, False, 2)
+    hop, flen = cfg.hop_len, cfg.frame_len
+    tail = np.zeros(flen - hop) if tail is None else tail
+    if frames.ndim == 1:  # a plain slice: an ellipsis costs more
+        frames = frames[:flen]
+        frames *= cfg.windows[1]
         frames[:-hop] += tail
         return frames[:hop].copy(), frames[hop:].copy()
-    n, r = len(frames), cfg.frame_len // hop
+    frames = frames[:, :flen]
+    frames *= cfg.windows[1]
+    n, r = len(frames), flen // hop
     # hops[i, j] is hop j of frame i
     hops, tail = frames.reshape(n, r, hop), tail.reshape(r - 1, hop)
     sums = []

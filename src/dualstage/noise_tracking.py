@@ -18,12 +18,16 @@ scipy.signal). A factor that varies (the Stage-2 factor that follows
 each frame's Stage-1 SNR, per-band alphas and both gain smoothers) is
 one unit lower-bidiagonal LAPACK solve over all bands (dgttrs, from
 scipy.linalg._flapack, loaded on the first solve: a lone frame never
-solves, so a stream fed one hop at a time never loads it). Both round
+solves, so a stream fed one hop, or a few hops, at a time never loads
+it, as the engine steps a push of fewer than pipeline.STEP_FRAMES
+frames one frame at a time). Both round
 each step exactly as a lone frame does (see smooth_rows), so chunking
 a stream never changes a bit. Each takes its carry, its last row
-(None at stream start), and hands back a copy of its new one.
+(None at stream start), and hands back its new one: a copy where the
+rows go to a caller, the row itself where they do not.
 """
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -93,14 +97,16 @@ class TrackerParams:
         # the settings in the form the per-frame arithmetic takes them,
         # built once: frozen arrays (see frozen_array), the smoothing
         # factors with their complements c = 1 - alpha, and the alpha
-        # map's breakpoints and multipliers (np.interp would convert a
-        # tuple on every call). Not fields, so the config codec and
-        # asdict never see them.
+        # map's breakpoints and multipliers, as arrays for a block's
+        # np.interp (which would convert a tuple on every call) and as
+        # tuples of floats for a lone frame's (_interp_point). Not
+        # fields, so the config codec and asdict never see them.
         _set_frozen(self, _bias=self.bias_factor, _pre_alpha=self.mag_smooth_alpha, _alpha=alpha)
         _set_frozen(self, _pre_c=1 - self._pre_alpha, _c=1 - self._alpha)
         snr_map = self.alpha_snr_map
         xy = None if snr_map is None else tuple(map(frozen_array, zip(*snr_map)))
         object.__setattr__(self, "_map", xy)
+        object.__setattr__(self, "_points", None if xy is None else tuple(tuple(a.tolist()) for a in xy))
 
 
 class _SlidingMin:
@@ -128,10 +134,14 @@ class _SlidingMin:
         return the window minimum of each, in the same shape."""
         buf = self.buf
         if rows.ndim == 1:
-            self.prefix_min = np.minimum(rows, self.prefix_min)
-            out = np.minimum(self.prefix_min, buf[self.pos + 1])
-            buf[self.pos] = rows
-            self._advance(self.pos + 1)
+            pos = self.pos
+            np.minimum(rows, self.prefix_min, out=self.prefix_min)
+            out = np.minimum(self.prefix_min, buf[pos + 1])
+            buf[pos] = rows
+            if pos + 1 < self.window_len:  # _advance only closes a block
+                self.pos = pos + 1
+            else:
+                self._advance(pos + 1)
             return out
         outs = []
         while len(rows):
@@ -153,7 +163,7 @@ class _SlidingMin:
         if end == self.window_len:
             suffix = self.buf[end - 1 :: -1]
             np.minimum.accumulate(suffix, axis=0, out=suffix)
-            self.prefix_min = np.full_like(self.prefix_min, np.inf)
+            self.prefix_min.fill(np.inf)
             end = 0
         self.pos = end
 
@@ -161,7 +171,7 @@ class _SlidingMin:
 @dataclass
 class NoiseState:
     """Per-stream tracker state: the sliding minimum's buffer and the
-    carries of the two smoothers (see smooth_carried), None until the
+    carries of the two smoothers (see update), None until the
     first frame seeds them; single writer, movable between threads."""
 
     window_min: _SlidingMin
@@ -215,7 +225,9 @@ def smooth_rows(prev, alpha, x: np.ndarray, floor=None, c=None) -> np.ndarray:
       from that row on the block steps row by row.
     A LAPACK built to fuse the multiply and add would round the solve
     differently; test_block_smoother_equals_frame_by_frame would catch
-    it.
+    it. update, smooth_noise and gain.smooth_gain step a lone frame
+    past the first with the 1-D branch's arithmetic written out, which
+    spares a dual-stage hop six calls, 1-1.5% of its time.
     """
     if x.ndim == 1:
         if prev is None:
@@ -255,13 +267,6 @@ def smooth_rows(prev, alpha, x: np.ndarray, floor=None, c=None) -> np.ndarray:
             c_rest = 1 - alpha_rest if c is None else c
             _step_rows(rows[m], c_rest, alpha_rest * x[m + 1 :], rows[m + 1 :], floor)
     return rows
-
-
-def smooth_carried(prev, alpha, x: np.ndarray, floor=None, c=None):
-    """smooth_rows, with the carry for the next call: (rows, a copy of
-    the last row), so a caller may keep or write into the rows."""
-    rows = smooth_rows(prev, alpha, x, floor, c)
-    return rows, (rows if rows.ndim == 1 else rows[-1]).copy()
 
 
 def _filter_rows(prev, alpha, c, x: np.ndarray) -> np.ndarray | None:
@@ -361,7 +366,13 @@ def smooth_noise(raw: np.ndarray, prev, alpha, c=None):
     [0, 1], as TrackerParams and effective_alpha give it; c, when
     given, is 1 - alpha built ahead (see smooth_rows).
     """
-    return smooth_carried(prev, alpha, raw, c=c)
+    if raw.ndim == 1 and prev is not None:  # a lone frame's step (see smooth_rows)
+        smoothed = (1 - alpha if c is None else c) * prev
+        smoothed += alpha * raw
+    else:
+        smoothed = smooth_rows(prev, alpha, raw, c=c)
+    # a copy: the caller may keep or write into the rows
+    return smoothed, (smoothed if smoothed.ndim == 1 else smoothed[-1]).copy()
 
 
 def effective_alpha(params: TrackerParams, stage1_snr_db):
@@ -374,12 +385,29 @@ def effective_alpha(params: TrackerParams, stage1_snr_db):
     2-D with one row per frame.
     """
     base = params._alpha
-    mult = np.interp(stage1_snr_db, *params._map)
-    if mult.ndim:
-        mult = mult[:, None]
-    elif base.ndim == 0:
-        return min(max(float(base) * float(mult), 0.0), 1.0)
+    if getattr(stage1_snr_db, "ndim", 0):  # a block's frame SNRs
+        mult = np.interp(stage1_snr_db, *params._map)[:, None]
+    else:
+        mult = _interp_point(float(stage1_snr_db), *params._points)
+        if base.ndim == 0:
+            return min(max(float(base) * mult, 0.0), 1.0)
     return np.minimum(np.maximum(mult * base, 0.0), 1.0)
+
+
+def _interp_point(x: float, xs: tuple, ys: tuple) -> float:
+    """np.interp(x, xs, ys) at one point, in Python floats: the
+    arithmetic of numpy's C loop, slope * (x - xs[j]) + ys[j] with the
+    slope (ys[j+1] - ys[j]) / (xs[j+1] - xs[j]), so the same bits
+    without np.interp's wrapper, which costs a lone frame more than its
+    arithmetic. test_lone_frame_interp_is_numpys checks the bits."""
+    if x != x:  # NaN, as np.interp gives it
+        return x
+    j = bisect.bisect_right(xs, x) - 1
+    if j < 0:
+        return ys[0]
+    if j == len(xs) - 1 or x == xs[j]:
+        return ys[j]
+    return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (x - xs[j]) + ys[j]
 
 
 def update(
@@ -400,9 +428,15 @@ def update(
         alpha, c = effective_alpha(params, stage1_snr_db), None
     else:
         alpha, c = params._alpha, params._c
-    pre, state.presmoothed_mag = smooth_carried(
-        state.presmoothed_mag, params._pre_alpha, band_mags, c=params._pre_c
-    )
+    prev = state.presmoothed_mag
+    if band_mags.ndim == 1 and prev is not None:  # a lone frame's step (see smooth_rows)
+        pre = params._pre_c * prev
+        pre += params._pre_alpha * band_mags
+    else:
+        pre = smooth_rows(prev, params._pre_alpha, band_mags, c=params._pre_c)
+    # the rows stay here (track_raw copies what it keeps), so a lone
+    # frame's are its own carry
+    state.presmoothed_mag = pre if pre.ndim == 1 else pre[-1].copy()
     raw = track_raw(pre, params, state)
     smoothed, state.smoothed = smooth_noise(raw, state.smoothed, alpha, c)
     return raw, smoothed

@@ -13,14 +13,23 @@ One framer (_Framer) owns a stream's shape: the seeded zeros, the input
 screen, the high-pass, the blocks, the pieces and the zero flush. Every
 push, a hop or a whole file, runs through its one buffer of at most
 latency + BLOCK_FRAMES hops; a lone frame it yields is a view of that
-buffer, valid until the generator resumes. metrics.spectrogram_stream
+buffer, valid until the generator resumes. The hop path skips the
+generators: StreamProcessor.process runs a push that completes fewer
+than STEP_FRAMES frames past the warm-up (a 4 ms hop, or an 8 or 10 ms
+buffer) one frame at a time. The framer screens the whole push
+(accept), high-passes it into its buffer (load) and, once each frame,
+a view of the buffer, has run through every layer (_frame), shifts
+them out (shift); no BlockRecord is made. Stepping a push frame by
+frame gives the bits of one block, by the chunk invariance below.
+metrics.spectrogram_stream
 has a framer of its own, with no high-pass, and so has replay
 (_Shadow), fed the engine's pieces: it shadows each block's gain rows,
 one analysis, then one synthesis per output, for replay_gains (one
 log) or shadow_stream (a mix's speech and noise, on a worker thread,
 each block reduced to per-hop powers, _shadow_powers).
 
-Every layer runs once per block of frames, on plain arrays. The
+Every layer runs once per block of frames (or per frame on the hop
+path), on plain arrays. The
 transform pair runs on scipy.fft's pocketfft extension (see framing),
 and each stage scales the block's fresh bins in place. Only Stage 1
 computes the bins' powers (framing.bin_power), past the warm-up;
@@ -62,7 +71,15 @@ _IDLE_FRAME_SNR = 1e10
 # most frames run through the layers at once: bounds every push's
 # memory, whatever its length
 BLOCK_FRAMES = 256
-_F64 = np.dtype(float)  # _mono hands a 1-D array of it on as it is: every hop calls it twice
+# a push that completes fewer frames than this, past the warm-up, runs
+# them one at a time (StreamProcessor._frame) instead of as one block:
+# stepped against as a block, a process call of 2 frames took 114 and
+# 196 us, of 3 frames 171 and 208 us, of 4 frames 224 and 215 us and of
+# 5 frames 278 and 222 us (dual stage, communication preset, thread CPU
+# time, median of 3 runs of 7 batches, on a 2-core x86-64 box; single
+# stage crosses over at 4 frames too)
+STEP_FRAMES = 4
+_F64 = np.dtype(float)  # _mono hands a 1-D array of it on as it is: every hop calls it
 
 
 class _Framer:
@@ -74,7 +91,10 @@ class _Framer:
     hop by hop). It yields blocks (frames, n), copies (see _frames) of at
     most BLOCK_FRAMES, the warm_frames frames of seeded zeros in blocks of
     their own; a lone frame is a view of the buffer, valid until the
-    generator resumes. frames counts frames run: the running block's first."""
+    generator resumes. frames counts frames run: the running block's
+    first. A caller may instead run a push of at most feed samples
+    itself: accept, load, run the buffer's frames, count them and shift
+    them out."""
 
     def __init__(self, fcfg: framing.FrameConfig):
         self.fcfg = fcfg
@@ -90,35 +110,18 @@ class _Framer:
         self.frames = 0
 
     def push(self, samples):
-        """Screen a piece, then high-pass, buffer and frame it a chunk at
-        a time; yield its blocks. A NaN, an infinity or a magnitude above
-        max_abs_sample raises InputError naming its stream index, before
-        any state changes."""
+        """Screen a piece (see accept), then high-pass, buffer and frame
+        it a chunk at a time; yield its blocks."""
         feed, hop, flen = self.feed, self.fcfg.hop_len, self.fcfg.frame_len
         x = _mono(samples)
-        # chunks of at most BLOCK_FRAMES hops, at least one (a first completes
-        # the seeded zeros' frames); their peak magnitude is exact, cannot
-        # overflow and fails a NaN, where a sum of squares needs a prescale
-        limit = self.fcfg.max_abs_sample
+        # chunks of at most BLOCK_FRAMES hops, at least one (a first
+        # completes the seeded zeros' frames)
         chunks = [x] if x.size <= feed else [x[at : at + feed] for at in range(0, x.size, feed)]
+        self.accept(x, chunks)
         for chunk in chunks:
-            if not np.maximum.reduce(np.abs(chunk), initial=0.0) <= limit:
-                i = np.flatnonzero(~(np.abs(x) <= limit))[0]
-                what = f"sample magnitude above {limit:.3g}" if math.isfinite(x[i]) else "non-finite sample"
-                raise InputError(f"{what} at stream index {self.samples_in + i}")
-        self.samples_in += x.size
-        for chunk in chunks:
-            if self.hpf is not None:
-                chunk, self.zi = framing.hpf_process(chunk, self.hpf, self.zi)
-            buf, fill = self.buf, self.fill
-            end = fill + chunk.size
-            if end > buf.size:  # at most latency + feed, as fill <= latency
-                grown = np.empty(end)
-                grown[:fill] = buf[:fill]
-                buf = self.buf = grown
-            buf[fill:end] = chunk
+            buf = self.load(chunk)
             del chunk  # spent: buf holds it
-            n_frames = (end - flen) // hop + 1 if end >= flen else 0
+            n_frames = (self.fill - flen) // hop + 1 if self.fill >= flen else 0
             first = 0
             while first < n_frames:
                 warm = self.warm_frames - self.frames
@@ -127,8 +130,43 @@ class _Framer:
                 yield (buf[start : start + flen] if n == 1 else _frames(buf, start, n, hop, flen)), n
                 self.frames += n
                 first += n
-            self.fill = end - n_frames * hop
-            buf[: self.fill] = buf[n_frames * hop : end]
+            self.shift(n_frames)
+
+    def accept(self, x: np.ndarray, chunks) -> None:
+        """Screen a whole piece x, in chunks (x's pieces of at most feed
+        samples), before any state changes, then count its samples: a
+        NaN, an infinity or a magnitude above max_abs_sample raises
+        InputError naming its stream index."""
+        # a chunk's peak magnitude is exact, cannot overflow and fails a
+        # NaN, where a sum of squares needs a prescale
+        limit = self.fcfg.max_abs_sample
+        for chunk in chunks:
+            if not np.maximum.reduce(np.abs(chunk), initial=0.0) <= limit:
+                i = np.flatnonzero(~(np.abs(x) <= limit))[0]
+                what = f"sample magnitude above {limit:.3g}" if math.isfinite(x[i]) else "non-finite sample"
+                raise InputError(f"{what} at stream index {self.samples_in + i}")
+        self.samples_in += x.size
+
+    def load(self, chunk: np.ndarray) -> np.ndarray:
+        """High-pass an accepted chunk of at most feed samples into the
+        buffer; return the buffer, whose first frames run next (see
+        shift)."""
+        if self.hpf is not None:
+            chunk, self.zi = framing.hpf_process(chunk, self.hpf, self.zi)
+        buf, fill = self.buf, self.fill
+        end = self.fill = fill + chunk.size
+        if end > buf.size:  # at most latency + feed, as fill <= latency
+            grown = np.empty(end)
+            grown[:fill] = buf[:fill]
+            buf = self.buf = grown
+        buf[fill:end] = chunk
+        return buf
+
+    def shift(self, n: int) -> None:
+        """Shift the hops of n frames run out of the buffer."""
+        cut = n * self.fcfg.hop_len
+        self.fill -= cut
+        self.buf[: self.fill] = self.buf[cut : cut + self.fill]
 
     def completes(self, size: int) -> int:
         """Frames a push of size samples completes."""
@@ -153,8 +191,8 @@ class _Framer:
 class _StageState:
     """One stage of one stream: tracker state, gain carry, and whether
     it is fed the frame SNR of the stage before (its tracker maps that
-    to alpha). step calls each layer by its module attribute, so a
-    wrapper set there (a tracer's, a test's) sees every call."""
+    to alpha). The engine calls each layer by its module attribute, so
+    a wrapper set there (a tracer's, a test's) sees every call."""
 
     def __init__(self, stage_cfg: StageConfig, num_bands: int):
         self.cfg = stage_cfg
@@ -165,14 +203,6 @@ class _StageState:
         # weight * SNR can overflow: a band's SNR is at most its weight
         # over eps**2, so their weighted sum is at most total**2 / eps**2
         self.loud_weight = stage_cfg.gains.noise_floor_eps * math.sqrt(sys.float_info.max) / 2
-
-    def step(self, band_mags: np.ndarray, snr_db):
-        cfg = self.cfg
-        raw_n, noise_est = noise_tracking.update(band_mags, cfg.tracker, self.noise, snr_db)
-        snr = gain.compute_snr(band_mags, noise_est, cfg.gains)
-        raw_g = gain.compute_raw_gain(snr, cfg.gains)
-        g, self.prev_gain = gain.smooth_gain(raw_g, self.prev_gain, cfg.gains)
-        return g, snr, raw_n, noise_est
 
     def frame_snr_db(self, band_mags: np.ndarray, snr: np.ndarray, widths: np.ndarray):
         """Energy-weighted mean of this stage's per-band SNR per frame, dB."""
@@ -188,6 +218,13 @@ class _StageState:
             total, exp = np.frexp(total)
             weights = np.ldexp(weights, -exp[..., np.newaxis])
         weights *= snr
+        if weights.ndim == 1:
+            # a lone frame's tail in Python floats: the same IEEE
+            # arithmetic without numpy's scalar overhead. np.log10 stays:
+            # math.log10 rounds some inputs differently
+            total = float(total)
+            snr_lin = float(np.add.reduce(weights)) / (total + (total == 0.0))
+            return 10.0 * np.log10(snr_lin or _IDLE_FRAME_SNR)
         snr_lin = np.add.reduce(weights, axis=-1) / (total + (total == 0.0))
         return 10.0 * np.log10(snr_lin + (snr_lin == 0.0) * _IDLE_FRAME_SNR)
 
@@ -254,11 +291,33 @@ class StreamProcessor:
         A NaN, an infinity or a magnitude above cfg.frame.max_abs_sample
         (which could overflow a band power) raises InputError naming
         its stream index; no state changes.
+
+        A push that completes fewer than STEP_FRAMES frames, once the
+        warm-up is done, runs them one at a time through every layer
+        (_frame), with no generator and no BlockRecord; a larger push
+        runs as blocks (see blocks). Both give the same bits.
         """
         if self.gains_only:
             raise UsageError("a gains_only processor makes no output; read its blocks()")
         x = _mono(samples)
-        size = self.framer.completes(x.size) * self.cfg.frame.hop_len
+        framer = self.framer
+        n = framer.completes(x.size)
+        if n < STEP_FRAMES and framer.frames >= framer.warm_frames:
+            # a small push past the warm-up: each frame, a view of the
+            # framer's buffer, through every layer in turn
+            framer.accept(x, (x,))
+            buf = framer.load(x)
+            hop, flen = self.cfg.frame.hop_len, self.cfg.frame.frame_len
+            if n == 1:
+                y = self._frame(buf[:flen])
+            else:
+                y = np.empty(n * hop)
+                for at in range(0, n * hop, hop):
+                    y[at : at + hop] = self._frame(buf[at : at + flen])
+            framer.frames += n
+            framer.shift(n)
+            return y
+        size = n * self.cfg.frame.hop_len
         y, pos = None, 0
         for record in self.blocks(x):
             if record.out.size == size:  # one block makes it all, in an array of its own
@@ -268,6 +327,26 @@ class StreamProcessor:
                 y[pos : pos + record.out.size] = record.out
                 pos += record.out.size
         return np.zeros(0) if y is None else y
+
+    def _frame(self, frame: np.ndarray) -> np.ndarray:
+        """One frame past the warm-up through every layer, as blocks
+        runs a block, with nothing kept for a record; its hop of output."""
+        fcfg, plan = self.cfg.frame, self.plan
+        bins = framing.analyze(frame, fcfg)
+        power = framing.bin_power(bins)
+        snr_db = None
+        for stage, later in self.pairs:
+            mags = bands.pool_to_bands(power, plan)
+            cfg = stage.cfg
+            noise_est = noise_tracking.update(mags, cfg.tracker, stage.noise, snr_db)[1]
+            snr = gain.compute_snr(mags, noise_est, cfg.gains)
+            raw_g = gain.compute_raw_gain(snr, cfg.gains)
+            g, stage.prev_gain = gain.smooth_gain(raw_g, stage.prev_gain, cfg.gains)
+            fed = later is not None and later.fed
+            snr_db = stage.frame_snr_db(mags, snr, plan.widths) if fed else None
+            bands.apply_gains(bins, None if later is None else power, bands.expand_to_bins(g, plan))
+        out, self.tail = framing.synthesize(bins, self.tail, fcfg)
+        return out
 
     def blocks(self, samples: np.ndarray):
         """Feed a block of samples, as process does; yield the
@@ -294,7 +373,11 @@ class StreamProcessor:
                     mags = bands.pool_to_bands(power, plan)
                     if later is None:
                         power = None  # pooled: nothing reads it again
-                    g, snr, raw_n, noise_est = stage.step(mags, snr_db)
+                    cfg = stage.cfg
+                    raw_n, noise_est = noise_tracking.update(mags, cfg.tracker, stage.noise, snr_db)
+                    snr = gain.compute_snr(mags, noise_est, cfg.gains)
+                    raw_g = gain.compute_raw_gain(snr, cfg.gains)
+                    g, stage.prev_gain = gain.smooth_gain(raw_g, stage.prev_gain, cfg.gains)
                     noise.append((raw_n.reshape(n, -1), noise_est.reshape(n, -1)))
                     # the next stage takes this one's frame SNR exactly when it maps it to alpha
                     fed = later is not None and later.fed

@@ -25,7 +25,10 @@ def _in_git_checkout() -> bool:
 def test_every_case_runs_against_head(tmp_path, capsys):
     """Each case alternates its batches between HEAD's package, imported
     as dualstage_rev, and the checkout's, and reports both clocks: each
-    side's median, the ratio quartiles and the share of wins."""
+    side's median, the ratio quartiles and the share of wins. The
+    benchmark-like cases time what benchmarks/run.py's stream-hop does
+    (one call, fresh streams, outputs kept) and the audio second of a
+    stream fed 8 or 10 ms a call."""
     report = tmp_path / "timing.json"
     assert compare_timing.main(["HEAD", "--batches", "2", "--seconds", "2", "--json", str(report)]) == 0
     figures = json.loads(report.read_text())
@@ -38,8 +41,15 @@ def test_every_case_runs_against_head(tmp_path, capsys):
             low, mid, high = f["ratio_quartiles"]
             assert 0 < low <= mid <= high
             assert f["checkout_faster"].endswith(f"/{batches}")
+    # a call of one hop takes far less than an audio second of calls
+    for clock in ("wall", "cpu"):
+        hop = figures["stream-hop"][clock]["checkout_median_us"]
+        for case in ("feed-128", "feed-160"):
+            assert 10 * hop < figures[case][clock]["checkout_median_us"]
     out = capsys.readouterr().out
     assert out.count("ratio quartiles") == 2 * len(compare_timing.CASES)
+    assert "stream-hop: 2 batches, times per call (a batch's median)" in out
+    assert "feed-160: 2 batches, times per audio second" in out
     # the other side ran its own tree, not the checkout's modules
     rev = compare_timing.sys.modules["dualstage_rev"]
     assert not Path(rev.__file__).resolve().is_relative_to(_ROOT / "src")

@@ -187,6 +187,23 @@ class TestEffectiveAlpha:
         vals = [self.alpha_at(0.3, s) for s in grid]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("points", [2, 3, 6])
+    def test_lone_frame_interp_is_numpys(self, points):
+        """A lone frame's SNR takes the map in Python floats, a block's
+        through np.interp: the two give the same bits, at and between the
+        breakpoints, outside them and at the ends of the float range."""
+        rng = np.random.default_rng(points)
+        xs = np.sort(rng.uniform(-20.0, 40.0, points))
+        snr_map = tuple(zip(xs, np.sort(rng.uniform(0.5, 4.0, points))[::-1]))
+        params = TrackerParams(alpha=0.2, alpha_snr_map=snr_map)
+        snrs = np.concatenate(
+            [rng.uniform(-40.0, 60.0, 20000), xs, np.nextafter(xs, np.inf), [-1e308, 1e308, -np.inf, np.inf]]
+        )
+        block = effective_alpha(params, snrs)[:, 0]
+        lone = np.array([effective_alpha(params, s) for s in snrs])
+        assert lone.tobytes() == block.tobytes()
+        assert np.isnan(effective_alpha(params, np.nan))
+
 
 class TestUpdate:
     def test_first_frame_seeds_presmoothing(self):

@@ -1,6 +1,8 @@
 """End-to-end pipeline behaviour: streaming, latency, gain replay."""
 
+import collections
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -77,6 +79,43 @@ class TestStreaming:
         np.testing.assert_array_equal(log, log_whole)
         assert [r[:2] for r in rows] == [r[:2] for r in rows_whole]
         np.testing.assert_array_equal([r[2:] for r in rows], [r[2:] for r in rows_whole])
+
+    @pytest.mark.parametrize("single", [False, True])
+    def test_carries_are_the_same_whatever_the_feed(self, comm_cfg, single):
+        """The same 3 s fed to process in 64-, 128- and 160-sample calls
+        (one frame a call, two, and two or three, which process steps
+        frame by frame) and in one push give the same output and leave
+        every carry byte for byte the same: the framer's high-pass
+        delays, unframed samples and counts, the overlap-add tail, and
+        per stage the two smoother carries, the gain carry and the
+        sliding minimum's buffer, position and prefix."""
+        x = surrogate_speech(3.0, np.random.default_rng(43)) + pink_noise(3.0, np.random.default_rng(44))
+
+        def carries(feed):
+            proc = ds.StreamProcessor(comm_cfg, single_stage=single)
+            y = np.concatenate([proc.process(x[pos : pos + feed]) for pos in range(0, x.size, feed)])
+            f = proc.framer
+            state = {"y": y, "zi": f.zi, "buf": f.buf[: f.fill], "fill": f.fill}
+            state |= {"samples_in": f.samples_in, "frames": f.frames, "tail": proc.tail}
+            for k, stage in enumerate(proc.stages):
+                noise, window = stage.noise, stage.noise.window_min
+                state |= {
+                    f"{k}.presmoothed_mag": noise.presmoothed_mag,
+                    f"{k}.smoothed": noise.smoothed,
+                    f"{k}.prev_gain": stage.prev_gain,
+                    f"{k}.window_buf": window.buf,
+                    f"{k}.window_pos": window.pos,
+                    f"{k}.prefix_min": window.prefix_min,
+                }
+            return {name: np.asarray(value) for name, value in state.items()}
+
+        whole = carries(x.size)
+        for feed in (64, 128, 160):
+            fed = carries(feed)
+            assert fed.keys() == whole.keys()
+            for name, value in fed.items():
+                assert (value.dtype, value.shape) == (whole[name].dtype, whole[name].shape), (feed, name)
+                assert value.tobytes() == whole[name].tobytes(), (feed, name)
 
     @pytest.mark.parametrize("aligned", [False, True])
     def test_run_stream_blocks_equal_whole(self, comm_cfg, aligned):
@@ -303,6 +342,28 @@ class TestNonFiniteInput:
         with pytest.raises(InputError, match="stream index 1234"):
             ds.replay_gains(x, log, comm_cfg)
 
+    @pytest.mark.parametrize("feed", [64, 128, 160, 192])
+    @pytest.mark.parametrize("bad", [np.nan, 1e200])
+    def test_small_push_names_first_bad_sample(self, comm_cfg, feed, bad):
+        """A push of one, two or three frames past the warm-up, which
+        process steps frame by frame, is screened whole before any
+        frame of it runs: a bad sample at its end raises with its
+        stream index, and the stream carries on as if never fed it."""
+        rng = np.random.default_rng(45)
+        x = rng.normal(0.0, 0.1, 4000)
+        proc = ds.StreamProcessor(comm_cfg)
+        ref = ds.StreamProcessor(comm_cfg)
+        for pos in range(0, 2000, feed):
+            np.testing.assert_array_equal(proc.process(x[pos : pos + feed]), ref.process(x[pos : pos + feed]))
+        start = len(range(0, 2000, feed)) * feed
+        block = x[start : start + feed].copy()
+        block[-1] = bad
+        with pytest.raises(InputError, match=f"at stream index {start + feed - 1}"):
+            proc.process(block)
+        assert proc.frame_index == ref.frame_index
+        for pos in range(start, x.size, feed):
+            np.testing.assert_array_equal(proc.process(x[pos : pos + feed]), ref.process(x[pos : pos + feed]))
+
     def test_huge_sample_names_first_bad_sample(self, comm_cfg):
         """A finite sample too large for the transforms fails fast like a
         NaN, where it used to come out as non-finite output."""
@@ -473,6 +534,45 @@ class TestTransformBudget:
         assert frames > 0
         assert transform_rows["fwd"] == frames
         assert transform_rows["inv"] == frames
+
+
+class TestCallBudget:
+    # Python-level calls a steady one-hop process call makes, dual and
+    # single stage, communication preset: one per layer and the
+    # framer's accept, load and shift; the block path made 57 and 32,
+    # two generators and a BlockRecord among them
+    BUDGET = {False: 36, True: 22}
+
+    @pytest.mark.parametrize("single", [False, True])
+    def test_calls_per_hop(self, comm_cfg, single):
+        """sys.setprofile counts the "call" events (function calls and
+        generator resumptions) of each of 100 one-hop calls of a warmed
+        stream: the median call makes at most the budgeted count, so a
+        new per-hop call (which costs stream-hop time) shows here
+        first, and none makes more than one per stage beyond it, which
+        a call that closes a sliding-minimum window adds."""
+        hop = comm_cfg.frame.hop_len
+        x = np.random.default_rng(46).normal(0.0, 0.1, 400 * hop)
+        proc = ds.StreamProcessor(comm_cfg, single_stage=single)
+        for pos in range(0, 300 * hop, hop):
+            proc.process(x[pos : pos + hop])
+        counts, names = [], collections.Counter()
+
+        def count(frame, event, arg):
+            if event == "call":
+                counts[-1] += 1
+                names[frame.f_code.co_name] += 1
+
+        for pos in range(300 * hop, x.size, hop):
+            counts.append(0)
+            sys.setprofile(count)
+            try:
+                proc.process(x[pos : pos + hop])
+            finally:
+                sys.setprofile(None)
+        budget = self.BUDGET[single] + len(proc.stages)
+        assert max(counts) <= budget, (max(counts), names)
+        assert sorted(counts)[50] <= self.BUDGET[single], (sorted(counts)[50], names)
 
 
 class TestGainRowsPass:

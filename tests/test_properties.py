@@ -60,10 +60,11 @@ def pipeline_configs(draw, window_kind=None):
 )
 def test_chunking_never_changes_the_output(cfg, single, seed, data):
     """Chunks of 0 samples, of less than a hop, of about the internal
-    block cap, and runs of one-hop calls (each a lone frame once the
-    first call has filled the carry) give the same samples, through
-    process and through the block records, and the same gain log and
-    tracker rows as one whole call."""
+    block cap, runs of one-hop calls (each a lone frame once the
+    first call has filled the carry) and runs of calls of one to four
+    hops (which process steps frame by frame) give the same samples,
+    through process and through the block records, and the same gain
+    log and tracker rows as one whole call."""
     hop = cfg.frame.hop_len
     cap = BLOCK_FRAMES * hop
     x = np.random.default_rng(seed).normal(0.0, 0.1, int(2.5 * cap))
@@ -76,6 +77,7 @@ def test_chunking_never_changes_the_output(cfg, single, seed, data):
         st.integers(1, hop - 1).map(lambda size: [size]),
         st.integers(cap - hop, cap + hop).map(lambda size: [size]),
         st.integers(1, 40).map(lambda calls: [hop] * calls),
+        st.tuples(st.integers(hop + 1, 4 * hop - 1), st.integers(1, 20)).map(lambda run: [run[0]] * run[1]),
     )
     sizes = [size for run in data.draw(st.lists(chunks, min_size=1, max_size=10)) for size in run]
     chunks = np.split(x, np.cumsum(sizes))

@@ -30,9 +30,10 @@ def run_python(*args):
 
 
 def test_a_run_imports_no_heavy_scipy_package():
-    """scripts/check_imports.py in a fresh interpreter: enhance a 1 s WAV
-    through cli.main and look in sys.modules, then evaluate one
-    condition, look again and at where the four scipy leaf modules
+    """scripts/check_imports.py in a fresh interpreter: feed a stream a
+    hop a call and another 160 samples a call and look in sys.modules,
+    enhance a 1 s WAV through cli.main and look again, then evaluate
+    one condition, look again and at where the four scipy leaf modules
     came from."""
     run_python(str(ROOT / "scripts" / "check_imports.py"))
 
