@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+_F64 = np.dtype(float)
+
 
 def bark_of_hz(freq_hz):
     """Bark(f) = 13*atan(0.00076*f) + 3.5*atan((f/7500)^2)."""
@@ -118,12 +120,15 @@ def pool_to_bands(power: np.ndarray, plan: BandPlan) -> np.ndarray:
     return np.sqrt(sums, out=sums)
 
 
-def expand_to_bins(g: np.ndarray, plan: BandPlan) -> np.ndarray:
-    """Convert M float band gains g to fft_len/2 + 1 bin gains, per frame.
+def expand_to_bins(band_gains: np.ndarray, plan: BandPlan) -> np.ndarray:
+    """Convert M band gains to fft_len/2 + 1 bin gains, per frame.
 
     Linear interpolation across the band center bins; bins outside the
     first and last centers take the edge band's gain unchanged.
     """
+    g = band_gains
+    if type(g) is not np.ndarray or g.dtype is not _F64:  # the engine's gains pass as they are
+        g = np.asarray(g, dtype=float)
     # numpy's fastest gathers: for a block an index on the last axis
     # (take runs about twice as long), for a lone frame a plain index
     # (an ellipsis costs more than the gather)

@@ -47,6 +47,7 @@ MAX_SAMPLE_RATE_HZ = 2**32 - 1
 # bounds the high-pass filter's l1 gain (below 2.44 for a second-order
 # Butterworth high-pass at any cutoff) with room for rounding
 _HPF_GAIN_BOUND = 8.0
+_F64 = np.dtype(float)
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ def design_hpf(cutoff_hz: float, sample_rate_hz: int) -> tuple[np.ndarray, np.nd
 
 
 def hpf_process(samples: np.ndarray, coeffs, zi):
-    """Apply the high-pass filter to a 1-D float block; return (output, zi).
+    """Apply the high-pass filter to a 1-D block; return (output, zi).
 
     Direct form II transposed, in scipy.signal.lfilter's C loop:
     y(i) = z1 + b0 x(i), z1 = (z2 + b1 x(i)) - a1 y(i),
@@ -200,11 +201,14 @@ def hpf_process(samples: np.ndarray, coeffs, zi):
     exactly, so filtering the pieces of a signal, each with the zi the
     last handed back, is bit-identical to filtering it in one call.
     """
+    x = samples
+    if type(x) is not np.ndarray or x.dtype is not _F64:  # the engine's hops pass as they are
+        x = np.asarray(x, dtype=float)
     zi = np.zeros(2) if zi is None else zi
-    if not samples.size:  # the kernel leaves zf unset for an empty block
-        return samples.copy(), zi
+    if not x.size:  # the kernel leaves zf unset for an empty block
+        return x.copy(), zi
     b, a = coeffs
-    return _linear_filter(b, a, samples, -1, zi)
+    return _linear_filter(b, a, x, -1, zi)
 
 
 def analyze(frame: np.ndarray, cfg: FrameConfig) -> np.ndarray:

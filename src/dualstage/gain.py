@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, refuse_huge_integers
-from .noise_tracking import _ONE, PerBand, _set_frozen, frozen_array, smooth_rows
+from .noise_tracking import _ONE, PerBand, _set_frozen, frozen_array, smooth_carried
 
 # validation bound for mu; presets stay well inside it
 MU_MAX = 1.5
@@ -121,13 +121,4 @@ def smooth_gain(raw: np.ndarray, prev, params: GainParams):
     frame and band, so a block is one bidiagonal solve (smooth_rows).
     """
     prev = np.ones(raw.shape[-1]) if prev is None else prev
-    gamma = smoothing_factor_of(raw, params)
-    if raw.ndim == 1:  # a lone frame's step (see smooth_rows)
-        gains = (_ONE - gamma) * prev
-        gains += gamma * raw
-        np.maximum(gains, params._floor, out=gains)
-        np.minimum(gains, _ONE, out=gains)
-    else:
-        gains = smooth_rows(prev, gamma, raw, params._floor)
-    # a copy: the caller may keep or write into the gains
-    return gains, (gains if gains.ndim == 1 else gains[-1]).copy()
+    return smooth_carried(prev, smoothing_factor_of(raw, params), raw, params._floor)

@@ -23,8 +23,7 @@ it, as the engine steps a push of fewer than pipeline.STEP_FRAMES
 frames one frame at a time). Both round
 each step exactly as a lone frame does (see smooth_rows), so chunking
 a stream never changes a bit. Each takes its carry, its last row
-(None at stream start), and hands back its new one: a copy where the
-rows go to a caller, the row itself where they do not.
+(None at stream start), and hands back a copy of its new one.
 """
 
 import bisect
@@ -171,7 +170,7 @@ class _SlidingMin:
 @dataclass
 class NoiseState:
     """Per-stream tracker state: the sliding minimum's buffer and the
-    carries of the two smoothers (see update), None until the
+    carries of the two smoothers (see smooth_carried), None until the
     first frame seeds them; single writer, movable between threads."""
 
     window_min: _SlidingMin
@@ -225,9 +224,7 @@ def smooth_rows(prev, alpha, x: np.ndarray, floor=None, c=None) -> np.ndarray:
       from that row on the block steps row by row.
     A LAPACK built to fuse the multiply and add would round the solve
     differently; test_block_smoother_equals_frame_by_frame would catch
-    it. update, smooth_noise and gain.smooth_gain step a lone frame
-    past the first with the 1-D branch's arithmetic written out, which
-    spares a dual-stage hop six calls, 1-1.5% of its time.
+    it.
     """
     if x.ndim == 1:
         if prev is None:
@@ -267,6 +264,13 @@ def smooth_rows(prev, alpha, x: np.ndarray, floor=None, c=None) -> np.ndarray:
             c_rest = 1 - alpha_rest if c is None else c
             _step_rows(rows[m], c_rest, alpha_rest * x[m + 1 :], rows[m + 1 :], floor)
     return rows
+
+
+def smooth_carried(prev, alpha, x: np.ndarray, floor=None, c=None):
+    """smooth_rows, with the carry for the next call: (rows, a copy of
+    the last row), so a caller may keep or write into the rows."""
+    rows = smooth_rows(prev, alpha, x, floor, c)
+    return rows, (rows if rows.ndim == 1 else rows[-1]).copy()
 
 
 def _filter_rows(prev, alpha, c, x: np.ndarray) -> np.ndarray | None:
@@ -366,13 +370,7 @@ def smooth_noise(raw: np.ndarray, prev, alpha, c=None):
     [0, 1], as TrackerParams and effective_alpha give it; c, when
     given, is 1 - alpha built ahead (see smooth_rows).
     """
-    if raw.ndim == 1 and prev is not None:  # a lone frame's step (see smooth_rows)
-        smoothed = (1 - alpha if c is None else c) * prev
-        smoothed += alpha * raw
-    else:
-        smoothed = smooth_rows(prev, alpha, raw, c=c)
-    # a copy: the caller may keep or write into the rows
-    return smoothed, (smoothed if smoothed.ndim == 1 else smoothed[-1]).copy()
+    return smooth_carried(prev, alpha, raw, c=c)
 
 
 def effective_alpha(params: TrackerParams, stage1_snr_db):
@@ -428,15 +426,9 @@ def update(
         alpha, c = effective_alpha(params, stage1_snr_db), None
     else:
         alpha, c = params._alpha, params._c
-    prev = state.presmoothed_mag
-    if band_mags.ndim == 1 and prev is not None:  # a lone frame's step (see smooth_rows)
-        pre = params._pre_c * prev
-        pre += params._pre_alpha * band_mags
-    else:
-        pre = smooth_rows(prev, params._pre_alpha, band_mags, c=params._pre_c)
-    # the rows stay here (track_raw copies what it keeps), so a lone
-    # frame's are its own carry
-    state.presmoothed_mag = pre if pre.ndim == 1 else pre[-1].copy()
+    pre, state.presmoothed_mag = smooth_carried(
+        state.presmoothed_mag, params._pre_alpha, band_mags, c=params._pre_c
+    )
     raw = track_raw(pre, params, state)
     smoothed, state.smoothed = smooth_noise(raw, state.smoothed, alpha, c)
     return raw, smoothed

@@ -72,12 +72,17 @@ _IDLE_FRAME_SNR = 1e10
 # memory, whatever its length
 BLOCK_FRAMES = 256
 # a push that completes fewer frames than this, past the warm-up, runs
-# them one at a time (StreamProcessor._frame) instead of as one block:
-# stepped against as a block, a process call of 2 frames took 114 and
-# 196 us, of 3 frames 171 and 208 us, of 4 frames 224 and 215 us and of
-# 5 frames 278 and 222 us (dual stage, communication preset, thread CPU
-# time, median of 3 runs of 7 batches, on a 2-core x86-64 box; single
-# stage crosses over at 4 frames too)
+# them one at a time (StreamProcessor._frame) instead of as one block.
+# Realtime audio APIs hand over such pushes: a 4 ms hop (1 frame), the
+# W3C Web Audio API's 128-sample render quantum (8 ms at 16 kHz, 2
+# frames) and the 10 ms chunks of WebRTC's audio processing module
+# (AudioProcessing::kChunkSizeMs; 160 samples, 2 or 3 frames). Stepped
+# against as a block, a process call of 2 frames took 115-117 and
+# 194-198 us, of 3 frames 168-178 and 201-214 us, of 4 frames 226-237
+# and 217-230 us and of 5 frames 276-294 and 224-229 us (dual stage,
+# communication preset, thread CPU time, two runs of the median of 3
+# runs of 7 batches, on a 2-core x86-64 box; single stage crosses
+# over at 4 frames too, 121-129 against 116-126 us)
 STEP_FRAMES = 4
 _F64 = np.dtype(float)  # _mono hands a 1-D array of it on as it is: every hop calls it
 
@@ -191,8 +196,8 @@ class _Framer:
 class _StageState:
     """One stage of one stream: tracker state, gain carry, and whether
     it is fed the frame SNR of the stage before (its tracker maps that
-    to alpha). The engine calls each layer by its module attribute, so
-    a wrapper set there (a tracer's, a test's) sees every call."""
+    to alpha). step calls each layer by its module attribute, so a
+    wrapper set there (a tracer's, a test's) sees every call."""
 
     def __init__(self, stage_cfg: StageConfig, num_bands: int):
         self.cfg = stage_cfg
@@ -203,6 +208,14 @@ class _StageState:
         # weight * SNR can overflow: a band's SNR is at most its weight
         # over eps**2, so their weighted sum is at most total**2 / eps**2
         self.loud_weight = stage_cfg.gains.noise_floor_eps * math.sqrt(sys.float_info.max) / 2
+
+    def step(self, band_mags: np.ndarray, snr_db):
+        cfg = self.cfg
+        raw_n, noise_est = noise_tracking.update(band_mags, cfg.tracker, self.noise, snr_db)
+        snr = gain.compute_snr(band_mags, noise_est, cfg.gains)
+        raw_g = gain.compute_raw_gain(snr, cfg.gains)
+        g, self.prev_gain = gain.smooth_gain(raw_g, self.prev_gain, cfg.gains)
+        return g, snr, raw_n, noise_est
 
     def frame_snr_db(self, band_mags: np.ndarray, snr: np.ndarray, widths: np.ndarray):
         """Energy-weighted mean of this stage's per-band SNR per frame, dB."""
@@ -337,11 +350,7 @@ class StreamProcessor:
         snr_db = None
         for stage, later in self.pairs:
             mags = bands.pool_to_bands(power, plan)
-            cfg = stage.cfg
-            noise_est = noise_tracking.update(mags, cfg.tracker, stage.noise, snr_db)[1]
-            snr = gain.compute_snr(mags, noise_est, cfg.gains)
-            raw_g = gain.compute_raw_gain(snr, cfg.gains)
-            g, stage.prev_gain = gain.smooth_gain(raw_g, stage.prev_gain, cfg.gains)
+            g, snr = stage.step(mags, snr_db)[:2]
             fed = later is not None and later.fed
             snr_db = stage.frame_snr_db(mags, snr, plan.widths) if fed else None
             bands.apply_gains(bins, None if later is None else power, bands.expand_to_bins(g, plan))
@@ -373,11 +382,7 @@ class StreamProcessor:
                     mags = bands.pool_to_bands(power, plan)
                     if later is None:
                         power = None  # pooled: nothing reads it again
-                    cfg = stage.cfg
-                    raw_n, noise_est = noise_tracking.update(mags, cfg.tracker, stage.noise, snr_db)
-                    snr = gain.compute_snr(mags, noise_est, cfg.gains)
-                    raw_g = gain.compute_raw_gain(snr, cfg.gains)
-                    g, stage.prev_gain = gain.smooth_gain(raw_g, stage.prev_gain, cfg.gains)
+                    g, snr, raw_n, noise_est = stage.step(mags, snr_db)
                     noise.append((raw_n.reshape(n, -1), noise_est.reshape(n, -1)))
                     # the next stage takes this one's frame SNR exactly when it maps it to alpha
                     fed = later is not None and later.fed

@@ -113,6 +113,20 @@ class TestExpansion:
             bins = expand_to_bins(gains, plan)
             assert np.all(np.diff(bins) >= -1e-15)
 
+    @pytest.mark.parametrize("kind", ["float32", "int", "list"])
+    def test_any_real_gains_expand_as_float64(self, kind):
+        """Gains that are not a float64 array convert as np.asarray(...,
+        float) would: the bin gains are float64 and the same values."""
+        plan = build_band_plan(256, 16000, 33)
+        gains = np.random.default_rng(23).uniform(0.1, 1.0, (2, 33)).astype(np.float32)
+        if kind == "int":
+            gains = (gains > 0.5).astype(int)
+        given = gains.tolist() if kind == "list" else gains
+        bins = expand_to_bins(given, plan)
+        assert bins.dtype == np.float64
+        np.testing.assert_array_equal(bins, expand_to_bins(gains.astype(float), plan))
+        np.testing.assert_array_equal(bins[1], expand_to_bins(np.asarray(given[1], dtype=float), plan))
+
 
 class TestApplyGains:
     def test_bins_scale_and_power_squares(self):

@@ -247,6 +247,21 @@ class TestHighPass:
         assert pos == x.size
         np.testing.assert_array_equal(np.concatenate(parts), whole)
 
+    @pytest.mark.parametrize("kind", ["float32", "int", "list"])
+    def test_any_real_samples_filter_as_float64(self, kind):
+        """Samples that are not a float64 array convert as np.asarray(...,
+        float) would: the output is float64 and the same values."""
+        x = np.random.default_rng(16).standard_normal(300).astype(np.float32)
+        if kind == "int":
+            x = np.round(x * 1000).astype(np.int16)
+        given = x.tolist() if kind == "list" else x
+        hpf = design_hpf(100.0, 16000)
+        y, zi = hpf_process(given, hpf, None)
+        want, want_zi = hpf_process(x.astype(float), hpf, None)
+        assert y.dtype == np.float64
+        np.testing.assert_array_equal(y, want)
+        np.testing.assert_array_equal(zi, want_zi)
+
     @pytest.mark.parametrize(
         "cutoff_hz,sample_rate_hz",
         [(100.0, 16000), (50.0, 8000), (3000.0, 16000), (100.0, 48000),
