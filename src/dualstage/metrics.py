@@ -37,6 +37,8 @@ REDUCTION_CAP_DB = 120.0
 # bin reads a finite one
 SPECTROGRAM_FLOOR_DB = -120.0
 
+_SCREEN_LEN = 4096  # samples screened at a time: 32 KiB temporaries, under glibc's mmap threshold
+
 # block length for the speech-activity rule, seconds; one analysis
 # frame at the default 16 kHz setup
 ACTIVITY_BLOCK_S = 0.008
@@ -169,12 +171,13 @@ def _noise_scale(speech, noise, target_snr_db, sample_rate_hz, active_threshold_
 def _screen_samples(speech, noise, limit: float = np.finfo(float).max) -> None:
     """Raise InputError naming the signal and the index of its first NaN
     or sample above limit in magnitude (an infinity), in speech, then in
-    noise."""
+    noise, screened a chunk of _SCREEN_LEN samples at a time."""
     for what, x in (("speech", speech), ("noise", noise)):
-        if not (ok := (x <= limit) & (x >= -limit)).all():
-            i = np.argmin(ok)
-            bad = f"sample magnitude above {limit:.3g}" if math.isfinite(x[i]) else "non-finite sample"
-            raise InputError(f"{what} holds a {bad} at index {i}")
+        for at in range(0, x.size, _SCREEN_LEN):
+            chunk = x[at : at + _SCREEN_LEN]
+            if not np.maximum.reduce(np.abs(chunk), initial=0.0) <= limit:  # as _Framer.accept
+                i, bad = pipeline._bad_sample(chunk, limit)
+                raise InputError(f"{what} holds a {bad} at index {at + i}")
 
 
 def _finite_power(what: str, power: float) -> float:

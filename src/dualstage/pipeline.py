@@ -5,28 +5,30 @@ gain-rows pass). Between them the stages (StreamProcessor.stages) run
 in order: Stage 1, then Stage 2 unless single_stage. Each pools the
 spectrum the one before left, tracks its noise and applies its gains,
 coarse in Stage 1 and fine in Stage 2, which is fed Stage 1's frame
-SNR to speed its tracking up or down. The engine hands each block's
+SNR to speed its tracking up or down; one method runs a stage on a
+block or a lone frame (_StageState.run). The engine hands each block's
 record (BlockRecord) to its caller, who keeps what it needs: its
 output, its final bin gains (the stages' product), which the harness
 replays over the clean components of a mix, and its noise estimates.
-One framer (_Framer) owns a stream's shape: the seeded zeros, the input
-screen, the high-pass, the blocks, the pieces and the zero flush. Every
-push, a hop or a whole file, runs through its one buffer of at most
-latency + BLOCK_FRAMES hops; a lone frame it yields is a view of that
-buffer, valid until the generator resumes. The hop path skips the
-generators: StreamProcessor.process runs a push that completes fewer
-than STEP_FRAMES frames past the warm-up (a 4 ms hop, or an 8 or 10 ms
-buffer) one frame at a time. The framer screens the whole push
-(accept), high-passes it into its buffer (load) and, once each frame,
-a view of the buffer, has run through every layer (_frame), shifts
-them out (shift); no BlockRecord is made. Stepping a push frame by
-frame gives the bits of one block, by the chunk invariance below.
-metrics.spectrogram_stream
-has a framer of its own, with no high-pass, and so has replay
-(_Shadow), fed the engine's pieces: it shadows each block's gain rows,
-one analysis, then one synthesis per output, for replay_gains (one
-log) or shadow_stream (a mix's speech and noise, on a worker thread,
-each block reduced to per-hop powers, _shadow_powers).
+One framer (_Framer) owns a stream's shape: the seeded zeros, the
+input screen, the high-pass, the blocks, the pieces and the zero
+flush. Every push, a hop or a whole file, runs through its one buffer
+of at most latency + BLOCK_FRAMES hops; a lone frame it yields is a
+view of that buffer, valid until the generator resumes. The hop path
+skips the generators: StreamProcessor.process runs a push that
+completes fewer than STEP_FRAMES frames past the warm-up (a 4 ms hop,
+or an 8, 10 or 12 ms buffer, from the first call on) one frame at a
+time, a warm-up frame through the transforms alone. The framer screens
+the whole push (accept), high-passes it into its buffer (load) and,
+once each frame, a view of the buffer, has run through every layer,
+shifts them out (shift); no BlockRecord is made. Stepping a push frame
+by frame gives the bits of one block, by the chunk invariance below.
+metrics.spectrogram_stream has a framer of its own, with no high-pass,
+and so has replay (_Shadow), fed the engine's pieces: it shadows each
+block's gain rows, one analysis, then one synthesis per output, for
+replay_gains (one log) or shadow_stream (a mix's speech and noise, on
+a worker thread, each block reduced to per-hop powers,
+_shadow_powers).
 
 Every layer runs once per block of frames (or per frame on the hop
 path), on plain arrays. The
@@ -72,17 +74,19 @@ _IDLE_FRAME_SNR = 1e10
 # memory, whatever its length
 BLOCK_FRAMES = 256
 # a push that completes fewer frames than this, past the warm-up, runs
-# them one at a time (StreamProcessor._frame) instead of as one block.
+# them one at a time (StreamProcessor.process) instead of as one block.
 # Realtime audio APIs hand over such pushes: a 4 ms hop (1 frame), the
 # W3C Web Audio API's 128-sample render quantum (8 ms at 16 kHz, 2
 # frames) and the 10 ms chunks of WebRTC's audio processing module
-# (AudioProcessing::kChunkSizeMs; 160 samples, 2 or 3 frames). Stepped
-# against as a block, a process call of 2 frames took 115-117 and
-# 194-198 us, of 3 frames 168-178 and 201-214 us, of 4 frames 226-237
-# and 217-230 us and of 5 frames 276-294 and 224-229 us (dual stage,
-# communication preset, thread CPU time, two runs of the median of 3
-# runs of 7 batches, on a 2-core x86-64 box; single stage crosses
-# over at 4 frames too, 121-129 against 116-126 us)
+# (AudioProcessing::kChunkSizeMs; 160 samples, 2 or 3 frames). A feed
+# of at most 3 hops (12 ms) steps every call; a 200-sample feed runs
+# 10 of its first 80 calls as blocks. Stepped against as a block, a
+# process call of 2 frames took 115-117 and 194-198 us, of 3 frames
+# 168-178 and 201-214 us, of 4 frames 226-237 and 217-230 us and of 5
+# frames 276-294 and 224-229 us (dual stage, communication preset,
+# thread CPU time, two runs of the median of 3 runs of 7 batches, on a
+# 2-core x86-64 box; single stage crosses over at 4 frames too,
+# 121-129 against 116-126 us)
 STEP_FRAMES = 4
 _F64 = np.dtype(float)  # _mono hands a 1-D array of it on as it is: every hop calls it
 
@@ -126,7 +130,7 @@ class _Framer:
         for chunk in chunks:
             buf = self.load(chunk)
             del chunk  # spent: buf holds it
-            n_frames = (self.fill - flen) // hop + 1 if self.fill >= flen else 0
+            n_frames = self.completes(0)
             first = 0
             while first < n_frames:
                 warm = self.warm_frames - self.frames
@@ -144,12 +148,12 @@ class _Framer:
         InputError naming its stream index."""
         # a chunk's peak magnitude is exact, cannot overflow and fails a
         # NaN, where a sum of squares needs a prescale
-        limit = self.fcfg.max_abs_sample
+        limit, at = self.fcfg.max_abs_sample, self.samples_in
         for chunk in chunks:
             if not np.maximum.reduce(np.abs(chunk), initial=0.0) <= limit:
-                i = np.flatnonzero(~(np.abs(x) <= limit))[0]
-                what = f"sample magnitude above {limit:.3g}" if math.isfinite(x[i]) else "non-finite sample"
-                raise InputError(f"{what} at stream index {self.samples_in + i}")
+                i, what = _bad_sample(chunk, limit)
+                raise InputError(f"{what} at stream index {at + i}")
+            at += chunk.size
         self.samples_in += x.size
 
     def load(self, chunk: np.ndarray) -> np.ndarray:
@@ -188,34 +192,42 @@ class _Framer:
             yield np.zeros(self.flush_len)
 
     def frames_of(self, size: int) -> int:
-        """Frames in the stream of a size-sample signal; none if empty."""
-        end = self.latency + size + self.flush_len
-        return (end - self.fcfg.frame_len) // self.fcfg.hop_len + 1 if size else 0
+        """Frames in the stream of a size-sample signal, after the seeded
+        zeros alone, whatever is buffered now; none if empty."""
+        return self.completes(self.latency - self.fill + size + self.flush_len) if size else 0
 
 
 class _StageState:
-    """One stage of one stream: tracker state, gain carry, and whether
-    it is fed the frame SNR of the stage before (its tracker maps that
-    to alpha). step calls each layer by its module attribute, so a
-    wrapper set there (a tracer's, a test's) sees every call."""
+    """One stage of one stream: tracker state, gain carry and its place
+    in the sequence, set from later, the next stage's config (None if
+    last): it feeds later its frame SNR when later maps that to alpha.
+    run calls each layer by its module attribute, so a wrapper set
+    there (a tracer's, a test's) sees every call."""
 
-    def __init__(self, stage_cfg: StageConfig, num_bands: int):
-        self.cfg = stage_cfg
-        self.noise = noise_tracking.NoiseState.for_params(stage_cfg.tracker, num_bands)
+    def __init__(self, stage_cfg: StageConfig, plan: bands.BandPlan, later: StageConfig | None):
+        self.cfg, self.plan = stage_cfg, plan
+        self.noise = noise_tracking.NoiseState.for_params(stage_cfg.tracker, plan.num_bands)
         self.prev_gain = None
-        self.fed = stage_cfg.tracker.alpha_snr_map is not None
+        self.last = later is None
+        self.feeds = not self.last and later.tracker.alpha_snr_map is not None
         # below this sum of a frame's weights (see frame_snr_db) no
         # weight * SNR can overflow: a band's SNR is at most its weight
         # over eps**2, so their weighted sum is at most total**2 / eps**2
         self.loud_weight = stage_cfg.gains.noise_floor_eps * math.sqrt(sys.float_info.max) / 2
 
-    def step(self, band_mags: np.ndarray, snr_db):
-        cfg = self.cfg
+    def run(self, band_mags: np.ndarray, snr_db, bins, power):
+        """Track, gain and smooth a frame's or a block's pooled powers fed
+        snr_db; scale bins, and power unless last, in place (either may
+        be None). Returns (the next stage's SNR feed or None, bin gains,
+        raw noise, smoothed noise)."""
+        cfg, plan = self.cfg, self.plan
         raw_n, noise_est = noise_tracking.update(band_mags, cfg.tracker, self.noise, snr_db)
         snr = gain.compute_snr(band_mags, noise_est, cfg.gains)
-        raw_g = gain.compute_raw_gain(snr, cfg.gains)
-        g, self.prev_gain = gain.smooth_gain(raw_g, self.prev_gain, cfg.gains)
-        return g, snr, raw_n, noise_est
+        g, self.prev_gain = gain.smooth_gain(gain.compute_raw_gain(snr, cfg.gains), self.prev_gain, cfg.gains)
+        snr_db = self.frame_snr_db(band_mags, snr, plan.widths) if self.feeds else None
+        bin_g = bands.expand_to_bins(g, plan)
+        bands.apply_gains(bins, None if self.last else power, bin_g)
+        return snr_db, bin_g, raw_n, noise_est
 
     def frame_snr_db(self, band_mags: np.ndarray, snr: np.ndarray, widths: np.ndarray):
         """Energy-weighted mean of this stage's per-band SNR per frame, dB."""
@@ -293,8 +305,8 @@ class StreamProcessor:
         self.gains_only = gains_only
         self.log_gains = log_gains or gains_only
         stages = (cfg.stage1,) if single_stage else (cfg.stage1, cfg.stage2)
-        self.stages = [_StageState(stage, cfg.num_bands) for stage in stages]
-        self.pairs = list(zip(self.stages, (*self.stages[1:], None)))  # (stage, next or None)
+        after = (*stages[1:], None)  # each stage's next, None for the last
+        self.stages = [_StageState(stage, self.plan, later) for stage, later in zip(stages, after)]
 
     frame_index = property(lambda self: self.framer.frames, doc="Frames run so far.")
 
@@ -305,68 +317,50 @@ class StreamProcessor:
         (which could overflow a band power) raises InputError naming
         its stream index; no state changes.
 
-        A push that completes fewer than STEP_FRAMES frames, once the
-        warm-up is done, runs them one at a time through every layer
-        (_frame), with no generator and no BlockRecord; a larger push
-        runs as blocks (see blocks). Both give the same bits.
+        A push that completes fewer than STEP_FRAMES frames past the
+        warm-up runs them one at a time, a warm-up frame through the
+        transforms alone, with no generator and no BlockRecord; a larger
+        push runs as blocks. Both give the same bits.
         """
         if self.gains_only:
             raise UsageError("a gains_only processor makes no output; read its blocks()")
         x = _mono(samples)
-        framer = self.framer
+        fcfg, plan, framer = self.cfg.frame, self.plan, self.framer
         n = framer.completes(x.size)
-        if n < STEP_FRAMES and framer.frames >= framer.warm_frames:
-            # a small push past the warm-up: each frame, a view of the
-            # framer's buffer, through every layer in turn
+        warm = framer.warm_frames - framer.frames  # warm-up frames left, if above 0
+        if n < STEP_FRAMES or n - warm < STEP_FRAMES:  # past the warm-up, n alone decides
+            # each frame, a view of the buffer, through every layer (a warm-up frame: the transforms)
             framer.accept(x, (x,))
             buf = framer.load(x)
-            hop, flen = self.cfg.frame.hop_len, self.cfg.frame.frame_len
-            if n == 1:
-                y = self._frame(buf[:flen])
-            else:
-                y = np.empty(n * hop)
-                for at in range(0, n * hop, hop):
-                    y[at : at + hop] = self._frame(buf[at : at + flen])
+            hop, flen = fcfg.hop_len, fcfg.frame_len
+            outs = []
+            for k in range(n):
+                bins = framing.analyze(buf[k * hop : k * hop + flen], fcfg)
+                if k >= warm:
+                    power, snr_db = framing.bin_power(bins), None
+                    for stage in self.stages:
+                        snr_db = stage.run(bands.pool_to_bands(power, plan), snr_db, bins, power)[0]
+                out, self.tail = framing.synthesize(bins, self.tail, fcfg)
+                outs.append(out)
             framer.frames += n
             framer.shift(n)
-            return y
-        size = n * self.cfg.frame.hop_len
-        y, pos = None, 0
+            return outs[0] if n == 1 else np.concatenate(outs) if outs else np.zeros(0)
+        y, pos = np.empty(n * fcfg.hop_len), 0
         for record in self.blocks(x):
-            if record.out.size == size:  # one block makes it all, in an array of its own
-                y = record.out
-            else:
-                y = np.empty(size) if y is None else y
-                y[pos : pos + record.out.size] = record.out
-                pos += record.out.size
-        return np.zeros(0) if y is None else y
-
-    def _frame(self, frame: np.ndarray) -> np.ndarray:
-        """One frame past the warm-up through every layer, as blocks
-        runs a block, with nothing kept for a record; its hop of output."""
-        fcfg, plan = self.cfg.frame, self.plan
-        bins = framing.analyze(frame, fcfg)
-        power = framing.bin_power(bins)
-        snr_db = None
-        for stage, later in self.pairs:
-            mags = bands.pool_to_bands(power, plan)
-            g, snr = stage.step(mags, snr_db)[:2]
-            fed = later is not None and later.fed
-            snr_db = stage.frame_snr_db(mags, snr, plan.widths) if fed else None
-            bands.apply_gains(bins, None if later is None else power, bands.expand_to_bins(g, plan))
-        out, self.tail = framing.synthesize(bins, self.tail, fcfg)
-        return out
+            y[pos : pos + record.out.size] = record.out
+            pos += record.out.size
+        return y
 
     def blocks(self, samples: np.ndarray):
         """Feed a block of samples, as process does; yield the
         BlockRecord of each engine block it completes. Run the
         generator to its end before feeding more.
 
-        The stages run in list order over each block's bins in place,
-        each handing the next its frame SNR if that one is fed. Each
-        array goes as soon as nothing reads it again, which is why the
-        stages run here and not in a method of their own: a caller's
-        name would keep an array alive through the call."""
+        The stages run in list order over each block's bins in place
+        (_StageState.run), each handing the next its frame SNR if that
+        one is fed. Each array goes as soon as nothing reads it again,
+        which is why the powers are pooled here: a name of the stage's
+        would keep them alive through the last stage's call."""
         fcfg, plan, log, framer = self.cfg.frame, self.plan, self.log_gains, self.framer
         for frames, n in framer.push(samples):
             first = framer.frames
@@ -378,17 +372,12 @@ class StreamProcessor:
                 bins = None  # no output: the powers are all the stages read
             gains, noise, snr_db = None, [], None
             if power is not None:
-                for stage, later in self.pairs:
+                for stage in self.stages:
                     mags = bands.pool_to_bands(power, plan)
-                    if later is None:
+                    if stage.last:
                         power = None  # pooled: nothing reads it again
-                    g, snr, raw_n, noise_est = stage.step(mags, snr_db)
+                    snr_db, bin_g, raw_n, noise_est = stage.run(mags, snr_db, bins, power)
                     noise.append((raw_n.reshape(n, -1), noise_est.reshape(n, -1)))
-                    # the next stage takes this one's frame SNR exactly when it maps it to alpha
-                    fed = later is not None and later.fed
-                    snr_db = stage.frame_snr_db(mags, snr, plan.widths) if fed else None
-                    bin_g = bands.expand_to_bins(g, plan)
-                    bands.apply_gains(bins, power, bin_g)
                     if log:  # only the caller's gains need the product
                         gains = bin_g if gains is None else np.multiply(gains, bin_g, out=gains)
                     del bin_g
@@ -592,6 +581,13 @@ class _Shadow:
             y, self.tails[k] = framing.synthesize(spectrum, self.tails[k], fcfg)
             ys.append(y[: self.left])
         return ys
+
+
+def _bad_sample(chunk: np.ndarray, limit: float) -> tuple[int, str]:
+    """The index of a chunk's first NaN or sample above limit in
+    magnitude, and what it is; callers flag the chunk by its peak."""
+    i = np.flatnonzero(~(np.abs(chunk) <= limit))[0]
+    return i, f"sample magnitude above {limit:.3g}" if math.isfinite(chunk[i]) else "non-finite sample"
 
 
 def _mono(samples, what: str = "samples") -> np.ndarray:
