@@ -1,18 +1,16 @@
 """Check that running dualstage imports none of scipy's heavy packages.
 
 In one fresh interpreter, in three phases:
-- three streams: imports dualstage and feeds 1 s of noise through a
+- two streams: imports dualstage and feeds 1 s of noise through a
   StreamProcessor in 64-sample process calls (one hop), then through
   another in 160-sample calls (10 ms at 16 kHz, two or three frames a
-  call) and through a third in 192-sample calls (12 ms, three frames
-  a call after a first of five, three of them warm-up frames). Exits
-  1, naming each one loaded, if scipy.linalg._flapack,
+  call). Exits 1, naming each one loaded, if scipy.linalg._flapack,
   scipy.io.wavfile, top-level scipy (outside Windows) or
   concurrent.futures is then in sys.modules: the engine steps a push
-  of fewer than four frames past the warm-up one frame at a time, a
-  lone frame never solves a block and a stream reads no WAV, so a
-  caller fed a hop, a 10 ms or a 12 ms buffer at a time needs no
-  LAPACK wrapper (nor its OpenBLAS thread) and no WAV codec.
+  of a few frames one frame at a time, a lone frame never solves a
+  block and a stream reads no WAV, so a caller fed a hop or a 10 ms
+  buffer at a time needs no LAPACK wrapper (nor its OpenBLAS thread)
+  and no WAV codec.
 - an enhance run: runs `dualstage enhance` through cli.main on a 1 s
   WAV of noise. Exits 1, naming it, if top-level scipy (outside
   Windows) or concurrent.futures is then in sys.modules: their
@@ -56,7 +54,7 @@ from dualstage import StreamProcessor, cli, evaluate_condition, load_preset, wri
 
 # what an enhance run leaves unloaded
 LEAN = ("concurrent.futures",) if os.name == "nt" else ("scipy", "concurrent.futures")
-# and what a stream fed a hop, 10 ms or 12 ms at a time leaves unloaded besides
+# and what a stream fed a hop or 10 ms at a time leaves unloaded besides
 LEAN_STREAM = ("scipy.linalg._flapack", "scipy.io.wavfile", *LEAN)
 FORBIDDEN = ("scipy.signal", "scipy.stats", "scipy.linalg", "scipy.io", "scipy.fft", "numpy.fft")
 # the leaf modules dualstage loads, and the directory each must come from
@@ -67,8 +65,8 @@ LEAVES = {
     "scipy.fft._pocketfft.pypocketfft": "fft/_pocketfft",
 }
 FS = 16000
-# the streams' call sizes: one hop, 10 ms and 12 ms
-FEEDS = (64, 160, 192)
+# the streams' call sizes: one hop, and 10 ms
+FEEDS = (64, 160)
 
 
 def main():
@@ -106,7 +104,7 @@ def main():
     print(
         f"ok: {len(sys.modules)} modules loaded, none of {', '.join(FORBIDDEN)}; "
         f"enhance loaded none of {', '.join(LEAN)}; "
-        f"streams fed {', '.join(map(str, FEEDS))} samples a call none of {', '.join(LEAN_STREAM)}"
+        f"streams fed {' and '.join(map(str, FEEDS))} samples a call none of {', '.join(LEAN_STREAM)}"
     )
 
 

@@ -37,8 +37,6 @@ REDUCTION_CAP_DB = 120.0
 # bin reads a finite one
 SPECTROGRAM_FLOOR_DB = -120.0
 
-_SCREEN_LEN = 4096  # samples screened at a time: 32 KiB temporaries, under glibc's mmap threshold
-
 # block length for the speech-activity rule, seconds; one analysis
 # frame at the default 16 kHz setup
 ACTIVITY_BLOCK_S = 0.008
@@ -171,13 +169,10 @@ def _noise_scale(speech, noise, target_snr_db, sample_rate_hz, active_threshold_
 def _screen_samples(speech, noise, limit: float = np.finfo(float).max) -> None:
     """Raise InputError naming the signal and the index of its first NaN
     or sample above limit in magnitude (an infinity), in speech, then in
-    noise, screened a chunk of _SCREEN_LEN samples at a time."""
+    noise (see pipeline._first_bad)."""
     for what, x in (("speech", speech), ("noise", noise)):
-        for at in range(0, x.size, _SCREEN_LEN):
-            chunk = x[at : at + _SCREEN_LEN]
-            if not np.maximum.reduce(np.abs(chunk), initial=0.0) <= limit:  # as _Framer.accept
-                i, bad = pipeline._bad_sample(chunk, limit)
-                raise InputError(f"{what} holds a {bad} at index {at + i}")
+        if bad := pipeline._first_bad(x, limit):
+            raise InputError(f"{what} holds a {bad[1]} at index {bad[0]}")
 
 
 def _finite_power(what: str, power: float) -> float:

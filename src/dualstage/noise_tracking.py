@@ -18,9 +18,9 @@ scipy.signal). A factor that varies (the Stage-2 factor that follows
 each frame's Stage-1 SNR, per-band alphas and both gain smoothers) is
 one unit lower-bidiagonal LAPACK solve over all bands (dgttrs, from
 scipy.linalg._flapack, loaded on the first solve: a lone frame never
-solves, and the engine steps a push of fewer than pipeline.STEP_FRAMES
-frames past the warm-up one frame at a time, so a stream fed at most
-three hops a call, from its first call on, never loads it). Both round
+solves, and past the warm-up the engine steps a push of fewer than
+pipeline.STEP_FRAMES frames one frame at a time, so a stream fed
+fewer than three hops at a time never loads it). Both round
 each step exactly as a lone frame does (see smooth_rows), so chunking
 a stream never changes a bit. Each takes its carry, its last row
 (None at stream start), and hands back a copy of its new one.

@@ -5,30 +5,29 @@ gain-rows pass). Between them the stages (StreamProcessor.stages) run
 in order: Stage 1, then Stage 2 unless single_stage. Each pools the
 spectrum the one before left, tracks its noise and applies its gains,
 coarse in Stage 1 and fine in Stage 2, which is fed Stage 1's frame
-SNR to speed its tracking up or down; one method runs a stage on a
+SNR to speed its tracking up or down, one method running a stage on a
 block or a lone frame (_StageState.run). The engine hands each block's
 record (BlockRecord) to its caller, who keeps what it needs: its
 output, its final bin gains (the stages' product), which the harness
 replays over the clean components of a mix, and its noise estimates.
-One framer (_Framer) owns a stream's shape: the seeded zeros, the
-input screen, the high-pass, the blocks, the pieces and the zero
-flush. Every push, a hop or a whole file, runs through its one buffer
-of at most latency + BLOCK_FRAMES hops; a lone frame it yields is a
-view of that buffer, valid until the generator resumes. The hop path
-skips the generators: StreamProcessor.process runs a push that
-completes fewer than STEP_FRAMES frames past the warm-up (a 4 ms hop,
-or an 8, 10 or 12 ms buffer, from the first call on) one frame at a
-time, a warm-up frame through the transforms alone. The framer screens
-the whole push (accept), high-passes it into its buffer (load) and,
-once each frame, a view of the buffer, has run through every layer,
-shifts them out (shift); no BlockRecord is made. Stepping a push frame
-by frame gives the bits of one block, by the chunk invariance below.
-metrics.spectrogram_stream has a framer of its own, with no high-pass,
-and so has replay (_Shadow), fed the engine's pieces: it shadows each
-block's gain rows, one analysis, then one synthesis per output, for
-replay_gains (one log) or shadow_stream (a mix's speech and noise, on
-a worker thread, each block reduced to per-hop powers,
-_shadow_powers).
+One framer (_Framer) owns a stream's shape: the seeded zeros, the input
+screen, the high-pass, the blocks, the pieces and the zero flush. Every
+push, a hop or a whole file, runs through its one buffer of at most
+latency + BLOCK_FRAMES hops; a lone frame it yields is a view of that
+buffer, valid until the generator resumes. The hop path skips the
+generators: StreamProcessor.process runs a push that completes fewer
+than STEP_FRAMES frames past the warm-up (a 4 ms hop, or an 8 or 10 ms
+buffer) one frame at a time. The framer screens the whole push
+(accept), high-passes it into its buffer (load) and, once each frame,
+a view of the buffer, has run through every layer, shifts
+them out (shift); no BlockRecord is made. Stepping a push frame by
+frame gives the bits of one block, by the chunk invariance below.
+metrics.spectrogram_stream
+has a framer of its own, with no high-pass, and so has replay
+(_Shadow), fed the engine's pieces: it shadows each block's gain rows,
+one analysis, then one synthesis per output, for replay_gains (one
+log) or shadow_stream (a mix's speech and noise, on a worker thread,
+each block reduced to per-hop powers, _shadow_powers).
 
 Every layer runs once per block of frames (or per frame on the hop
 path), on plain arrays. The
@@ -79,15 +78,17 @@ BLOCK_FRAMES = 256
 # W3C Web Audio API's 128-sample render quantum (8 ms at 16 kHz, 2
 # frames) and the 10 ms chunks of WebRTC's audio processing module
 # (AudioProcessing::kChunkSizeMs; 160 samples, 2 or 3 frames). A feed
-# of at most 3 hops (12 ms) steps every call; a 200-sample feed runs
-# 10 of its first 80 calls as blocks. Stepped against as a block, a
-# process call of 2 frames took 115-117 and 194-198 us, of 3 frames
-# 168-178 and 201-214 us, of 4 frames 226-237 and 217-230 us and of 5
-# frames 276-294 and 224-229 us (dual stage, communication preset,
-# thread CPU time, two runs of the median of 3 runs of 7 batches, on a
-# 2-core x86-64 box; single stage crosses over at 4 frames too,
-# 121-129 against 116-126 us)
+# of fewer than 3 hops steps every call after its first (the warm-up
+# block and at most one lone frame); a 192-sample feed's first call
+# runs 2 frames as a block, a 200-sample feed 10 of its first 80
+# calls. Stepped against as a block, a process call of 2 frames took
+# 115-117 and 194-198 us, of 3 frames 168-178 and 201-214 us, of 4
+# frames 226-237 and 217-230 us and of 5 frames 276-294 and 224-229
+# us (dual stage, communication preset, thread CPU time, two runs of
+# the median of 3 runs of 7 batches, on a 2-core x86-64 box; single
+# stage crosses over at 4 frames too, 121-129 against 116-126 us)
 STEP_FRAMES = 4
+_SCREEN_LEN = 4096  # samples _first_bad reads at a time: 32 KiB temporaries, under glibc's mmap threshold
 _F64 = np.dtype(float)  # _mono hands a 1-D array of it on as it is: every hop calls it
 
 
@@ -126,7 +127,7 @@ class _Framer:
         # chunks of at most BLOCK_FRAMES hops, at least one (a first
         # completes the seeded zeros' frames)
         chunks = [x] if x.size <= feed else [x[at : at + feed] for at in range(0, x.size, feed)]
-        self.accept(x, chunks)
+        self.accept(x)
         for chunk in chunks:
             buf = self.load(chunk)
             del chunk  # spent: buf holds it
@@ -141,19 +142,13 @@ class _Framer:
                 first += n
             self.shift(n_frames)
 
-    def accept(self, x: np.ndarray, chunks) -> None:
-        """Screen a whole piece x, in chunks (x's pieces of at most feed
-        samples), before any state changes, then count its samples: a
-        NaN, an infinity or a magnitude above max_abs_sample raises
-        InputError naming its stream index."""
-        # a chunk's peak magnitude is exact, cannot overflow and fails a
-        # NaN, where a sum of squares needs a prescale
-        limit, at = self.fcfg.max_abs_sample, self.samples_in
-        for chunk in chunks:
-            if not np.maximum.reduce(np.abs(chunk), initial=0.0) <= limit:
-                i, what = _bad_sample(chunk, limit)
-                raise InputError(f"{what} at stream index {at + i}")
-            at += chunk.size
+    def accept(self, x: np.ndarray) -> None:
+        """Screen a whole piece x (see _first_bad) before any state
+        changes, then count its samples: a NaN, an infinity or a
+        magnitude above max_abs_sample raises InputError naming its
+        stream index."""
+        if bad := _first_bad(x, self.fcfg.max_abs_sample):
+            raise InputError(f"{bad[1]} at stream index {self.samples_in + bad[0]}")
         self.samples_in += x.size
 
     def load(self, chunk: np.ndarray) -> np.ndarray:
@@ -177,9 +172,10 @@ class _Framer:
         self.fill -= cut
         self.buf[: self.fill] = self.buf[cut : cut + self.fill]
 
-    def completes(self, size: int) -> int:
-        """Frames a push of size samples completes."""
-        return max(0, (self.fill + size - self.fcfg.frame_len) // self.fcfg.hop_len + 1)
+    def completes(self, size: int, fill: int | None = None) -> int:
+        """Frames a push of size samples completes after fill samples (default: those buffered)."""
+        fill = self.fill if fill is None else fill
+        return max(0, (fill + size - self.fcfg.frame_len) // self.fcfg.hop_len + 1)
 
     def pieces(self, x: np.ndarray):
         """x in the pieces a stream is fed in, BLOCK_FRAMES hops each."""
@@ -192,9 +188,8 @@ class _Framer:
             yield np.zeros(self.flush_len)
 
     def frames_of(self, size: int) -> int:
-        """Frames in the stream of a size-sample signal, after the seeded
-        zeros alone, whatever is buffered now; none if empty."""
-        return self.completes(self.latency - self.fill + size + self.flush_len) if size else 0
+        """Frames in the stream of a size-sample signal; none if empty."""
+        return self.completes(size + self.flush_len, self.latency) if size else 0
 
 
 class _StageState:
@@ -317,29 +312,29 @@ class StreamProcessor:
         (which could overflow a band power) raises InputError naming
         its stream index; no state changes.
 
-        A push that completes fewer than STEP_FRAMES frames past the
-        warm-up runs them one at a time, a warm-up frame through the
-        transforms alone, with no generator and no BlockRecord; a larger
-        push runs as blocks. Both give the same bits.
+        A push that completes fewer than STEP_FRAMES frames, once the
+        warm-up is done, runs them one at a time through every layer
+        (_StageState.run for each stage), with no generator and no
+        BlockRecord; a larger push runs as blocks (see blocks). Both
+        give the same bits.
         """
         if self.gains_only:
             raise UsageError("a gains_only processor makes no output; read its blocks()")
         x = _mono(samples)
         fcfg, plan, framer = self.cfg.frame, self.plan, self.framer
         n = framer.completes(x.size)
-        warm = framer.warm_frames - framer.frames  # warm-up frames left, if above 0
-        if n < STEP_FRAMES or n - warm < STEP_FRAMES:  # past the warm-up, n alone decides
-            # each frame, a view of the buffer, through every layer (a warm-up frame: the transforms)
-            framer.accept(x, (x,))
+        if n < STEP_FRAMES and framer.frames >= framer.warm_frames:
+            # a small push past the warm-up: each frame, a view of the
+            # framer's buffer, through every layer in turn
+            framer.accept(x)
             buf = framer.load(x)
             hop, flen = fcfg.hop_len, fcfg.frame_len
             outs = []
-            for k in range(n):
-                bins = framing.analyze(buf[k * hop : k * hop + flen], fcfg)
-                if k >= warm:
-                    power, snr_db = framing.bin_power(bins), None
-                    for stage in self.stages:
-                        snr_db = stage.run(bands.pool_to_bands(power, plan), snr_db, bins, power)[0]
+            for at in range(0, n * hop, hop):
+                bins = framing.analyze(buf[at : at + flen], fcfg)
+                power, snr_db = framing.bin_power(bins), None
+                for stage in self.stages:
+                    snr_db = stage.run(bands.pool_to_bands(power, plan), snr_db, bins, power)[0]
                 out, self.tail = framing.synthesize(bins, self.tail, fcfg)
                 outs.append(out)
             framer.frames += n
@@ -583,11 +578,16 @@ class _Shadow:
         return ys
 
 
-def _bad_sample(chunk: np.ndarray, limit: float) -> tuple[int, str]:
-    """The index of a chunk's first NaN or sample above limit in
-    magnitude, and what it is; callers flag the chunk by its peak."""
-    i = np.flatnonzero(~(np.abs(chunk) <= limit))[0]
-    return i, f"sample magnitude above {limit:.3g}" if math.isfinite(chunk[i]) else "non-finite sample"
+def _first_bad(x: np.ndarray, limit: float) -> tuple[int, str] | None:
+    """The index of x's first NaN or sample above limit in magnitude (an
+    infinity), and what it is, or None. A chunk's peak magnitude flags
+    it: exact, it cannot overflow and fails a NaN."""
+    for at in range(0, x.size, _SCREEN_LEN):
+        chunk = x[at : at + _SCREEN_LEN]
+        if not np.maximum.reduce(np.abs(chunk), initial=0.0) <= limit:
+            i = np.flatnonzero(~(np.abs(chunk) <= limit))[0]
+            return at + i, f"sample magnitude above {limit:.3g}" if math.isfinite(chunk[i]) else "non-finite sample"
+    return None
 
 
 def _mono(samples, what: str = "samples") -> np.ndarray:

@@ -82,14 +82,13 @@ class TestStreaming:
 
     @pytest.mark.parametrize("single", [False, True])
     def test_carries_are_the_same_whatever_the_feed(self, comm_cfg, single):
-        """The same 3 s fed to process in 64-, 128-, 160- and 192-sample
-        calls (one frame a call, two, two or three, and three after a
-        first call of five, three of them warm-up frames; process steps
-        them all frame by frame) and in one push give the same output
-        and leave every carry byte for byte the same: the framer's
-        high-pass delays, unframed samples and counts, the overlap-add
-        tail, and per stage the two smoother carries, the gain carry and
-        the sliding minimum's buffer, position and prefix."""
+        """The same 3 s fed to process in 64-, 128- and 160-sample calls
+        (one frame a call, two, and two or three, which process steps
+        frame by frame) and in one push give the same output and leave
+        every carry byte for byte the same: the framer's high-pass
+        delays, unframed samples and counts, the overlap-add tail, and
+        per stage the two smoother carries, the gain carry and the
+        sliding minimum's buffer, position and prefix."""
         x = surrogate_speech(3.0, np.random.default_rng(43)) + pink_noise(3.0, np.random.default_rng(44))
 
         def carries(feed):
@@ -111,33 +110,12 @@ class TestStreaming:
             return {name: np.asarray(value) for name, value in state.items()}
 
         whole = carries(x.size)
-        for feed in (64, 128, 160, 192):
+        for feed in (64, 128, 160):
             fed = carries(feed)
             assert fed.keys() == whole.keys()
             for name, value in fed.items():
                 assert (value.dtype, value.shape) == (whole[name].dtype, whole[name].shape), (feed, name)
                 assert value.tobytes() == whole[name].tobytes(), (feed, name)
-
-    @pytest.mark.parametrize("single", [False, True])
-    def test_a_12_ms_feed_never_solves_a_block(self, comm_cfg, monkeypatch, single):
-        """A fresh stream fed 192 samples (12 ms) a call steps every
-        frame: its first call completes five frames, three of them
-        warm-up frames, which run through the transforms alone, and
-        every later call three. So no call solves a smoother block
-        (noise_tracking._solve_rows, which loads scipy's LAPACK wrapper
-        and its thread pool); the first call used to run its two frames
-        past the warm-up as a block."""
-
-        def solve(*args):
-            raise AssertionError("a block solve")
-
-        monkeypatch.setattr(noise_tracking, "_solve_rows", solve)
-        x = pink_noise(1.0, np.random.default_rng(47))
-        proc = ds.StreamProcessor(comm_cfg, single_stage=single)
-        for pos in range(0, x.size, 192):
-            proc.process(x[pos : pos + 192])
-        fcfg = comm_cfg.frame
-        assert proc.frame_index == (proc.latency_samples + x.size - fcfg.frame_len) // fcfg.hop_len + 1
 
     @pytest.mark.parametrize("aligned", [False, True])
     def test_run_stream_blocks_equal_whole(self, comm_cfg, aligned):
@@ -562,9 +540,9 @@ class TestCallBudget:
     # Python-level calls a steady one-hop process call makes, dual and
     # single stage, communication preset: one per layer, each stage's
     # run and three smoothers (smooth_carried over smooth_rows), and
-    # the framer's accept, load and shift, 49 and 28 since process
-    # steps the frame itself; the block path made 57 and 32, two
-    # generators and a BlockRecord among them
+    # the framer's accept (with its screen, _first_bad), load and shift;
+    # the block path made 57 and 32, two generators and a BlockRecord
+    # among them
     BUDGET = {False: 50, True: 29}
 
     @pytest.mark.parametrize("single", [False, True])

@@ -31,10 +31,10 @@ def run_python(*args):
 
 def test_a_run_imports_no_heavy_scipy_package():
     """scripts/check_imports.py in a fresh interpreter: feed a stream a
-    hop a call, another 160 and a third 192 samples a call and look in
-    sys.modules, enhance a 1 s WAV through cli.main and look again,
-    then evaluate one condition, look again and at where the four scipy
-    leaf modules came from."""
+    hop a call and another 160 samples a call and look in sys.modules,
+    enhance a 1 s WAV through cli.main and look again, then evaluate
+    one condition, look again and at where the four scipy leaf modules
+    came from."""
     run_python(str(ROOT / "scripts" / "check_imports.py"))
 
 
