@@ -258,6 +258,17 @@ def _run_child(src: Path, out: Path) -> dict:
         return pickle.load(fh)
 
 
+def extract(rev: str, into: Path) -> Path:
+    """REV's src/ extracted under into with git archive; returns it."""
+    git = ["git", "-C", str(ROOT), "archive", "--format=zip", rev, "src"]
+    archive = subprocess.run(git, capture_output=True)
+    if archive.returncode:
+        sys.exit(f"git archive {rev} failed: {archive.stderr.decode().strip()}")
+    with zipfile.ZipFile(io.BytesIO(archive.stdout)) as tree:
+        tree.extractall(into)
+    return into / "src"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", nargs="?", default="HEAD", help="revision to compare with")
@@ -268,13 +279,7 @@ def main(argv=None) -> int:
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        git = ["git", "-C", str(ROOT), "archive", "--format=zip", args.rev, "src"]
-        archive = subprocess.run(git, capture_output=True)
-        if archive.returncode:
-            sys.exit(f"git archive {args.rev} failed: {archive.stderr.decode().strip()}")
-        with zipfile.ZipFile(io.BytesIO(archive.stdout)) as tree:
-            tree.extractall(tmp / "rev")
-        theirs = _run_child(tmp / "rev" / "src", tmp / "theirs.pickle")
+        theirs = _run_child(extract(args.rev, tmp / "rev"), tmp / "theirs.pickle")
         ours = _run_child(ROOT / "src", tmp / "ours.pickle")
     lines = differences(ours, theirs)
     print("\n".join(lines))

@@ -10,9 +10,6 @@ so each side runs its own code. Each side loads the communication
 preset from its own tree. The cases then alternate batches between
 the two sides, the side that runs first alternating from batch to
 batch:
-- one-hop: one-hop (64-sample) StreamProcessor.process calls of a
-  default processor, HOP_CALLS per batch, 8 * N batches after
-  WARM_CALLS warm-up calls on each side; times are per call;
 - stream-hop: benchmarks/run.py's stream-hop loop: per batch, a fresh
   default processor fed S seconds of noise one hop per call, every
   output kept, each call timed; a batch's time is its median call's;
@@ -38,28 +35,25 @@ defaults take about five minutes on a 2-core box.
 
 import argparse
 import importlib.util
-import io
 import json
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
-import zipfile
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
 sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "src"))
+from compare_outputs import extract  # noqa: E402
 from synth import FS, am_noise, surrogate_speech  # noqa: E402
 
-HOP_CALLS = 200
-WARM_CALLS = 2000
-CASES = ("one-hop", "stream-hop", "feed-128", "feed-160", "stream-128", "stream-256", "evaluate")
+CASES = ("stream-hop", "feed-128", "feed-160", "stream-128", "stream-256", "evaluate")
 # what each case's times are per
-UNITS = {"one-hop": "per call", "stream-hop": "per call (a batch's median)"}
+UNITS = {"stream-hop": "per call (a batch's median)"}
 UNITS.update({case: "per audio second" for case in ("feed-128", "feed-160")})
 
 
@@ -83,20 +77,6 @@ def timed(batch, per):
         return (time.perf_counter() - wall) / per, (time.thread_time() - cpu) / per
 
     return measure
-
-
-def one_hop(ds, cfg, seconds):
-    """A measure of HOP_CALLS one-hop calls of one stream, warmed up."""
-    proc = ds.StreamProcessor(cfg)
-    hops = np.random.default_rng(0).normal(0.0, 0.1, (HOP_CALLS, cfg.frame.hop_len))
-    for i in range(WARM_CALLS):
-        proc.process(hops[i % HOP_CALLS])
-
-    def batch():
-        for hop in hops:
-            proc.process(hop)
-
-    return timed(batch, HOP_CALLS)
 
 
 def stream_hop(ds, cfg, seconds):
@@ -169,7 +149,6 @@ def evaluate(ds, cfg, seconds):
 
 
 RUNNERS = {
-    "one-hop": one_hop,
     "stream-hop": stream_hop,
     "feed-128": feed(128),
     "feed-160": feed(160),
@@ -200,17 +179,6 @@ def compare(sides, case, batches, seconds):
     return figures
 
 
-def extract(rev: str, into: Path) -> Path:
-    """REV's src/ extracted under into; returns its package directory."""
-    git = ["git", "-C", str(ROOT), "archive", "--format=zip", rev, "src"]
-    archive = subprocess.run(git, capture_output=True)
-    if archive.returncode:
-        sys.exit(f"git archive {rev} failed: {archive.stderr.decode().strip()}")
-    with zipfile.ZipFile(io.BytesIO(archive.stdout)) as tree:
-        tree.extractall(into)
-    return into / "src" / "dualstage"
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", nargs="?", default="HEAD", help="revision to compare with")
@@ -227,16 +195,15 @@ def main(argv=None) -> int:
         sys.exit(f"imported {dualstage.__file__}, not the checkout's package")
     report = {}
     with tempfile.TemporaryDirectory() as tmp:
-        rev = import_tree("dualstage_rev", extract(args.rev, Path(tmp)))
+        rev = import_tree("dualstage_rev", extract(args.rev, Path(tmp)) / "dualstage")
         sides = [
             (ds, ds.config.load_config(Path(ds.__file__).parent / "presets" / "communication.json"))
             for ds in (rev, dualstage)
         ]
         for case in args.case or CASES:
-            batches = 8 * args.batches if case == "one-hop" else args.batches
-            report[case] = figures = compare(sides, case, batches, args.seconds)
+            report[case] = figures = compare(sides, case, args.batches, args.seconds)
             unit = UNITS.get(case, "per batch")
-            print(f"{case}: {batches} batches, times {unit}, checkout against {args.rev}")
+            print(f"{case}: {args.batches} batches, times {unit}, checkout against {args.rev}")
             for clock, f in figures.items():
                 q = " / ".join(f"{x:.4f}" for x in f["ratio_quartiles"])
                 print(

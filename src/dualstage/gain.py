@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, refuse_huge_integers
-from .noise_tracking import _ONE, PerBand, _set_frozen, frozen_array, smooth_carried
+from .noise_tracking import _ONE, PerBand, _set_frozen, frozen_array, smooth_rows
 
 # validation bound for mu; presets stay well inside it
 MU_MAX = 1.5
@@ -121,4 +121,4 @@ def smooth_gain(raw: np.ndarray, prev, params: GainParams):
     frame and band, so a block is one bidiagonal solve (smooth_rows).
     """
     prev = np.ones(raw.shape[-1]) if prev is None else prev
-    return smooth_carried(prev, smoothing_factor_of(raw, params), raw, params._floor)
+    return smooth_rows(prev, smoothing_factor_of(raw, params), raw, params._floor)

@@ -9,28 +9,30 @@ where the first stage says the signal is mostly noise.
 
 All three smoothers (magnitude pre-smoothing, noise smoothing, and the
 gain smoothing in the gain module) are the recursion in smooth_rows,
-p(m) = c(m) * p(m-1) + a(m) * x(m) with c = 1 - a, and each runs once
-per block on one of two kernels. A factor that is one constant for the
-whole block (pre-smoothing in every stage, and noise smoothing with a
-scalar alpha without an alpha map) runs down the rows on
-scipy.signal.lfilter's C loop (scipy.signal._sigtools, loaded without
-scipy.signal). A factor that varies (the Stage-2 factor that follows
-each frame's Stage-1 SNR, per-band alphas and both gain smoothers) is
-one unit lower-bidiagonal LAPACK solve over all bands (dgttrs, from
-scipy.linalg._flapack, loaded on the first solve: a lone frame never
-solves, and past the warm-up the engine steps a push of fewer than
-pipeline.STEP_FRAMES frames one frame at a time, so a stream fed
-fewer than three hops at a time never loads it). Both round
-each step exactly as a lone frame does (see smooth_rows), so chunking
-a stream never changes a bit. Each takes its carry, its last row
-(None at stream start), and hands back a copy of its new one.
+p(m) = c(m) * p(m-1) + a(m) * x(m) with c = 1 - a, written once: the
+step of a lone frame. Each smoother takes its carry, its last row
+(None at stream start), and hands back a copy of its new one. A block
+runs once on one of two kernels, each proven to round every row as
+that step does, so chunking a stream never changes a bit. A factor
+that is one constant for the whole block (pre-smoothing in every
+stage, and noise smoothing with a scalar alpha without an alpha map)
+runs down the rows on scipy.signal.lfilter's C loop
+(scipy.signal._sigtools, loaded without scipy.signal). A factor that
+varies (the Stage-2 factor that follows each frame's Stage-1 SNR,
+per-band alphas and both gain smoothers) is one unit lower-bidiagonal
+LAPACK solve over all bands (dgttrs, from scipy.linalg._flapack,
+loaded on the first solve: a lone frame never solves, and past the
+warm-up the engine steps a push of fewer than pipeline.STEP_FRAMES
+frames one frame at a time, so a stream fed fewer than three hops at
+a time never loads it). Where a kernel meets a non-finite value, or
+the gain floor's clamp changes a row, the block steps lone frames
+from there.
 """
 
 import bisect
 import functools
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -170,8 +172,9 @@ class _SlidingMin:
 @dataclass
 class NoiseState:
     """Per-stream tracker state: the sliding minimum's buffer and the
-    carries of the two smoothers (see smooth_carried), None until the
-    first frame seeds them; single writer, movable between threads."""
+    carries of the two smoothers (the last rows smooth_rows hands
+    back), None until the first frame seeds them; single writer,
+    movable between threads."""
 
     window_min: _SlidingMin
     presmoothed_mag: np.ndarray | None = None
@@ -201,30 +204,33 @@ def _set_frozen(params, **values) -> None:
         object.__setattr__(params, name, frozen_array(value))
 
 
-def smooth_rows(prev, alpha, x: np.ndarray, floor=None, c=None) -> np.ndarray:
-    """First-order recursion p(m) = (1 - alpha(m)) * p(m-1) + alpha(m) * x(m).
+def smooth_rows(prev, alpha, x: np.ndarray, floor=None, c=None):
+    """First-order recursion p(m) = (1 - alpha(m)) * p(m-1) + alpha(m) * x(m);
+    return (rows, carry), the carry a copy of the last row, so a caller
+    may keep or write into the rows and hand the carry to its next call.
 
-    x is one frame (1-D) or a block, one frame per row; the result has
-    its shape. A 2-D alpha gives each frame of a block its own row
-    (of one value, or one per band), other alphas apply to every
-    frame. c, when given, is 1 - alpha built ahead for an alpha that
-    is not 2-D. prev = None seeds p(0) = x(0). A floor clamps every
-    p(m) to [floor, 1] before the next step.
+    x is one frame (1-D) or a block, one frame per row; the rows have
+    its shape, and an empty block hands back prev as the carry. A 2-D
+    alpha gives each frame of a block its own row (of one value, or one
+    per band), other alphas apply to every frame. c, when given, is
+    1 - alpha built ahead for an alpha that is not 2-D. prev = None
+    seeds p(0) = x(0). A floor clamps every p(m) to [floor, 1] before
+    the next step.
 
-    Every path rounds each step as fl(fl(c * p) + fl(alpha * x)) with
-    c = 1 - alpha, as a lone frame does, so every split of a stream
-    gives the same bits:
-    - a block with a 0-d alpha runs on lfilter's C loop (_filter_rows);
-    - a block whose factor varies (by row, by band or both) is one unit
-      lower-bidiagonal solve over all bands (_solve_rows);
-    - where either kernel meets a non-finite value it reports None and
-      the block steps row by row instead;
-    - with a floor, the clamp runs only from the first row that left
-      [floor, 1], since a clamp that changes nothing can be skipped;
-      from that row on the block steps row by row.
-    A LAPACK built to fuse the multiply and add would round the solve
-    differently; test_block_smoother_equals_frame_by_frame would catch
-    it.
+    The step is the lone-frame branch below, fl(fl(c * p) + fl(alpha *
+    x)) with c = 1 - alpha, then the clamp. A block runs on one of two
+    kernels that round each row exactly as that step does, so every
+    split of a stream gives the same bits:
+    - a 0-d alpha runs on lfilter's C loop (_filter_rows);
+    - a factor that varies (by row, by band or both) is one unit
+      lower-bidiagonal solve over all bands (_solve_rows).
+    Where a kernel meets a non-finite value it reports None, and the
+    block steps lone frames from its first row; with a floor, the
+    kernel's rows stand up to the first one outside [floor, 1] (a
+    clamp that changes nothing can be skipped), and the block steps
+    lone frames from that row on. A LAPACK built to fuse the multiply
+    and add would round the solve differently;
+    test_block_smoother_equals_frame_by_frame would catch it.
     """
     if x.ndim == 1:
         if prev is None:
@@ -235,42 +241,32 @@ def smooth_rows(prev, alpha, x: np.ndarray, floor=None, c=None) -> np.ndarray:
         if floor is not None:
             np.maximum(p, floor, out=p)
             np.minimum(p, _ONE, out=p)
-        return p
+        return p, p.copy()
     if not len(x):
-        return np.empty_like(x)
+        return np.empty_like(x), prev
+    row_alpha = np.ndim(alpha) == 2
     if prev is None:  # the seeded first row, then the recursion from it
-        first = smooth_rows(None, alpha, x[0], floor, c)
+        first, carry = smooth_rows(None, alpha, x[0], floor, c)
         if len(x) == 1:
-            return first[None]
-        rest = smooth_rows(first, alpha[1:] if np.ndim(alpha) == 2 else alpha, x[1:], floor, c)
-        return np.concatenate([first[None], rest])
+            return first[None], carry
+        rest, carry = smooth_rows(carry, alpha[1:] if row_alpha else alpha, x[1:], floor, c)
+        return np.concatenate([first[None], rest]), carry
     if np.ndim(alpha) == 0:
-        c = _ONE - alpha if c is None else c
-        rows = _filter_rows(prev, alpha, c, x)
+        rows = _filter_rows(prev, alpha, _ONE - alpha if c is None else c, x)
     else:
         rows = _solve_rows(prev, alpha, x)
     if rows is None:
-        rows = np.empty_like(x)
-        _step_rows(prev, 1 - alpha if c is None else c, alpha * x, rows)
-    if floor is not None:
-        # a clamp that changes nothing can be skipped: rows before the
-        # first one outside [floor, 1] are exact, and from that row on
-        # the block steps again with the clamp
+        rows, start = np.empty_like(x), 0
+    elif floor is None:
+        start = len(x)
+    else:  # the rows before the first one outside [floor, 1] stand
         bad = np.flatnonzero(np.any((rows < floor) | (rows > 1.0), axis=-1))
-        if bad.size:
-            m = bad[0]
-            np.minimum(np.maximum(rows[m], floor), 1.0, out=rows[m])
-            alpha_rest = alpha[m + 1 :] if np.ndim(alpha) == 2 else alpha
-            c_rest = 1 - alpha_rest if c is None else c
-            _step_rows(rows[m], c_rest, alpha_rest * x[m + 1 :], rows[m + 1 :], floor)
-    return rows
-
-
-def smooth_carried(prev, alpha, x: np.ndarray, floor=None, c=None):
-    """smooth_rows, with the carry for the next call: (rows, a copy of
-    the last row), so a caller may keep or write into the rows."""
-    rows = smooth_rows(prev, alpha, x, floor, c)
-    return rows, (rows if rows.ndim == 1 else rows[-1]).copy()
+        start = bad[0] if bad.size else len(x)
+    # from start on, the block steps lone frames
+    carry = prev if start == 0 else rows[start - 1].copy()
+    for m in range(start, len(x)):
+        rows[m], carry = smooth_rows(carry, alpha[m] if row_alpha else alpha, x[m], floor, c)
+    return rows, carry
 
 
 def _filter_rows(prev, alpha, c, x: np.ndarray) -> np.ndarray | None:
@@ -279,10 +275,10 @@ def _filter_rows(prev, alpha, c, x: np.ndarray) -> np.ndarray | None:
     a = [1, -c], and the delay starts at z = c * prev.
 
     The loop computes y = z + alpha * x, then z = 0 * x - (-c) * y,
-    which is exactly c * y while x is finite, so each row is the row
-    loop's fl(fl(c * p) + fl(alpha * x)). An infinite x makes 0 * x
+    which is exactly c * y while x is finite, so each row is the lone
+    frame's fl(fl(c * p) + fl(alpha * x)). An infinite x makes 0 * x
     NaN, and a non-finite value runs on to its band's last row; the
-    filter then returns None and the caller steps the rows instead.
+    filter then returns None and smooth_rows steps lone frames instead.
     """
     rows, _ = _linear_filter(np.array((alpha,)), np.array((1.0, -c)), x, 0, (c * prev)[None])
     return rows if np.isfinite(rows[-1]).all() else None
@@ -295,13 +291,13 @@ def _solve_rows(prev, alpha, x: np.ndarray) -> np.ndarray | None:
     has ones on its diagonal, alpha(m) - 1 below it within a band (it
     rounds to exactly -c(m)) and 0 across a band boundary; b = [prev,
     alpha * x]. dgttrs's forward step B(i+1) - DL(i) * B(i) is then
-    fl(alpha * x + fl(c * p)), the row loop's arithmetic, and its
+    fl(alpha * x + fl(c * p)), the lone frame's arithmetic, and its
     back-substitution subtracts 0 * p and divides by 1, which is exact
     while every p is finite. A non-finite p spreads NaN back to the
     first unknown through 0 * inf; the solve then returns None, as it
     does for systems of fewer than 3 unknowns (too small for the
-    wrapper's du2), and the caller steps the rows instead. The result
-    is a Fortran-ordered view.
+    wrapper's du2), and smooth_rows steps lone frames instead. The
+    result is a Fortran-ordered view.
     """
     n, bands = x.shape
     size = bands * (n + 1)
@@ -335,18 +331,6 @@ def _unit_factor(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return parts
 
 
-def _step_rows(p, c, ax, rows, floor=None) -> None:
-    """rows[m] = c(m) * rows[m-1] + ax[m], from rows[-1] = p, with the
-    [floor, 1] clamp when a floor is given."""
-    for axm, cm, pm in zip(ax, c if np.ndim(c) == 2 else repeat(c), rows):
-        np.multiply(p, cm, out=pm)
-        pm += axm
-        if floor is not None:
-            np.maximum(pm, floor, out=pm)
-            np.minimum(pm, 1.0, out=pm)
-        p = pm
-
-
 def track_raw(band_mags: np.ndarray, params: TrackerParams, state: NoiseState) -> np.ndarray:
     """Raw noise estimate: bias_factor times the sliding-window minimum.
 
@@ -370,7 +354,7 @@ def smooth_noise(raw: np.ndarray, prev, alpha, c=None):
     [0, 1], as TrackerParams and effective_alpha give it; c, when
     given, is 1 - alpha built ahead (see smooth_rows).
     """
-    return smooth_carried(prev, alpha, raw, c=c)
+    return smooth_rows(prev, alpha, raw, c=c)
 
 
 def effective_alpha(params: TrackerParams, stage1_snr_db):
@@ -426,7 +410,7 @@ def update(
         alpha, c = effective_alpha(params, stage1_snr_db), None
     else:
         alpha, c = params._alpha, params._c
-    pre, state.presmoothed_mag = smooth_carried(
+    pre, state.presmoothed_mag = smooth_rows(
         state.presmoothed_mag, params._pre_alpha, band_mags, c=params._pre_c
     )
     raw = track_raw(pre, params, state)

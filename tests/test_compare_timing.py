@@ -34,13 +34,12 @@ def test_every_case_runs_against_head(tmp_path, capsys):
     figures = json.loads(report.read_text())
     assert list(figures) == list(compare_timing.CASES)
     for case, clocks in figures.items():
-        batches = 16 if case == "one-hop" else 2
         for clock in ("wall", "cpu"):
             f = clocks[clock]
             assert f["rev_median_us"] > 0 and f["checkout_median_us"] > 0
             low, mid, high = f["ratio_quartiles"]
             assert 0 < low <= mid <= high
-            assert f["checkout_faster"].endswith(f"/{batches}")
+            assert f["checkout_faster"].endswith("/2")
     # a call of one hop takes far less than an audio second of calls
     for clock in ("wall", "cpu"):
         hop = figures["stream-hop"][clock]["checkout_median_us"]

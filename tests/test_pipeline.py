@@ -539,11 +539,11 @@ class TestTransformBudget:
 class TestCallBudget:
     # Python-level calls a steady one-hop process call makes, dual and
     # single stage, communication preset: one per layer, each stage's
-    # run and three smoothers (smooth_carried over smooth_rows), and
-    # the framer's accept (with its screen, _first_bad), load and shift;
+    # run and three smoothers (each one smooth_rows call), and the
+    # framer's accept (with its screen, _first_bad), load and shift;
     # the block path made 57 and 32, two generators and a BlockRecord
     # among them
-    BUDGET = {False: 50, True: 29}
+    BUDGET = {False: 44, True: 26}
 
     @pytest.mark.parametrize("single", [False, True])
     def test_calls_per_hop(self, comm_cfg, single):

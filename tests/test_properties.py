@@ -113,13 +113,15 @@ def test_block_smoother_equals_frame_by_frame(
     one-frame calls, whichever path the block takes: lfilter's C loop
     for a 0-d alpha (a float, or a frozen array with c = 1 - alpha
     built ahead, as update passes them), the bidiagonal solve for a
-    varying one (per frame, per band or per row), the row loop, or a
-    kernel whose clamp or non-finite fallback steps the rest. The
-    inputs stay untouched, and an empty block gives an empty result.
-    One band and one row make a system too small for the bidiagonal
-    solve; in_range_rows keeps clamped blocks inside [floor, 1] up to a
-    random row, so the clamp starts part-way after a kernel; blowup
-    puts an infinity in the block."""
+    varying one (per frame, per band or per row), or lone frames
+    stepped from the row where a kernel meets a non-finite value or
+    the clamp. Every call's carry is its last row, bit for bit, in
+    memory of its own. The inputs stay untouched, and an empty block
+    gives an empty result and hands prev back as it is. One band and
+    one row make a system too small for the bidiagonal solve;
+    in_range_rows keeps clamped blocks inside [floor, 1] up to a random
+    row, so the clamp starts part-way after a kernel; blowup puts an
+    infinity in the block."""
     rng = np.random.default_rng(seed)
 
     def unit_values(shape):
@@ -162,20 +164,28 @@ def test_block_smoother_equals_frame_by_frame(
     x_before = x.copy()
     prev_before = None if prev is None else prev.copy()
 
+    def check_carry(rows, carry):
+        np.testing.assert_array_equal(carry, rows if rows.ndim == 1 else rows[-1])
+        assert not np.shares_memory(carry, rows)
+
     with np.errstate(invalid="ignore"):
-        block = smooth_rows(prev, alpha, x, floor, c)
+        block, carry = smooth_rows(prev, alpha, x, floor, c)
+        check_carry(block, carry)
 
         np.testing.assert_array_equal(x, x_before)
         if prev is not None:
             np.testing.assert_array_equal(prev, prev_before)
         p = prev
         for m in range(n):
-            p = smooth_rows(p, alpha[m] if np.ndim(alpha) == 2 else alpha, x[m], floor)
-            np.testing.assert_array_equal(block[m], p)
+            row, p = smooth_rows(p, alpha[m] if np.ndim(alpha) == 2 else alpha, x[m], floor)
+            check_carry(row, p)
+            np.testing.assert_array_equal(block[m], row)
     if floor is not None and not blowup:
         assert np.all(block >= floor) and np.all(block <= 1.0)
     empty_alpha = alpha[:0] if np.ndim(alpha) == 2 else alpha
-    assert smooth_rows(prev, empty_alpha, x[:0], floor, c).shape == (0, num_bands)
+    rows, carry = smooth_rows(prev, empty_alpha, x[:0], floor, c)
+    assert rows.shape == (0, num_bands)
+    assert carry is prev
 
 
 @settings(max_examples=60, deadline=None)
